@@ -1,11 +1,11 @@
 """Run every workload in BENCHMARK.json, untraced then traced, one at a time.
 
-    python3 perfbench/all.py --seed N [--seconds S] [--out FILE]
+    python3 perfbench/all.py --seed N > FILE
 
-Each run is its own `perfbench/run.py` process, so each measures its own
-import and set-up.  Prints every metric with its unit per workload, then one
-JSON object holding every run's result and report; --out also writes that
-object to FILE, so two commits compare as a diff of two files.
+Each run is its own `perfbench/run.py` process, for BENCHMARK.json's
+run_seconds, so each measures its own import and set-up.  Prints every metric
+with its unit per workload, then one JSON object holding every run's result
+and report as the last line, so two commits compare as a diff of two files.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    p.add_argument("--out", help="also write the combined JSON object here")
     args = p.parse_args(argv)
+    seconds = bench["run_seconds"]
 
     runs = []
     failed = 0
@@ -34,7 +33,7 @@ def main(argv=None) -> int:
         for trace in (0, 1):
             proc = subprocess.run(
                 [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-                 "--seed", str(args.seed), "--seconds", str(args.seconds),
+                 "--seed", str(args.seed), "--seconds", str(seconds),
                  "--trace", str(trace)],
                 cwd=ROOT, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
             )
@@ -53,10 +52,7 @@ def main(argv=None) -> int:
             runs.append({"workload": workload, "trace": trace, "result": result,
                          "report": report})
 
-    combined = json.dumps({"seed": args.seed, "seconds": args.seconds, "runs": runs})
-    if args.out:
-        Path(args.out).write_text(combined + "\n")
-    print(combined)
+    print(json.dumps({"seed": args.seed, "seconds": seconds, "runs": runs}))
     return 1 if failed else 0
 
 

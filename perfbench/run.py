@@ -1,13 +1,13 @@
 """ppghrv benchmark: one workload per invocation, run from the checkout root.
 
     python3 perfbench/run.py --workload {ingest,run_matrix,serve,amplify}
-        --seed N --seconds S --trace {0,1} [--toy] [--spans PATH]
+        --seed N --seconds S --trace {0,1} [--toy]
 
 The package is imported from ``src/`` of the checkout this file sits in; the
 benchmark exits with status 2 if it is not there.  BLAS is pinned to one
-thread.  With ``--trace 0`` the run prints every end-to-end metric; with
-``--trace 1`` it sets up under a Tracer, makes one untraced pass for the
-overhead baseline, then traced passes, and prints every per-layer metric.
+thread and glibc's malloc thresholds are fixed.  With ``--trace 0`` the run
+prints every end-to-end metric; with ``--trace 1`` it sets up under a Tracer,
+then alternates untraced and traced passes, and prints every per-layer metric.
 The last line of standard output is the result object; the line before it,
 starting with ``report``, holds sample counts, tail percentiles, output
 digests and the environment.
@@ -16,6 +16,7 @@ digests and the environment.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -32,11 +33,19 @@ SRC = ROOT / "src"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TAIL_PERCENTILES = (99.9, 99.0, 90.0)
 MIN_BEYOND = 10  # samples a reported tail percentile must have beyond it
+# glibc mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and the
+# values the benchmark fixes them at
+MALLOC_SETTINGS = {-3: 32 << 20, -1: 1 << 30}
 
-END_TO_END = [("setup_s", "s"), ("wall_s", "s"), ("peak_rss_mb", "MB"), ("mape_pct", "%")]
-END_TO_END += [(f"predict_p50_us.{k}", "us") for k in ("dt", "rf", "knn", "mlp")]
-END_TO_END += [(f"predict_p99_us.{k}", "us") for k in ("dt", "rf", "knn", "mlp")]
-END_TO_END += [(f"model_bytes.{k}", "B") for k in ("dt", "rf", "knn", "mlp")]
+END_TO_END = [("setup_s", "s"), ("wall_s", "s"), ("peak_rss_mb", "MB")]
+# Reported by the traced run after the layer metrics.  Only serve (and, for
+# mape_pct, run_matrix) produces them; the other workloads report 0.
+# Single-call latencies are not end-to-end metrics: on a shared host they
+# spread by more than the largest bound the benchmark may set (see README.md).
+MODEL_METRICS = [("mape_pct", "%")]
+MODEL_METRICS += [(f"predict_p50_us.{k}", "us") for k in ("dt", "rf", "knn", "mlp")]
+MODEL_METRICS += [(f"predict_p99_us.{k}", "us") for k in ("dt", "rf", "knn", "mlp")]
+MODEL_METRICS += [(f"model_bytes.{k}", "B") for k in ("dt", "rf", "knn", "mlp")]
 
 
 def parse_args(argv=None):
@@ -48,7 +57,6 @@ def parse_args(argv=None):
                    help="timed passes stop before the next would exceed this")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--toy", action="store_true", help="tiny inputs, for the smoke test")
-    p.add_argument("--spans", help="traced run: write every span to this CSV file")
     args = p.parse_args(argv)
     if args.seed < 0:
         p.error("--seed must be >= 0")
@@ -74,6 +82,15 @@ def percentile(sorted_xs, pct: float) -> float:
     return sorted_xs[lo] + (sorted_xs[hi] - sorted_xs[lo]) * (pos - lo)
 
 
+def timed_pass(workload, on_pass) -> float:
+    """One pass's seconds; `on_pass` checks its outputs outside the timing."""
+    t0 = time.perf_counter()
+    out = workload.run()
+    seconds = time.perf_counter() - t0
+    on_pass(out)
+    return seconds
+
+
 def timed_passes(workload, seconds: float, on_pass) -> list[float]:
     """Closed loop: the next pass starts when the previous one is checked.
 
@@ -82,10 +99,7 @@ def timed_passes(workload, seconds: float, on_pass) -> list[float]:
     """
     times = []
     while True:
-        t0 = time.perf_counter()
-        out = workload.run()
-        times.append(time.perf_counter() - t0)
-        on_pass(out)
+        times.append(timed_pass(workload, on_pass))
         if sum(times) + times[-1] > seconds:
             return times
 
@@ -127,7 +141,22 @@ def git_commit() -> str:
     return "unknown"
 
 
-def environment(args, np, scipy) -> dict:
+def pin_malloc() -> str:
+    """Fix glibc's mmap and trim thresholds, which otherwise move with the
+    allocation history.  With them moving, knn's per-call temporaries of a few
+    MB came either from the heap or from fresh, page-faulting mmaps, and its
+    single-call latency switched between about 1.5 and 7 ms from run to run.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return "default: no mallopt"
+    if all(mallopt(param, value) == 1 for param, value in MALLOC_SETTINGS.items()):
+        return "glibc mmap_threshold=32MiB trim_threshold=1GiB"
+    return "default: mallopt refused"
+
+
+def environment(args, np, scipy, malloc: str) -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         openblas = f"{blas.get('name')} {blas.get('version')}"
@@ -140,6 +169,7 @@ def environment(args, np, scipy) -> dict:
         "blas": openblas,
         "nproc": len(os.sched_getaffinity(0)),
         "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "malloc": malloc,
         "git_commit": git_commit(),
         "workload": args.workload,
         "seed": args.seed,
@@ -152,29 +182,13 @@ def finite_or_none(x):
     return x if isinstance(x, (int, float)) and math.isfinite(x) else None
 
 
-def measure_end_to_end(wl, sizes, args, import_s, work_dir, workloads):
+def measure_end_to_end(wl, sizes, args, import_s):
     tally = Tally()
-    models = tally
-    probe = None
-    if wl.name != "serve":
-        # every workload reports every metric: the others take the model
-        # metrics from a small serve workload, whose untimed passes run
-        # between this workload's set-ups and passes
-        probe = workloads.Serve(sizes if args.toy else workloads.PROBE, args.seed, work_dir)
-        probe.setup()
-        probe.check(probe.run())  # warm-up pass, not recorded
-        models = Tally()
-
-    def probe_pass():
-        if probe is not None:
-            models.add(probe.check(probe.run()))
-
     generation = []
     for _ in range(sizes.setups):
         t0 = time.perf_counter()
         wl.setup()
         generation.append(time.perf_counter() - t0)
-        probe_pass()
 
     peak_rss = []
 
@@ -182,50 +196,44 @@ def measure_end_to_end(wl, sizes, args, import_s, work_dir, workloads):
         tally.add(wl.check(out))
         if not peak_rss:  # later passes must not count, or memory would vary with their number
             peak_rss.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
-        probe_pass()
 
     walls = timed_passes(wl, args.seconds, on_pass)
-    while probe is not None and len(models.outcomes) < workloads.PROBE_PASSES:
-        probe_pass()
-    if probe is not None:
-        tally.attempted += models.attempted
-        tally.failed += models.failed
-
-    own_mapes = [o.mape_pct for o in tally.outcomes if o.mape_pct is not None]
     values = {
         "setup_s": import_s + statistics.median(generation),
-        "wall_s": statistics.median(walls),
+        # the fastest pass: outside load on a shared host only slows passes,
+        # and its share drifts over seconds, which moves the median pass more
+        "wall_s": min(walls),
         "peak_rss_mb": peak_rss[0],
-        "mape_pct": statistics.median(
-            own_mapes or [o.mape_pct for o in models.outcomes]
-        ),
     }
-    samples = {
-        "setup_s": {"n": len(generation), "import_s": import_s,
-                    "generation_s": summary(generation)},
-        "wall_s": summary(walls),
-        "peak_rss_mb": {"n": 1},
-        "mape_pct": {"n": len(own_mapes or models.outcomes)},
-    }
-    for kind in workloads.KINDS:
-        # each pass's percentile, then the median over passes, so that a
-        # pass caught by a burst of outside load does not set the figure
-        per_pass = [sorted(o.latencies_us[kind]) for o in models.outcomes]
-        values[f"predict_p50_us.{kind}"] = statistics.median(statistics.median(p) for p in per_pass)
-        values[f"predict_p99_us.{kind}"] = statistics.median(percentile(p, 99.0) for p in per_pass)
-        samples[f"predict_us.{kind}"] = summary(x for p in per_pass for x in p)
-        samples[f"predict_us.{kind}"]["passes"] = len(per_pass)
-        values[f"model_bytes.{kind}"] = models.outcomes[0].model_bytes[kind]
     report = {
-        "samples": samples,
-        "digests": {**tally.digests, **models.digests},
+        "samples": {
+            "setup_s": {"n": len(generation), "import_s": import_s,
+                        "generation_s": summary(generation)},
+            "wall_s": summary(walls),
+            "peak_rss_mb": {"n": 1},
+        },
+        "digests": tally.digests,
         "quality": tally.outcomes[-1].quality,
-        "model_metrics_from": "serve" if models is tally else "probe",
     }
     return values, END_TO_END, tally, report
 
 
-def measure_per_layer(wl, args, spans_module):
+def model_metrics(outcomes, kinds) -> tuple[dict, dict]:
+    """MODEL_METRICS over every checked pass, and the latency sample summaries."""
+    mapes = [o.mape_pct for o in outcomes if o.mape_pct is not None]
+    values = {"mape_pct": statistics.median(mapes) if mapes else 0.0}
+    samples = {}
+    for kind in kinds:
+        calls = sorted(float(x) for o in outcomes for x in o.latencies_us.get(kind, ()))
+        values[f"predict_p50_us.{kind}"] = statistics.median(calls) if calls else 0.0
+        values[f"predict_p99_us.{kind}"] = percentile(calls, 99.0) if calls else 0.0
+        values[f"model_bytes.{kind}"] = outcomes[0].model_bytes.get(kind, 0)
+        if calls:
+            samples[f"predict_us.{kind}"] = summary(calls)
+    return values, samples
+
+
+def measure_per_layer(wl, args, spans_module, kinds):
     tracer = spans_module.Tracer()
     tally = Tally()
     wl.untraced = tracer.paused
@@ -243,27 +251,31 @@ def measure_per_layer(wl, args, spans_module):
     setup_counts = dict(tracer.counters)
     tracer.counters.clear()
 
-    untraced_s = timed_passes(wl, 0.0, check)[0]
+    # untraced and traced passes alternate, so that the overhead compares
+    # passes made close together while the machine's speed drifts
     first = len(tracer.spans)
-    tracer.install()
-    try:
-        walls = timed_passes(wl, args.seconds - untraced_s, check)
-    finally:
-        tracer.uninstall()
+    untraced, traced = [], []
+    while True:
+        untraced.append(timed_pass(wl, check))
+        tracer.install()
+        try:
+            traced.append(timed_pass(wl, check))
+        finally:
+            tracer.uninstall()
+        if sum(untraced) + sum(traced) + untraced[-1] + traced[-1] > args.seconds:
+            break
 
     values = spans_module.layer_metrics(
         setup_totals, tracer.totals(first), setup_counts, dict(tracer.counters),
-        passes=len(walls), overhead_s=statistics.median(walls) - untraced_s,
+        passes=len(traced),
+        overhead_s=statistics.median(t - u for u, t in zip(untraced, traced)),
     )
-    if args.spans:
-        with open(args.spans, "w") as fh:
-            fh.write("index,parent,name,start_s,end_s\n")
-            for i, (name, parent, t0, t1) in enumerate(tracer.spans):
-                fh.write(f"{i},{parent},{name},{t0!r},{t1!r}\n")
-    report = {"digests": tally.digests, "traced_passes": len(walls),
-              "untraced_pass_s": untraced_s, "traced_pass_s": summary(walls),
+    models, samples = model_metrics(tally.outcomes, kinds)
+    values.update(models)
+    report = {"samples": samples, "digests": tally.digests,
+              "untraced_pass_s": summary(untraced), "traced_pass_s": summary(traced),
               "spans": len(tracer.spans)}
-    return values, spans_module.PER_LAYER, tally, report
+    return values, spans_module.PER_LAYER + MODEL_METRICS, tally, report
 
 
 def main(argv=None) -> int:
@@ -273,6 +285,7 @@ def main(argv=None) -> int:
         return 2
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"  # before numpy loads BLAS
+    malloc = pin_malloc()  # before numpy allocates
     sys.path.insert(0, str(SRC))
 
     t0 = time.perf_counter()
@@ -295,11 +308,9 @@ def main(argv=None) -> int:
         if args.trace:
             import spans
 
-            values, names, tally, report = measure_per_layer(wl, args, spans)
+            values, names, tally, report = measure_per_layer(wl, args, spans, workloads.KINDS)
         else:
-            values, names, tally, report = measure_end_to_end(
-                wl, sizes, args, import_s, work_dir, workloads
-            )
+            values, names, tally, report = measure_end_to_end(wl, sizes, args, import_s)
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
         try:
@@ -311,7 +322,7 @@ def main(argv=None) -> int:
                for name, unit in names}
     for name, m in metrics.items():
         print(f"{name} = {m['value']!r} {m['unit']}")
-    report["environment"] = environment(args, np, scipy)
+    report["environment"] = environment(args, np, scipy, malloc)
     print("report " + json.dumps(report, sort_keys=True))
     correct = tally.failed == 0 and all(m["value"] is not None for m in metrics.values())
     print(json.dumps({"correct": correct, "attempted": tally.attempted,

@@ -39,29 +39,21 @@ def run_bench(cwd: Path, *args: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_toy_run_prints_every_metric_with_its_unit(workload, trace):
-    spans_csv = SCRATCH / f"smoke-{workload}-spans.csv"
-    extra = ["--spans", str(spans_csv)] if trace else []
-    try:
-        proc = run_bench(ROOT, "--workload", workload, "--seed", "7", "--seconds", "1",
-                         "--trace", str(trace), "--toy", *extra)
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert set(result) == {"correct", "attempted", "failed", "metrics"}
-        assert result["correct"] is True
-        assert result["failed"] == 0 and result["attempted"] >= 1
-        declared = BENCHMARK["per_layer" if trace else "end_to_end"]
-        assert list(result["metrics"]) == [m["name"] for m in declared]
-        for m in declared:
-            reported = result["metrics"][m["name"]]
-            assert reported["unit"] == m["unit"], m["name"]
-            assert isinstance(reported["value"], (int, float)), m["name"]
-            if not trace:
-                assert reported["value"] > 0, m["name"]
-        if trace:
-            header, *rows = spans_csv.read_text().splitlines()
-            assert header == "index,parent,name,start_s,end_s" and rows
-    finally:
-        spans_csv.unlink(missing_ok=True)
+    proc = run_bench(ROOT, "--workload", workload, "--seed", "7", "--seconds", "1",
+                     "--trace", str(trace), "--toy")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(result) == {"correct", "attempted", "failed", "metrics"}
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] >= 1
+    declared = BENCHMARK["per_layer" if trace else "end_to_end"]
+    assert list(result["metrics"]) == [m["name"] for m in declared]
+    for m in declared:
+        reported = result["metrics"][m["name"]]
+        assert reported["unit"] == m["unit"], m["name"]
+        assert isinstance(reported["value"], (int, float)), m["name"]
+        if not trace:
+            assert reported["value"] > 0, m["name"]
 
 
 def test_fails_without_package_source():

@@ -16,7 +16,7 @@ import io
 import json
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +48,12 @@ class Sizes:
     amplify_trials: int
 
 
+# Passes are short (about 1-3 s, run_matrix aside), so that a run has several
+# and wall_s can take the fastest: a shared host's speed drifts by 20-40 %
+# over seconds, and the fastest of many short passes varies least.
 FULL = Sizes(
     setups=3,
-    ingest_duration_s=1800.0,
+    ingest_duration_s=600.0,
     ingest_n_s=300,
     # the ROADMAP matrix: office_work, rmssd, n in {60, 300}, 1800 s, budget 3
     run_duration_s=1800.0,
@@ -59,16 +62,9 @@ FULL = Sizes(
     run_mlp_max_epochs=500,
     serve_duration_s=1800.0,
     serve_n_s=300,
-    serve_calls=1000,  # knn p99 then has ten samples beyond it
+    serve_calls=500,  # with two passes or more, knn p99 has ten samples beyond it
     amplify_trials=1000,
 )
-
-# A small serve workload whose passes give the model metrics on the other
-# workloads.  Its passes are spread over the run (between set-ups and timed
-# passes), because a shared machine's speed can drift over seconds and one
-# burst of calls would catch one state.
-PROBE = replace(FULL, serve_duration_s=600.0, serve_n_s=60)
-PROBE_PASSES = 6
 
 TOY = Sizes(
     setups=2,
@@ -276,9 +272,11 @@ class Serve(Workload):
                     calls = self.calls[kind]
                     for j in range(turn * calls // TURNS, (turn + 1) * calls // TURNS):
                         x = self.rows[self.order[j]]
-                        t0 = time.perf_counter_ns()
+                        # CPU time of this thread: a call's figure leaves out
+                        # the time the host or the scheduler takes the CPU away
+                        t0 = time.thread_time_ns()
                         preds[j] = model.predict(x)
-                        lat[j] = time.perf_counter_ns() - t0
+                        lat[j] = time.thread_time_ns() - t0
         batches = {k: m.predict_batch(self.test.features) for k, m in decoded.items()}
         return decoded, {k: v / 1000.0 for k, v in latencies.items()}, singles, batches
 
