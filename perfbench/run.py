@@ -6,7 +6,8 @@
 The package is imported from ``src/`` of the checkout this file sits in; the
 benchmark exits with status 2 if it is not there.  BLAS is pinned to one
 thread and glibc's malloc thresholds are fixed.  With ``--trace 0`` the run
-prints every end-to-end metric; with ``--trace 1`` it sets up under a Tracer,
+prints every end-to-end metric, its times in reference-speed seconds (see
+``speed.py``); with ``--trace 1`` it sets up under a Tracer,
 then alternates untraced and traced passes, and prints every per-layer metric.
 The last line of standard output is the result object; the line before it,
 starting with ``report``, holds sample counts, tail percentiles, output
@@ -91,17 +92,23 @@ def timed_pass(workload, on_pass) -> float:
     return seconds
 
 
-def timed_passes(workload, seconds: float, on_pass) -> list[float]:
+def timed_passes(workload, seconds: float, on_pass, probe) -> tuple[list, list]:
     """Closed loop: the next pass starts when the previous one is checked.
 
-    At least one pass; stops before a pass that would end past `seconds`,
-    judged by the last pass's duration.
+    At least one pass; stops before a pass that would end past `seconds` of
+    passes and checks, judged by the mean so far.  Returns each pass's raw
+    and reference-speed seconds.
     """
-    times = []
+    raw, ref = [], []
+    start = time.perf_counter()
     while True:
-        times.append(timed_pass(workload, on_pass))
-        if sum(times) + times[-1] > seconds:
-            return times
+        out, seconds_raw, seconds_ref = probe.measure(workload.run)
+        on_pass(out)
+        raw.append(seconds_raw)
+        ref.append(seconds_ref)
+        elapsed = time.perf_counter() - start
+        if elapsed * (len(raw) + 1) / len(raw) > seconds:
+            return raw, ref
 
 
 class Tally:
@@ -182,13 +189,19 @@ def finite_or_none(x):
     return x if isinstance(x, (int, float)) and math.isfinite(x) else None
 
 
-def measure_end_to_end(wl, sizes, args, import_s):
+def measure_end_to_end(wl, sizes, args, import_s, speed_module):
+    # the import ran before a probe could, and is no workload's hot path:
+    # scale it by the numpy mix right after, leaving out the first probes,
+    # which warm the probe's own code
+    importer = speed_module.Probe("numpy")
+    import_ref = importer.scale(import_s, [importer.probe_s() for _ in range(25)][5:])
+    probe = speed_module.Probe(wl.probe_mix)
     tally = Tally()
-    generation = []
+    generation, generation_ref = [], []
     for _ in range(sizes.setups):
-        t0 = time.perf_counter()
-        wl.setup()
-        generation.append(time.perf_counter() - t0)
+        _, seconds_raw, seconds_ref = probe.measure(wl.setup)
+        generation.append(seconds_raw)
+        generation_ref.append(seconds_ref)
 
     peak_rss = []
 
@@ -197,19 +210,22 @@ def measure_end_to_end(wl, sizes, args, import_s):
         if not peak_rss:  # later passes must not count, or memory would vary with their number
             peak_rss.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 
-    walls = timed_passes(wl, args.seconds, on_pass)
+    walls, walls_ref = timed_passes(wl, args.seconds, on_pass, probe)
     values = {
-        "setup_s": import_s + statistics.median(generation),
-        # the fastest pass: outside load on a shared host only slows passes,
-        # and its share drifts over seconds, which moves the median pass more
-        "wall_s": min(walls),
+        # times are in reference-speed seconds, which leave out the host's
+        # speed; see speed.py
+        "setup_s": import_ref + statistics.median(generation_ref),
+        # the first pass warms caches and the allocator, unless it is the only one
+        "wall_s": statistics.median(walls_ref[1:] or walls_ref),
         "peak_rss_mb": peak_rss[0],
     }
     report = {
         "samples": {
-            "setup_s": {"n": len(generation), "import_s": import_s,
-                        "generation_s": summary(generation)},
-            "wall_s": summary(walls),
+            "setup_s": {"n": len(generation), "import_s": import_s, "import_ref_s": import_ref,
+                        "generation_s": summary(generation),
+                        "generation_ref_s": summary(generation_ref)},
+            "wall_s": summary(walls_ref[1:] or walls_ref),
+            "wall_raw_s": summary(walls),
             "peak_rss_mb": {"n": 1},
         },
         "digests": tally.digests,
@@ -310,7 +326,9 @@ def main(argv=None) -> int:
 
             values, names, tally, report = measure_per_layer(wl, args, spans, workloads.KINDS)
         else:
-            values, names, tally, report = measure_end_to_end(wl, sizes, args, import_s)
+            import speed
+
+            values, names, tally, report = measure_end_to_end(wl, sizes, args, import_s, speed)
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
         try:

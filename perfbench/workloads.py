@@ -48,9 +48,9 @@ class Sizes:
     amplify_trials: int
 
 
-# Passes are short (about 1-3 s, run_matrix aside), so that a run has several
-# and wall_s can take the fastest: a shared host's speed drifts by 20-40 %
-# over seconds, and the fastest of many short passes varies least.
+# Passes are short (about 1-2 s, run_matrix aside), so that a run has several
+# for wall_s to take the median of, and each pass is scaled by the host speed
+# measured close to it (see speed.py).
 FULL = Sizes(
     setups=3,
     ingest_duration_s=600.0,
@@ -63,7 +63,7 @@ FULL = Sizes(
     serve_duration_s=1800.0,
     serve_n_s=300,
     serve_calls=500,  # with two passes or more, knn p99 has ten samples beyond it
-    amplify_trials=1000,
+    amplify_trials=250,
 )
 
 TOY = Sizes(
@@ -102,6 +102,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 class Workload:
     name = ""
+    probe_mix = "numpy"  # the speed.MIXES entry that resembles the hot path
 
     def __init__(self, sizes: Sizes, seed: int, work_dir: Path):
         self.sizes = sizes
@@ -124,6 +125,7 @@ class Ingest(Workload):
     """PPG CSV -> per-second HR -> HRV dataset -> dataset CSV and back."""
 
     name = "ingest"
+    probe_mix = "interpreter"  # CSV formatting and parsing dominate a pass
 
     def setup(self) -> None:
         self.recordings = []
@@ -316,6 +318,7 @@ class Amplify(Workload):
     """The RR-to-HRV error amplification table."""
 
     name = "amplify"
+    probe_mix = "interpreter"  # per-trial calls on short arrays
 
     def setup(self) -> None:
         self.base = amplify.default_base_trace(self.seed)
