@@ -17,7 +17,7 @@ import numpy as np
 
 from .amplify import amplification_table, default_base_trace
 from .data import build_hrv_dataset
-from .errors import ConfigError, HrvError, ParseError
+from .errors import ConfigError, HrvError
 from .experiment import DEFAULT_MONITOR_LENS_S, ExperimentConfig, run_experiment
 from .io import (
     read_dataset_csv,
@@ -295,20 +295,20 @@ def _cmd_run(args) -> None:
         kwargs["monitor_lens_s"] = tuple(pick("lengths"))
     if pick("models") is not None:
         kwargs["models"] = tuple(_model_kind(m) for m in pick("models"))
-    for name, key in [
-        ("duration_s", "duration_s"),
-        ("stride_s", "stride_s"),
-        ("budget", "budget"),
-        ("seed", "seed"),
-        ("train_fraction", "train_fraction"),
-        ("val_fraction", "val_fraction"),
-        ("bench_repetitions", "bench_repetitions"),
-        ("clean", "clean"),
-        ("mlp_max_epochs", "mlp_max_epochs"),
-    ]:
+    for name in (
+        "duration_s",
+        "stride_s",
+        "budget",
+        "seed",
+        "train_fraction",
+        "val_fraction",
+        "bench_repetitions",
+        "clean",
+        "mlp_max_epochs",
+    ):
         value = pick(name)
         if value is not None:
-            kwargs[key] = value
+            kwargs[name] = value
     cfg = ExperimentConfig(out_dir=Path(out_dir), **kwargs)
     rows = run_experiment(cfg)
     for r in rows:
@@ -377,13 +377,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except ParseError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 2
-    except HrvError as err:
+    except (HrvError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports and exits

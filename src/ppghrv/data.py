@@ -2,9 +2,8 @@
 
 An HRV sample holds n consecutive per-second HRs plus their rough HRV as
 features; its label is the true metric over the ground-truth intervals in
-the same time span.  An HR sample holds the k most recent raw estimates
-with the true instantaneous HR as label.  Splitting is chronological; time
-series must never be shuffled across the train/test boundary.
+the same time span.  Splitting is chronological; time series must never be
+shuffled across the train/test boundary.
 """
 
 from __future__ import annotations
@@ -14,23 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyWindow, TooFewSamples, TraceTooShort
-from .metrics import MS_PER_MINUTE, HrvMetricKind, RrSeries, rmssd, rough_hrv, sdnn
-from .sigproc import RawHrSeries, SmoothedHrSeries
+from .metrics import HrvMetricKind, RrSeries, rmssd, rough_hrv, sdnn
+from .sigproc import SmoothedHrSeries
 from .synth import GroundTruth
-
-
-@dataclass(frozen=True)
-class HrvSample:
-    features: np.ndarray  # n smoothed HRs followed by their rough HRV
-    label_ms: float
-    window_end_time_s: float
-
-
-@dataclass(frozen=True)
-class HrSample:
-    features: np.ndarray  # k most recent raw HR estimates
-    label_bpm: float
-    time_s: float
 
 
 @dataclass(frozen=True)
@@ -40,7 +25,7 @@ class Dataset:
     features: np.ndarray          # (m, d)
     labels: np.ndarray            # (m,)
     window_end_times_s: np.ndarray  # (m,), strictly increasing
-    kind: HrvMetricKind | None    # None for instantaneous-HR datasets
+    kind: HrvMetricKind | None    # None when read back from CSV
     monitor_len_s: float
 
     def __post_init__(self):
@@ -63,10 +48,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return int(self.features.shape[1])
-
-    def sample(self, i: int) -> HrvSample:
-        return HrvSample(self.features[i], float(self.labels[i]),
-                         float(self.window_end_times_s[i]))
 
 
 def _true_hrv_in_window(gt: GroundTruth, t0: float, t1: float, kind: HrvMetricKind) -> float:
@@ -124,36 +105,6 @@ def build_hrv_dataset(
         y[w] = _true_hrv_in_window(gt, t0, t1, kind)
         t_end[w] = t1
     return Dataset(X, y, t_end, kind=kind, monitor_len_s=float(n))
-
-
-def build_hr_dataset(raw: RawHrSeries, gt: GroundTruth, k: int) -> Dataset:
-    """Windows of the k most recent raw HR estimates, labelled with true HR.
-
-    The label for a window ending at estimate i is the instantaneous HR of
-    the ground-truth interval containing that emission time.  Dataset size
-    is len(raw) - k + 1.
-    """
-    if k < 1:
-        raise ConfigError("k must be at least 1")
-    vals = raw.values
-    if vals.size < k:
-        raise TraceTooShort(f"need {k} HR estimates, trace has {vals.size}")
-    m = vals.size - k + 1
-    bt = gt.beat_times_s
-    rr = gt.rr.intervals_ms
-    X = np.empty((m, k), dtype=np.float64)
-    y = np.empty(m, dtype=np.float64)
-    t_end = np.empty(m, dtype=np.float64)
-    step = 1.0 / raw.rate_per_s
-    for w in range(m):
-        i = w + k - 1
-        t = raw.start_time_s + i * step
-        X[w] = vals[w : w + k]
-        j = int(np.searchsorted(bt, t, side="right")) - 1
-        j = min(max(j, 0), rr.size - 1)
-        y[w] = MS_PER_MINUTE / rr[j]
-        t_end[w] = t
-    return Dataset(X, y, t_end, kind=None, monitor_len_s=k * step)
 
 
 def chronological_split(d: Dataset, train_fraction: float = 0.8) -> tuple[Dataset, Dataset]:

@@ -11,14 +11,16 @@ Formats (headers are exact):
     amplification    rr_mape,rmssd_mape,sdnn_mape,trials,seed
 
 Floats are written with repr (shortest round-trip), so write->read returns
-the exact in-memory values.  Readers raise ParseError with a line number,
-NonMonotoneTime for unsorted timestamps, and RateMismatch when a PPG file's
-inferred sampling rate is off the declared one by more than 1%.
+the exact in-memory values.  Readers raise ParseError with a line number
+for a malformed or non-finite (nan, inf) value, NonMonotoneTime for
+unsorted timestamps, and RateMismatch when a PPG file's inferred sampling
+rate is off the declared one by more than 1%.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +54,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_csv(path, header: Sequence[str], records: Iterable[Sequence[str]]) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(records)
+
+
 def _rows(path, expected_header: Sequence[str]):
     """Yield (line_number, row) for data rows; validates the header."""
     with open(path, newline="") as fh:
@@ -78,18 +87,28 @@ def _rows(path, expected_header: Sequence[str]):
 
 def _parse_float(path, lineno: int, text: str, column: str) -> float:
     try:
-        return float(text)
+        v = float(text)
     except ValueError:
         raise ParseError(f"{path}:{lineno}: bad {column} value {text!r}") from None
+    if not math.isfinite(v):
+        raise ParseError(f"{path}:{lineno}: non-finite {column} value {text!r}")
+    return v
+
+
+def _check_increasing(path, t: np.ndarray, column: str) -> None:
+    """t holds one time per data row; name the first row that does not increase."""
+    bad = np.flatnonzero(np.diff(t) <= 0)
+    if bad.size:
+        lineno = int(bad[0]) + 3  # +2 header/1-base, +1 second row of the pair
+        raise NonMonotoneTime(f"{path}:{lineno}: {column} does not strictly increase")
 
 
 def write_ppg_csv(path, signal: PpgSignal) -> None:
     fs = signal.sampling_rate_hz
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(PPG_HEADER)
-        for i, v in enumerate(signal.samples):
-            w.writerow([_fmt(signal.start_time_s + i / fs), _fmt(v)])
+    records = (
+        [_fmt(signal.start_time_s + i / fs), _fmt(v)] for i, v in enumerate(signal.samples)
+    )
+    _write_csv(path, PPG_HEADER, records)
 
 
 def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> PpgSignal:
@@ -100,11 +119,8 @@ def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> Pp
     if len(times) < 2:
         raise ParseError(f"{path}: need at least 2 samples, got {len(times)}")
     t = np.asarray(times)
-    dt = np.diff(t)
-    if np.any(dt <= 0):
-        bad = int(np.argmax(dt <= 0)) + 3  # +2 header/1-base, +1 second row of the pair
-        raise NonMonotoneTime(f"{path}:{bad}: time_s does not strictly increase")
-    inferred = 1.0 / float(np.median(dt))
+    _check_increasing(path, t, "time_s")
+    inferred = 1.0 / float(np.median(np.diff(t)))
     if abs(inferred - declared_rate_hz) > RATE_TOLERANCE * declared_rate_hz:
         raise RateMismatch(
             f"{path}: inferred rate {inferred:.3f} Hz is more than 1% off "
@@ -115,11 +131,10 @@ def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> Pp
 
 def write_rr_csv(path, gt: GroundTruth) -> None:
     rr = gt.rr.intervals_ms
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RR_HEADER)
-        for i, bt in enumerate(gt.beat_times_s):
-            w.writerow([_fmt(bt), "" if i == 0 else _fmt(rr[i - 1])])
+    records = (
+        [_fmt(bt), "" if i == 0 else _fmt(rr[i - 1])] for i, bt in enumerate(gt.beat_times_s)
+    )
+    _write_csv(path, RR_HEADER, records)
 
 
 def read_rr_csv(path) -> GroundTruth:
@@ -136,9 +151,7 @@ def read_rr_csv(path) -> GroundTruth:
     if len(beats) < 2:
         raise ParseError(f"{path}: need at least 2 beats, got {len(beats)}")
     bt = np.asarray(beats)
-    if np.any(np.diff(bt) <= 0):
-        bad = int(np.argmax(np.diff(bt) <= 0)) + 3
-        raise NonMonotoneTime(f"{path}:{bad}: beat_time_s does not strictly increase")
+    _check_increasing(path, bt, "beat_time_s")
     try:
         return GroundTruth(beat_times_s=bt, rr=RrSeries(np.asarray(rr)))
     except ValueError as err:
@@ -146,11 +159,8 @@ def read_rr_csv(path) -> GroundTruth:
 
 
 def write_hr_csv(path, shr: SmoothedHrSeries) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(HR_HEADER)
-        for i, v in enumerate(shr.values):
-            w.writerow([_fmt(shr.start_time_s + i), _fmt(v)])
+    records = ([_fmt(shr.start_time_s + i), _fmt(v)] for i, v in enumerate(shr.values))
+    _write_csv(path, HR_HEADER, records)
 
 
 def read_hr_csv(path) -> SmoothedHrSeries:
@@ -161,9 +171,7 @@ def read_hr_csv(path) -> SmoothedHrSeries:
     if not times:
         raise ParseError(f"{path}: no data rows")
     t = np.asarray(times)
-    if t.size > 1 and np.any(np.diff(t) <= 0):
-        bad = int(np.argmax(np.diff(t) <= 0)) + 3
-        raise NonMonotoneTime(f"{path}:{bad}: time_s does not strictly increase")
+    _check_increasing(path, t, "time_s")
     return SmoothedHrSeries(np.asarray(values), start_time_s=float(t[0]))
 
 
@@ -172,49 +180,28 @@ def _dataset_header(n_features: int) -> list[str]:
 
 
 def write_dataset_csv(path, ds: Dataset) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_dataset_header(ds.n_features))
-        for i in range(len(ds)):
-            row = [_fmt(ds.window_end_times_s[i])]
-            row += [_fmt(v) for v in ds.features[i]]
-            row.append(_fmt(ds.labels[i]))
-            w.writerow(row)
+    records = (
+        [_fmt(t)] + [_fmt(v) for v in x] + [_fmt(label)]
+        for t, x, label in zip(ds.window_end_times_s, ds.features, ds.labels)
+    )
+    _write_csv(path, _dataset_header(ds.n_features), records)
 
 
 def read_dataset_csv(path) -> Dataset:
     """Exchange format carries no metric metadata; kind comes back None."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if (
-            len(header) < 3
-            or header[0] != "window_end_time_s"
-            or header[-1] != "label"
-            or header[1:-1] != [f"f{i}" for i in range(len(header) - 2)]
-        ):
-            raise ParseError(f"{path}:1: not a dataset header: {','.join(header)!r}")
-        d = len(header) - 2
-        times, feats, labels = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}"
-                )
-            times.append(_parse_float(path, lineno, row[0], "window_end_time_s"))
-            feats.append([_parse_float(path, lineno, v, "feature") for v in row[1:-1]])
-            labels.append(_parse_float(path, lineno, row[-1], "label"))
+        width = len(next(csv.reader(fh), []))
+    # the header declares the feature count; one is the least accepted
+    header = _dataset_header(max(width - 2, 1))
+    times, feats, labels = [], [], []
+    for lineno, row in _rows(path, header):
+        times.append(_parse_float(path, lineno, row[0], "window_end_time_s"))
+        feats.append([_parse_float(path, lineno, v, "feature") for v in row[1:-1]])
+        labels.append(_parse_float(path, lineno, row[-1], "label"))
     if not times:
         raise ParseError(f"{path}: no data rows")
     t = np.asarray(times)
-    if t.size > 1 and np.any(np.diff(t) <= 0):
-        bad = int(np.argmax(np.diff(t) <= 0)) + 3
-        raise NonMonotoneTime(f"{path}:{bad}: window_end_time_s must strictly increase")
+    _check_increasing(path, t, "window_end_time_s")
     return Dataset(
         np.asarray(feats),
         np.asarray(labels),
@@ -225,43 +212,36 @@ def read_dataset_csv(path) -> Dataset:
 
 
 def write_results_csv(path, rows: Iterable) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RESULTS_HEADER)
-        for r in rows:
-            w.writerow(
-                [
-                    r.activity,
-                    r.metric,
-                    str(r.n_s),
-                    r.model,
-                    _fmt(r.mape_pct),
-                    _fmt(r.sigproc_mape_pct),
-                    str(r.model_bytes),
-                    "" if r.latency_us_mean is None else _fmt(r.latency_us_mean),
-                ]
-            )
+    records = (
+        [
+            r.activity,
+            r.metric,
+            str(r.n_s),
+            r.model,
+            _fmt(r.mape_pct),
+            _fmt(r.sigproc_mape_pct),
+            str(r.model_bytes),
+            "" if r.latency_us_mean is None else _fmt(r.latency_us_mean),
+        ]
+        for r in rows
+    )
+    _write_csv(path, RESULTS_HEADER, records)
 
 
 def write_trace_csv(path, window_end_s, truth_ms, sigproc_ms, model_ms) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        for t, tr, sp, mo in zip(window_end_s, truth_ms, sigproc_ms, model_ms):
-            w.writerow([_fmt(t), _fmt(tr), _fmt(sp), _fmt(mo)])
+    columns = zip(window_end_s, truth_ms, sigproc_ms, model_ms)
+    _write_csv(path, TRACE_HEADER, ([_fmt(v) for v in row] for row in columns))
 
 
 def write_amplification_csv(path, rows: Iterable) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(AMPLIFICATION_HEADER)
-        for r in rows:
-            w.writerow(
-                [
-                    _fmt(r.rr_mape_pct),
-                    _fmt(r.rmssd_mape_pct),
-                    _fmt(r.sdnn_mape_pct),
-                    str(r.trials),
-                    str(r.seed),
-                ]
-            )
+    records = (
+        [
+            _fmt(r.rr_mape_pct),
+            _fmt(r.rmssd_mape_pct),
+            _fmt(r.sdnn_mape_pct),
+            str(r.trials),
+            str(r.seed),
+        ]
+        for r in rows
+    )
+    _write_csv(path, AMPLIFICATION_HEADER, records)

@@ -1,4 +1,4 @@
-from .base import ModelKind, TrainMeta, TrainedModel
+from .base import ModelKind, TrainedModel
 from .bench import LatencyStats, bench_inference
 from .codec import decode, encode, load_model, save_model, serialized_size
 from .forest import RandomForest, train_rf
@@ -9,7 +9,6 @@ from .tree import DecisionTree, train_dt
 
 __all__ = [
     "ModelKind",
-    "TrainMeta",
     "TrainedModel",
     "LatencyStats",
     "bench_inference",

@@ -7,9 +7,7 @@ never be half-fitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -23,26 +21,13 @@ class ModelKind(Enum):
     MLP = "mlp"
 
 
-@dataclass(frozen=True)
-class TrainMeta:
-    """How a model was produced; carried for provenance and codec checks."""
-
-    hyperparams: Mapping[str, Any]
-    seed: int
-    n_features: int
-
-
 class TrainedModel:
     """Base class: feature-length checks and batch/single prediction glue."""
 
     kind: ModelKind
 
-    def __init__(self, meta: TrainMeta):
-        self.meta = meta
-
-    @property
-    def n_features(self) -> int:
-        return self.meta.n_features
+    def __init__(self, n_features: int):
+        self.n_features = int(n_features)
 
     def _check(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -6,7 +6,7 @@ little-endian IEEE):
     magic  b"HRVM\\x01"
     kind   1 byte: 0=DT 1=RF 2=KNN 3=MLP
     n_features varint
-    payload: see _encode_* below
+    payload: see encode() below
 
 Trees store one varint tag per node (feature+1, 0 marks a leaf), float32
 thresholds and float64 leaf values.  KNN stores its standardised float32
@@ -14,6 +14,14 @@ training matrix and float64 labels.  MLP stores float32 weights/biases and
 standardisation statistics (float64 for the label scale).  Models keep the
 same quantised parameters in memory, so decode(encode(m)) predicts
 bit-identically.
+
+decode raises ParseError for a file that is malformed or inconsistent:
+bad magic or tags, truncation, trailing bytes, tree nodes out of preorder
+(a child index must lie after its parent and inside the table, which rules
+out cycles), a split feature >= n_features, a node count the remaining
+bytes cannot hold, a forest with no trees, KNN k outside [1, stored rows],
+and an MLP whose input width is not n_features or whose output width is
+not 1.
 """
 
 from __future__ import annotations
@@ -23,13 +31,17 @@ import struct
 import numpy as np
 
 from ..errors import ParseError
-from .base import ModelKind, TrainMeta, TrainedModel
+from .base import ModelKind, TrainedModel
 from .forest import RandomForest
 from .knn import DISTANCES, KnnRegressor
 from .mlp import ACTIVATIONS, MlpRegressor
 from .tree import LEAF, DecisionTree, TreeNodes
 
 MAGIC = b"HRVM\x01"
+
+# A split node is at least a tag, a float32 threshold and two one-byte child
+# varints; a leaf is a tag and a float64.
+_MIN_NODE_BYTES = 7
 
 _KIND_TAGS = {ModelKind.DT: 0, ModelKind.RF: 1, ModelKind.KNN: 2, ModelKind.MLP: 3}
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
@@ -84,9 +96,12 @@ class _Reader:
     def f64_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
 
+    def remaining(self) -> int:
+        return len(self.data) - self.pos
+
     def done(self) -> None:
-        if self.pos != len(self.data):
-            raise ParseError(f"{len(self.data) - self.pos} trailing bytes in model file")
+        if self.remaining():
+            raise ParseError(f"{self.remaining()} trailing bytes in model file")
 
 
 def _encode_nodes(buf: bytearray, nodes: TreeNodes) -> None:
@@ -102,10 +117,14 @@ def _encode_nodes(buf: bytearray, nodes: TreeNodes) -> None:
             _write_varint(buf, int(nodes.right[i]))
 
 
-def _decode_nodes(r: _Reader) -> TreeNodes:
+def _decode_nodes(r: _Reader, n_features: int) -> TreeNodes:
+    """Nodes must be in preorder: each child index lies after its parent's
+    and inside the table, so every walk ends at a leaf."""
     count = r.varint()
     if count < 1:
         raise ParseError("tree with zero nodes")
+    if count * _MIN_NODE_BYTES > r.remaining():
+        raise ParseError(f"tree claims {count} nodes but {r.remaining()} bytes remain")
     feature = np.empty(count, dtype=np.int32)
     threshold = np.zeros(count, dtype=np.float32)
     left = np.full(count, -1, dtype=np.int32)
@@ -116,13 +135,16 @@ def _decode_nodes(r: _Reader) -> TreeNodes:
         if tag == 0:
             feature[i] = LEAF
             value[i] = r.f64()
-        else:
-            feature[i] = tag - 1
-            threshold[i] = np.float32(r.f32())
-            left[i] = r.varint()
-            right[i] = r.varint()
-            if left[i] >= count or right[i] >= count:
-                raise ParseError(f"node {i} points past the node table")
+            continue
+        if tag > n_features:
+            raise ParseError(f"node {i} splits on feature {tag - 1} of {n_features}")
+        feature[i] = tag - 1
+        threshold[i] = np.float32(r.f32())
+        lo, hi = r.varint(), r.varint()
+        if not (i < lo < count and i < hi < count):
+            raise ParseError(f"node {i} has children {lo}, {hi} outside ({i}, {count})")
+        left[i] = lo
+        right[i] = hi
     return TreeNodes(feature, threshold, left, right, value)
 
 
@@ -173,19 +195,21 @@ def decode(data: bytes) -> TrainedModel:
         raise ParseError(f"unknown model kind tag {tag}")
     kind = _TAG_KINDS[tag]
     d = r.varint()
+    if d > np.iinfo(np.int32).max:
+        raise ParseError(f"n_features {d} overflows the int32 feature column")
 
     if kind is ModelKind.DT:
-        nodes = _decode_nodes(r)
+        nodes = _decode_nodes(r, d)
         r.done()
-        meta = TrainMeta(hyperparams={}, seed=0, n_features=d)
-        return DecisionTree(nodes, meta)
+        return DecisionTree(nodes, d)
 
     if kind is ModelKind.RF:
         count = r.varint()
-        trees = tuple(_decode_nodes(r) for _ in range(count))
+        if count < 1:
+            raise ParseError("forest with zero trees")
+        trees = tuple(_decode_nodes(r, d) for _ in range(count))
         r.done()
-        meta = TrainMeta(hyperparams={"trees": count}, seed=0, n_features=d)
-        return RandomForest(trees, meta)
+        return RandomForest(trees, d)
 
     if kind is ModelKind.KNN:
         k = r.varint()
@@ -193,14 +217,14 @@ def decode(data: bytes) -> TrainedModel:
         if dist_tag >= len(DISTANCES):
             raise ParseError(f"unknown distance tag {dist_tag}")
         m = r.varint()
+        if not 1 <= k <= m:
+            raise ParseError(f"k={k} outside [1, {m}] stored rows")
         mu = r.f32_array(d)
         sigma = r.f32_array(d)
         X = r.f32_array(m * d).reshape(m, d)
         y = r.f64_array(m)
         r.done()
-        distance = DISTANCES[dist_tag]
-        meta = TrainMeta(hyperparams={"k": k, "distance": distance}, seed=0, n_features=d)
-        return KnnRegressor(X, y, mu, sigma, k, distance, meta)
+        return KnnRegressor(X, y, mu, sigma, k, DISTANCES[dist_tag], d)
 
     act_tag = r.take(1)[0]
     if act_tag >= len(ACTIVATIONS):
@@ -211,6 +235,8 @@ def decode(data: bytes) -> TrainedModel:
     sizes = [r.varint() for _ in range(n_layers + 1)]
     if sizes[0] != d:
         raise ParseError(f"input width {sizes[0]} disagrees with n_features {d}")
+    if sizes[-1] != 1:
+        raise ParseError(f"output width {sizes[-1]}, expected 1")
     params32 = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         W = r.f32_array(fan_in * fan_out).reshape(fan_in, fan_out)
@@ -221,13 +247,7 @@ def decode(data: bytes) -> TrainedModel:
     y_mu = r.f64()
     y_sigma = r.f64()
     r.done()
-    activation = ACTIVATIONS[act_tag]
-    meta = TrainMeta(
-        hyperparams={"hidden_layers": tuple(sizes[1:-1]), "activation": activation},
-        seed=0,
-        n_features=d,
-    )
-    return MlpRegressor(params32, activation, x_mu, x_sigma, y_mu, y_sigma, meta)
+    return MlpRegressor(params32, ACTIVATIONS[act_tag], x_mu, x_sigma, y_mu, y_sigma, d)
 
 
 def serialized_size(model: TrainedModel) -> int:

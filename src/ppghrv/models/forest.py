@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, EmptyDataset
-from .base import ModelKind, TrainMeta, TrainedModel
-from .tree import MAX_TREE_DEPTH, TreeNodes, _grow, _predict_rows
+from .base import ModelKind, TrainedModel
+from .tree import MAX_TREE_DEPTH, TreeNodes, _as_lists, _grow, _walk
 
 MIN_TREES = 2
 MAX_TREES = 128
@@ -15,25 +15,17 @@ MAX_TREES = 128
 class RandomForest(TrainedModel):
     kind = ModelKind.RF
 
-    def __init__(self, trees: tuple[TreeNodes, ...], meta: TrainMeta):
-        super().__init__(meta)
+    def __init__(self, trees: tuple[TreeNodes, ...], n_features: int):
+        super().__init__(n_features)
         self.trees = trees
-        self._walk = [
-            (
-                t.feature.tolist(),
-                t.threshold.astype(np.float64).tolist(),
-                t.left.tolist(),
-                t.right.tolist(),
-                t.value.tolist(),
-            )
-            for t in trees
-        ]
+        self._lists = [_as_lists(t) for t in trees]
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros(X.shape[0], dtype=np.float64)
-        for walk in self._walk:
-            acc += _predict_rows(*walk, X)
-        return acc / len(self._walk)
+        lists, n = self._lists, len(self._lists)
+        return np.array(
+            [sum(_walk(t, row) for t in lists) / n for row in X.tolist()],
+            dtype=np.float64,
+        )
 
 
 def train_rf(
@@ -64,13 +56,4 @@ def train_rf(
             grown.append(_grow(X[idx], y[idx], int(max_depth)))
         else:
             grown.append(_grow(X, y, int(max_depth)))
-    meta = TrainMeta(
-        hyperparams={
-            "trees": int(trees),
-            "max_depth": int(max_depth),
-            "bootstrap": bool(bootstrap),
-        },
-        seed=int(seed),
-        n_features=X.shape[1],
-    )
-    return RandomForest(tuple(grown), meta)
+    return RandomForest(tuple(grown), train.n_features)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, EmptyDataset, KTooLarge
-from .base import ModelKind, TrainMeta, TrainedModel
+from .base import ModelKind, TrainedModel
 
 MIN_K = 2
 MAX_K = 30
@@ -40,9 +40,9 @@ class KnnRegressor(TrainedModel):
         sigma: np.ndarray,   # float32
         k: int,
         distance: str,
-        meta: TrainMeta,
+        n_features: int,
     ):
-        super().__init__(meta)
+        super().__init__(n_features)
         self.X = X
         self.y = y
         self.mu = mu
@@ -79,9 +79,6 @@ def train_knn(train, k: int, distance: str) -> KnnRegressor:
     mu32 = mu.astype(np.float32)
     sigma32 = sigma.astype(np.float32)
     Xs = ((X64 - mu32.astype(np.float64)) / sigma32.astype(np.float64)).astype(np.float32)
-    meta = TrainMeta(
-        hyperparams={"k": int(k), "distance": distance},
-        seed=0,
-        n_features=X64.shape[1],
+    return KnnRegressor(
+        Xs, train.labels.copy(), mu32, sigma32, int(k), distance, train.n_features
     )
-    return KnnRegressor(Xs, train.labels.copy(), mu32, sigma32, int(k), distance, meta)

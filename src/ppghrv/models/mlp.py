@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DivergedLoss, EmptyDataset
-from .base import ModelKind, TrainMeta, TrainedModel
+from .base import ModelKind, TrainedModel
 from .knn import standardize_stats
 
 RELU = "relu"
@@ -111,9 +111,9 @@ class MlpRegressor(TrainedModel):
         x_sigma: np.ndarray,  # float32
         y_mu: float,
         y_sigma: float,
-        meta: TrainMeta,
+        n_features: int,
     ):
-        super().__init__(meta)
+        super().__init__(n_features)
         self.params32 = params32
         self.activation = activation
         self.x_mu = x_mu
@@ -207,18 +207,6 @@ def train_mlp(
                 break
 
     params32 = [(W.astype(np.float32), b.astype(np.float32)) for W, b in best]
-    meta = TrainMeta(
-        hyperparams={
-            "hidden_layers": hidden,
-            "activation": activation,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-            "max_epochs": cfg.max_epochs,
-            "patience": cfg.patience,
-        },
-        seed=int(seed),
-        n_features=X64.shape[1],
-    )
     return MlpRegressor(
         params32,
         activation,
@@ -226,5 +214,5 @@ def train_mlp(
         x_sigma.astype(np.float32),
         y_mu,
         y_sigma,
-        meta,
+        train.n_features,
     )

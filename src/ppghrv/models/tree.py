@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, EmptyDataset, FeatureLengthMismatch
-from .base import ModelKind, TrainMeta, TrainedModel
+from .base import ModelKind, TrainedModel
 
 MIN_SAMPLES_TO_SPLIT = 2
 LEAF = -1  # sentinel in the feature column
@@ -118,34 +118,42 @@ def _grow(X: np.ndarray, y: np.ndarray, max_depth: int) -> TreeNodes:
     )
 
 
-def _predict_rows(feature, threshold, left, right, value, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
-    for r, row in enumerate(X.tolist()):
-        i = 0
-        while feature[i] != LEAF:
-            i = left[i] if row[feature[i]] <= threshold[i] else right[i]
-        out[r] = value[i]
-    return out
+def _as_lists(nodes: TreeNodes) -> tuple[list, list, list, list, list]:
+    """The node arrays as plain lists: the per-row walk is pure Python, and
+    list indexing is far cheaper than numpy scalar indexing there."""
+    return (
+        nodes.feature.tolist(),
+        nodes.threshold.astype(np.float64).tolist(),
+        nodes.left.tolist(),
+        nodes.right.tolist(),
+        nodes.value.tolist(),
+    )
+
+
+def _walk(lists, row) -> float:
+    """Leaf value reached by one row; lists come from _as_lists."""
+    feature, threshold, left, right, value = lists
+    i = 0
+    while feature[i] != LEAF:
+        i = left[i] if row[feature[i]] <= threshold[i] else right[i]
+    return value[i]
 
 
 class DecisionTree(TrainedModel):
     kind = ModelKind.DT
 
-    def __init__(self, nodes: TreeNodes, meta: TrainMeta):
-        super().__init__(meta)
+    def __init__(self, nodes: TreeNodes, n_features: int):
+        super().__init__(n_features)
         self.nodes = nodes
-        # plain lists make the per-row walk cheap for latency benchmarks
-        self._feature = nodes.feature.tolist()
-        self._threshold = nodes.threshold.astype(np.float64).tolist()
-        self._left = nodes.left.tolist()
-        self._right = nodes.right.tolist()
-        self._value = nodes.value.tolist()
+        self._lists = _as_lists(nodes)
 
     def depth(self) -> int:
+        feature, _, left, right, _ = self._lists
+
         def walk(i):
-            if self._feature[i] == LEAF:
+            if feature[i] == LEAF:
                 return 0
-            return 1 + max(walk(self._left[i]), walk(self._right[i]))
+            return 1 + max(walk(left[i]), walk(right[i]))
 
         return walk(0)
 
@@ -158,17 +166,11 @@ class DecisionTree(TrainedModel):
             raise FeatureLengthMismatch(
                 f"model expects {self.n_features} features, got {len(row)}"
             )
-        i = 0
-        feature, threshold = self._feature, self._threshold
-        left, right = self._left, self._right
-        while feature[i] != LEAF:
-            i = left[i] if row[feature[i]] <= threshold[i] else right[i]
-        return self._value[i]
+        return _walk(self._lists, row)
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return _predict_rows(
-            self._feature, self._threshold, self._left, self._right, self._value, X
-        )
+        lists = self._lists
+        return np.array([_walk(lists, row) for row in X.tolist()], dtype=np.float64)
 
 
 def train_dt(train, max_depth: int, seed: int = 0) -> DecisionTree:
@@ -176,17 +178,11 @@ def train_dt(train, max_depth: int, seed: int = 0) -> DecisionTree:
 
     max_depth 1 is allowed (a single split) even though hyperparameter
     search only samples 3..20; the tiny trees are useful as oracles.
+    Growth is deterministic, so seed has no effect.
     """
     if not 1 <= int(max_depth) <= MAX_TREE_DEPTH:
         raise ConfigError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {max_depth}")
     if len(train) == 0:
         raise EmptyDataset("cannot train a tree on an empty dataset")
-    X = train.features
-    y = train.labels
-    nodes = _grow(X, y, int(max_depth))
-    meta = TrainMeta(
-        hyperparams={"max_depth": int(max_depth)},
-        seed=int(seed),
-        n_features=X.shape[1],
-    )
-    return DecisionTree(nodes, meta)
+    nodes = _grow(train.features, train.labels, int(max_depth))
+    return DecisionTree(nodes, train.n_features)

@@ -8,7 +8,7 @@ noise.  Everything is a pure function of the config including its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -262,8 +262,3 @@ def activity_preset(name: str, duration_s: float, seed: int = 0) -> SynthConfig:
         known = ", ".join(sorted(ACTIVITY_PRESETS))
         raise ConfigError(f"unknown activity {name!r}; choose one of: {known}") from None
     return SynthConfig(duration_s=duration_s, seed=seed, **params)
-
-
-def with_seed(cfg: SynthConfig, seed: int) -> SynthConfig:
-    """Same configuration, different RNG seed."""
-    return replace(cfg, seed=seed)

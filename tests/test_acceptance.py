@@ -272,8 +272,8 @@ def test_criterion_10_small_instance_oracles():
     )
     tree = train_dt(ds, max_depth=1)
     root_ok = (
-        tree._feature[0] == 0
-        and tree._threshold[0] == np.float32(5.5)
+        tree.nodes.feature[0] == 0
+        and tree.nodes.threshold[0] == np.float32(5.5)
         and tree.predict(np.array([0.5])) == 0.0
         and tree.predict(np.array([10.5])) == 10.0
     )

@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from ppghrv.cli import main, read_config_file
 from ppghrv.io import read_dataset_csv, read_hr_csv, read_ppg_csv, read_rr_csv
 from ppghrv.models import load_model
+from ppghrv.models.codec import MAGIC
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +179,35 @@ class TestExitCodes:
             "eval", "--model", str(blob), "--dataset", str(workdir / "ds.csv"),
         ])
         assert code == 2
+
+    def test_self_referencing_tree_is_data_error(self, tmp_path, workdir):
+        # 31 features; node 0 splits on feature 0 and names itself as both
+        # children, so a walk that trusted the file would never reach a leaf
+        blob = tmp_path / "loop.bin"
+        blob.write_bytes(
+            MAGIC + bytes([0, 31, 2, 1]) + struct.pack("<f", 0.0) + bytes([0, 0, 0])
+            + struct.pack("<d", 1.0)
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "ppghrv.cli", "eval",
+                "--model", str(blob), "--dataset", str(workdir / "ds.csv"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "data error" in proc.stderr
+
+    def test_non_finite_ppg_sample_is_data_error(self, tmp_path, workdir, capsys):
+        lines = (workdir / "ppg.csv").read_text().splitlines()
+        lines[100] = lines[100].split(",")[0] + ",nan"
+        bad = tmp_path / "ppg.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["process", "--ppg", str(bad), "--out-hr", str(tmp_path / "hr.csv")])
+        assert code == 2
+        assert ":101: non-finite value" in capsys.readouterr().err
 
     def test_dataset_flag_needs_rr(self, workdir, tmp_path, capsys):
         code = main([

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppghrv.data import Dataset
 from ppghrv.errors import ParseError
@@ -15,7 +19,7 @@ from ppghrv.models import (
     train_mlp,
     train_rf,
 )
-from ppghrv.models.codec import MAGIC
+from ppghrv.models.codec import MAGIC, _write_varint
 
 
 def make_ds(X, y):
@@ -110,3 +114,135 @@ class TestParseFailures:
     def test_unknown_kind_tag(self):
         with pytest.raises(ParseError):
             decode(MAGIC + bytes([9]) + b"\x01")
+
+
+def varints(*values):
+    buf = bytearray()
+    for v in values:
+        _write_varint(buf, v)
+    return bytes(buf)
+
+
+def tree_body(nodes):
+    """Node table; a node is a float leaf value or a (feature, left, right) split."""
+    body = varints(len(nodes))
+    for node in nodes:
+        if isinstance(node, float):
+            body += varints(0) + struct.pack("<d", node)
+        else:
+            feature, left, right = node
+            body += varints(feature + 1) + struct.pack("<f", 0.5) + varints(left, right)
+    return body
+
+
+def dt_file(n_features, nodes):
+    return MAGIC + bytes([0]) + varints(n_features) + tree_body(nodes)
+
+
+def rf_file(n_features, trees):
+    return MAGIC + bytes([1]) + varints(n_features, len(trees)) + b"".join(
+        tree_body(t) for t in trees
+    )
+
+
+def knn_file(k, rows):
+    # one feature, euclidean; mu 0, sigma 1, the rows at 0 and their labels
+    return (
+        MAGIC + bytes([2]) + varints(1, k) + bytes([1]) + varints(rows)
+        + np.array([0.0, 1.0] + [0.0] * rows, dtype="<f4").tobytes()
+        + np.ones(rows, dtype="<f8").tobytes()
+    )
+
+
+def mlp_file(out_width):
+    # one feature, one relu layer of width out_width, then x_mu, x_sigma, y_mu, y_sigma
+    return (
+        MAGIC + bytes([3]) + varints(1) + bytes([0]) + varints(1, 1, out_width)
+        + np.ones(2 * out_width + 2, dtype="<f4").tobytes()
+        + struct.pack("<dd", 0.0, 1.0)
+    )
+
+
+STUMP = [(0, 1, 2), 1.0, 2.0]
+
+
+class TestInconsistentFiles:
+    @pytest.mark.parametrize("blob", [
+        dt_file(1, STUMP),
+        rf_file(1, [STUMP]),
+        knn_file(k=3, rows=3),
+        mlp_file(out_width=1),
+    ], ids=["dt", "rf", "knn", "mlp"])
+    def test_hand_built_valid_files_decode(self, blob):
+        model = decode(blob)
+        assert model.predict_batch(np.zeros((2, 1))).shape == (2,)
+
+    @pytest.mark.parametrize("blob, message", [
+        (dt_file(1, [(0, 0, 0), 1.0]), "children"),
+        (dt_file(1, [(0, 2, 1), 1.0, (0, 1, 1)]), "children"),
+        (dt_file(1, [(0, 1, 3), 1.0, 2.0]), "children"),
+        (dt_file(1, [(1, 1, 2), 1.0, 2.0]), "feature 1 of 1"),
+        (MAGIC + bytes([0]) + varints(1, 2**34), "bytes remain"),
+        (rf_file(1, []), "zero trees"),
+        (knn_file(k=9, rows=3), "k=9"),
+        (knn_file(k=0, rows=3), "k=0"),
+        (mlp_file(out_width=2), "output width"),
+    ], ids=[
+        "self_loop", "child_before_parent", "child_past_table", "feature_out_of_range",
+        "node_count_past_end", "forest_without_trees", "knn_k_above_rows", "knn_k_zero",
+        "mlp_output_width",
+    ])
+    def test_rejected(self, blob, message):
+        with pytest.raises(ParseError, match=message):
+            decode(blob)
+
+
+PROPERTY = settings(max_examples=150, deadline=1000, derandomize=True, database=None)
+
+
+def predicts_if_decoded(data):
+    """decode either refuses with ParseError or gives a model that predicts."""
+    try:
+        model = decode(data)
+    except ParseError:
+        return
+    if model.n_features <= 64:
+        assert model.predict_batch(np.zeros((1, model.n_features))).shape == (1,)
+
+
+class TestDecodeProperties:
+    @PROPERTY
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, data):
+        predicts_if_decoded(data)
+
+    @PROPERTY
+    @given(st.integers(0, 3), st.binary(max_size=96))
+    def test_bytes_after_magic_and_kind(self, tag, tail):
+        predicts_if_decoded(MAGIC + bytes([tag]) + tail)
+
+
+def small_model(kind, seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 31))
+    X = np.round(rng.normal(size=(m, int(rng.integers(1, 5)))), 1)  # rounding makes ties
+    ds = make_ds(X, rng.uniform(10.0, 60.0, size=m))
+    if kind == "dt":
+        return train_dt(ds, max_depth=int(rng.integers(1, 7)))
+    if kind == "rf":
+        return train_rf(ds, trees=int(rng.integers(2, 5)), max_depth=int(rng.integers(1, 5)),
+                        seed=seed)
+    if kind == "knn":
+        distance = ("manhattan", "euclidean")[int(rng.integers(2))]
+        return train_knn(ds, k=int(rng.integers(2, min(m, 6) + 1)), distance=distance)
+    hidden = tuple(int(h) for h in rng.integers(1, 6, size=int(rng.integers(1, 3))))
+    activation = ("relu", "tanh")[int(rng.integers(2))]
+    return train_mlp(ds, hidden, activation, cfg=MlpTrainingConfig(max_epochs=2), seed=seed)
+
+
+@pytest.mark.parametrize("kind", ["dt", "rf", "knn", "mlp"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reencode_is_stable_for_small_models(kind, seed):
+    blob = encode(small_model(kind, seed))
+    assert encode(decode(blob)) == blob

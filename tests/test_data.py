@@ -5,13 +5,12 @@ import pytest
 
 from ppghrv.data import (
     Dataset,
-    build_hr_dataset,
     build_hrv_dataset,
     chronological_split,
 )
 from ppghrv.errors import ConfigError, EmptyWindow, TooFewSamples, TraceTooShort
 from ppghrv.metrics import HrvMetricKind, RrSeries, rough_hrv
-from ppghrv.sigproc import RawHrSeries, SmoothedHrSeries
+from ppghrv.sigproc import SmoothedHrSeries
 from ppghrv.synth import GroundTruth, SynthConfig, generate_rr_trace
 
 
@@ -24,16 +23,6 @@ def oracle_window_label(gt, t0, t1, kind):
         return math.sqrt(sum((v - mean) ** 2 for v in rr) / len(rr))
     diffs = [rr[i + 1] - rr[i] for i in range(len(rr) - 1)]
     return math.sqrt(sum(v * v for v in diffs) / len(diffs))
-
-
-def oracle_hr_label(gt, t):
-    """Instantaneous HR of the interval containing time t (linear scan)."""
-    bt = gt.beat_times_s
-    j = 0
-    while j + 1 < bt.size and bt[j + 1] <= t:
-        j += 1
-    j = min(j, len(gt.rr) - 1)
-    return 60000.0 / float(gt.rr.intervals_ms[j])
 
 
 def metronome_gt(n_beats, rr_s=1.0):
@@ -117,38 +106,6 @@ class TestBuildHrvDataset:
             build_hrv_dataset(shr, gt, n_s=1, kind=HrvMetricKind.SDNN)
         with pytest.raises(ConfigError):
             build_hrv_dataset(shr, gt, n_s=10, kind=HrvMetricKind.SDNN, stride_s=0)
-
-
-class TestBuildHrDataset:
-    def test_sample_count(self, jittered_gt):
-        raw = RawHrSeries(np.full(300, 70.0), start_time_s=8.0)
-        ds = build_hr_dataset(raw, jittered_gt, k=20)
-        assert len(ds) == 281
-        assert ds.n_features == 20
-        assert ds.kind is None
-
-    def test_labels_match_oracle(self, jittered_gt):
-        rng = np.random.default_rng(9)
-        raw = RawHrSeries(rng.uniform(55.0, 85.0, size=240), start_time_s=8.0)
-        ds = build_hr_dataset(raw, jittered_gt, k=12)
-        for w in range(len(ds)):
-            t = 8.0 + (w + 11) * 0.25
-            assert ds.window_end_times_s[w] == pytest.approx(t)
-            assert ds.labels[w] == pytest.approx(oracle_hr_label(jittered_gt, t), rel=1e-12)
-
-    def test_features_are_recent_estimates(self, jittered_gt):
-        vals = np.arange(60.0, 60.0 + 40.0)
-        raw = RawHrSeries(vals, start_time_s=8.0)
-        ds = build_hr_dataset(raw, jittered_gt, k=5)
-        np.testing.assert_array_equal(ds.features[0], vals[:5])
-        np.testing.assert_array_equal(ds.features[-1], vals[-5:])
-
-    def test_too_short(self, jittered_gt):
-        raw = RawHrSeries(np.full(5, 70.0), start_time_s=8.0)
-        with pytest.raises(TraceTooShort):
-            build_hr_dataset(raw, jittered_gt, k=10)
-        with pytest.raises(ConfigError):
-            build_hr_dataset(raw, jittered_gt, k=0)
 
 
 class TestDatasetValidation:

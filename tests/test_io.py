@@ -105,6 +105,23 @@ class TestHrCsv:
         assert back.start_time_s == 8.0
 
 
+@pytest.mark.parametrize("reader, text", [
+    (read_ppg_csv, "time_s,value\n0.0,1.0\n0.04,nan\n0.08,1.0\n"),
+    (read_ppg_csv, "time_s,value\n0.0,1.0\nnan,1.1\n0.08,1.0\n"),
+    (read_rr_csv, "beat_time_s,rr_ms\n0.0,\n0.8,inf\n1.6,800.0\n"),
+    (read_hr_csv, "time_s,hr_bpm\n0.0,60.0\n1.0,-inf\n2.0,61.0\n"),
+    (read_hr_csv, "time_s,hr_bpm\n0.0,60.0\nNaN,60.5\n2.0,61.0\n"),
+    (read_dataset_csv, "window_end_time_s,f0,label\n1.0,2.0,3.0\n2.0,Infinity,3.0\n"),
+    (read_dataset_csv, "window_end_time_s,f0,label\n1.0,2.0,3.0\n2.0,2.0,nan\n"),
+], ids=["ppg_value", "ppg_time", "rr", "hr_value", "hr_time", "dataset_feature",
+        "dataset_label"])
+def test_non_finite_value_reports_line(tmp_path, reader, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=":3: non-finite"):
+        reader(path)
+
+
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -7,9 +7,12 @@ from ppghrv.models import (
     HyperparamSpace,
     MlpTrainingConfig,
     ModelKind,
+    encode,
     random_search,
     sample_hyperparams,
+    train_dt,
 )
+from ppghrv.models import search as search_module
 
 
 def make_ds(X, y):
@@ -58,9 +61,8 @@ class TestRandomSearch:
         result = random_search(regression_ds, ModelKind.DT, budget=1, seed=3)
         assert len(result.candidates) == 1
         assert result.best.index == 0
-        assert result.model.meta.hyperparams["max_depth"] == (
-            result.best.hyperparams["max_depth"]
-        )
+        winner = train_dt(regression_ds, result.best.hyperparams["max_depth"])
+        assert encode(result.model) == encode(winner)
 
     def test_best_is_argmin_of_validation_mape(self, regression_ds):
         result = random_search(regression_ds, ModelKind.DT, budget=8, seed=4)
@@ -93,12 +95,19 @@ class TestRandomSearch:
         with pytest.raises(SearchExhausted):
             random_search(small, ModelKind.KNN, budget=4, seed=7, space=space)
 
-    def test_mlp_search_uses_training_config(self, regression_ds):
+    def test_mlp_search_uses_training_config(self, regression_ds, monkeypatch):
         cfg = MlpTrainingConfig(max_epochs=5)
-        result = random_search(
-            regression_ds, ModelKind.MLP, budget=2, seed=8, mlp_cfg=cfg
-        )
-        assert result.model.meta.hyperparams["max_epochs"] == 5
+        seen = []
+        real = search_module.train_mlp
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["cfg"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "train_mlp", spy)
+        random_search(regression_ds, ModelKind.MLP, budget=2, seed=8, mlp_cfg=cfg)
+        assert len(seen) == 3  # two candidates and the retrained winner
+        assert all(c is cfg for c in seen)
 
     def test_bad_budget_and_fraction(self, regression_ds):
         with pytest.raises(ConfigError):
