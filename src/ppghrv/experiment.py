@@ -118,11 +118,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every cell, write results.csv and per-cell trace CSVs.
 
     A failing cell is logged with its identity and skipped; the remaining
-    cells still run.  Returns the rows in config order.
+    cells still run and results.csv holds their rows.  Returns the rows in
+    config order, or raises HrvError naming the failed cells once
+    results.csv is written.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[ResultRow] = []
+    failed: list[str] = []
     for activity in cfg.activities:
         gt, shr = _process_activity(cfg, activity)
         for metric in cfg.metrics:
@@ -139,6 +142,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                         "cell %s/%s/n=%ds: dataset failed: %s",
                         activity, metric.value, n_s, err,
                     )
+                    failed += [
+                        f"{activity}/{metric.value}/{n_s}/{m.value}" for m in cfg.models
+                    ]
                     continue
                 for model_kind in cfg.models:
                     cell = (activity, metric.value, n_s, model_kind.value)
@@ -150,8 +156,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                             )
                         )
                     except HrvError as err:
-                        log.error("cell %s failed: %s", "/".join(map(str, cell)), err)
+                        failed.append("/".join(map(str, cell)))
+                        log.error("cell %s failed: %s", failed[-1], err)
     write_results_csv(out_dir / "results.csv", rows)
+    if failed:
+        raise HrvError(
+            f"{len(failed)} of {len(failed) + len(rows)} cells failed "
+            f"({', '.join(failed)}); results.csv holds the other {len(rows)}"
+        )
     return rows
 
 

@@ -20,6 +20,7 @@ rate is off the declared one by more than 1%.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -95,11 +96,13 @@ def _parse_float(path, lineno: int, text: str, column: str) -> float:
     return v
 
 
-def _check_increasing(path, t: np.ndarray, column: str) -> None:
-    """t holds one time per data row; name the first row that does not increase."""
+def _check_increasing(path, header: Sequence[str], t: np.ndarray, column: str) -> None:
+    """t holds one time per data row; name the line of the first that does not
+    increase.  _rows skips blank lines, so the line number is read back from
+    it on this error path rather than kept for every row."""
     bad = np.flatnonzero(np.diff(t) <= 0)
     if bad.size:
-        lineno = int(bad[0]) + 3  # +2 header/1-base, +1 second row of the pair
+        lineno, _ = next(itertools.islice(_rows(path, header), int(bad[0]) + 1, None))
         raise NonMonotoneTime(f"{path}:{lineno}: {column} does not strictly increase")
 
 
@@ -119,7 +122,7 @@ def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> Pp
     if len(times) < 2:
         raise ParseError(f"{path}: need at least 2 samples, got {len(times)}")
     t = np.asarray(times)
-    _check_increasing(path, t, "time_s")
+    _check_increasing(path, PPG_HEADER, t, "time_s")
     inferred = 1.0 / float(np.median(np.diff(t)))
     if abs(inferred - declared_rate_hz) > RATE_TOLERANCE * declared_rate_hz:
         raise RateMismatch(
@@ -151,7 +154,7 @@ def read_rr_csv(path) -> GroundTruth:
     if len(beats) < 2:
         raise ParseError(f"{path}: need at least 2 beats, got {len(beats)}")
     bt = np.asarray(beats)
-    _check_increasing(path, bt, "beat_time_s")
+    _check_increasing(path, RR_HEADER, bt, "beat_time_s")
     try:
         return GroundTruth(beat_times_s=bt, rr=RrSeries(np.asarray(rr)))
     except ValueError as err:
@@ -171,7 +174,7 @@ def read_hr_csv(path) -> SmoothedHrSeries:
     if not times:
         raise ParseError(f"{path}: no data rows")
     t = np.asarray(times)
-    _check_increasing(path, t, "time_s")
+    _check_increasing(path, HR_HEADER, t, "time_s")
     return SmoothedHrSeries(np.asarray(values), start_time_s=float(t[0]))
 
 
@@ -201,7 +204,7 @@ def read_dataset_csv(path) -> Dataset:
     if not times:
         raise ParseError(f"{path}: no data rows")
     t = np.asarray(times)
-    _check_increasing(path, t, "window_end_time_s")
+    _check_increasing(path, header, t, "window_end_time_s")
     return Dataset(
         np.asarray(feats),
         np.asarray(labels),

@@ -20,8 +20,9 @@ bad magic or tags, truncation, trailing bytes, tree nodes out of preorder
 (a child index must lie after its parent and inside the table, which rules
 out cycles), a split feature >= n_features, a node count the remaining
 bytes cannot hold, a forest with no trees, KNN k outside [1, stored rows],
-and an MLP whose input width is not n_features or whose output width is
-not 1.
+an MLP whose input width is not n_features or whose output width is not 1,
+and any non-finite (nan, inf) threshold, leaf value, weight, bias, stored
+row, label or standardisation statistic.
 """
 
 from __future__ import annotations
@@ -104,6 +105,13 @@ class _Reader:
             raise ParseError(f"{self.remaining()} trailing bytes in model file")
 
 
+def _finite(values, what: str):
+    """values (a float or an array) unchanged; ParseError if any is nan or inf."""
+    if not np.isfinite(values).all():
+        raise ParseError(f"non-finite {what} in model file")
+    return values
+
+
 def _encode_nodes(buf: bytearray, nodes: TreeNodes) -> None:
     _write_varint(buf, len(nodes))
     for i in range(len(nodes)):
@@ -145,6 +153,8 @@ def _decode_nodes(r: _Reader, n_features: int) -> TreeNodes:
             raise ParseError(f"node {i} has children {lo}, {hi} outside ({i}, {count})")
         left[i] = lo
         right[i] = hi
+    _finite(threshold, "split threshold")
+    _finite(value, "leaf value")
     return TreeNodes(feature, threshold, left, right, value)
 
 
@@ -219,10 +229,10 @@ def decode(data: bytes) -> TrainedModel:
         m = r.varint()
         if not 1 <= k <= m:
             raise ParseError(f"k={k} outside [1, {m}] stored rows")
-        mu = r.f32_array(d)
-        sigma = r.f32_array(d)
-        X = r.f32_array(m * d).reshape(m, d)
-        y = r.f64_array(m)
+        mu = _finite(r.f32_array(d), "feature mean")
+        sigma = _finite(r.f32_array(d), "feature std")
+        X = _finite(r.f32_array(m * d), "stored row").reshape(m, d)
+        y = _finite(r.f64_array(m), "label")
         r.done()
         return KnnRegressor(X, y, mu, sigma, k, DISTANCES[dist_tag], d)
 
@@ -239,13 +249,13 @@ def decode(data: bytes) -> TrainedModel:
         raise ParseError(f"output width {sizes[-1]}, expected 1")
     params32 = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        W = r.f32_array(fan_in * fan_out).reshape(fan_in, fan_out)
-        b = r.f32_array(fan_out)
+        W = _finite(r.f32_array(fan_in * fan_out), "weight").reshape(fan_in, fan_out)
+        b = _finite(r.f32_array(fan_out), "bias")
         params32.append((W, b))
-    x_mu = r.f32_array(d)
-    x_sigma = r.f32_array(d)
-    y_mu = r.f64()
-    y_sigma = r.f64()
+    x_mu = _finite(r.f32_array(d), "feature mean")
+    x_sigma = _finite(r.f32_array(d), "feature std")
+    y_mu = _finite(r.f64(), "label mean")
+    y_sigma = _finite(r.f64(), "label std")
     r.done()
     return MlpRegressor(params32, ACTIVATIONS[act_tag], x_mu, x_sigma, y_mu, y_sigma, d)
 

@@ -51,11 +51,12 @@ class KnnRegressor(TrainedModel):
         self.distance = distance
 
     def _predict_batch(self, Q: np.ndarray) -> np.ndarray:
-        Xt = self.X.astype(np.float64)
-        q = (Q - self.mu.astype(np.float64)) / self.sigma.astype(np.float64)
+        # the float32 parameters widen exactly to float64 inside each ufunc,
+        # so no float64 copy of the matrix is made
+        q = (Q - self.mu) / self.sigma
         out = np.empty(Q.shape[0], dtype=np.float64)
         for r in range(q.shape[0]):
-            diff = Xt - q[r]
+            diff = self.X - q[r]
             if self.distance == MANHATTAN:
                 d = np.abs(diff).sum(axis=1)
             else:

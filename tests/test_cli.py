@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
+import ppghrv.experiment
 from ppghrv.cli import main, read_config_file
+from ppghrv.errors import EmptyDataset
 from ppghrv.io import read_dataset_csv, read_hr_csv, read_ppg_csv, read_rr_csv
-from ppghrv.models import load_model
+from ppghrv.models import ModelKind, load_model
 from ppghrv.models.codec import MAGIC
 
 
@@ -138,6 +140,26 @@ class TestRunCommand:
             "lengths": (30, 60),
         }
 
+    def test_failed_cell_is_data_error(self, tmp_path, monkeypatch, capsys):
+        real = ppghrv.experiment.random_search
+
+        def flaky(train, kind, **kwargs):
+            if kind is ModelKind.KNN:
+                raise EmptyDataset("forced failure")
+            return real(train, kind, **kwargs)
+
+        monkeypatch.setattr(ppghrv.experiment, "random_search", flaky)
+        code = main([
+            "run", "--out-dir", str(tmp_path / "out"),
+            "--activities", "sit", "--metrics", "rmssd", "--lengths", "30",
+            "--models", "dt,knn", "--duration-s", "150", "--budget", "1",
+            "--seed", "4", "--clean",
+        ])
+        assert code == 2
+        assert "1 of 2 cells failed (sit/rmssd/30/knn)" in capsys.readouterr().err
+        lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == ["dt"]
+
     def test_missing_out_dir_rejected(self, capsys):
         code = main(["run", "--activities", "sit"])
         assert code == 1
@@ -199,6 +221,14 @@ class TestExitCodes:
         )
         assert proc.returncode == 2, proc.stderr
         assert "data error" in proc.stderr
+
+    def test_nan_leaf_tree_is_data_error(self, tmp_path, workdir, capsys):
+        # 17 bytes: a one-leaf tree over the dataset's 31 features whose value is nan
+        blob = tmp_path / "nan.bin"
+        blob.write_bytes(MAGIC + bytes([0, 31, 1, 0]) + struct.pack("<d", float("nan")))
+        code = main(["eval", "--model", str(blob), "--dataset", str(workdir / "ds.csv")])
+        assert code == 2
+        assert "non-finite leaf value" in capsys.readouterr().err
 
     def test_non_finite_ppg_sample_is_data_error(self, tmp_path, workdir, capsys):
         lines = (workdir / "ppg.csv").read_text().splitlines()

@@ -124,14 +124,17 @@ def varints(*values):
 
 
 def tree_body(nodes):
-    """Node table; a node is a float leaf value or a (feature, left, right) split."""
+    """Node table; a node is a float leaf value or a (feature, left, right)
+    split, optionally followed by its threshold (0.5 if left out)."""
     body = varints(len(nodes))
     for node in nodes:
         if isinstance(node, float):
             body += varints(0) + struct.pack("<d", node)
         else:
-            feature, left, right = node
-            body += varints(feature + 1) + struct.pack("<f", 0.5) + varints(left, right)
+            feature, left, right = node[:3]
+            threshold = node[3] if len(node) > 3 else 0.5
+            body += varints(feature + 1) + struct.pack("<f", threshold)
+            body += varints(left, right)
     return body
 
 
@@ -145,21 +148,22 @@ def rf_file(n_features, trees):
     )
 
 
-def knn_file(k, rows):
-    # one feature, euclidean; mu 0, sigma 1, the rows at 0 and their labels
+def knn_file(k, rows, mu=0.0, sigma=1.0, row=0.0, label=1.0):
+    # one feature, euclidean; mu, sigma, the rows and their labels
     return (
         MAGIC + bytes([2]) + varints(1, k) + bytes([1]) + varints(rows)
-        + np.array([0.0, 1.0] + [0.0] * rows, dtype="<f4").tobytes()
-        + np.ones(rows, dtype="<f8").tobytes()
+        + np.array([mu, sigma] + [row] * rows, dtype="<f4").tobytes()
+        + np.full(rows, label, dtype="<f8").tobytes()
     )
 
 
-def mlp_file(out_width):
+def mlp_file(out_width, weight=1.0, bias=1.0, x_sigma=1.0, y_sigma=1.0):
     # one feature, one relu layer of width out_width, then x_mu, x_sigma, y_mu, y_sigma
     return (
         MAGIC + bytes([3]) + varints(1) + bytes([0]) + varints(1, 1, out_width)
-        + np.ones(2 * out_width + 2, dtype="<f4").tobytes()
-        + struct.pack("<dd", 0.0, 1.0)
+        + np.array([weight] * out_width + [bias] * out_width + [1.0, x_sigma],
+                   dtype="<f4").tobytes()
+        + struct.pack("<dd", 0.0, y_sigma)
     )
 
 
@@ -187,10 +191,23 @@ class TestInconsistentFiles:
         (knn_file(k=9, rows=3), "k=9"),
         (knn_file(k=0, rows=3), "k=0"),
         (mlp_file(out_width=2), "output width"),
+        (dt_file(1, [float("nan")]), "non-finite leaf value"),
+        (dt_file(1, [(0, 1, 2, float("inf")), 1.0, 2.0]), "non-finite split threshold"),
+        (rf_file(1, [STUMP, [(0, 1, 2), 1.0, float("-inf")]]), "non-finite leaf value"),
+        (knn_file(k=3, rows=3, mu=float("nan")), "non-finite feature mean"),
+        (knn_file(k=3, rows=3, sigma=float("inf")), "non-finite feature std"),
+        (knn_file(k=3, rows=3, row=float("nan")), "non-finite stored row"),
+        (knn_file(k=3, rows=3, label=float("nan")), "non-finite label"),
+        (mlp_file(out_width=1, weight=float("nan")), "non-finite weight"),
+        (mlp_file(out_width=1, bias=float("-inf")), "non-finite bias"),
+        (mlp_file(out_width=1, x_sigma=float("nan")), "non-finite feature std"),
+        (mlp_file(out_width=1, y_sigma=float("inf")), "non-finite label std"),
     ], ids=[
         "self_loop", "child_before_parent", "child_past_table", "feature_out_of_range",
         "node_count_past_end", "forest_without_trees", "knn_k_above_rows", "knn_k_zero",
-        "mlp_output_width",
+        "mlp_output_width", "dt_nan_leaf", "dt_inf_threshold", "rf_inf_leaf", "knn_nan_mu",
+        "knn_inf_sigma", "knn_nan_row", "knn_nan_label", "mlp_nan_weight", "mlp_inf_bias",
+        "mlp_nan_x_sigma", "mlp_inf_y_sigma",
     ])
     def test_rejected(self, blob, message):
         with pytest.raises(ParseError, match=message):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ppghrv.experiment
-from ppghrv.errors import ConfigError, EmptyDataset
+from ppghrv.errors import ConfigError, EmptyDataset, HrvError
 from ppghrv.experiment import ExperimentConfig, run_experiment
 from ppghrv.io import RESULTS_HEADER, TRACE_HEADER
 from ppghrv.metrics import HrvMetricKind
@@ -86,10 +86,29 @@ class TestRunExperiment:
             return real(train, kind, **kwargs)
 
         monkeypatch.setattr(ppghrv.experiment, "random_search", flaky)
-        with caplog.at_level("ERROR"):
-            rows = run_experiment(small_config(tmp_path / "flaky"))
-        assert [r.model for r in rows] == ["dt", "dt"]
+        with caplog.at_level("ERROR"), pytest.raises(HrvError) as err:
+            run_experiment(small_config(tmp_path / "flaky"))
         assert "knn" in caplog.text and "forced failure" in caplog.text
+        # the dt cells still ran and were written; the error names the knn ones
+        assert str(err.value) == (
+            "2 of 4 cells failed (sit/rmssd/30/knn, sit/rmssd/60/knn); "
+            "results.csv holds the other 2"
+        )
+        lines = (tmp_path / "flaky" / "results.csv").read_text().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == ["dt", "dt"]
+
+    def test_failing_dataset_fails_each_of_its_cells(self, tmp_path, monkeypatch):
+        real = ppghrv.experiment.build_hrv_dataset
+
+        def flaky(shr, gt, n_s, **kwargs):
+            if n_s == 30:
+                raise EmptyDataset("forced failure")
+            return real(shr, gt, n_s=n_s, **kwargs)
+
+        monkeypatch.setattr(ppghrv.experiment, "build_hrv_dataset", flaky)
+        with pytest.raises(HrvError, match=r"2 of 4 cells failed \(sit/rmssd/30/dt, "
+                           r"sit/rmssd/30/knn\); results.csv holds the other 2"):
+            run_experiment(small_config(tmp_path / "flaky"))
 
     def test_bench_repetitions_add_latency(self, tmp_path):
         cfg = small_config(

@@ -122,6 +122,20 @@ def test_non_finite_value_reports_line(tmp_path, reader, text):
         reader(path)
 
 
+@pytest.mark.parametrize("reader, text", [
+    (read_ppg_csv, "time_s,value\n0.0,1.0\n\n0.04,1.0\n0.02,1.0\n"),
+    (read_rr_csv, "beat_time_s,rr_ms\n0.0,\n\n1.0,1000.0\n0.5,500.0\n"),
+    (read_hr_csv, "time_s,hr_bpm\n0.0,60.0\n\n1.0,60.0\n0.5,60.0\n"),
+    (read_dataset_csv, "window_end_time_s,f0,label\n1.0,2.0,3.0\n\n2.0,2.0,3.0\n1.5,2.0,3.0\n"),
+], ids=["ppg", "rr", "hr", "dataset"])
+def test_non_increasing_time_after_blank_line_reports_line(tmp_path, reader, text):
+    # _rows skips the blank line 3, so the bad row is the file's line 5
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(NonMonotoneTime, match=":5: "):
+        reader(path)
+
+
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -3,7 +3,7 @@ import pytest
 
 from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, EmptyDataset, FeatureLengthMismatch
-from ppghrv.models import train_dt
+from ppghrv.models import train_dt, tree
 
 
 def make_ds(X, y):
@@ -35,6 +35,91 @@ def oracle_depth1_split(X, y):
             if best is None or sse < best[0]:
                 best = (sse, f, thr)
     return best
+
+
+def oracle_best_split(X, y):
+    """The per-feature split search the block-vectorised _best_split replaced:
+    one sort and one prefix-sum pass per feature, in feature order."""
+    n, d = X.shape
+    total_s1 = float(y.sum())
+    total_s2 = float((y * y).sum())
+    best_sse = np.inf
+    best = None
+    for f in range(d):
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        ys = y[order]
+        if xs[0] == xs[-1]:
+            continue
+        c1 = np.cumsum(ys)[:-1]
+        c2 = np.cumsum(ys * ys)[:-1]
+        nl = np.arange(1, n, dtype=np.float64)
+        nr = n - nl
+        sse = (c2 - c1 * c1 / nl) + (total_s2 - c2) - (total_s1 - c1) ** 2 / nr
+        sse[xs[:-1] == xs[1:]] = np.inf
+        while True:
+            i = int(np.argmin(sse))
+            if not np.isfinite(sse[i]) or sse[i] >= best_sse:
+                break
+            thr = np.float32((xs[i] + xs[i + 1]) / 2.0)
+            n_left = int(np.searchsorted(xs, thr, side="right"))
+            if 0 < n_left < n:
+                best_sse = float(sse[i])
+                best = (f, thr)
+                break
+            sse[i] = np.inf  # quantisation collapsed this boundary
+    return best
+
+
+def parity_datasets():
+    rng = np.random.default_rng(21)
+    ints = rng.integers(0, 4, size=(64, 4)).astype(np.float64)
+    constant = rng.normal(size=(48, 5))
+    constant[:, [0, 3]] = 7.0
+    # float32 midpoints that collapse onto an end of the column: 1 and the next
+    # float64 up, 1 just below 1 (midpoint rounds to 1.0 >= the largest value),
+    # and 1 + 2**-30 / 1 + 2**-29 (midpoint rounds to 1.0 < the smallest value)
+    tiny = [
+        [1.0, np.nextafter(1.0, 2.0)],
+        [1.0 - 2.0**-31, 1.0 - 2.0**-30],
+        [1.0 + 2.0**-30, 1.0 + 2.0**-29],
+        [0.0, 1.0],
+    ]
+    pick = rng.integers(0, 2, size=(40, len(tiny)))
+    collapse = np.array([[tiny[j][p] for j, p in enumerate(row)] for row in pick])
+    return {
+        "random": (rng.normal(size=(60, 5)), rng.normal(size=60)),
+        # every column repeated, so equal SSEs across features are certain;
+        # integer labels also tie SSEs across distinct features, and real
+        # labels make the sums depend on the order of the tied rows
+        "integer_ties": (np.hstack([ints, ints[:, ::-1]]),
+                         rng.integers(0, 3, size=64).astype(np.float64)),
+        "integer_ties_real_labels": (np.hstack([ints, ints[:, ::-1]]), rng.normal(size=64)),
+        "constant_columns": (constant, rng.normal(size=48)),
+        "float32_collapse": (collapse, rng.normal(size=40)),
+    }
+
+
+class TestSplitSearchParity:
+    """The block-vectorised split search grows the trees the per-feature
+    loop grew, bit for bit, whether a node's columns fit in one block, in a
+    few, or one per block (where each later block must be strictly lower)."""
+
+    @pytest.mark.parametrize("name", list(parity_datasets()))
+    def test_same_nodes_as_per_feature_loop(self, name, monkeypatch):
+        X, y = parity_datasets()[name]
+        n, d = X.shape
+        for depth in (1, 3, 20):
+            with monkeypatch.context() as m:
+                m.setattr(tree, "_best_split", oracle_best_split)
+                expected = tree._grow(X, y, depth)
+            for block_elements in (tree.SPLIT_BLOCK_ELEMENTS, 3 * n, 1):
+                monkeypatch.setattr(tree, "SPLIT_BLOCK_ELEMENTS", block_elements)
+                got = tree._grow(X, y, depth)
+                for field in ("feature", "threshold", "left", "right", "value"):
+                    want = getattr(expected, field).tobytes()
+                    assert getattr(got, field).tobytes() == want, (depth, block_elements)
 
 
 class TestDepthOneOracle:
