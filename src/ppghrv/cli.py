@@ -9,16 +9,22 @@ explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .amplify import amplification_table, default_base_trace
+from .amplify import (
+    DEFAULT_MAPE_LEVELS_PCT,
+    DEFAULT_WINDOW_S,
+    amplification_table,
+    default_base_trace,
+)
 from .data import build_hrv_dataset
 from .errors import ConfigError, HrvError
-from .experiment import DEFAULT_MONITOR_LENS_S, ExperimentConfig, run_experiment
+from .experiment import ExperimentConfig, run_experiment
 from .io import (
     read_dataset_csv,
     read_ppg_csv,
@@ -40,7 +46,13 @@ from .models import (
     save_model,
     serialized_size,
 )
-from .sigproc import DEFAULT_SAMPLING_RATE_HZ, ZScoreConfig, ppg_to_hr, smooth, zscore_adjust
+from .sigproc import (
+    DEFAULT_SAMPLING_RATE_HZ,
+    DEFAULT_Z_SCORE,
+    ppg_to_hr,
+    smooth,
+    zscore_adjust,
+)
 from .synth import ACTIVITY_PRESETS, activity_preset, generate_rr_trace, render_ppg
 
 
@@ -81,6 +93,21 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _list_of(convert):
+    """Converter for a comma-separated list whose items `convert` parses."""
+    return lambda text: tuple(convert(part) for part in _csv_list(text))
+
+
 def _bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -90,19 +117,20 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# config-file keys accepted by `run`, with their converters
+# `run`'s config-file keys, each with the converter to its ExperimentConfig
+# value; each is also a flag (`duration_s` is `--duration-s`)
 RUN_FILE_KEYS = {
     "out_dir": str,
     "activities": _csv_list,
-    "metrics": _csv_list,
+    "metrics": _list_of(_metric),
     "lengths": _int_list,
-    "models": _csv_list,
-    "duration_s": float,
+    "models": _list_of(_model_kind),
+    "duration_s": _float,
     "stride_s": int,
     "budget": int,
     "seed": int,
-    "train_fraction": float,
-    "val_fraction": float,
+    "train_fraction": _float,
+    "val_fraction": _float,
     "bench_repetitions": int,
     "clean": _bool,
     "mlp_max_epochs": int,
@@ -127,7 +155,10 @@ def read_config_file(path) -> dict:
         if key not in RUN_FILE_KEYS:
             known = ", ".join(sorted(RUN_FILE_KEYS))
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; known: {known}")
-        values[key] = RUN_FILE_KEYS[key](raw.strip())
+        try:
+            values[key] = RUN_FILE_KEYS[key](raw.strip())
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad {key} value {raw.strip()!r}") from None
     return values
 
 
@@ -138,7 +169,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth",
                        help="generate a synthetic PPG trace with RR ground truth")
     p.add_argument("--preset", required=True, choices=sorted(ACTIVITY_PRESETS))
-    p.add_argument("--duration-s", type=float, default=600.0)
+    p.add_argument("--duration-s", type=_float, default=600.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clean", action="store_true",
                    help="disable motion artifacts and sensor noise")
@@ -148,8 +179,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("process",
                        help="PPG CSV -> per-second HR CSV (and optionally a dataset)")
     p.add_argument("--ppg", required=True)
-    p.add_argument("--sampling-rate-hz", type=float, default=DEFAULT_SAMPLING_RATE_HZ)
-    p.add_argument("--z-score", type=float, default=3.0)
+    p.add_argument("--sampling-rate-hz", type=_float, default=DEFAULT_SAMPLING_RATE_HZ)
+    p.add_argument("--z-score", type=_float, default=DEFAULT_Z_SCORE)
     p.add_argument("--out-hr", required=True)
     p.add_argument("--rr", help="RR ground-truth CSV, needed for --out-dataset")
     p.add_argument("--metric", type=_metric, default=HrvMetricKind.RMSSD)
@@ -163,7 +194,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", type=_model_kind, required=True)
     p.add_argument("--budget", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=_float, default=0.2)
     p.add_argument("--mlp-max-epochs", type=int, default=500)
     p.add_argument("--out", required=True)
 
@@ -176,27 +207,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run",
                        help="full experiment matrix; see --config")
     p.add_argument("--config", help="key=value file; flags override it")
-    p.add_argument("--out-dir")
-    p.add_argument("--activities", type=_csv_list)
-    p.add_argument("--metrics", type=_csv_list)
-    p.add_argument("--lengths", type=_int_list)
-    p.add_argument("--models", type=_csv_list)
-    p.add_argument("--duration-s", type=float)
-    p.add_argument("--stride-s", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-fraction", type=float)
-    p.add_argument("--val-fraction", type=float)
-    p.add_argument("--bench-repetitions", type=int)
-    p.add_argument("--clean", action="store_true", default=None)
-    p.add_argument("--mlp-max-epochs", type=int)
+    for key, convert in RUN_FILE_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if convert is _bool:
+            p.add_argument(flag, action="store_true", default=None)
+        else:
+            p.add_argument(flag, type=convert)
 
     p = sub.add_parser("amplify",
                        help="RR-to-HRV error amplification table")
-    p.add_argument("--levels", type=_csv_list, default=("0", "1", "2", "3", "4", "5"))
+    p.add_argument("--levels", type=_list_of(_float), default=DEFAULT_MAPE_LEVELS_PCT)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window-s", type=float, default=60.0)
+    p.add_argument("--window-s", type=_float, default=DEFAULT_WINDOW_S)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bench",
@@ -224,7 +247,7 @@ def _cmd_synth(args) -> None:
 def _cmd_process(args) -> None:
     signal = read_ppg_csv(args.ppg, declared_rate_hz=args.sampling_rate_hz)
     raw = ppg_to_hr(signal)
-    shr = smooth(zscore_adjust(raw, ZScoreConfig(z_score=args.z_score)))
+    shr = smooth(zscore_adjust(raw, args.z_score))
     write_hr_csv(args.out_hr, shr)
     print(f"wrote {len(shr)} per-second HRs to {args.out_hr}")
     if args.out_dataset or args.rr:
@@ -275,41 +298,15 @@ def _cmd_eval(args) -> None:
 
 def _cmd_run(args) -> None:
     values = read_config_file(args.config) if args.config else {}
-    def pick(name, default=None):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        if name in values:
-            return values[name]
-        return default
-
-    out_dir = pick("out_dir")
-    if not out_dir:
+    for key in RUN_FILE_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    if not values.get("out_dir"):
         raise ConfigError("run needs --out-dir (or out_dir in the config file)")
-    kwargs = {}
-    if pick("activities") is not None:
-        kwargs["activities"] = tuple(pick("activities"))
-    if pick("metrics") is not None:
-        kwargs["metrics"] = tuple(_metric(m) for m in pick("metrics"))
-    if pick("lengths") is not None:
-        kwargs["monitor_lens_s"] = tuple(pick("lengths"))
-    if pick("models") is not None:
-        kwargs["models"] = tuple(_model_kind(m) for m in pick("models"))
-    for name in (
-        "duration_s",
-        "stride_s",
-        "budget",
-        "seed",
-        "train_fraction",
-        "val_fraction",
-        "bench_repetitions",
-        "clean",
-        "mlp_max_epochs",
-    ):
-        value = pick(name)
-        if value is not None:
-            kwargs[name] = value
-    cfg = ExperimentConfig(out_dir=Path(out_dir), **kwargs)
+    values["out_dir"] = Path(values["out_dir"])
+    if "lengths" in values:
+        values["monitor_lens_s"] = values.pop("lengths")
+    cfg = ExperimentConfig(**values)
     rows = run_experiment(cfg)
     for r in rows:
         latency = "-" if r.latency_us_mean is None else f"{r.latency_us_mean:.1f}us"
@@ -318,17 +315,13 @@ def _cmd_run(args) -> None:
             f"mape={r.mape_pct:.2f}% sigproc={r.sigproc_mape_pct:.2f}% "
             f"bytes={r.model_bytes} latency={latency}"
         )
-    print(f"wrote {len(rows)} rows to {Path(out_dir) / 'results.csv'}")
+    print(f"wrote {len(rows)} rows to {cfg.out_dir / 'results.csv'}")
 
 
 def _cmd_amplify(args) -> None:
-    try:
-        levels = tuple(float(v) for v in args.levels)
-    except ValueError:
-        raise ConfigError(f"bad --levels value {args.levels!r}") from None
     rows = amplification_table(
         default_base_trace(args.seed),
-        mape_levels_pct=levels,
+        mape_levels_pct=args.levels,
         trials=args.trials,
         window_s=args.window_s,
         rng_seed=args.seed,

@@ -25,8 +25,6 @@ class Dataset:
     features: np.ndarray          # (m, d)
     labels: np.ndarray            # (m,)
     window_end_times_s: np.ndarray  # (m,), strictly increasing
-    kind: HrvMetricKind | None    # None when read back from CSV
-    monitor_len_s: float
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
@@ -101,10 +99,10 @@ def build_hrv_dataset(
         t0 = shr.start_time_s + lo
         t1 = shr.start_time_s + hi
         X[w, :n] = hrs
-        X[w, n] = rough_hrv(hrs, kind).value_ms
+        X[w, n] = rough_hrv(hrs, kind)
         y[w] = _true_hrv_in_window(gt, t0, t1, kind)
         t_end[w] = t1
-    return Dataset(X, y, t_end, kind=kind, monitor_len_s=float(n))
+    return Dataset(X, y, t_end)
 
 
 def chronological_split(d: Dataset, train_fraction: float = 0.8) -> tuple[Dataset, Dataset]:
@@ -122,12 +120,6 @@ def chronological_split(d: Dataset, train_fraction: float = 0.8) -> tuple[Datase
     n_train = min(max(n_train, 1), m - 1)
 
     def _slice(a, b):
-        return Dataset(
-            d.features[a:b],
-            d.labels[a:b],
-            d.window_end_times_s[a:b],
-            kind=d.kind,
-            monitor_len_s=d.monitor_len_s,
-        )
+        return Dataset(d.features[a:b], d.labels[a:b], d.window_end_times_s[a:b])
 
     return _slice(0, n_train), _slice(n_train, m)

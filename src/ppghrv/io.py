@@ -191,7 +191,7 @@ def write_dataset_csv(path, ds: Dataset) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Exchange format carries no metric metadata; kind comes back None."""
+    """Read what write_dataset_csv wrote: the same arrays, bit for bit."""
     with open(path, newline="") as fh:
         width = len(next(csv.reader(fh), []))
     # the header declares the feature count; one is the least accepted
@@ -205,13 +205,7 @@ def read_dataset_csv(path) -> Dataset:
         raise ParseError(f"{path}: no data rows")
     t = np.asarray(times)
     _check_increasing(path, header, t, "window_end_time_s")
-    return Dataset(
-        np.asarray(feats),
-        np.asarray(labels),
-        t,
-        kind=None,
-        monitor_len_s=0.0,
-    )
+    return Dataset(np.asarray(feats), np.asarray(labels), t)
 
 
 def write_results_csv(path, rows: Iterable) -> None:

@@ -40,15 +40,6 @@ class RrSeries:
         return int(self.intervals_ms.size)
 
 
-@dataclass(frozen=True)
-class HrvValue:
-    """A single HRV reading plus the window it was computed over."""
-
-    kind: HrvMetricKind
-    value_ms: float
-    window_len_s: float
-
-
 def sdnn(rr: RrSeries) -> float:
     """Standard deviation of the intervals around their mean (divide by N)."""
     x = rr.intervals_ms
@@ -66,7 +57,7 @@ def rmssd(rr: RrSeries) -> float:
     return float(np.sqrt(np.sum(d * d) / d.size))
 
 
-def rough_hrv(hr_per_s, kind: HrvMetricKind) -> HrvValue:
+def rough_hrv(hr_per_s, kind: HrvMetricKind) -> float:
     """HRV estimated directly from a per-second HR sequence.
 
     Each HR value is converted to a pseudo RR interval 60000/HR and the
@@ -83,8 +74,7 @@ def rough_hrv(hr_per_s, kind: HrvMetricKind) -> HrvValue:
     if not np.all(hr > 0):
         raise ValueError("HR values must be positive")
     pseudo = RrSeries(MS_PER_MINUTE / hr)
-    value = sdnn(pseudo) if kind is HrvMetricKind.SDNN else rmssd(pseudo)
-    return HrvValue(kind=kind, value_ms=value, window_len_s=float(hr.size))
+    return sdnn(pseudo) if kind is HrvMetricKind.SDNN else rmssd(pseudo)
 
 
 def mape(estimates, truths) -> float:

@@ -4,7 +4,7 @@ from .codec import decode, encode, load_model, save_model, serialized_size
 from .forest import RandomForest, train_rf
 from .knn import KnnRegressor, train_knn
 from .mlp import MlpRegressor, MlpTrainingConfig, train_mlp
-from .search import HyperparamSpace, SearchResult, random_search, sample_hyperparams
+from .search import SearchResult, random_search, sample_hyperparams
 from .tree import DecisionTree, train_dt
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "MlpRegressor",
     "MlpTrainingConfig",
     "train_mlp",
-    "HyperparamSpace",
     "SearchResult",
     "random_search",
     "sample_hyperparams",

@@ -26,11 +26,10 @@ def bench_inference(
     model: TrainedModel,
     probe_inputs,
     repetitions: int = 1000,
-    warmup: int = WARMUP_CALLS,
 ) -> LatencyStats:
     """Time `repetitions` single predict calls, cycling over the probes.
 
-    The first `warmup` calls are run untimed so caches and allocator state
+    The first WARMUP_CALLS calls are run untimed so caches and allocator state
     settle; statistics cover exactly `repetitions` timed calls.
     """
     if repetitions < MIN_REPETITIONS:
@@ -39,7 +38,7 @@ def bench_inference(
     if not probes:
         raise ConfigError("need at least one probe input")
     n = len(probes)
-    for i in range(warmup):
+    for i in range(WARMUP_CALLS):
         model.predict(probes[i % n])
     times_ns = np.empty(repetitions, dtype=np.float64)
     for i in range(repetitions):

@@ -112,6 +112,13 @@ def _finite(values, what: str):
     return values
 
 
+def _std(values, what: str):
+    """values unchanged; ParseError unless every one is finite and > 0."""
+    if not np.all(_finite(values, what) > 0):
+        raise ParseError(f"non-positive {what} in model file")
+    return values
+
+
 def _encode_nodes(buf: bytearray, nodes: TreeNodes) -> None:
     _write_varint(buf, len(nodes))
     for i in range(len(nodes)):
@@ -230,7 +237,7 @@ def decode(data: bytes) -> TrainedModel:
         if not 1 <= k <= m:
             raise ParseError(f"k={k} outside [1, {m}] stored rows")
         mu = _finite(r.f32_array(d), "feature mean")
-        sigma = _finite(r.f32_array(d), "feature std")
+        sigma = _std(r.f32_array(d), "feature std")
         X = _finite(r.f32_array(m * d), "stored row").reshape(m, d)
         y = _finite(r.f64_array(m), "label")
         r.done()
@@ -253,9 +260,9 @@ def decode(data: bytes) -> TrainedModel:
         b = _finite(r.f32_array(fan_out), "bias")
         params32.append((W, b))
     x_mu = _finite(r.f32_array(d), "feature mean")
-    x_sigma = _finite(r.f32_array(d), "feature std")
+    x_sigma = _std(r.f32_array(d), "feature std")
     y_mu = _finite(r.f64(), "label mean")
-    y_sigma = _finite(r.f64(), "label std")
+    y_sigma = _std(r.f64(), "label std")
     r.done()
     return MlpRegressor(params32, ACTIVATIONS[act_tag], x_mu, x_sigma, y_mu, y_sigma, d)
 

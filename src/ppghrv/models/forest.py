@@ -33,12 +33,9 @@ def train_rf(
     trees: int,
     max_depth: int,
     seed: int = 0,
-    bootstrap: bool = True,
 ) -> RandomForest:
     """Bagging: each tree sees a bootstrap resample drawn from its own
-    derived seed.  bootstrap=False trains every tree on the full data,
-    which collapses the ensemble to a single deterministic tree.
-    """
+    derived seed."""
     if not MIN_TREES <= int(trees) <= MAX_TREES:
         raise ConfigError(f"trees must be in [{MIN_TREES}, {MAX_TREES}], got {trees}")
     if not 1 <= int(max_depth) <= MAX_TREE_DEPTH:
@@ -50,10 +47,7 @@ def train_rf(
     m = y.size
     grown = []
     for t in range(int(trees)):
-        if bootstrap:
-            rng = np.random.default_rng(np.random.SeedSequence((int(seed), t)))
-            idx = rng.integers(0, m, size=m)
-            grown.append(_grow(X[idx], y[idx], int(max_depth)))
-        else:
-            grown.append(_grow(X, y, int(max_depth)))
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), t)))
+        idx = rng.integers(0, m, size=m)
+        grown.append(_grow(X[idx], y[idx], int(max_depth)))
     return RandomForest(tuple(grown), train.n_features)

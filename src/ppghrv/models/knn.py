@@ -22,10 +22,11 @@ DISTANCES = (MANHATTAN, EUCLIDEAN)
 
 
 def standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and population std; zero stds become 1."""
+    """Per-feature mean and population std; a std that is 0 once stored as
+    float32 becomes 1, so a saved model never divides by zero."""
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
-    sigma = np.where(sigma == 0.0, 1.0, sigma)
+    sigma = np.where(sigma.astype(np.float32) == 0.0, 1.0, sigma)
     return mu, sigma
 
 

@@ -1,7 +1,7 @@
 """Random hyperparameter search with a chronological validation tail.
 
 All candidate configurations are drawn up front from one seeded stream, so
-the candidate list depends only on (kind, space, budget, seed).  Candidates
+the candidate list depends only on (kind, budget, seed).  Candidates
 that fail to train are logged and skipped; the winner (lowest validation
 MAPE, ties to the earlier candidate) is retrained on the full training set.
 """
@@ -34,45 +34,30 @@ log = logging.getLogger(__name__)
 MIN_SEARCH_DEPTH = 3  # search never samples the oracle-sized depths 1..2
 
 
-@dataclass(frozen=True)
-class HyperparamSpace:
-    dt_max_depth: tuple[int, int] = (MIN_SEARCH_DEPTH, MAX_TREE_DEPTH)
-    rf_trees: tuple[int, int] = (MIN_TREES, MAX_TREES)
-    rf_max_depth: tuple[int, int] = (MIN_SEARCH_DEPTH, MAX_TREE_DEPTH)
-    knn_k: tuple[int, int] = (MIN_K, MAX_K)
-    knn_distances: tuple[str, ...] = DISTANCES
-    mlp_hidden_layers: tuple[int, int] = (1, MAX_HIDDEN_LAYERS)
-    mlp_neurons: tuple[int, int] = (1, MAX_NEURONS_PER_LAYER)
-    mlp_activations: tuple[str, ...] = ACTIVATIONS
-
-
-def sample_hyperparams(kind: ModelKind, space: HyperparamSpace, rng) -> dict[str, Any]:
+def sample_hyperparams(kind: ModelKind, rng) -> dict[str, Any]:
     """One uniform draw from the per-model search space."""
-    def uniform_int(lo_hi):
-        lo, hi = lo_hi
+    def uniform_int(lo, hi):
         return int(rng.integers(lo, hi + 1))
 
     if kind is ModelKind.DT:
-        return {"max_depth": uniform_int(space.dt_max_depth)}
+        return {"max_depth": uniform_int(MIN_SEARCH_DEPTH, MAX_TREE_DEPTH)}
     if kind is ModelKind.RF:
         return {
-            "trees": uniform_int(space.rf_trees),
-            "max_depth": uniform_int(space.rf_max_depth),
+            "trees": uniform_int(MIN_TREES, MAX_TREES),
+            "max_depth": uniform_int(MIN_SEARCH_DEPTH, MAX_TREE_DEPTH),
         }
     if kind is ModelKind.KNN:
         return {
-            "k": uniform_int(space.knn_k),
-            "distance": space.knn_distances[int(rng.integers(len(space.knn_distances)))],
+            "k": uniform_int(MIN_K, MAX_K),
+            "distance": DISTANCES[int(rng.integers(len(DISTANCES)))],
         }
     if kind is ModelKind.MLP:
-        n_layers = uniform_int(space.mlp_hidden_layers)
+        n_layers = uniform_int(1, MAX_HIDDEN_LAYERS)
         return {
             "hidden_layers": tuple(
-                uniform_int(space.mlp_neurons) for _ in range(n_layers)
+                uniform_int(1, MAX_NEURONS_PER_LAYER) for _ in range(n_layers)
             ),
-            "activation": space.mlp_activations[
-                int(rng.integers(len(space.mlp_activations)))
-            ],
+            "activation": ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))],
         }
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -110,7 +95,6 @@ def random_search(
     budget: int,
     seed: int = 0,
     val_fraction: float = 0.2,
-    space: HyperparamSpace | None = None,
     mlp_cfg: MlpTrainingConfig | None = None,
 ) -> SearchResult:
     """Try `budget` sampled configs, keep the lowest validation MAPE.
@@ -122,10 +106,9 @@ def random_search(
         raise ConfigError(f"budget must be >= 1, got {budget}")
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must lie strictly between 0 and 1")
-    space = space or HyperparamSpace()
 
     sampler = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
-    drawn = [sample_hyperparams(kind, space, sampler) for _ in range(budget)]
+    drawn = [sample_hyperparams(kind, sampler) for _ in range(budget)]
 
     fit, holdout = chronological_split(train, 1.0 - val_fraction)
 

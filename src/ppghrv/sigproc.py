@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import find_peaks
 
-from .errors import EmptySignal, SignalTooShort, TooShort
+from .errors import ConfigError, EmptySignal, SignalTooShort, TooShort
 from .metrics import MS_PER_MINUTE
 
 DEFAULT_SAMPLING_RATE_HZ = 25.0
@@ -55,7 +55,6 @@ class RawHrSeries:
 
     values: np.ndarray
     start_time_s: float = 0.0
-    rate_per_s: int = HR_ESTIMATES_PER_S
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -86,94 +85,71 @@ class SmoothedHrSeries:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class ZScoreConfig:
-    z_score: float = DEFAULT_Z_SCORE
-
-    def __post_init__(self):
-        if self.z_score <= 0:
-            raise ValueError("z_score must be positive")
-
-
-def _detrend(x: np.ndarray, fs: float, window_s: float = DETREND_WINDOW_S) -> np.ndarray:
-    """Subtract a centred moving average; edges use the available samples."""
-    w = max(1, int(round(window_s * fs)))
-    if w % 2 == 0:
-        w += 1
-    if w >= 2 * x.size:
-        return x - np.mean(x)
+def moving_average(x: np.ndarray, w: int) -> np.ndarray:
+    """Centred moving average of width w, clipped to len(x); edges average
+    the samples available."""
+    w = max(1, min(w, x.size))
     kernel = np.ones(w)
-    sums = np.convolve(x, kernel, mode="same")
-    counts = np.convolve(np.ones_like(x), kernel, mode="same")
-    return x - sums / counts
+    return np.convolve(x, kernel, mode="same") / np.convolve(
+        np.ones_like(x), kernel, mode="same"
+    )
 
 
-def detect_peaks(
-    window: PpgSignal,
-    min_peak_distance_s: float = MIN_PEAK_DISTANCE_S,
-    prominence_fraction: float = PROMINENCE_FRACTION,
-) -> np.ndarray:
+def detect_peaks(window: PpgSignal) -> np.ndarray:
     """Indices of pulse peaks within one PPG window.
 
-    The window is detrended with a centred moving average so baseline wander
-    does not mask pulses, then local maxima are kept if they clear a
-    prominence threshold relative to the detrended peak-to-peak range and
-    respect the refractory distance.  A flat window yields an empty array;
-    that is a valid result, not a failure.
+    The window is detrended with a centred moving average DETREND_WINDOW_S
+    wide (or as wide as the window, if that is shorter) so baseline wander
+    does not mask pulses.  Local maxima are then kept if their prominence
+    reaches PROMINENCE_FRACTION of the detrended peak-to-peak range and they
+    lie at least MIN_PEAK_DISTANCE_S apart.  A flat window yields an empty
+    array; that is a valid result, not a failure.
     """
     if window.samples.size == 0:
         raise EmptySignal("detect_peaks got an empty window")
-    if min_peak_distance_s <= 0:
-        raise ValueError("min_peak_distance_s must be positive")
-    if window.duration_s < 2 * min_peak_distance_s:
+    if window.duration_s < 2 * MIN_PEAK_DISTANCE_S:
         raise SignalTooShort(
             f"window of {window.duration_s:.3f}s cannot hold two peaks "
-            f"{min_peak_distance_s:.3f}s apart"
+            f"{MIN_PEAK_DISTANCE_S:.3f}s apart"
         )
-    x = _detrend(window.samples, window.sampling_rate_hz)
+    fs = window.sampling_rate_hz
+    w = int(round(DETREND_WINDOW_S * fs)) | 1  # odd, so the average is centred
+    x = window.samples - moving_average(window.samples, w)
     span = float(np.ptp(x))
     # a constant window leaves ~1e-16 of convolution residue, not exact zeros
     if span <= 1e-9 * max(1.0, float(np.max(np.abs(window.samples)))):
         return np.empty(0, dtype=np.intp)
-    distance = max(1.0, min_peak_distance_s * window.sampling_rate_hz)
-    peaks, _ = find_peaks(x, distance=distance, prominence=prominence_fraction * span)
+    distance = max(1.0, MIN_PEAK_DISTANCE_S * fs)
+    peaks, _ = find_peaks(x, distance=distance, prominence=PROMINENCE_FRACTION * span)
     return peaks
 
 
-def ppg_to_hr(
-    signal: PpgSignal,
-    window_len_s: float = HR_WINDOW_LEN_S,
-    min_peak_distance_s: float = MIN_PEAK_DISTANCE_S,
-    prominence_fraction: float = PROMINENCE_FRACTION,
-) -> RawHrSeries:
-    """Estimate HR at 4/s from a trailing window over the PPG trace.
+def ppg_to_hr(signal: PpgSignal) -> RawHrSeries:
+    """Estimate HR at HR_ESTIMATES_PER_S from a trailing window over the PPG.
 
     Each estimate is 60000 / (mean inter-peak interval in ms) over the peaks
-    detected inside the trailing window, so the first window_len_s seconds
-    produce no output.  Estimates outside (20, 250) bpm, and windows with
-    fewer than two peaks, reuse the previous value; the very first falls
-    back to 60 bpm.
+    detected inside the trailing HR_WINDOW_LEN_S window, so the first
+    HR_WINDOW_LEN_S seconds produce no output.  Estimates outside (20, 250)
+    bpm, and windows with fewer than two peaks, reuse the previous value;
+    the very first falls back to 60 bpm.
     """
     if signal.samples.size == 0:
         raise EmptySignal("ppg_to_hr got an empty signal")
-    if window_len_s < 2 * min_peak_distance_s:
-        raise ValueError("window_len_s too small to hold two peaks")
     fs = signal.sampling_rate_hz
     duration = signal.duration_s
-    if duration < window_len_s:
+    if duration < HR_WINDOW_LEN_S:
         raise SignalTooShort(
-            f"need at least {window_len_s}s of signal, got {duration:.2f}s"
+            f"need at least {HR_WINDOW_LEN_S}s of signal, got {duration:.2f}s"
         )
     step = 1.0 / HR_ESTIMATES_PER_S
-    n_out = int(np.floor((duration - window_len_s) / step + 1e-9)) + 1
+    n_out = int(np.floor((duration - HR_WINDOW_LEN_S) / step + 1e-9)) + 1
     values = np.empty(n_out, dtype=np.float64)
     prev = None
     for j in range(n_out):
-        end_t = window_len_s + j * step
+        end_t = HR_WINDOW_LEN_S + j * step
         i1 = int(round(end_t * fs))
-        i0 = int(round((end_t - window_len_s) * fs))
-        seg = PpgSignal(fs, signal.samples[i0:i1])
-        peaks = detect_peaks(seg, min_peak_distance_s, prominence_fraction)
+        i0 = int(round((end_t - HR_WINDOW_LEN_S) * fs))
+        peaks = detect_peaks(PpgSignal(fs, signal.samples[i0:i1]))
         hr = np.nan
         if peaks.size >= 2:
             mean_interval_ms = float(np.mean(np.diff(peaks))) / fs * 1000.0
@@ -183,11 +159,11 @@ def ppg_to_hr(
         values[j] = hr
         prev = hr
     return RawHrSeries(
-        values=values, start_time_s=signal.start_time_s + window_len_s
+        values=values, start_time_s=signal.start_time_s + HR_WINDOW_LEN_S
     )
 
 
-def zscore_adjust(hr: RawHrSeries, cfg: ZScoreConfig = ZScoreConfig()) -> RawHrSeries:
+def zscore_adjust(hr: RawHrSeries, z_score: float = DEFAULT_Z_SCORE) -> RawHrSeries:
     """Replace statistical outliers with the average of their neighbours.
 
     mu and delta are the mean and population standard deviation of the whole
@@ -199,8 +175,11 @@ def zscore_adjust(hr: RawHrSeries, cfg: ZScoreConfig = ZScoreConfig()) -> RawHrS
 
     Note the strict inequality: a lone spike among N-1 equal values reaches
     |HR - mu| = delta * sqrt(N-1) exactly, so at z=3 it is only repaired
-    when the series has more than 10 points.
+    when the series has more than 10 points.  z_score must be finite and
+    positive (ConfigError otherwise).
     """
+    if not (np.isfinite(z_score) and z_score > 0):
+        raise ConfigError(f"z_score must be a finite number > 0, got {z_score!r}")
     x = hr.values
     if x.size < 3:
         raise TooShort(f"zscore_adjust needs at least 3 values, got {x.size}")
@@ -208,7 +187,7 @@ def zscore_adjust(hr: RawHrSeries, cfg: ZScoreConfig = ZScoreConfig()) -> RawHrS
     delta = float(np.std(x))
     if delta == 0.0:
         return hr
-    outliers = np.flatnonzero(np.abs(x - mu) > cfg.z_score * delta)
+    outliers = np.flatnonzero(np.abs(x - mu) > z_score * delta)
     if outliers.size == 0:
         return hr
     adj = x.copy()
@@ -220,17 +199,18 @@ def zscore_adjust(hr: RawHrSeries, cfg: ZScoreConfig = ZScoreConfig()) -> RawHrS
             adj[last] = adj[last - 1]
         else:
             adj[i] = 0.5 * (adj[i - 1] + x[i + 1])
-    return RawHrSeries(adj, hr.start_time_s, hr.rate_per_s)
+    return RawHrSeries(adj, hr.start_time_s)
 
 
 def smooth(hr: RawHrSeries) -> SmoothedHrSeries:
     """Average each second's worth of raw estimates into one value.
 
-    Groups of rate_per_s consecutive estimates are averaged; a trailing
-    partial group is discarded, so the output holds floor(len/rate) values.
+    Groups of HR_ESTIMATES_PER_S consecutive estimates are averaged; a
+    trailing partial group is discarded, so the output holds
+    floor(len / HR_ESTIMATES_PER_S) values.
     """
     x = hr.values
-    g = hr.rate_per_s
+    g = HR_ESTIMATES_PER_S
     if x.size < g:
         raise TooShort(f"smooth needs at least {g} values, got {x.size}")
     m = x.size // g

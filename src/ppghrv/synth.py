@@ -8,13 +8,13 @@ noise.  Everything is a pure function of the config including its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, TooShort
 from .metrics import MS_PER_MINUTE, RrSeries
-from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal
+from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, moving_average
 
 RR_CLAMP_MS = (250.0, 2000.0)        # physiological interval bounds
 PULSE_RISE_FRACTION = 0.3            # systolic upstroke share of the period
@@ -42,6 +42,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            # a nan or inf setting would keep generate_rr_trace's loop going
+            if f.name != "seed" and not np.all(np.isfinite(getattr(self, f.name))):
+                raise ConfigError(f"{f.name} must be finite")
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         if self.sampling_rate_hz <= 0:
@@ -181,19 +185,11 @@ def sample_artifact_epochs(cfg: SynthConfig, rng: np.random.Generator) -> list[t
     return list(zip(starts.tolist(), durations.tolist()))
 
 
-def _movavg(x: np.ndarray, w: int) -> np.ndarray:
-    w = max(1, min(w, x.size))
-    kernel = np.ones(w)
-    return np.convolve(x, kernel, mode="same") / np.convolve(
-        np.ones_like(x), kernel, mode="same"
-    )
-
-
 def _burst(rng: np.random.Generator, m: int, fs: float) -> np.ndarray:
     """Band-limited random-walk segment, normalized to unit peak."""
     walk = np.cumsum(rng.standard_normal(m))
-    walk = _movavg(walk, int(round(fs / (2.0 * ARTIFACT_BAND_HZ[1]))))  # kill > 5 Hz
-    walk = walk - _movavg(walk, int(round(fs / ARTIFACT_BAND_HZ[0])))   # kill < 0.5 Hz
+    walk = moving_average(walk, int(round(fs / (2.0 * ARTIFACT_BAND_HZ[1]))))  # kill > 5 Hz
+    walk = walk - moving_average(walk, int(round(fs / ARTIFACT_BAND_HZ[0])))   # kill < 0.5 Hz
     peak = float(np.max(np.abs(walk)))
     return walk / peak if peak > 0 else walk
 

@@ -267,8 +267,6 @@ def test_criterion_10_small_instance_oracles():
         features=np.array([[0.0], [1.0], [10.0], [11.0]]),
         labels=np.array([0.0, 0.0, 10.0, 10.0]),
         window_end_times_s=np.array([0.0, 1.0, 2.0, 3.0]),
-        kind=HrvMetricKind.RMSSD,
-        monitor_len_s=0.0,
     )
     tree = train_dt(ds, max_depth=1)
     root_ok = (
@@ -284,8 +282,6 @@ def test_criterion_10_small_instance_oracles():
         features=np.array([[0.0], [1.0], [100.0]]),
         labels=np.array([0.0, 10.0, 300.0]),
         window_end_times_s=np.array([0.0, 1.0, 2.0]),
-        kind=HrvMetricKind.RMSSD,
-        monitor_len_s=0.0,
     )
     knn = train_knn(knn_ds, k=2, distance="euclidean")
     knn_ok = knn.predict(np.array([0.0])) == 5.0

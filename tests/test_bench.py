@@ -11,7 +11,7 @@ def tree():
     rng = np.random.default_rng(30)
     X = rng.normal(size=(100, 5))
     y = rng.uniform(10, 50, size=100)
-    ds = Dataset(X, y, np.arange(100.0), kind=None, monitor_len_s=1.0)
+    ds = Dataset(X, y, np.arange(100.0))
     return train_dt(ds, max_depth=8)
 
 

@@ -165,6 +165,38 @@ class TestRunCommand:
         assert code == 1
         assert "out-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("out_dir", "elsewhere"),
+        ("activities", "sit,sleep"),
+        ("metrics", "sdnn"),
+        ("lengths", "30,60"),
+        ("models", "dt,knn"),
+        ("duration_s", "400.5"),
+        ("stride_s", "2"),
+        ("budget", "3"),
+        ("seed", "9"),
+        ("train_fraction", "0.7"),
+        ("val_fraction", "0.3"),
+        ("bench_repetitions", "100"),
+        ("clean", "true"),
+        ("mlp_max_epochs", "7"),
+    ])
+    def test_flag_and_config_line_give_the_same_config(
+        self, key, value, tmp_path, monkeypatch
+    ):
+        seen = []
+        monkeypatch.setattr("ppghrv.cli.run_experiment", lambda cfg: seen.append(cfg) or [])
+        base = ["run", "--out-dir", str(tmp_path / "out")]
+        flag = "--" + key.replace("_", "-")
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(base) == 0
+        assert main(base + ([flag] if key == "clean" else [flag, value])) == 0
+        assert main(["run", "--config", str(cfg)] + ([] if key == "out_dir" else base[1:])) == 0
+        default, from_flag, from_file = seen
+        assert from_flag == from_file
+        assert from_flag != default
+
 
 class TestExitCodes:
     def test_unknown_flag_is_config_error(self, capsys):
@@ -247,6 +279,67 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config", [
+        (["synth", "--preset", "sit", "--duration-s", "nan"], None),
+        (["run", "--duration-s", "inf"], None),
+        (["run"], "duration_s = nan"),
+    ], ids=["synth_nan_duration", "run_inf_duration", "run_nan_duration_in_file"])
+    def test_non_finite_duration_does_not_hang(self, argv, config, tmp_path):
+        # each of these kept generate_rr_trace looping; a subprocess bounds the wait
+        if argv[0] == "synth":
+            argv = argv + ["--out-ppg", str(tmp_path / "p.csv"), "--out-rr", str(tmp_path / "r.csv")]
+        else:
+            argv = argv + ["--out-dir", str(tmp_path / "out")]
+        if config:
+            (tmp_path / "exp.cfg").write_text(config + "\n")
+            argv = argv + ["--config", str(tmp_path / "exp.cfg")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppghrv.cli"] + argv,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "finite" in proc.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (["--z-score", "0"], "z_score"),
+        (["--z-score", "-1"], "z_score"),
+        (["--z-score", "nan"], "finite"),
+        (["--sampling-rate-hz", "nan"], "finite"),
+    ], ids=["z_zero", "z_negative", "z_nan", "rate_nan"])
+    def test_bad_process_number_is_config_error(self, args, message, workdir, tmp_path, capsys):
+        code = main(
+            ["process", "--ppg", str(workdir / "ppg.csv"), "--out-hr", str(tmp_path / "hr.csv")]
+            + args
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_nan_amplify_level_is_config_error(self, tmp_path, capsys):
+        assert main(["amplify", "--levels", "0,nan", "--out", str(tmp_path / "a.csv")]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("train_fraction = inf", "finite"),
+        ("budget = many", "bad budget value"),
+    ])
+    def test_bad_config_number_is_config_error(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_zero_std_model_is_data_error(self, tmp_path, workdir, capsys):
+        # a one-feature KNN file holding one row, whose feature std is 0
+        blob = tmp_path / "zero_std.bin"
+        blob.write_bytes(
+            MAGIC + bytes([2, 1, 1, 1, 1]) + bytes(12) + struct.pack("<d", 1.0)
+        )
+        code = main(["eval", "--model", str(blob), "--dataset", str(workdir / "ds.csv")])
+        assert code == 2
+        assert "non-positive feature std" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -27,7 +27,7 @@ def make_ds(X, y):
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=np.float64)
-    return Dataset(X, y, np.arange(y.size, dtype=np.float64), kind=None, monitor_len_s=1.0)
+    return Dataset(X, y, np.arange(y.size, dtype=np.float64))
 
 
 @pytest.fixture(scope="module")
@@ -202,12 +202,17 @@ class TestInconsistentFiles:
         (mlp_file(out_width=1, bias=float("-inf")), "non-finite bias"),
         (mlp_file(out_width=1, x_sigma=float("nan")), "non-finite feature std"),
         (mlp_file(out_width=1, y_sigma=float("inf")), "non-finite label std"),
+        (knn_file(k=3, rows=3, sigma=0.0), "non-positive feature std"),
+        (knn_file(k=3, rows=3, sigma=-1.0), "non-positive feature std"),
+        (mlp_file(out_width=1, x_sigma=0.0), "non-positive feature std"),
+        (mlp_file(out_width=1, y_sigma=0.0), "non-positive label std"),
     ], ids=[
         "self_loop", "child_before_parent", "child_past_table", "feature_out_of_range",
         "node_count_past_end", "forest_without_trees", "knn_k_above_rows", "knn_k_zero",
         "mlp_output_width", "dt_nan_leaf", "dt_inf_threshold", "rf_inf_leaf", "knn_nan_mu",
         "knn_inf_sigma", "knn_nan_row", "knn_nan_label", "mlp_nan_weight", "mlp_inf_bias",
-        "mlp_nan_x_sigma", "mlp_inf_y_sigma",
+        "mlp_nan_x_sigma", "mlp_inf_y_sigma", "knn_zero_sigma", "knn_negative_sigma",
+        "mlp_zero_x_sigma", "mlp_zero_y_sigma",
     ])
     def test_rejected(self, blob, message):
         with pytest.raises(ParseError, match=message):
@@ -263,3 +268,17 @@ def small_model(kind, seed):
 def test_reencode_is_stable_for_small_models(kind, seed):
     blob = encode(small_model(kind, seed))
     assert encode(decode(blob)) == blob
+
+
+@pytest.mark.parametrize("kind", ["knn", "mlp"])
+def test_std_that_rounds_to_zero_in_float32_still_decodes(kind):
+    # the second column's std, 5e-301, is 0 once stored as float32
+    X = np.column_stack([np.arange(10.0), np.tile([0.0, 1e-300], 5)])
+    ds = make_ds(X, 20.0 + np.arange(10.0))
+    if kind == "knn":
+        model = train_knn(ds, k=2, distance="euclidean")
+    else:
+        model = train_mlp(ds, (3,), "relu", cfg=MlpTrainingConfig(max_epochs=2))
+    preds = model.predict_batch(X)
+    assert np.isfinite(preds).all()
+    np.testing.assert_array_equal(decode(encode(model)).predict_batch(X), preds)

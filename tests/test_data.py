@@ -58,7 +58,7 @@ class TestBuildHrvDataset:
         for w in range(len(ds)):
             lo = w * 13
             np.testing.assert_array_equal(ds.features[w, :40], vals[lo : lo + 40])
-            expect = rough_hrv(vals[lo : lo + 40], HrvMetricKind.RMSSD).value_ms
+            expect = rough_hrv(vals[lo : lo + 40], HrvMetricKind.RMSSD)
             assert ds.features[w, 40] == pytest.approx(expect, rel=1e-12)
 
     def test_window_end_times(self):
@@ -115,8 +115,6 @@ class TestDatasetValidation:
                 np.zeros((3, 2)),
                 np.zeros(3),
                 np.array([1.0, 1.0, 2.0]),
-                kind=None,
-                monitor_len_s=2.0,
             )
 
     def test_lengths_must_agree(self):
@@ -125,8 +123,6 @@ class TestDatasetValidation:
                 np.zeros((3, 2)),
                 np.zeros(4),
                 np.arange(3.0),
-                kind=None,
-                monitor_len_s=2.0,
             )
 
 
@@ -138,8 +134,6 @@ class TestChronologicalSplit:
             np.arange(m * 2, dtype=np.float64).reshape(m, 2),
             np.arange(m, dtype=np.float64),
             np.arange(m, dtype=np.float64),
-            kind=HrvMetricKind.SDNN,
-            monitor_len_s=2.0,
         )
 
     def test_eighty_twenty(self, tiny):
@@ -159,19 +153,12 @@ class TestChronologicalSplit:
             np.zeros((2, 1)),
             np.array([1.0, 2.0]),
             np.array([0.0, 1.0]),
-            kind=None,
-            monitor_len_s=1.0,
         )
         train, test = chronological_split(d, 0.9)  # ceil(1.8) = 2 would empty test
         assert len(train) == 1 and len(test) == 1
 
-    def test_metadata_carried(self, tiny):
-        train, _ = chronological_split(tiny, 0.8)
-        assert train.kind is HrvMetricKind.SDNN
-        assert train.monitor_len_s == 2.0
-
     def test_too_few_samples(self):
-        d = Dataset(np.zeros((1, 1)), np.zeros(1), np.zeros(1), kind=None, monitor_len_s=1.0)
+        d = Dataset(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
         with pytest.raises(TooFewSamples):
             chronological_split(d)
 

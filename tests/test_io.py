@@ -13,7 +13,6 @@ from ppghrv.io import (
     write_ppg_csv,
     write_rr_csv,
 )
-from ppghrv.metrics import HrvMetricKind
 from ppghrv.sigproc import SmoothedHrSeries
 from ppghrv.synth import SynthConfig, generate_rr_trace, render_ppg
 
@@ -143,8 +142,6 @@ class TestDatasetCsv:
             rng.normal(size=(12, 4)),
             rng.uniform(10, 50, size=12),
             np.arange(12.0) + 30.0,
-            kind=HrvMetricKind.SDNN,
-            monitor_len_s=4.0,
         )
         path = tmp_path / "ds.csv"
         write_dataset_csv(path, ds)
@@ -152,7 +149,6 @@ class TestDatasetCsv:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.window_end_times_s, ds.window_end_times_s)
-        assert back.kind is None  # format carries no metric metadata
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "ds.csv"

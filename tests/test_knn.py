@@ -11,7 +11,7 @@ def make_ds(X, y):
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=np.float64)
-    return Dataset(X, y, np.arange(y.size, dtype=np.float64), kind=None, monitor_len_s=1.0)
+    return Dataset(X, y, np.arange(y.size, dtype=np.float64))
 
 
 class TestKnnOracle:

@@ -95,18 +95,16 @@ class TestRoughHrv:
     def test_sdnn_from_two_hrs(self):
         # 60 bpm -> 1000 ms, 75 bpm -> 800 ms; population std of the pair is 100
         out = rough_hrv(np.array([60.0, 75.0]), HrvMetricKind.SDNN)
-        assert out.value_ms == pytest.approx(100.0, rel=1e-12)
-        assert out.kind is HrvMetricKind.SDNN
-        assert out.window_len_s == 2.0
+        assert out == pytest.approx(100.0, rel=1e-12)
 
     def test_rmssd_from_two_hrs(self):
         out = rough_hrv(np.array([60.0, 75.0]), HrvMetricKind.RMSSD)
-        assert out.value_ms == pytest.approx(200.0, rel=1e-12)
+        assert out == pytest.approx(200.0, rel=1e-12)
 
     def test_constant_hr_is_zero(self):
         # summation rounding leaves ~1e-13 of residue, nothing more
         out = rough_hrv(np.full(30, 72.0), HrvMetricKind.SDNN)
-        assert out.value_ms == pytest.approx(0.0, abs=1e-9)
+        assert out == pytest.approx(0.0, abs=1e-9)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -117,7 +115,7 @@ class TestRoughHrv:
         for _ in range(100):
             hr = rng.uniform(40.0, 180.0, size=int(rng.integers(2, 60)))
             pseudo = [60000.0 / h for h in hr]
-            got = rough_hrv(hr, HrvMetricKind.RMSSD).value_ms
+            got = rough_hrv(hr, HrvMetricKind.RMSSD)
             assert got == pytest.approx(oracle_rmssd(pseudo), rel=1e-12)
 
 

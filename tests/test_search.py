@@ -4,7 +4,6 @@ import pytest
 from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, SearchExhausted
 from ppghrv.models import (
-    HyperparamSpace,
     MlpTrainingConfig,
     ModelKind,
     encode,
@@ -20,7 +19,7 @@ def make_ds(X, y):
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=np.float64)
-    return Dataset(X, y, np.arange(y.size, dtype=np.float64), kind=None, monitor_len_s=1.0)
+    return Dataset(X, y, np.arange(y.size, dtype=np.float64))
 
 
 @pytest.fixture(scope="module")
@@ -33,25 +32,23 @@ def regression_ds():
 
 class TestSampling:
     def test_draws_stay_inside_space(self):
-        space = HyperparamSpace()
         rng = np.random.default_rng(0)
         for _ in range(200):
-            dt = sample_hyperparams(ModelKind.DT, space, rng)
+            dt = sample_hyperparams(ModelKind.DT, rng)
             assert 3 <= dt["max_depth"] <= 20
-            rf = sample_hyperparams(ModelKind.RF, space, rng)
+            rf = sample_hyperparams(ModelKind.RF, rng)
             assert 2 <= rf["trees"] <= 128 and 3 <= rf["max_depth"] <= 20
-            knn = sample_hyperparams(ModelKind.KNN, space, rng)
+            knn = sample_hyperparams(ModelKind.KNN, rng)
             assert 2 <= knn["k"] <= 30
             assert knn["distance"] in ("manhattan", "euclidean")
-            mlp = sample_hyperparams(ModelKind.MLP, space, rng)
+            mlp = sample_hyperparams(ModelKind.MLP, rng)
             assert 1 <= len(mlp["hidden_layers"]) <= 5
             assert all(1 <= h <= 100 for h in mlp["hidden_layers"])
             assert mlp["activation"] in ("relu", "tanh")
 
     def test_full_range_reached(self):
-        space = HyperparamSpace()
         rng = np.random.default_rng(1)
-        depths = {sample_hyperparams(ModelKind.DT, space, rng)["max_depth"]
+        depths = {sample_hyperparams(ModelKind.DT, rng)["max_depth"]
                   for _ in range(500)}
         assert depths == set(range(3, 21))
 
@@ -78,11 +75,10 @@ class TestRandomSearch:
         ]
 
     def test_failing_candidates_are_skipped(self, regression_ds):
-        # k range straddles the 96-sample fit split, so some draws fail
-        space = HyperparamSpace(knn_k=(2, 30))
+        # k range 2..30 straddles the fit split, so some draws fail
         small = make_ds(regression_ds.features[:20], regression_ds.labels[:20])
         # fit split holds 16 samples; k in 17..30 raises KTooLarge
-        result = random_search(small, ModelKind.KNN, budget=12, seed=6, space=space)
+        result = random_search(small, ModelKind.KNN, budget=12, seed=6)
         failed = [c for c in result.candidates if c.val_mape_pct is None]
         scored = [c for c in result.candidates if c.val_mape_pct is not None]
         assert failed and scored
@@ -90,10 +86,10 @@ class TestRandomSearch:
         assert result.best.val_mape_pct == min(c.val_mape_pct for c in scored)
 
     def test_all_candidates_failing_raises(self, regression_ds):
-        small = make_ds(regression_ds.features[:12], regression_ds.labels[:12])
-        space = HyperparamSpace(knn_k=(20, 30))  # always above the 9-sample fit
+        # the fit split holds 1 sample, below every k >= MIN_K
+        small = make_ds(regression_ds.features[:2], regression_ds.labels[:2])
         with pytest.raises(SearchExhausted):
-            random_search(small, ModelKind.KNN, budget=4, seed=7, space=space)
+            random_search(small, ModelKind.KNN, budget=4, seed=7)
 
     def test_mlp_search_uses_training_config(self, regression_ds, monkeypatch):
         cfg = MlpTrainingConfig(max_epochs=5)

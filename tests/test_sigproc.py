@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from ppghrv.errors import EmptySignal, SignalTooShort, TooShort
+from ppghrv.errors import ConfigError, EmptySignal, SignalTooShort, TooShort
 from ppghrv.sigproc import (
     PpgSignal,
     RawHrSeries,
-    ZScoreConfig,
     detect_peaks,
     ppg_to_hr,
     smooth,
@@ -44,6 +43,16 @@ class TestDetectPeaks:
         with pytest.raises(SignalTooShort):
             detect_peaks(PpgSignal(FS, np.ones(12)))  # 0.48 s < 2 * 0.27 s
 
+    @pytest.mark.parametrize("n", range(14, 25))
+    def test_window_shorter_than_detrend_width(self, n):
+        # 14..24 samples at 25 Hz are under the 25-sample detrend width, which
+        # is then clipped to the window; the 2 Hz crests lie at 3.125 and 15.625
+        t = np.arange(n) / FS
+        peaks = detect_peaks(PpgSignal(FS, np.sin(2 * np.pi * 2.0 * t)))
+        assert all(min(abs(p - 3.125), abs(p - 15.625)) <= 1 for p in peaks)
+        if n >= 19:
+            np.testing.assert_array_equal(peaks, [3, 16])
+
     def test_refractory_spacing(self):
         rng = np.random.default_rng(21)
         noisy = sine_signal(1.5, 40.0)
@@ -69,7 +78,6 @@ class TestPpgToHr:
         out = ppg_to_hr(sine_signal(1.2, 60.0))
         assert len(out) == int((60.0 - 8.0) / 0.25) + 1  # 209
         assert out.start_time_s == 8.0
-        assert out.rate_per_s == 4
 
     def test_recovers_72_bpm(self):
         out = ppg_to_hr(sine_signal(1.2, 60.0))
@@ -97,6 +105,11 @@ class TestPpgToHr:
 
 
 class TestZscoreAdjust:
+    @pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf")])
+    def test_z_score_must_be_finite_and_positive(self, z):
+        with pytest.raises(ConfigError, match="z_score"):
+            zscore_adjust(RawHrSeries(np.full(20, 70.0)), z_score=z)
+
     def test_spike_among_twenty_is_repaired(self):
         x = np.full(20, 70.0)
         x[3] = 200.0
@@ -174,9 +187,9 @@ class TestZscoreAdjust:
     def test_custom_z(self):
         x = np.full(20, 70.0)
         x[5] = 90.0
-        loose = zscore_adjust(RawHrSeries(x), ZScoreConfig(z_score=10.0))
+        loose = zscore_adjust(RawHrSeries(x), z_score=10.0)
         np.testing.assert_array_equal(loose.values, x)
-        tight = zscore_adjust(RawHrSeries(x), ZScoreConfig(z_score=1.0))
+        tight = zscore_adjust(RawHrSeries(x), z_score=1.0)
         assert tight.values[5] == 70.0
 
 

@@ -84,6 +84,23 @@ class TestGenerateRrTrace:
         with pytest.raises(ConfigError):
             SynthConfig(duration_s=60.0, rr_jitter_ms=-5.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("duration_s", float("nan")),
+        ("duration_s", float("inf")),
+        ("sampling_rate_hz", float("inf")),
+        ("hr_drift_period_s", float("nan")),
+        ("hr_drift_period_s", float("inf")),
+        ("rr_jitter_ms", float("nan")),
+        ("artifact_rate_per_min", float("inf")),
+        ("artifact_duration_range_s", (0.5, float("inf"))),
+        ("sensor_bias_gain", float("nan")),
+        ("additive_noise_sigma", float("inf")),
+    ])
+    def test_non_finite_setting_rejected(self, field, value):
+        # each of these kept generate_rr_trace looping, or slipped through
+        with pytest.raises(ConfigError, match=field):
+            SynthConfig(**{"duration_s": 60.0, field: value})
+
 
 class TestRenderPpg:
     def test_sample_count(self):
@@ -171,7 +188,7 @@ def _windowed_sigproc_mape(sig, gt, kind, window_s=60.0):
         sel = beats[(beats >= t0) & (beats <= t1)]
         rr_win = RrSeries(np.diff(sel) * 1000.0)
         truth = sdnn(rr_win) if kind is HrvMetricKind.SDNN else rmssd(rr_win)
-        est.append(rough_hrv(hr_win, kind).value_ms)
+        est.append(rough_hrv(hr_win, kind))
         tru.append(truth)
     return mape(np.array(est), np.array(tru))
 
