@@ -38,7 +38,7 @@ class ZeroTruth(HrvError):
     """MAPE is undefined when a reference value is zero."""
 
 
-class InvalidTarget(HrvError):
+class InvalidTarget(ConfigError):
     """Requested error level outside the representable range."""
 
 

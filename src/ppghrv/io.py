@@ -14,7 +14,8 @@ Floats are written with repr (shortest round-trip), so write->read returns
 the exact in-memory values.  Readers raise ParseError with a line number
 for a malformed or non-finite (nan, inf) value, NonMonotoneTime for
 unsorted timestamps, and RateMismatch when a PPG file's inferred sampling
-rate is off the declared one by more than 1%.
+rate is off the declared one by more than 1%; a declared rate that is not
+> 0 is a ConfigError.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import NonMonotoneTime, ParseError, RateMismatch
+from .errors import ConfigError, NonMonotoneTime, ParseError, RateMismatch
 from .metrics import RrSeries
 from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, SmoothedHrSeries
 from .synth import GroundTruth
@@ -115,6 +116,8 @@ def write_ppg_csv(path, signal: PpgSignal) -> None:
 
 
 def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> PpgSignal:
+    if not declared_rate_hz > 0:
+        raise ConfigError(f"sampling rate must be > 0 Hz, got {declared_rate_hz:g}")
     times, values = [], []
     for lineno, row in _rows(path, PPG_HEADER):
         times.append(_parse_float(path, lineno, row[0], "time_s"))

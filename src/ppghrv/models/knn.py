@@ -4,6 +4,39 @@ The training set is memorised in float32 (the serialised width) together
 with the per-feature standardisation statistics, so a decoded model sees
 exactly the numbers the in-memory one does.  Distance ties break to the
 lower training-sample index.
+
+Search.  A query gets the same k rows, in the same order, as a stable sort
+of the exact float64 distances to every stored row; only the rows that can
+be among them are measured exactly.  For Manhattan the exact distance
+to every row is the filter: one partition finds the k-th smallest value v,
+and the rows with a distance <= v are the candidates.  Euclidean filters
+with one float32 matrix product.  For a standardised query q and a stored
+row x_j, with s_j = fl32(x_j . fl32(q)),
+
+    e_j = xx_j + qq - 2 s_j    estimates the float64 sum S_j of (x_jf - q_f)^2
+                               that the exact distance sqrt(S_j) is taken of,
+    |e_j - S_j| <= delta_j = 4 (d + 2) u ((|x_j| + |q|)^2 + 2^-125),  u = 2^-24.
+
+Rounding q to float32 moves x_j . q by at most u sum_f |x_jf q_f|, and the
+float32 inner product errs by at most gamma_d sum_f |x_jf q_f|, gamma_d =
+d u / (1 - d u) (Higham, Accuracy and Stability of Numerical Algorithms,
+Thm 3.1).  By Cauchy-Schwarz sum_f |x_jf q_f| <= |x_j| |q| <= (|x_j| + |q|)^2 / 4,
+so 2 s_j is off by at most (d + 1.01) u (|x_j| + |q|)^2 / 2.  The float64 sums
+xx_j, qq, e_j and S_j round d + 2 times each at 2^-53, which adds less than
+2^-28 (d + 2) u (|x_j| + |q|)^2.  Below 2^-126 float32 rounds to an absolute
+2^-150, not relatively; the 2^-125 term covers those d + 1 roundings.
+
+Since S_j <= (|x_j| + |q|)^2 (1 + 2^-28), the slack exceeds that error by
+more than 3 (d + 2) u S_j, so e_j + delta_j >= S_j (1 + 2^-21).  Let T be the
+k-th smallest e_j + delta_j; it is at least the k-th smallest S_j times
+1 + 2^-21.  A row of the exact k nearest has a distance that rounds to at most
+the k-th one, and two sums whose square roots round to one double differ by
+a factor below 1 + 2^-51, so S_j <= T and e_j - delta_j <= T.  The
+candidates are the rows with e_j - delta_j <= T, in index order; at least k
+pass, as e_j - delta_j <= e_j + delta_j.  Their exact distances are computed
+as a full scan computes them, each row's float64 sum depending on that row
+alone, and sorted stably.  When a bound is not finite (a nan, inf or
+overflowing query), every row is a candidate.
 """
 
 from __future__ import annotations
@@ -19,6 +52,10 @@ MAX_K = 30
 MANHATTAN = "manhattan"
 EUCLIDEAN = "euclidean"
 DISTANCES = (MANHATTAN, EUCLIDEAN)
+
+# the terms of the Euclidean filter's slack (see the module docstring)
+ROUNDOFF32 = 2.0**-24
+UNDERFLOW32 = 2.0**-125
 
 
 def standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,21 +87,67 @@ class KnnRegressor(TrainedModel):
         self.sigma = sigma
         self.k = int(k)
         self.distance = distance
+        self._xx = np.einsum("ij,ij->i", X, X, dtype=np.float64)
+        self._norm = np.sqrt(self._xx)
 
     def _predict_batch(self, Q: np.ndarray) -> np.ndarray:
         # the float32 parameters widen exactly to float64 inside each ufunc,
         # so no float64 copy of the matrix is made
         q = (Q - self.mu) / self.sigma
         out = np.empty(Q.shape[0], dtype=np.float64)
-        for r in range(q.shape[0]):
-            diff = self.X - q[r]
-            if self.distance == MANHATTAN:
-                d = np.abs(diff).sum(axis=1)
-            else:
-                d = np.sqrt((diff * diff).sum(axis=1))
-            near = np.argsort(d, kind="stable")[: self.k]
-            out[r] = float(np.mean(self.y[near]))
+        # the three (block, m) float64 arrays of _bounds take no more memory
+        # than the two (m, d) temporaries of one full-scan distance did
+        block = max(1, self.X.shape[1] // 2)
+        for start in range(0, q.shape[0], block):
+            out[start : start + block] = self._predict_block(q[start : start + block])
         return out
+
+    def _predict_block(self, qb: np.ndarray) -> list[float]:
+        lo, hi = self._bounds(qb)
+        return [float(np.mean(self.y[self._nearest(*row)])) for row in zip(qb, lo, hi)]
+
+    def _distances(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # one (rows, d) temporary, reused in place: with two, a full scan of a
+        # 1195 x 301 model had the allocator hand the heap top back to the
+        # system and fault it in again for every query, 3x slower
+        diff = X - q
+        if self.distance == MANHATTAN:
+            return np.abs(diff, out=diff).sum(axis=1)
+        diff *= diff
+        return np.sqrt(diff.sum(axis=1))
+
+    def _bounds(self, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per query and stored row, bounds on the squared Euclidean sum, or
+        the exact Manhattan distance twice."""
+        if self.distance == MANHATTAN:
+            d = np.empty((qb.shape[0], self.X.shape[0]))
+            for i, q in enumerate(qb):
+                d[i] = self._distances(self.X, q)
+            return d, d
+        with np.errstate(all="ignore"):
+            qq = np.einsum("ij,ij->i", qb, qb)
+            est = np.matmul(qb.astype(np.float32), self.X.T).astype(np.float64)
+            est *= -2.0
+            est += self._xx
+            est += qq[:, None]
+            slack = self._norm + np.sqrt(qq)[:, None]
+            slack *= slack
+            slack += UNDERFLOW32
+            slack *= 4 * (self.X.shape[1] + 2) * ROUNDOFF32
+            hi = est + slack
+            est -= slack
+        return est, hi
+
+    def _nearest(self, q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Indices of the k nearest rows, nearest first, ties to the lower
+        index: the rows whose lower bound is at most the k-th smallest upper
+        bound, ranked by exact distance."""
+        if np.isfinite(hi).all():
+            rows = np.flatnonzero(lo <= np.partition(hi, self.k - 1)[self.k - 1])
+        else:
+            rows = np.arange(self.X.shape[0])
+        d = self._distances(self.X[rows], q)
+        return rows[np.argsort(d, kind="stable")[: self.k]]
 
 
 def train_knn(train, k: int, distance: str) -> KnnRegressor:

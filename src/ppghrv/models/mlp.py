@@ -55,15 +55,20 @@ def init_params(layer_sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     return params
 
 
-def _act(z: np.ndarray, activation: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if activation == RELU else np.tanh(z)
+def _hidden(a: np.ndarray, W: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
+    """One hidden layer's activation, computed in its pre-activation array."""
+    z = a @ W
+    z += b
+    if activation == RELU:
+        return np.maximum(z, 0.0, out=z)
+    return np.tanh(z, out=z)
 
 
 def forward(params, X: np.ndarray, activation: str) -> np.ndarray:
     """Network output (linear last layer), shape (m,)."""
     a = X
     for W, b in params[:-1]:
-        a = _act(a @ W + b, activation)
+        a = _hidden(a, W, b, activation)
     W, b = params[-1]
     return (a @ W + b)[:, 0]
 
@@ -71,15 +76,10 @@ def forward(params, X: np.ndarray, activation: str) -> np.ndarray:
 def loss_and_grads(params, X: np.ndarray, y: np.ndarray, activation: str):
     """MSE loss over the batch plus its gradients, matching params' layout."""
     acts = [X]
-    zs = []
-    a = X
     for W, b in params[:-1]:
-        z = a @ W + b
-        zs.append(z)
-        a = _act(z, activation)
-        acts.append(a)
+        acts.append(_hidden(acts[-1], W, b, activation))
     W_out, b_out = params[-1]
-    yhat = (a @ W_out + b_out)[:, 0]
+    yhat = (acts[-1] @ W_out + b_out)[:, 0]
     resid = yhat - y
     m = y.size
     loss = float(np.mean(resid * resid))
@@ -89,11 +89,13 @@ def loss_and_grads(params, X: np.ndarray, y: np.ndarray, activation: str):
     grads[-1] = (acts[-1].T @ delta, delta.sum(axis=0))
     up = delta @ W_out.T
     for i in range(len(params) - 2, -1, -1):
+        # the derivative from the stored activation a: relu's a > 0 iff z > 0,
+        # and tanh's 1 - a*a is 1 - tanh(z)^2 to the bit
+        a = acts[i + 1]
         if activation == RELU:
-            dz = up * (zs[i] > 0.0)
+            dz = up * (a > 0.0)
         else:
-            t = np.tanh(zs[i])
-            dz = up * (1.0 - t * t)
+            dz = up * (1.0 - a * a)
         grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
         if i:
             up = dz @ params[i][0].T
@@ -189,10 +191,12 @@ def train_mlp(
                 raise DivergedLoss(
                     f"non-finite batch loss at epoch {epoch} (lr={cfg.learning_rate})"
                 )
-            params = [
-                (W - cfg.learning_rate * dW, b - cfg.learning_rate * db)
-                for (W, b), (dW, db) in zip(params, grads)
-            ]
+            # in place; dW *= lr; W -= dW rounds as W - lr * dW does
+            for (W, b), (dW, db) in zip(params, grads):
+                dW *= cfg.learning_rate
+                W -= dW
+                db *= cfg.learning_rate
+                b -= db
         val_pred = forward(params, X_val, activation)
         val_loss = float(np.mean((val_pred - y_val) ** 2))
         if not np.isfinite(val_loss):

@@ -20,6 +20,10 @@ RR_CLAMP_MS = (250.0, 2000.0)        # physiological interval bounds
 PULSE_RISE_FRACTION = 0.3            # systolic upstroke share of the period
 ARTIFACT_AMPLITUDE_RANGE = (1.0, 3.0)  # multiples of the pulse amplitude
 ARTIFACT_BAND_HZ = (0.5, 5.0)        # rough band of the burst content
+# 24 h; generate_rr_trace lays beats down in a Python loop and render_ppg
+# holds duration_s * sampling_rate_hz samples, so a longer trace costs time
+# and memory without bound
+MAX_DURATION_S = 86_400.0
 
 # independent RNG streams per stage, all derived from cfg.seed
 _RR_STREAM = 0
@@ -46,8 +50,8 @@ class SynthConfig:
             # a nan or inf setting would keep generate_rr_trace's loop going
             if f.name != "seed" and not np.all(np.isfinite(getattr(self, f.name))):
                 raise ConfigError(f"{f.name} must be finite")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
+        if not 0 < self.duration_s <= MAX_DURATION_S:
+            raise ConfigError(f"duration_s must lie in (0, {MAX_DURATION_S:g}] s")
         if self.sampling_rate_hz <= 0:
             raise ConfigError("sampling_rate_hz must be positive")
         if not 30.0 < self.base_hr_bpm < 200.0:

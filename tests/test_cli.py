@@ -308,7 +308,9 @@ class TestExitCodes:
         (["--z-score", "-1"], "z_score"),
         (["--z-score", "nan"], "finite"),
         (["--sampling-rate-hz", "nan"], "finite"),
-    ], ids=["z_zero", "z_negative", "z_nan", "rate_nan"])
+        (["--sampling-rate-hz", "0"], "sampling rate"),
+        (["--sampling-rate-hz", "-5"], "sampling rate"),
+    ], ids=["z_zero", "z_negative", "z_nan", "rate_nan", "rate_zero", "rate_negative"])
     def test_bad_process_number_is_config_error(self, args, message, workdir, tmp_path, capsys):
         code = main(
             ["process", "--ppg", str(workdir / "ppg.csv"), "--out-hr", str(tmp_path / "hr.csv")]
@@ -320,6 +322,31 @@ class TestExitCodes:
     def test_nan_amplify_level_is_config_error(self, tmp_path, capsys):
         assert main(["amplify", "--levels", "0,nan", "--out", str(tmp_path / "a.csv")]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level, message", [("-1", ">= 0"), ("200", "non-positive intervals")])
+    def test_out_of_range_amplify_level_is_config_error(self, level, message, tmp_path, capsys):
+        assert main(["amplify", "--levels", level, "--out", str(tmp_path / "a.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--preset", "sit", "--duration-s", "1e8"],
+        ["run", "--duration-s", "1e8"],
+    ], ids=["synth", "run"])
+    def test_duration_above_a_day_is_config_error(self, argv, tmp_path):
+        # a finite but huge duration ran without bound; a subprocess bounds the wait
+        if argv[0] == "synth":
+            argv = argv + ["--out-ppg", str(tmp_path / "p.csv"), "--out-rr", str(tmp_path / "r.csv")]
+        else:
+            argv = argv + ["--out-dir", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppghrv.cli"] + argv,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "duration_s must lie in (0, 86400] s" in proc.stderr
 
     @pytest.mark.parametrize("line, message", [
         ("train_fraction = inf", "finite"),

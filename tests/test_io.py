@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppghrv.data import Dataset
-from ppghrv.errors import NonMonotoneTime, ParseError, RateMismatch
+from ppghrv.errors import ConfigError, NonMonotoneTime, ParseError, RateMismatch
 from ppghrv.io import (
     read_dataset_csv,
     read_hr_csv,
@@ -40,6 +40,14 @@ class TestPpgRoundTrip:
         write_ppg_csv(path, ppg)
         with pytest.raises(RateMismatch):
             read_ppg_csv(path, declared_rate_hz=30.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -25.0])
+    def test_declared_rate_must_be_positive(self, tmp_path, trace, rate):
+        _, ppg = trace
+        path = tmp_path / "ppg.csv"
+        write_ppg_csv(path, ppg)
+        with pytest.raises(ConfigError, match="sampling rate"):
+            read_ppg_csv(path, declared_rate_hz=rate)
 
     def test_shuffled_rows(self, tmp_path):
         path = tmp_path / "ppg.csv"

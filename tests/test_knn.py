@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, FeatureLengthMismatch, KTooLarge
-from ppghrv.models import train_knn
+from ppghrv.models import KnnRegressor, train_knn
+from ppghrv.models.knn import DISTANCES, MAX_K, MIN_K
 
 
 def make_ds(X, y):
@@ -82,3 +87,167 @@ class TestKnnErrors:
         model = train_knn(ds, k=2, distance="manhattan")
         with pytest.raises(FeatureLengthMismatch):
             model.predict([1.0, 2.0, 3.0])
+
+
+def oracle_predict(model, Q):
+    """The full scan the filtered search must reproduce: the exact distance
+    to every stored row, then a stable sort, per query."""
+    Q = np.asarray(Q, dtype=np.float64)
+    q = (Q - model.mu) / model.sigma
+    out = np.empty(Q.shape[0], dtype=np.float64)
+    for r in range(q.shape[0]):
+        diff = model.X - q[r]
+        if model.distance == "manhattan":
+            d = np.abs(diff).sum(axis=1)
+        else:
+            d = np.sqrt((diff * diff).sum(axis=1))
+        near = np.argsort(d, kind="stable")[: model.k]
+        out[r] = float(np.mean(model.y[near]))
+    return out
+
+
+def _messages(run):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = run()
+    return out, {str(w.message) for w in seen}
+
+
+def assert_same_as_oracle(model, Q):
+    """Equal bytes from batch and single predicts, and no warning the full
+    scan does not give too."""
+    want, allowed = _messages(lambda: oracle_predict(model, Q).tobytes())
+    batch, batch_warned = _messages(lambda: model.predict_batch(Q).tobytes())
+    singles, singles_warned = _messages(
+        lambda: np.array([model.predict(q) for q in Q]).tobytes()
+    )
+    assert batch == want
+    assert singles == want
+    assert batch_warned | singles_warned <= allowed
+
+
+def _ties(rng):
+    X = rng.integers(0, 3, size=(60, 4)).astype(float)
+    return X, rng.integers(0, 3, size=(25, 4)).astype(float)
+
+
+def _duplicates(rng):
+    X = np.repeat(rng.normal(size=(12, 5)), 4, axis=0)
+    return X, np.vstack([X[::7], rng.normal(size=(10, 5))])
+
+
+def _stored_rows(rng):
+    X = rng.normal(size=(50, 8))
+    return X, X.copy()
+
+
+def _scaled(scale):
+    def make(rng):
+        X = rng.normal(size=(70, 6)) * scale
+        return X, np.vstack([X[:5], rng.normal(size=(15, 6)) * scale])
+    return make
+
+
+def _one_feature(rng):
+    X = rng.integers(0, 10, size=40).astype(float)[:, None]
+    return X, np.vstack([X[:6], rng.uniform(-1, 11, size=(15, 1))])
+
+
+def _non_finite(rng):
+    X = rng.normal(size=(40, 3))
+    Q = rng.normal(size=(9, 3))
+    Q[0, 0] = np.nan
+    Q[1, 1] = np.inf
+    Q[2, :] = -np.inf
+    Q[3, 2] = 1e200
+    Q[4, :] = 1e300
+    Q[5, 0] = 1e38   # finite, but past float32 once standardised
+    Q[6, :] = [np.inf, -np.inf, 0.0]
+    return X, Q
+
+
+DATASETS = {
+    "integer_ties": _ties,
+    "duplicated_rows": _duplicates,
+    "queries_equal_stored_rows": _stored_rows,
+    "scale_1e15": _scaled(1e15),
+    "scale_1e-20": _scaled(1e-20),
+    "one_feature": _one_feature,
+    "non_finite_queries": _non_finite,
+}
+
+
+class TestSearchMatchesFullScan:
+    """The filtered search returns the full scan's predictions bit for bit."""
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    @pytest.mark.parametrize("k", [MIN_K, 5, MAX_K])
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_dataset(self, name, k, distance):
+        rng = np.random.default_rng(7)
+        X, Q = DATASETS[name](rng)
+        y = rng.integers(0, 1000, size=X.shape[0]).astype(float)
+        assert_same_as_oracle(train_knn(make_ds(X, y), k=k, distance=distance), Q)
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_k_equals_stored_rows(self, distance):
+        rng = np.random.default_rng(8)
+        X, Q = _ties(rng)
+        X = X[:MAX_K]
+        y = rng.uniform(0, 100, size=MAX_K)
+        assert_same_as_oracle(train_knn(make_ds(X, y), k=MAX_K, distance=distance), Q)
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    @pytest.mark.parametrize("scale", [1e-30, 1e-42, 1e30])
+    def test_hand_built_rows_whose_float32_products_underflow_or_overflow(self, scale, distance):
+        # standardisation keeps trained rows near 1, but a model file may hold
+        # any finite float32 rows; products of these underflow or overflow
+        rng = np.random.default_rng(9)
+        X = (rng.integers(-3, 4, size=(40, 3)) * scale).astype(np.float32)
+        model = KnnRegressor(
+            X, rng.uniform(0, 9, size=40), np.zeros(3, np.float32), np.ones(3, np.float32),
+            3, distance, 3,
+        )
+        Q = np.vstack([X[:5], rng.integers(-3, 4, size=(10, 3)) * scale]).astype(np.float64)
+        assert_same_as_oracle(model, Q)
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_exact_distances_only_for_candidates(self, distance, monkeypatch):
+        # the filter has to filter: after the full Manhattan scan, each query
+        # measures a few rows again, not all of them
+        rng = np.random.default_rng(10)
+        model = train_knn(make_ds(rng.normal(size=(300, 10)), rng.uniform(size=300)), 5, distance)
+        measured = []
+        full_scan = KnnRegressor._distances
+
+        def spy(self, X, q):
+            measured.append(X.shape[0])
+            return full_scan(self, X, q)
+
+        monkeypatch.setattr(KnnRegressor, "_distances", spy)
+        model.predict_batch(rng.normal(size=(20, 10)))
+        refined = [n for n in measured if n < 300]
+        assert len(refined) == 20
+        assert max(refined) <= 10
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_property(self, data):
+        m = data.draw(st.integers(MIN_K, 40))
+        d = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(MIN_K, min(m, MAX_K)))
+        scale = 10.0 ** data.draw(st.integers(-25, 25))
+        grid = st.integers(-2, 2).map(float)  # few values: many ties and duplicates
+        X = np.array(data.draw(st.lists(grid, min_size=m * d, max_size=m * d))).reshape(m, d)
+        X[: m // 2] += data.draw(st.floats(-1, 1))
+        values = st.one_of(grid, st.floats(-4, 4), st.sampled_from([np.nan, np.inf, -np.inf, 1e300]))
+        Q = np.array(data.draw(st.lists(values, min_size=3 * d, max_size=3 * d))).reshape(3, d)
+        rng = np.random.default_rng(m)
+        model = train_knn(
+            make_ds(X * scale, rng.integers(0, 50, size=m).astype(float)),
+            k=k,
+            distance=data.draw(st.sampled_from(DISTANCES)),
+        )
+        with np.errstate(over="ignore"):
+            Q = np.vstack([X[:2], Q]) * scale
+        assert_same_as_oracle(model, Q)

@@ -9,6 +9,7 @@ from ppghrv.metrics import HrvMetricKind, RrSeries, mape, rmssd, sdnn, rough_hrv
 from ppghrv.sigproc import ppg_to_hr, smooth, zscore_adjust
 from ppghrv.synth import (
     ACTIVITY_PRESETS,
+    MAX_DURATION_S,
     GroundTruth,
     SynthConfig,
     activity_preset,
@@ -83,6 +84,11 @@ class TestGenerateRrTrace:
             SynthConfig(duration_s=60.0, seed=-1)
         with pytest.raises(ConfigError):
             SynthConfig(duration_s=60.0, rr_jitter_ms=-5.0)
+
+    def test_duration_at_most_a_day(self):
+        SynthConfig(duration_s=MAX_DURATION_S)
+        with pytest.raises(ConfigError, match="duration_s"):
+            SynthConfig(duration_s=float(np.nextafter(MAX_DURATION_S, np.inf)))
 
     @pytest.mark.parametrize("field, value", [
         ("duration_s", float("nan")),
