@@ -1,100 +1,2 @@
 """Wrist PPG to HRV: signal processing, synthetic traces, and compact ML
 regressors that estimate SDNN/RMSSD directly from smoothed heart rates."""
-
-from .amplify import (
-    AmplificationRow,
-    amplification_table,
-    default_base_trace,
-    inject_rr_error,
-)
-from .data import Dataset, build_hrv_dataset, chronological_split
-from .errors import HrvError
-from .experiment import ExperimentConfig, ResultRow, run_experiment
-from .metrics import (
-    HrvMetricKind,
-    RrSeries,
-    mape,
-    rmssd,
-    rough_hrv,
-    sdnn,
-)
-from .models import (
-    LatencyStats,
-    MlpTrainingConfig,
-    ModelKind,
-    TrainedModel,
-    bench_inference,
-    load_model,
-    random_search,
-    save_model,
-    serialized_size,
-    train_dt,
-    train_knn,
-    train_mlp,
-    train_rf,
-)
-from .sigproc import (
-    PpgSignal,
-    RawHrSeries,
-    SmoothedHrSeries,
-    detect_peaks,
-    ppg_to_hr,
-    smooth,
-    zscore_adjust,
-)
-from .synth import (
-    ACTIVITY_PRESETS,
-    GroundTruth,
-    SynthConfig,
-    activity_preset,
-    generate_rr_trace,
-    inject_motion_artifacts,
-    render_ppg,
-)
-
-__all__ = [
-    "AmplificationRow",
-    "amplification_table",
-    "default_base_trace",
-    "inject_rr_error",
-    "Dataset",
-    "build_hrv_dataset",
-    "chronological_split",
-    "HrvError",
-    "ExperimentConfig",
-    "ResultRow",
-    "run_experiment",
-    "HrvMetricKind",
-    "RrSeries",
-    "mape",
-    "rmssd",
-    "rough_hrv",
-    "sdnn",
-    "LatencyStats",
-    "MlpTrainingConfig",
-    "ModelKind",
-    "TrainedModel",
-    "bench_inference",
-    "load_model",
-    "random_search",
-    "save_model",
-    "serialized_size",
-    "train_dt",
-    "train_knn",
-    "train_mlp",
-    "train_rf",
-    "PpgSignal",
-    "RawHrSeries",
-    "SmoothedHrSeries",
-    "detect_peaks",
-    "ppg_to_hr",
-    "smooth",
-    "zscore_adjust",
-    "ACTIVITY_PRESETS",
-    "GroundTruth",
-    "SynthConfig",
-    "activity_preset",
-    "generate_rr_trace",
-    "inject_motion_artifacts",
-    "render_ppg",
-]

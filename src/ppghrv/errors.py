@@ -18,6 +18,10 @@ class EmptySignal(HrvError):
     """Operation received a signal with no samples."""
 
 
+class NonFiniteSignal(HrvError):
+    """Signal holds a nan or inf sample."""
+
+
 class SignalTooShort(HrvError):
     """Signal shorter than the operation's minimum duration."""
 

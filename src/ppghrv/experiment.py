@@ -75,6 +75,16 @@ class ExperimentConfig:
             )
         if self.bench_repetitions != 0 and self.bench_repetitions < 100:
             raise ConfigError("bench_repetitions must be 0 (off) or >= 100")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError("train_fraction must lie strictly between 0 and 1")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError("val_fraction must lie strictly between 0 and 1")
+        if self.mlp_max_epochs < 1:
+            raise ConfigError("mlp_max_epochs must be >= 1")
+        # each activity's synth config rejects an unknown name and a duration
+        # above synth.MAX_DURATION_S here, before run_experiment writes a file
+        for activity in self.activities:
+            activity_preset(activity, duration_s=self.duration_s)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,35 @@ The chain is detect_peaks -> ppg_to_hr (4 estimates/s from a trailing
 window) -> zscore_adjust (statistical outlier repair) -> smooth (1 HR/s).
 Designed around wrist-wearable constraints: low sampling rate, motion
 artifacts, limited compute.
+
+detect_peaks defines one window's peaks.  ppg_to_hr does not call it per
+window: consecutive windows overlap by all but 0.25 s, so it searches a
+block of windows with one convolution and two find_peaks calls, and gets
+detect_peaks' result bit for bit:
+
+- Detrend.  np.convolve(..., "same") computes each output with numpy's dot
+  over the kernel's span of samples (or, for kernels of at most 11 taps, a
+  fixed loop over them).  Away from a window's ends that span, the routine
+  and the divisor w are the same in the window as in the block, so one
+  convolution over the block gives every window's interior.  The first and
+  last w // 2 outputs of a window sum only h + 1 .. 2h of its own samples
+  with numpy's dot; np.vecdot calls that dot on each row, so those partial
+  sums match as well.
+- Separators.  The detrended windows are laid end to end with runs of
+  2 * ceil(distance) + 1 samples of +inf between them, and searched as one
+  array.  A sample next to +inf is never a local maximum, and every
+  prominence scan stops at +inf as it stops at the end of a lone window.
+  Each run forms one plateau peak; its length keeps that peak further than
+  the refractory distance from any real one, so it suppresses none, and it
+  is dropped afterwards.  wlen = 2n + 1 leaves the scans of real peaks
+  whole and bounds those of the runs.  Each window's prominence bound is
+  applied to the reported prominences with find_peaks' own pmin <= p test.
+- Ties.  find_peaks applies the distance rule in np.argsort order of
+  height, which is not stable.  Where two local maxima closer than the
+  distance have equal height, the one kept could differ between the block
+  and the lone window, so such windows are passed to detect_peaks.  So are
+  windows that might be flat and windows whose detrended values are not
+  finite.
 """
 
 from __future__ import annotations
@@ -11,9 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import find_peaks
 
-from .errors import ConfigError, EmptySignal, SignalTooShort, TooShort
+from .errors import ConfigError, EmptySignal, NonFiniteSignal, SignalTooShort, TooShort
 from .metrics import MS_PER_MINUTE
 
 DEFAULT_SAMPLING_RATE_HZ = 25.0
@@ -26,6 +56,12 @@ HR_CLAMP_LOW_BPM = 20.0               # exclusive physiological bounds;
 HR_CLAMP_HIGH_BPM = 250.0             # estimates outside carry the previous
 HR_FALLBACK_BPM = 60.0                # used when no previous estimate exists
 DEFAULT_Z_SCORE = 3.0
+# window samples per block in ppg_to_hr: a block's arrays stay under about
+# 400 KB at any sampling rate, while find_peaks' per-peak masks mostly stay
+# above the 1 KB under which numpy keeps freed buffers for reuse (with 8192,
+# hundreds of KB of such buffers were left scattered through the heap, and
+# the process's peak RSS rose)
+_BLOCK_SAMPLES = 16384
 
 
 @dataclass(frozen=True)
@@ -127,14 +163,25 @@ def detect_peaks(window: PpgSignal) -> np.ndarray:
 def ppg_to_hr(signal: PpgSignal) -> RawHrSeries:
     """Estimate HR at HR_ESTIMATES_PER_S from a trailing window over the PPG.
 
-    Each estimate is 60000 / (mean inter-peak interval in ms) over the peaks
-    detected inside the trailing HR_WINDOW_LEN_S window, so the first
-    HR_WINDOW_LEN_S seconds produce no output.  Estimates outside (20, 250)
-    bpm, and windows with fewer than two peaks, reuse the previous value;
-    the very first falls back to 60 bpm.
+    Estimate j covers samples round(j / 4 * fs) up to round((8 + j / 4) * fs),
+    the trailing HR_WINDOW_LEN_S window, so the first HR_WINDOW_LEN_S
+    seconds produce no output.  It is 60000 / (mean inter-peak interval in
+    ms) over the peaks detect_peaks finds in that window; the mean of the
+    integer gaps is exactly (last - first) / (count - 1).  Estimates
+    outside (20, 250) bpm, and windows with fewer than two peaks, reuse the
+    previous value; the very first falls back to 60 bpm.  A nan or inf
+    sample raises NonFiniteSignal.
+
+    Windows are searched _BLOCK_SAMPLES samples' worth at a time, in the
+    blocked route the module docstring describes; the result equals one
+    detect_peaks call per window bit for bit.
     """
-    if signal.samples.size == 0:
+    x = signal.samples
+    if x.size == 0:
         raise EmptySignal("ppg_to_hr got an empty signal")
+    if not np.all(np.isfinite(x)):
+        bad = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise NonFiniteSignal(f"PPG sample {bad} is {x[bad]!r}")
     fs = signal.sampling_rate_hz
     duration = signal.duration_s
     if duration < HR_WINDOW_LEN_S:
@@ -143,24 +190,125 @@ def ppg_to_hr(signal: PpgSignal) -> RawHrSeries:
         )
     step = 1.0 / HR_ESTIMATES_PER_S
     n_out = int(np.floor((duration - HR_WINDOW_LEN_S) / step + 1e-9)) + 1
+    per_block = max(1, int(_BLOCK_SAMPLES / (HR_WINDOW_LEN_S * fs)))
     values = np.empty(n_out, dtype=np.float64)
-    prev = None
-    for j in range(n_out):
-        end_t = HR_WINDOW_LEN_S + j * step
-        i1 = int(round(end_t * fs))
-        i0 = int(round((end_t - HR_WINDOW_LEN_S) * fs))
-        peaks = detect_peaks(PpgSignal(fs, signal.samples[i0:i1]))
-        hr = np.nan
-        if peaks.size >= 2:
-            mean_interval_ms = float(np.mean(np.diff(peaks))) / fs * 1000.0
-            hr = MS_PER_MINUTE / mean_interval_ms
-        if not (HR_CLAMP_LOW_BPM < hr < HR_CLAMP_HIGH_BPM):  # also catches nan
-            hr = prev if prev is not None else HR_FALLBACK_BPM
-        values[j] = hr
-        prev = hr
+    prev = HR_FALLBACK_BPM
+    for j0 in range(0, n_out, per_block):
+        hr = _window_hr(x, fs, np.arange(j0, min(j0 + per_block, n_out)))
+        fresh = (HR_CLAMP_LOW_BPM < hr) & (hr < HR_CLAMP_HIGH_BPM)  # not nan
+        last = np.maximum.accumulate(np.where(fresh, np.arange(hr.size), -1))
+        values[j0 : j0 + hr.size] = np.where(last >= 0, hr[last], prev)
+        prev = values[j0 + hr.size - 1]
     return RawHrSeries(
         values=values, start_time_s=signal.start_time_s + HR_WINDOW_LEN_S
     )
+
+
+def _window_hr(x: np.ndarray, fs: float, j: np.ndarray) -> np.ndarray:
+    """Raw estimate of each trailing window j, nan where it holds < 2 peaks."""
+    # np.rint rounds half to even, as round() does
+    end_t = HR_WINDOW_LEN_S + j * (1.0 / HR_ESTIMATES_PER_S)
+    i1 = np.rint(end_t * fs).astype(np.intp)
+    i0 = np.rint((end_t - HR_WINDOW_LEN_S) * fs).astype(np.intp)
+    count = np.empty(j.size, dtype=np.intp)
+    gap_sum = np.empty(j.size, dtype=np.intp)
+    for n in np.unique(i1 - i0):  # two lengths at most, when 8 * fs is fractional
+        rows = i1 - i0 == n
+        count[rows], gap_sum[rows] = _peak_spans(x, fs, i0[rows], int(n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hr = MS_PER_MINUTE / (gap_sum / (count - 1) / fs * 1000.0)
+    hr[count < 2] = np.nan
+    return hr
+
+
+def _peak_spans(
+    x: np.ndarray, fs: float, starts: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peak count and last - first peak index of each window x[s : s + n],
+    as detect_peaks gives them (see the module docstring)."""
+    w = int(round(DETREND_WINDOW_S * fs)) | 1
+    if n < w:  # moving_average would clip its width to the window
+        return _peak_spans_alone(x, fs, starts, n)
+    seg = x[starts[0] : starts[-1] + n]
+    rel = starts - starts[0]
+    distance = max(1.0, MIN_PEAK_DISTANCE_S * fs)
+    reach = int(np.ceil(distance))
+    stride = n + 2 * reach + 1  # a window and the +inf run after it
+    buf = np.full((starts.size, stride), np.inf)
+    body = buf[:, :n]
+    # samples near the float64 limit overflow the sums; such windows are
+    # left to detect_peaks below, with its own warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        _detrend_windows(seg, rel, w, out=body)
+        span = body.max(axis=1) - body.min(axis=1)
+    # detect_peaks finds nothing when span <= 1e-9 * max(1, max |sample|);
+    # the block's largest |sample| bounds each window's, so every window
+    # that might be flat, or whose values overflowed, is searched alone
+    alone = ~np.isfinite(span) | (span <= 1e-9 * max(1.0, float(np.max(np.abs(seg)))))
+    body[alone] = 0.0
+    line = buf.ravel()
+    # so is every window where two local maxima closer than reach tie
+    maxima, _ = find_peaks(line)
+    heights = line[maxima]
+    for lag in range(1, reach):
+        near = maxima[lag:] - maxima[:-lag] < reach
+        if not near.any():
+            break
+        tied = near & (heights[lag:] == heights[:-lag])
+        alone[maxima[lag:][tied] // stride] = True
+    # prominence=(None, None) reports prominences without applying a bound
+    peaks, props = find_peaks(
+        line, distance=distance, prominence=(None, None), wlen=2 * n + 1
+    )
+    row, col = np.divmod(peaks, stride)
+    keep = (col < n) & (PROMINENCE_FRACTION * span[row] <= props["prominences"])
+    row, col = row[keep], col[keep]  # col >= n: the separators' own peaks
+    count = np.bincount(row, minlength=starts.size)
+    end = np.cumsum(count)
+    gap_sum = np.zeros(starts.size, dtype=np.intp)
+    some = count > 0
+    gap_sum[some] = col[end[some] - 1] - col[end[some] - count[some]]
+    if alone.any():
+        count[alone], gap_sum[alone] = _peak_spans_alone(x, fs, starts[alone], n)
+    return count, gap_sum
+
+
+def _detrend_windows(seg: np.ndarray, rel: np.ndarray, w: int, out: np.ndarray) -> None:
+    """out[i] = v - moving_average(v, w) for v = seg[rel[i] : rel[i] + n],
+    bit for bit, where n = out.shape[1] >= w and w is odd."""
+    n = out.shape[1]
+    h = w // 2
+    # the window's interior, from the block's moving average
+    trend = np.convolve(seg, np.ones(w), mode="same") / w
+    out[:] = sliding_window_view(seg - trend, n)[rel]
+    if not h:
+        return
+    # its first and last h values average h + 1 .. 2h of its own samples
+    head = sliding_window_view(seg, 2 * h)[rel]
+    tail = sliding_window_view(seg, 2 * h)[rel + n - 2 * h]
+    head_sum = np.empty((rel.size, h))
+    tail_sum = np.empty((rel.size, h))
+    ones = np.ones(2 * h)
+    for m in range(h):
+        head_sum[:, m] = np.vecdot(head[:, : h + 1 + m], ones[: h + 1 + m])
+        tail_sum[:, m] = np.vecdot(tail[:, h - 1 - m :], ones[: h + 1 + m])
+    counts = np.arange(h + 1, 2 * h + 1)
+    out[:, :h] = head[:, :h] - head_sum / counts
+    out[:, n - h :] = tail[:, h:] - (tail_sum / counts)[:, ::-1]
+
+
+def _peak_spans_alone(
+    x: np.ndarray, fs: float, starts: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """_peak_spans by one detect_peaks call per window."""
+    count = np.zeros(starts.size, dtype=np.intp)
+    gap_sum = np.zeros(starts.size, dtype=np.intp)
+    for r, s in enumerate(starts):
+        peaks = detect_peaks(PpgSignal(fs, x[s : s + n]))
+        count[r] = peaks.size
+        if peaks.size:
+            gap_sum[r] = peaks[-1] - peaks[0]
+    return count, gap_sum
 
 
 def zscore_adjust(hr: RawHrSeries, z_score: float = DEFAULT_Z_SCORE) -> RawHrSeries:

@@ -347,6 +347,27 @@ class TestExitCodes:
         )
         assert proc.returncode == 1, proc.stderr
         assert "duration_s must lie in (0, 86400] s" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--activities", "sit,bogus"], "unknown activity 'bogus'"),
+        (["--train-fraction", "0"], "train_fraction"),
+        (["--train-fraction", "1.5"], "train_fraction"),
+        (["--val-fraction", "0"], "val_fraction"),
+        (["--val-fraction", "1.5"], "val_fraction"),
+        (["--mlp-max-epochs", "0"], "mlp_max_epochs"),
+    ], ids=["activity", "train_zero", "train_above_one", "val_zero", "val_above_one", "epochs_zero"])
+    def test_bad_run_setting_fails_before_any_write(self, args, message, tmp_path, capsys):
+        # these used to synthesise every activity, then fail each cell with exit 2
+        # (or leave an empty out_dir behind)
+        out = tmp_path / "out"
+        code = main([
+            "run", "--out-dir", str(out), "--activities", "sit", "--lengths", "30",
+            "--duration-s", "200", "--models", "dt", "--budget", "1",
+        ] + args)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("train_fraction = inf", "finite"),

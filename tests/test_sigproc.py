@@ -1,17 +1,30 @@
 """Peak detection and the PPG -> per-second HR chain."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppghrv.errors import ConfigError, EmptySignal, SignalTooShort, TooShort
+from ppghrv.errors import ConfigError, EmptySignal, NonFiniteSignal, SignalTooShort, TooShort
+from ppghrv.metrics import MS_PER_MINUTE
 from ppghrv.sigproc import (
+    HR_CLAMP_HIGH_BPM,
+    HR_CLAMP_LOW_BPM,
+    HR_ESTIMATES_PER_S,
+    HR_FALLBACK_BPM,
+    HR_WINDOW_LEN_S,
     PpgSignal,
     RawHrSeries,
+    _detrend_windows,
     detect_peaks,
+    moving_average,
     ppg_to_hr,
     smooth,
     zscore_adjust,
 )
+from ppghrv.synth import ACTIVITY_PRESETS, activity_preset, generate_rr_trace, render_ppg
 
 FS = 25.0
 
@@ -102,6 +115,167 @@ class TestPpgToHr:
         out = ppg_to_hr(PpgSignal(FS, x))
         assert np.all(out.values > 20.0)
         assert np.all(out.values < 250.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 300, -1])
+    def test_non_finite_sample_is_rejected(self, value, where):
+        # one bad sample used to turn every window holding it into a 60 bpm
+        # fallback or a carried value, with no error
+        x = sine_signal(1.2, 30.0).samples.copy()
+        x[where] = value
+        with pytest.raises(NonFiniteSignal, match="PPG sample"):
+            ppg_to_hr(PpgSignal(FS, x))
+
+
+def oracle_ppg_to_hr(signal):
+    """ppg_to_hr as one detect_peaks call per window, the definition."""
+    fs = signal.sampling_rate_hz
+    step = 1.0 / HR_ESTIMATES_PER_S
+    n_out = int(np.floor((signal.duration_s - HR_WINDOW_LEN_S) / step + 1e-9)) + 1
+    values = np.empty(n_out, dtype=np.float64)
+    prev = None
+    for j in range(n_out):
+        end_t = HR_WINDOW_LEN_S + j * step
+        i1 = int(round(end_t * fs))
+        i0 = int(round((end_t - HR_WINDOW_LEN_S) * fs))
+        peaks = detect_peaks(PpgSignal(fs, signal.samples[i0:i1]))
+        hr = np.nan
+        if peaks.size >= 2:
+            mean_interval_ms = float(np.mean(np.diff(peaks))) / fs * 1000.0
+            hr = MS_PER_MINUTE / mean_interval_ms
+        if not (HR_CLAMP_LOW_BPM < hr < HR_CLAMP_HIGH_BPM):
+            hr = prev if prev is not None else HR_FALLBACK_BPM
+        values[j] = hr
+        prev = hr
+    return values
+
+
+def assert_matches_oracle(signal):
+    out = ppg_to_hr(signal)
+    expected = oracle_ppg_to_hr(signal)
+    assert out.values.tobytes() == expected.tobytes()
+    assert out.start_time_s == signal.start_time_s + HR_WINDOW_LEN_S
+
+
+def preset_ppg(activity, duration_s, fs=FS, seed=5):
+    cfg = replace(activity_preset(activity, duration_s=duration_s, seed=seed), sampling_rate_hz=fs)
+    return render_ppg(generate_rr_trace(cfg), cfg)
+
+
+def pulse_train(fs, duration_s, period_samples, seed):
+    """Sharp spikes every period_samples on light noise: peaks sit at every
+    offset of the windows, the first and last samples among them."""
+    rng = np.random.default_rng(seed)
+    x = 0.05 * rng.standard_normal(int(round(duration_s * fs)))
+    x[int(rng.integers(period_samples)) :: period_samples] += 1.0
+    return PpgSignal(fs, x)
+
+
+def tied_pairs(fs, duration_s):
+    """An integer-valued period as long as the detrend width, holding two
+    equal maxima 4 samples apart: every interior moving average is the
+    same, so the detrended maxima tie exactly inside the refractory
+    distance."""
+    w = int(round(fs)) | 1
+    period = np.zeros(w)
+    period[[0, 4]] = 10.0
+    period[[1, 3]] = 6.0
+    period[2] = 3.0
+    reps = int(np.ceil(duration_s * fs / w))
+    return PpgSignal(fs, np.tile(period, reps)[: int(round(duration_s * fs))])
+
+
+class TestBlockedMatchesPerWindow:
+    """ppg_to_hr searches blocks of windows at once; every case must give
+    the per-window loop's output bit for bit."""
+
+    @pytest.mark.parametrize("activity", sorted(ACTIVITY_PRESETS))
+    def test_activity_presets(self, activity):
+        assert_matches_oracle(preset_ppg(activity, 300.0))
+
+    @pytest.mark.parametrize("fs", [12.7, 25.3, 30.1, 7.9, 50.0])
+    def test_window_length_varies_with_fractional_rate(self, fs):
+        assert_matches_oracle(preset_ppg("office_work", 90.0, fs=fs))
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, 5])
+    @pytest.mark.parametrize("fs", [25.0, 12.7, 30.1])
+    def test_signal_just_longer_than_one_window(self, fs, extra):
+        n = int(np.ceil(HR_WINDOW_LEN_S * fs)) + extra
+        assert_matches_oracle(PpgSignal(fs, preset_ppg("sit", 20.0, fs=fs).samples[:n]))
+
+    def test_flat_stretches(self):
+        sine = sine_signal(1.2, 30.0).samples
+        x = np.concatenate([np.full(250, 2.0), sine, np.zeros(400), sine, np.full(300, -1.5)])
+        assert_matches_oracle(PpgSignal(FS, x))
+
+    @pytest.mark.parametrize("value", [3.7, 1 / 3, 2.73, 5.46])
+    def test_constant_signal(self, value):
+        # the detrend leaves ~1e-16 of residue near the window's ends, in
+        # which find_peaks alone finds peaks; at 2.73 and 5.46 they would
+        # give an estimate of 23 bpm
+        assert_matches_oracle(PpgSignal(FS, np.full(int(20 * FS), value)))
+
+    @pytest.mark.parametrize("decimals", [0, 1, 2])
+    def test_quantised_signal_with_plateaus(self, decimals):
+        x = preset_ppg("office_work", 120.0).samples
+        assert_matches_oracle(PpgSignal(FS, np.round(x * 3.0, decimals)))
+
+    @pytest.mark.parametrize("fs", [25.0, 30.1])
+    def test_equal_maxima_inside_the_refractory_distance(self, fs):
+        assert_matches_oracle(tied_pairs(fs, 40.0))
+
+    @pytest.mark.parametrize("period", [7, 11, 20, 33])
+    def test_peaks_at_window_edges(self, period):
+        assert_matches_oracle(pulse_train(FS, 40.0, period, seed=period))
+
+    @pytest.mark.parametrize("scale", [1e307, 1.7e308])
+    @pytest.mark.parametrize("period", [17, 50])
+    def test_samples_near_the_float64_limit(self, scale, period):
+        # sums through the -1.7e308 samples overflow to -inf, so the detrend
+        # holds +inf and nan; such windows go to detect_peaks
+        x = scale * sine_signal(1.2, 16.0).samples
+        x[::period] = -1.7e308
+        assert_matches_oracle(PpgSignal(FS, x))
+
+    @pytest.mark.parametrize("w", [1, 3, 11, 13, 25, 31, 51])
+    def test_detrend_equals_each_windows_moving_average(self, w):
+        # a one-ulp change seldom moves a peak, so the detrended values are
+        # compared directly: kernels of up to 11 taps and longer ones take
+        # different routes inside np.convolve
+        rng = np.random.default_rng(w)
+        for n in (w, w + 1, 2 * w + 5, 8 * w + 3):
+            seg = 10.0 ** rng.uniform(-3, 6) * rng.standard_normal(n + 60)
+            rel = np.sort(rng.choice(61, size=12, replace=False))
+            out = np.empty((rel.size, n))
+            _detrend_windows(seg, rel, w, out=out)
+            for row, r in zip(out, rel):
+                v = seg[r : r + n]
+                assert row.tobytes() == (v - moving_average(v, w)).tobytes()
+
+    def test_low_rate_without_detrend_edges(self):
+        # below 1.5 Hz the detrend is one sample wide
+        assert_matches_oracle(PpgSignal(1.2, np.sin(np.arange(40) * 2.1)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_property(self, data):
+        fs = data.draw(st.sampled_from([4.0, 10.0, 12.7, 25.0, 25.3, 30.1, 64.0]))
+        # up to 33 s: more than one block of windows from 25 Hz up
+        n = int(np.ceil(HR_WINDOW_LEN_S * fs)) + data.draw(st.integers(0, int(25 * fs)))
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        t = np.arange(n) / fs
+        x = np.sin(2 * np.pi * data.draw(st.floats(0.6, 3.0)) * t)
+        x += data.draw(st.sampled_from([0.0, 0.05, 0.5])) * rng.standard_normal(n)
+        if data.draw(st.booleans()):
+            x[rng.integers(n) :: max(2, int(rng.integers(2, 3 * fs)))] += 2.0
+        if data.draw(st.booleans()):
+            a = int(rng.integers(n))
+            x[a : a + int(rng.integers(1, 4 * fs))] = x[a]
+        decimals = data.draw(st.sampled_from([None, 0, 1]))
+        if decimals is not None:
+            x = np.round(x * 2.0, decimals)
+        assert_matches_oracle(PpgSignal(fs, x, start_time_s=data.draw(st.floats(0, 100))))
 
 
 class TestZscoreAdjust:
