@@ -4,7 +4,7 @@ Formats (headers are exact):
 
     PPG trace        time_s,value
     RR ground truth  beat_time_s,rr_ms      (first row's rr_ms is empty)
-    per-second HR    time_s,hr_bpm
+    per-second HR    time_s,hr_bpm          (written only; nothing reads it back)
     dataset          window_end_time_s,f0..f{d-1},label
     results table    activity,metric,n_s,model,mape_pct,sigproc_mape_pct,model_bytes,latency_us_mean
     estimation trace window_end_s,truth_ms,sigproc_ms,model_ms
@@ -167,18 +167,6 @@ def read_rr_csv(path) -> GroundTruth:
 def write_hr_csv(path, shr: SmoothedHrSeries) -> None:
     records = ([_fmt(shr.start_time_s + i), _fmt(v)] for i, v in enumerate(shr.values))
     _write_csv(path, HR_HEADER, records)
-
-
-def read_hr_csv(path) -> SmoothedHrSeries:
-    times, values = [], []
-    for lineno, row in _rows(path, HR_HEADER):
-        times.append(_parse_float(path, lineno, row[0], "time_s"))
-        values.append(_parse_float(path, lineno, row[1], "hr_bpm"))
-    if not times:
-        raise ParseError(f"{path}: no data rows")
-    t = np.asarray(times)
-    _check_increasing(path, HR_HEADER, t, "time_s")
-    return SmoothedHrSeries(np.asarray(values), start_time_s=float(t[0]))
 
 
 def _dataset_header(n_features: int) -> list[str]:

@@ -4,10 +4,15 @@ All candidate configurations are drawn up front from one seeded stream, so
 the candidate list depends only on (kind, budget, seed).  Candidates
 that fail to train are logged and skipped; the winner (lowest validation
 MAPE, ties to the earlier candidate) is retrained on the full training set.
+
+A dt search grows one tree on the fit rows, at the deepest drawn
+max_depth, and cuts every candidate from it (tree.train_dt_depths); the
+candidates are the trees train_dt would grow for each depth alone.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Any
@@ -27,7 +32,7 @@ from .mlp import (
     MlpTrainingConfig,
     train_mlp,
 )
-from .tree import MAX_TREE_DEPTH, train_dt
+from .tree import MAX_TREE_DEPTH, train_dt, train_dt_depths
 
 log = logging.getLogger(__name__)
 
@@ -60,6 +65,17 @@ def sample_hyperparams(kind: ModelKind, rng) -> dict[str, Any]:
             "activation": ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))],
         }
     raise ConfigError(f"unknown model kind {kind!r}")
+
+
+def _candidate_trainer(kind, fit, drawn, mlp_cfg):
+    """(index, seed) -> the model for draw index, trained on fit."""
+    if kind is ModelKind.DT:
+        # one grow serves every draw; a failed grow is retried, and fails,
+        # per draw
+        depths = [p["max_depth"] for p in drawn]
+        trees = functools.cache(lambda: train_dt_depths(fit, depths))
+        return lambda i, seed: trees()[i]
+    return lambda i, seed: _train(kind, fit, drawn[i], seed, mlp_cfg)
 
 
 def _train(kind, train, params, seed, mlp_cfg):
@@ -112,11 +128,12 @@ def random_search(
 
     fit, holdout = chronological_split(train, 1.0 - val_fraction)
 
+    train_candidate = _candidate_trainer(kind, fit, drawn, mlp_cfg)
     candidates: list[Candidate] = []
     for i, params in enumerate(drawn):
         cand_seed = int(np.random.SeedSequence((int(seed), 1 + i)).generate_state(1)[0])
         try:
-            model = _train(kind, fit, params, cand_seed, mlp_cfg)
+            model = train_candidate(i, cand_seed)
             preds = model.predict_batch(holdout.features)
             score = mape(preds, holdout.labels)
         except HrvError as err:

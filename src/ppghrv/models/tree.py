@@ -1,10 +1,16 @@
 """Regression tree grown by exhaustive variance-reduction splits.
 
-Split search scores every boundary of every feature of a node together, with
-one stable sort and prefix sums per block of columns.  Thresholds are stored
-as float32 (the serialised width) and the partition is made with the
+Each feature column is sorted once per tree, stably, into int32 row orders;
+a split carries them to its children by a stable partition, so every node
+scores every boundary of every feature from prefix sums in a block of
+columns at a time, with no sort of its own.  Thresholds are stored as
+float32 (the serialised width) and the partition is made with the
 quantised value, keeping file round-trips bit-identical with in-memory
 predictions.
+
+train_dt, the forest's bootstrap trees and train_dt_depths all grow
+through _grow.  train_dt_depths serves a depth search from one grow: a
+shallower tree is cut from the deepest one.
 """
 
 from __future__ import annotations
@@ -39,74 +45,129 @@ class TreeNodes:
         return int(self.feature.size)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray):
-    """Lowest-SSE axis split, or None.
-
-    Ties break to the lowest feature index, then the lowest threshold.  A
-    boundary between equal values, or whose float32-quantised threshold no
-    longer separates the sorted values, is discarded.
-    """
+def _presort(X: np.ndarray) -> np.ndarray:
+    """Each column's stable sort order as one int32 row: orders[f] lists the
+    row indices by X[:, f], ties by row index."""
     n, d = X.shape
-    total_s1 = float(y.sum())
-    total_s2 = float((y * y).sum())
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    orders = np.empty((d, n), dtype=np.int32)
+    step = max(1, SPLIT_BLOCK_ELEMENTS // n)
+    for lo in range(0, d, step):
+        orders[lo : lo + step] = np.argsort(X[:, lo : lo + step], axis=0, kind="stable").T
+    return orders
+
+
+def _best_split(X: np.ndarray, node_y: np.ndarray, y: np.ndarray, orders: np.ndarray):
+    """Lowest-SSE axis split of the node whose rows orders lists, or None.
+
+    node_y holds the node's labels in row order; orders[f] holds the node's
+    rows sorted by feature f, which is what a stable argsort of the node's
+    column gives.  Ties break to the lowest feature index, then the lowest
+    threshold.  A boundary between equal values, or whose float32-quantised
+    threshold no longer separates the sorted values, is discarded.
+    """
+    d, n = orders.shape
+    # the totals are summed in row order: a sum in a feature's order can
+    # round differently and pick another split
+    total_s1 = float(node_y.sum())
+    total_s2 = float((node_y * node_y).sum())
+    nl = np.arange(1, n, dtype=np.float64)
+    nr = n - nl
+    flat = X.ravel()
     best_sse = np.inf
     best = None
     step = max(1, SPLIT_BLOCK_ELEMENTS // n)
     for lo in range(0, d, step):
-        block = X[:, lo : lo + step]
-        order = np.argsort(block, axis=0, kind="stable")
-        xs = np.take_along_axis(block, order, axis=0)
+        order = orders[lo : lo + step]
+        xs = flat[order * d + np.arange(lo, lo + len(order))[:, None]]
         ys = y[order]
-        c1 = np.cumsum(ys, axis=0)[:-1]
-        c2 = np.cumsum(ys * ys, axis=0)[:-1]
-        sse = (c2 - c1 * c1 / nl) + (total_s2 - c2) - (total_s1 - c1) ** 2 / (n - nl)
-        thr = ((xs[:-1] + xs[1:]) / 2.0).astype(np.float32)
-        ok = (xs[:-1] != xs[1:]) & (xs[0] <= thr) & (thr < xs[-1])
+        c1 = np.cumsum(ys, axis=1)[:, :-1]
+        c2 = np.cumsum(ys * ys, axis=1)[:, :-1]
+        # (c2 - c1**2 / nl) + (total_s2 - c2) - (total_s1 - c1)**2 / nr, in place
+        sse = c1 * c1
+        sse /= nl
+        np.subtract(c2, sse, out=sse)
+        sse += total_s2 - c2
+        right = total_s1 - c1
+        right *= right
+        right /= nr
+        sse -= right
         # feature-major, so argmin ties go to the lowest feature
-        sse = np.where(ok, sse, np.inf).T
-        f, i = divmod(int(np.argmin(sse)), n - 1)
-        if sse[f, i] < best_sse:  # a later block wins only if strictly lower
-            best_sse = float(sse[f, i])
-            best = (lo + f, thr[i, f])
+        np.copyto(sse, np.inf, where=xs[:, :-1] == xs[:, 1:])
+        while True:
+            f, i = divmod(int(np.argmin(sse)), n - 1)
+            if not sse[f, i] < best_sse:  # a later block wins only if strictly lower
+                break
+            thr = np.float32((xs[f, i] + xs[f, i + 1]) / 2.0)
+            if xs[f, 0] <= thr < xs[f, -1]:
+                best_sse = float(sse[f, i])
+                best = (lo + f, thr)
+                break
+            sse[f, i] = np.inf  # quantisation collapsed this boundary
     return best
 
 
+def _partition(orders: np.ndarray, goes_left: np.ndarray, n_left: int) -> None:
+    """Reorder each row of orders in place: its goes_left rows first, each
+    side in its former order.  A sorted row stays sorted on both sides."""
+    d, n = orders.shape
+    step = max(1, SPLIT_BLOCK_ELEMENTS // n)
+    for lo in range(0, d, step):
+        block = orders[lo : lo + step]
+        on_left = goes_left[block]
+        lefts, rights = block[on_left], block[~on_left]
+        block[:, :n_left] = lefts.reshape(-1, n_left)
+        block[:, n_left:] = rights.reshape(-1, n - n_left)
+
+
 def _grow(X: np.ndarray, y: np.ndarray, max_depth: int) -> TreeNodes:
+    """Greedy CART growth with every column sorted once.
+
+    rows[a:b] lists a node's rows in row order and orders[:, a:b] the same
+    rows sorted by each feature; a split partitions both in place, stably,
+    so every node sees what a stable sort of its own rows would give.
+    Nodes are numbered in preorder: the left subtree is grown first.
+    """
     feature, threshold, left, right, value = [], [], [], [], []
-
-    def leaf(node_y) -> int:
+    X = np.ascontiguousarray(X)
+    rows = np.arange(y.size, dtype=np.int32)
+    orders = _presort(X)
+    goes_left = np.zeros(y.size, dtype=bool)
+    # (first, end, depth, the child list and parent index to link it from)
+    stack = [(0, y.size, 0, None)]
+    while stack:
+        a, b, depth, link = stack.pop()
         idx = len(feature)
-        feature.append(LEAF)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(np.mean(node_y)))
-        return idx
-
-    def rec(node_X, node_y, depth) -> int:
-        if (
+        if link is not None:
+            side, parent = link
+            side[parent] = idx
+        node_rows = rows[a:b]
+        node_y = y[node_rows]
+        split = None
+        if not (
             depth >= max_depth
             or node_y.size < MIN_SAMPLES_TO_SPLIT
             or np.all(node_y == node_y[0])
         ):
-            return leaf(node_y)
-        split = _best_split(node_X, node_y)
-        if split is None:
-            return leaf(node_y)
-        f, thr = split
-        idx = len(feature)
-        feature.append(f)
-        threshold.append(float(thr))
+            split = _best_split(X, node_y, y, orders[:, a:b])
         left.append(-1)
         right.append(-1)
+        if split is None:
+            feature.append(LEAF)
+            threshold.append(0.0)
+            value.append(float(np.mean(node_y)))
+            continue
+        f, thr = split
+        feature.append(f)
+        threshold.append(float(thr))
         value.append(0.0)
-        mask = node_X[:, f] <= np.float64(thr)
-        left[idx] = rec(node_X[mask], node_y[mask], depth + 1)
-        right[idx] = rec(node_X[~mask], node_y[~mask], depth + 1)
-        return idx
+        mask = X[node_rows, f] <= np.float64(thr)
+        n_left = int(np.count_nonzero(mask))
+        goes_left[node_rows] = mask
+        rows[a:b] = np.concatenate([node_rows[mask], node_rows[~mask]])
+        _partition(orders[:, a:b], goes_left, n_left)
+        stack.append((a + n_left, b, depth + 1, (right, idx)))
+        stack.append((a, a + n_left, depth + 1, (left, idx)))
 
-    rec(X, y, 0)
     return TreeNodes(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float32),
@@ -184,3 +245,67 @@ def train_dt(train, max_depth: int, seed: int = 0) -> DecisionTree:
         raise EmptyDataset("cannot train a tree on an empty dataset")
     nodes = _grow(train.features, train.labels, int(max_depth))
     return DecisionTree(nodes, train.n_features)
+
+
+def _cut_means(nodes: TreeNodes, X: np.ndarray, y: np.ndarray, max_depth: int):
+    """Depth of each node of a tree grown on (X, y), and the label mean of
+    each node no deeper than max_depth.
+
+    Sending the rows down the tree's splits in row order gives each node
+    the rows the grow split there, in the same order, so the means are the
+    ones the grow would have stored had the node been a leaf.  Deeper nodes
+    keep depth max_depth + 1.
+    """
+    depth = np.full(len(nodes), max_depth + 1)
+    mean = np.zeros(len(nodes))
+    stack = [(0, 0, np.arange(y.size))]
+    while stack:
+        i, node_depth, node_rows = stack.pop()
+        depth[i] = node_depth
+        mean[i] = np.mean(y[node_rows])
+        f = int(nodes.feature[i])
+        if f != LEAF and node_depth < max_depth:
+            mask = X[node_rows, f] <= np.float64(nodes.threshold[i])
+            stack.append((int(nodes.left[i]), node_depth + 1, node_rows[mask]))
+            stack.append((int(nodes.right[i]), node_depth + 1, node_rows[~mask]))
+    return depth, mean
+
+
+def _truncate(
+    nodes: TreeNodes, depth: np.ndarray, mean: np.ndarray, max_depth: int
+) -> TreeNodes:
+    """nodes cut to max_depth: deeper nodes dropped, internal nodes at
+    max_depth turned into leaves holding their mean, preorder kept."""
+    keep = depth <= max_depth
+    cut = (depth == max_depth) & (nodes.feature != LEAF)
+    split = keep & ~cut & (nodes.feature != LEAF)
+    index = np.cumsum(keep, dtype=np.int32) - 1
+    return TreeNodes(
+        feature=np.where(cut, LEAF, nodes.feature)[keep],
+        threshold=np.where(cut, np.float32(0.0), nodes.threshold)[keep],
+        left=np.where(split, index[nodes.left], -1)[keep],
+        right=np.where(split, index[nodes.right], -1)[keep],
+        value=np.where(cut, mean, nodes.value)[keep],
+    )
+
+
+def train_dt_depths(train, depths) -> list[DecisionTree]:
+    """What train_dt(train, d) gives for each d in depths, from one grow.
+
+    A greedy depth-d tree is the depth-d truncation of a deeper tree grown
+    on the same rows: the nodes above depth d are the same, and a node at
+    depth d becomes a leaf holding the mean label of its rows.  So
+    train_dt grows one tree at the deepest depth and each shallower one is
+    cut from it.
+    """
+    deepest = max(depths)
+    model = train_dt(train, deepest)
+    shallower = [d for d in depths if d < deepest]
+    if not shallower:
+        return [model for _ in depths]
+    depth, mean = _cut_means(model.nodes, train.features, train.labels, max(shallower))
+    return [
+        model if d == deepest
+        else DecisionTree(_truncate(model.nodes, depth, mean, d), train.n_features)
+        for d in depths
+    ]

@@ -1,3 +1,4 @@
+import csv
 import struct
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 import ppghrv.experiment
 from ppghrv.cli import main, read_config_file
 from ppghrv.errors import EmptyDataset
-from ppghrv.io import read_dataset_csv, read_hr_csv, read_ppg_csv, read_rr_csv
+from ppghrv.io import read_dataset_csv, read_ppg_csv, read_rr_csv
 from ppghrv.models import ModelKind, load_model
 from ppghrv.models.codec import MAGIC
 
@@ -44,11 +45,13 @@ class TestPipelineCommands:
         assert gt.beat_times_s.size > 100
 
     def test_process_outputs(self, workdir):
-        shr = read_hr_csv(workdir / "hr.csv")
+        with open(workdir / "hr.csv", newline="") as fh:
+            header, *hr_rows = csv.reader(fh)
         ds = read_dataset_csv(workdir / "ds.csv")
-        assert len(shr) > 0
+        assert header == ["time_s", "hr_bpm"]
+        assert len(hr_rows) > 0
         assert ds.n_features == 31
-        assert len(ds) == len(shr) - 30 + 1
+        assert len(ds) == len(hr_rows) - 30 + 1
 
     def test_train_wrote_loadable_model(self, workdir):
         model = load_model(workdir / "model.bin")

@@ -4,6 +4,7 @@ import pytest
 from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, EmptyDataset
 from ppghrv.models import RandomForest, train_dt, train_rf
+from test_tree import assert_same_nodes, oracle_grow
 
 
 def make_ds(X, y):
@@ -29,6 +30,14 @@ class TestForest:
         forest = RandomForest((tree.nodes, tree.nodes), noisy_ds.n_features)
         Q = noisy_ds.features[:30]
         np.testing.assert_array_equal(forest.predict_batch(Q), tree.predict_batch(Q))
+
+    def test_trees_match_the_oracle_on_their_bootstrap_rows(self, noisy_ds):
+        forest = train_rf(noisy_ds, trees=3, max_depth=6, seed=9)
+        X, y = noisy_ds.features, noisy_ds.labels
+        for t, nodes in enumerate(forest.trees):
+            rng = np.random.default_rng(np.random.SeedSequence((9, t)))
+            idx = rng.integers(0, y.size, size=y.size)
+            assert_same_nodes(nodes, oracle_grow(X[idx], y[idx], 6), t)
 
     def test_constant_labels(self):
         ds = make_ds(np.arange(20.0), np.full(20, 5.5))

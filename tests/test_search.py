@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ppghrv.data import Dataset
+from ppghrv.data import Dataset, chronological_split
 from ppghrv.errors import ConfigError, SearchExhausted
+from ppghrv.metrics import mape
 from ppghrv.models import (
     MlpTrainingConfig,
     ModelKind,
@@ -12,6 +13,7 @@ from ppghrv.models import (
     train_dt,
 )
 from ppghrv.models import search as search_module
+from ppghrv.models import tree as tree_module
 
 
 def make_ds(X, y):
@@ -110,3 +112,57 @@ class TestRandomSearch:
             random_search(regression_ds, ModelKind.DT, budget=0, seed=0)
         with pytest.raises(ConfigError):
             random_search(regression_ds, ModelKind.DT, budget=1, seed=0, val_fraction=1.0)
+
+
+class TestDtSearchFromOneGrow:
+    """A dt search cuts its candidates from one tree grown on the fit rows;
+    its results are those of training every candidate alone."""
+
+    def test_same_as_training_each_candidate(self, regression_ds):
+        budget, seed = 6, 11
+        result = random_search(regression_ds, ModelKind.DT, budget=budget, seed=seed)
+        sampler = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        drawn = [sample_hyperparams(ModelKind.DT, sampler) for _ in range(budget)]
+        fit, holdout = chronological_split(regression_ds, 0.8)
+        expected = [
+            mape(train_dt(fit, p["max_depth"]).predict_batch(holdout.features), holdout.labels)
+            for p in drawn
+        ]
+        assert [c.hyperparams for c in result.candidates] == drawn
+        assert [c.val_mape_pct for c in result.candidates] == expected
+        winner = train_dt(regression_ds, result.best.hyperparams["max_depth"])
+        for field in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(result.model.nodes, field).tobytes() == \
+                getattr(winner.nodes, field).tobytes()
+
+    def test_grows_two_trees(self, regression_ds, monkeypatch):
+        grown = []
+        real = tree_module.train_dt
+
+        def spy(train, max_depth, seed=0):
+            grown.append((len(train), max_depth))
+            return real(train, max_depth, seed)
+
+        monkeypatch.setattr(tree_module, "train_dt", spy)
+        monkeypatch.setattr(search_module, "train_dt", spy)
+        result = random_search(regression_ds, ModelKind.DT, budget=5, seed=12)
+        deepest = max(c.hyperparams["max_depth"] for c in result.candidates)
+        fit, _ = chronological_split(regression_ds, 0.8)
+        assert grown == [
+            (len(fit), deepest),
+            (len(regression_ds), result.best.hyperparams["max_depth"]),
+        ]
+
+    def test_empty_fit_fails_every_candidate(self, regression_ds, monkeypatch, caplog):
+        empty = make_ds(np.empty((0, 3)), np.empty(0))
+        monkeypatch.setattr(
+            search_module, "chronological_split", lambda ds, frac: (empty, ds)
+        )
+        with caplog.at_level("WARNING", logger=search_module.__name__):
+            with pytest.raises(SearchExhausted, match="all 4 sampled.*empty dataset"):
+                random_search(regression_ds, ModelKind.DT, budget=4, seed=13)
+        failed = [r.getMessage() for r in caplog.records]
+        assert len(failed) == 4
+        for i, message in enumerate(failed):
+            assert message.startswith(f"search candidate {i} (")
+            assert "cannot train a tree on an empty dataset" in message

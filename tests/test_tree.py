@@ -4,6 +4,7 @@ import pytest
 from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, EmptyDataset, FeatureLengthMismatch
 from ppghrv.models import train_dt, tree
+from ppghrv.models.tree import LEAF, MIN_SAMPLES_TO_SPLIT, TreeNodes
 
 
 def make_ds(X, y):
@@ -72,6 +73,58 @@ def oracle_best_split(X, y):
     return best
 
 
+def oracle_grow(X, y, max_depth):
+    """The per-node CART grow the presorted one replaced: each node copies
+    its rows out and searches them with oracle_best_split."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def leaf(node_y) -> int:
+        idx = len(feature)
+        feature.append(LEAF)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(np.mean(node_y)))
+        return idx
+
+    def rec(node_X, node_y, depth) -> int:
+        if (
+            depth >= max_depth
+            or node_y.size < MIN_SAMPLES_TO_SPLIT
+            or np.all(node_y == node_y[0])
+        ):
+            return leaf(node_y)
+        split = oracle_best_split(node_X, node_y)
+        if split is None:
+            return leaf(node_y)
+        f, thr = split
+        idx = len(feature)
+        feature.append(f)
+        threshold.append(float(thr))
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        mask = node_X[:, f] <= np.float64(thr)
+        left[idx] = rec(node_X[mask], node_y[mask], depth + 1)
+        right[idx] = rec(node_X[~mask], node_y[~mask], depth + 1)
+        return idx
+
+    rec(X, y, 0)
+    return TreeNodes(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float32),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.float64),
+    )
+
+
+def assert_same_nodes(got, want, context=None):
+    for field in ("feature", "threshold", "left", "right", "value"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (field, context)
+
+
 def parity_datasets():
     rng = np.random.default_rng(21)
     ints = rng.integers(0, 4, size=(64, 4)).astype(np.float64)
@@ -101,25 +154,87 @@ def parity_datasets():
     }
 
 
+def bootstrap(X, y, seed):
+    """Rows drawn with replacement, as train_rf draws them: duplicate rows
+    tie in every column, so only a stable order keeps the sums the same."""
+    idx = np.random.default_rng(seed).integers(0, y.size, size=y.size)
+    return X[idx], y[idx]
+
+
 class TestSplitSearchParity:
-    """The block-vectorised split search grows the trees the per-feature
-    loop grew, bit for bit, whether a node's columns fit in one block, in a
-    few, or one per block (where each later block must be strictly lower)."""
+    """The presorted grow gives the trees the per-node grow gave, bit for
+    bit, whether a node's columns fit in one block, in a few, or one per
+    block (where each later block must be strictly lower)."""
 
     @pytest.mark.parametrize("name", list(parity_datasets()))
     def test_same_nodes_as_per_feature_loop(self, name, monkeypatch):
         X, y = parity_datasets()[name]
         n, d = X.shape
-        for depth in (1, 3, 20):
-            with monkeypatch.context() as m:
-                m.setattr(tree, "_best_split", oracle_best_split)
-                expected = tree._grow(X, y, depth)
-            for block_elements in (tree.SPLIT_BLOCK_ELEMENTS, 3 * n, 1):
-                monkeypatch.setattr(tree, "SPLIT_BLOCK_ELEMENTS", block_elements)
-                got = tree._grow(X, y, depth)
-                for field in ("feature", "threshold", "left", "right", "value"):
-                    want = getattr(expected, field).tobytes()
-                    assert getattr(got, field).tobytes() == want, (depth, block_elements)
+        for rows in ("all", "bootstrap"):
+            Xr, yr = (X, y) if rows == "all" else bootstrap(X, y, seed=len(name))
+            for depth in (1, 3, 20):
+                expected = oracle_grow(Xr, yr, depth)
+                for block_elements in (tree.SPLIT_BLOCK_ELEMENTS, 3 * n, 1):
+                    monkeypatch.setattr(tree, "SPLIT_BLOCK_ELEMENTS", block_elements)
+                    assert_same_nodes(tree._grow(Xr, yr, depth), expected,
+                                      (rows, depth, block_elements))
+
+    def test_bootstrap_rows_of_a_larger_set(self):
+        # ties from duplicated rows in nodes of a few hundred rows, which
+        # span several column blocks
+        rng = np.random.default_rng(22)
+        X = np.round(rng.normal(size=(300, 12)), 1)
+        y = X[:, 0] - X[:, 3] + rng.normal(scale=0.5, size=300)
+        for seed in range(3):
+            Xb, yb = bootstrap(X, y, seed)
+            assert_same_nodes(tree._grow(Xb, yb, 8), oracle_grow(Xb, yb, 8), seed)
+
+
+class TestDepthTruncation:
+    """train_dt_depths cuts every depth from one grow; each cut is the tree
+    train_dt grows at that depth alone."""
+
+    @pytest.mark.parametrize("name", ["random", "integer_ties_real_labels", "bootstrap"])
+    def test_every_depth_matches_direct_growth(self, name):
+        rng = np.random.default_rng(23)
+        if name == "bootstrap":
+            X, y = bootstrap(rng.normal(size=(400, 6)), rng.normal(size=400), seed=1)
+        else:
+            X, y = parity_datasets()[name]
+        ds = make_ds(X, y)
+        depths = list(range(1, tree.MAX_TREE_DEPTH + 1))
+        cut = tree.train_dt_depths(ds, depths)
+        assert len(cut) == len(depths)
+        for d, model in zip(depths, cut):
+            assert_same_nodes(model.nodes, train_dt(ds, d).nodes, d)
+            assert model.n_features == ds.n_features
+
+    def test_depths_in_draw_order_with_repeats(self):
+        rng = np.random.default_rng(24)
+        ds = make_ds(rng.normal(size=(200, 4)), rng.normal(size=200))
+        depths = [5, 2, 7, 2]
+        for d, model in zip(depths, tree.train_dt_depths(ds, depths)):
+            assert_same_nodes(model.nodes, train_dt(ds, d).nodes, d)
+
+    def test_one_grow_at_the_deepest_depth(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        ds = make_ds(rng.normal(size=(80, 3)), rng.normal(size=80))
+        grown = []
+        real = tree.train_dt
+
+        def spy(train, max_depth, seed=0):
+            grown.append(max_depth)
+            return real(train, max_depth, seed)
+
+        monkeypatch.setattr(tree, "train_dt", spy)
+        tree.train_dt_depths(ds, [4, 9, 6])
+        assert grown == [9]
+
+    def test_errors_of_the_grow_propagate(self):
+        with pytest.raises(EmptyDataset):
+            tree.train_dt_depths(make_ds(np.empty((0, 2)), np.empty(0)), [3, 4])
+        with pytest.raises(ConfigError):
+            tree.train_dt_depths(make_ds(np.arange(4.0), np.arange(4.0)), [3, 21])
 
 
 class TestDepthOneOracle:
