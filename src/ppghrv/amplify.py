@@ -9,7 +9,7 @@ by Monte Carlo over paired windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,7 +138,4 @@ def amplification_table(
 
 def default_base_trace(seed: int = 0) -> RrSeries:
     """The documented synthetic base series for amplification runs."""
-    cfg = BASE_TRACE_CONFIG if seed == 0 else SynthConfig(
-        **{**BASE_TRACE_CONFIG.__dict__, "seed": seed}
-    )
-    return generate_rr_trace(cfg).rr
+    return generate_rr_trace(replace(BASE_TRACE_CONFIG, seed=seed)).rr

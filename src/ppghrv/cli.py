@@ -23,7 +23,7 @@ from .amplify import (
     default_base_trace,
 )
 from .data import build_hrv_dataset
-from .errors import ConfigError, HrvError
+from .errors import ConfigError, HrvError, TooShort
 from .experiment import ExperimentConfig, run_experiment
 from .io import (
     read_dataset_csv,
@@ -37,15 +37,11 @@ from .io import (
     write_trace_csv,
 )
 from .metrics import HrvMetricKind, mape
-from .models import (
-    MlpTrainingConfig,
-    ModelKind,
-    bench_inference,
-    load_model,
-    random_search,
-    save_model,
-    serialized_size,
-)
+from .models.base import ModelKind
+from .models.bench import bench_inference
+from .models.codec import load_model, save_model, serialized_size
+from .models.mlp import DEFAULT_MAX_EPOCHS
+from .models.search import random_search
 from .sigproc import (
     DEFAULT_SAMPLING_RATE_HZ,
     DEFAULT_Z_SCORE,
@@ -93,6 +89,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"expected a seed (an integer >= 0), got {text!r}") from None
+    if value < 0:
+        raise ConfigError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _float(text: str) -> float:
     try:
         value = float(text)
@@ -128,7 +134,7 @@ RUN_FILE_KEYS = {
     "duration_s": _float,
     "stride_s": int,
     "budget": int,
-    "seed": int,
+    "seed": _seed,
     "train_fraction": _float,
     "val_fraction": _float,
     "bench_repetitions": int,
@@ -170,7 +176,7 @@ def build_parser() -> _Parser:
                        help="generate a synthetic PPG trace with RR ground truth")
     p.add_argument("--preset", required=True, choices=sorted(ACTIVITY_PRESETS))
     p.add_argument("--duration-s", type=_float, default=600.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--clean", action="store_true",
                    help="disable motion artifacts and sensor noise")
     p.add_argument("--out-ppg", required=True)
@@ -193,9 +199,9 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", type=_model_kind, required=True)
     p.add_argument("--budget", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--val-fraction", type=_float, default=0.2)
-    p.add_argument("--mlp-max-epochs", type=int, default=500)
+    p.add_argument("--mlp-max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval",
@@ -218,7 +224,7 @@ def build_parser() -> _Parser:
                        help="RR-to-HRV error amplification table")
     p.add_argument("--levels", type=_list_of(_float), default=DEFAULT_MAPE_LEVELS_PCT)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--window-s", type=_float, default=DEFAULT_WINDOW_S)
     p.add_argument("--out", required=True)
 
@@ -227,7 +233,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", help="probe rows come from this dataset CSV")
     p.add_argument("--repetitions", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     return parser
 
@@ -272,7 +278,7 @@ def _cmd_train(args) -> None:
         budget=args.budget,
         seed=args.seed,
         val_fraction=args.val_fraction,
-        mlp_cfg=MlpTrainingConfig(max_epochs=args.mlp_max_epochs),
+        mlp_max_epochs=args.mlp_max_epochs,
     )
     save_model(result.model, args.out)
     print(f"best hyperparams: {result.best.hyperparams}")
@@ -304,8 +310,6 @@ def _cmd_run(args) -> None:
     if not values.get("out_dir"):
         raise ConfigError("run needs --out-dir (or out_dir in the config file)")
     values["out_dir"] = Path(values["out_dir"])
-    if "lengths" in values:
-        values["monitor_lens_s"] = values.pop("lengths")
     cfg = ExperimentConfig(**values)
     rows = run_experiment(cfg)
     for r in rows:
@@ -319,13 +323,18 @@ def _cmd_run(args) -> None:
 
 
 def _cmd_amplify(args) -> None:
-    rows = amplification_table(
-        default_base_trace(args.seed),
-        mape_levels_pct=args.levels,
-        trials=args.trials,
-        window_s=args.window_s,
-        rng_seed=args.seed,
-    )
+    base = default_base_trace(args.seed)
+    try:
+        rows = amplification_table(
+            base,
+            mape_levels_pct=args.levels,
+            trials=args.trials,
+            window_s=args.window_s,
+            rng_seed=args.seed,
+        )
+    except TooShort as err:
+        # the base trace is built in, so too few windows means a bad --window-s
+        raise ConfigError(f"--window-s {args.window_s:g}: {err}") from None
     write_amplification_csv(args.out, rows)
     for r in rows:
         print(

@@ -21,19 +21,17 @@ from .data import Dataset, build_hrv_dataset, chronological_split
 from .errors import ConfigError, HrvError
 from .io import write_results_csv, write_trace_csv
 from .metrics import HrvMetricKind, mape
-from .models import (
-    MlpTrainingConfig,
-    ModelKind,
-    bench_inference,
-    random_search,
-    serialized_size,
-)
+from .models.base import ModelKind
+from .models.bench import bench_inference
+from .models.codec import serialized_size
+from .models.mlp import DEFAULT_MAX_EPOCHS
+from .models.search import random_search
 from .sigproc import SmoothedHrSeries, ppg_to_hr, smooth, zscore_adjust
 from .synth import GroundTruth, activity_preset, generate_rr_trace, render_ppg
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MONITOR_LENS_S = (30, 60, 120, 180, 240, 300)
+DEFAULT_LENGTHS_S = (30, 60, 120, 180, 240, 300)
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ class ExperimentConfig:
     out_dir: Path
     activities: tuple[str, ...] = ("sit", "sleep", "office_work")
     metrics: tuple[HrvMetricKind, ...] = (HrvMetricKind.RMSSD, HrvMetricKind.SDNN)
-    monitor_lens_s: tuple[int, ...] = DEFAULT_MONITOR_LENS_S
+    lengths: tuple[int, ...] = DEFAULT_LENGTHS_S  # monitoring lengths n_s
     models: tuple[ModelKind, ...] = (
         ModelKind.DT,
         ModelKind.RF,
@@ -56,10 +54,10 @@ class ExperimentConfig:
     val_fraction: float = 0.2
     bench_repetitions: int = 0  # 0 keeps timing out of the results (deterministic)
     clean: bool = False         # disable artifacts and sensor noise
-    mlp_max_epochs: int = 500
+    mlp_max_epochs: int = DEFAULT_MAX_EPOCHS
 
     def __post_init__(self):
-        if not self.activities or not self.metrics or not self.monitor_lens_s:
+        if not self.activities or not self.metrics or not self.lengths:
             raise ConfigError("need at least one activity, metric and monitoring length")
         if not self.models:
             raise ConfigError("need at least one model kind")
@@ -67,7 +65,11 @@ class ExperimentConfig:
             raise ConfigError("search budget must be >= 1")
         if self.stride_s < 1:
             raise ConfigError("stride_s must be >= 1")
-        max_n = max(self.monitor_lens_s)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if min(self.lengths) < 2:
+            raise ConfigError(f"lengths must be >= 2 s, got {min(self.lengths)}")
+        max_n = max(self.lengths)
         if self.duration_s < max_n + 60:
             raise ConfigError(
                 f"duration_s={self.duration_s:g} leaves no room for "
@@ -139,7 +141,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     for activity in cfg.activities:
         gt, shr = _process_activity(cfg, activity)
         for metric in cfg.metrics:
-            for n_s in cfg.monitor_lens_s:
+            for n_s in cfg.lengths:
                 try:
                     ds = build_hrv_dataset(
                         shr, gt, n_s=n_s, kind=metric, stride_s=cfg.stride_s
@@ -188,14 +190,13 @@ def _run_cell(
     model_kind: ModelKind,
 ) -> ResultRow:
     activity, metric, n_s, model_name = cell
-    mlp_cfg = MlpTrainingConfig(max_epochs=cfg.mlp_max_epochs)
     result = random_search(
         train,
         model_kind,
         budget=cfg.budget,
         seed=_cell_seed(cfg.seed, *cell),
         val_fraction=cfg.val_fraction,
-        mlp_cfg=mlp_cfg,
+        mlp_max_epochs=cfg.mlp_max_epochs,
     )
     model = result.model
     preds = model.predict_batch(test.features)

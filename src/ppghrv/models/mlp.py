@@ -27,22 +27,20 @@ ACTIVATIONS = (RELU, TANH)
 MAX_HIDDEN_LAYERS = 5
 MAX_NEURONS_PER_LAYER = 100
 
+BATCH_SIZE = 32
+LEARNING_RATE = 1e-3
+PATIENCE = 20         # epochs without val improvement before stopping
+VAL_FRACTION = 0.1    # chronological tail of train used for early stop
+DEFAULT_MAX_EPOCHS = 500
+
 
 @dataclass(frozen=True)
 class MlpTrainingConfig:
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    max_epochs: int = 500
-    patience: int = 20        # epochs without val improvement before stopping
-    val_fraction: float = 0.1  # chronological tail of train used for early stop
+    max_epochs: int = DEFAULT_MAX_EPOCHS
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ConfigError("batch_size, max_epochs and patience must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must lie in [0, 1)")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
 
 
 def init_params(layer_sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -128,10 +126,6 @@ class MlpRegressor(TrainedModel):
         self._x_mu64 = x_mu.astype(np.float64)
         self._x_sigma64 = x_sigma.astype(np.float64)
 
-    @property
-    def hidden_layers(self) -> tuple[int, ...]:
-        return tuple(W.shape[1] for W, _ in self.params32[:-1])
-
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         Xs = (X - self._x_mu64) / self._x_sigma64
         out = forward(self._params64, Xs, self.activation)
@@ -167,7 +161,7 @@ def train_mlp(
     ys = (y64 - y_mu) / y_sigma
 
     m = ys.size
-    n_val = int(np.floor(cfg.val_fraction * m))
+    n_val = int(np.floor(VAL_FRACTION * m))
     if n_val >= 1:
         X_tr, y_tr = Xs[: m - n_val], ys[: m - n_val]
         X_val, y_val = Xs[m - n_val :], ys[m - n_val :]
@@ -184,18 +178,18 @@ def train_mlp(
     stall = 0
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(y_tr.size)
-        for lo in range(0, y_tr.size, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
+        for lo in range(0, y_tr.size, BATCH_SIZE):
+            batch = order[lo : lo + BATCH_SIZE]
             loss, grads = loss_and_grads(params, X_tr[batch], y_tr[batch], activation)
             if not np.isfinite(loss):
                 raise DivergedLoss(
-                    f"non-finite batch loss at epoch {epoch} (lr={cfg.learning_rate})"
+                    f"non-finite batch loss at epoch {epoch} (lr={LEARNING_RATE})"
                 )
             # in place; dW *= lr; W -= dW rounds as W - lr * dW does
             for (W, b), (dW, db) in zip(params, grads):
-                dW *= cfg.learning_rate
+                dW *= LEARNING_RATE
                 W -= dW
-                db *= cfg.learning_rate
+                db *= LEARNING_RATE
                 b -= db
         val_pred = forward(params, X_val, activation)
         val_loss = float(np.mean((val_pred - y_val) ** 2))
@@ -207,7 +201,7 @@ def train_mlp(
             stall = 0
         else:
             stall += 1
-            if stall >= cfg.patience:
+            if stall >= PATIENCE:
                 break
 
     params32 = [(W.astype(np.float32), b.astype(np.float32)) for W, b in best]

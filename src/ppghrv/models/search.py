@@ -27,6 +27,7 @@ from .forest import MAX_TREES, MIN_TREES, train_rf
 from .knn import DISTANCES, MAX_K, MIN_K, train_knn
 from .mlp import (
     ACTIVATIONS,
+    DEFAULT_MAX_EPOCHS,
     MAX_HIDDEN_LAYERS,
     MAX_NEURONS_PER_LAYER,
     MlpTrainingConfig,
@@ -80,7 +81,7 @@ def _candidate_trainer(kind, fit, drawn, mlp_cfg):
 
 def _train(kind, train, params, seed, mlp_cfg):
     if kind is ModelKind.DT:
-        return train_dt(train, params["max_depth"], seed=seed)
+        return train_dt(train, params["max_depth"])
     if kind is ModelKind.RF:
         return train_rf(train, params["trees"], params["max_depth"], seed=seed)
     if kind is ModelKind.KNN:
@@ -111,29 +112,34 @@ def random_search(
     budget: int,
     seed: int = 0,
     val_fraction: float = 0.2,
-    mlp_cfg: MlpTrainingConfig | None = None,
+    mlp_max_epochs: int = DEFAULT_MAX_EPOCHS,
 ) -> SearchResult:
     """Try `budget` sampled configs, keep the lowest validation MAPE.
 
     Validation is the chronological tail of `train`; the winner is then
-    retrained on all of `train` with the same derived seed.
+    retrained on all of `train` with the same derived seed.  mlp_max_epochs
+    bounds each MLP's training; other kinds ignore it.
     """
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must lie strictly between 0 and 1")
+    mlp_cfg = MlpTrainingConfig(max_epochs=mlp_max_epochs)
 
     sampler = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
     drawn = [sample_hyperparams(kind, sampler) for _ in range(budget)]
+    seeds = [
+        int(np.random.SeedSequence((int(seed), 1 + i)).generate_state(1)[0])
+        for i in range(budget)
+    ]
 
     fit, holdout = chronological_split(train, 1.0 - val_fraction)
 
     train_candidate = _candidate_trainer(kind, fit, drawn, mlp_cfg)
     candidates: list[Candidate] = []
     for i, params in enumerate(drawn):
-        cand_seed = int(np.random.SeedSequence((int(seed), 1 + i)).generate_state(1)[0])
         try:
-            model = train_candidate(i, cand_seed)
+            model = train_candidate(i, seeds[i])
             preds = model.predict_batch(holdout.features)
             score = mape(preds, holdout.labels)
         except HrvError as err:
@@ -149,8 +155,5 @@ def random_search(
             f"{candidates[-1].error}"
         )
     best = min(scored, key=lambda c: (c.val_mape_pct, c.index))
-    best_seed = int(
-        np.random.SeedSequence((int(seed), 1 + best.index)).generate_state(1)[0]
-    )
-    final = _train(kind, train, best.hyperparams, best_seed, mlp_cfg)
+    final = _train(kind, train, best.hyperparams, seeds[best.index], mlp_cfg)
     return SearchResult(model=final, best=best, candidates=tuple(candidates))

@@ -206,16 +206,6 @@ class DecisionTree(TrainedModel):
         self.nodes = nodes
         self._lists = _as_lists(nodes)
 
-    def depth(self) -> int:
-        feature, _, left, right, _ = self._lists
-
-        def walk(i):
-            if feature[i] == LEAF:
-                return 0
-            return 1 + max(walk(left[i]), walk(right[i]))
-
-        return walk(0)
-
     def n_nodes(self) -> int:
         return len(self.nodes)
 

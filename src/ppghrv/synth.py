@@ -2,8 +2,8 @@
 
 Beats are laid down sequentially from an instantaneous HR curve plus
 Gaussian beat-to-beat jitter; the PPG is a train of asymmetric raised-cosine
-pulses with optional motion-artifact bursts, sensor gain, and additive
-noise.  Everything is a pure function of the config including its seed.
+pulses with optional motion-artifact bursts and additive noise.  Everything
+is a pure function of the config including its seed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, moving_average
 RR_CLAMP_MS = (250.0, 2000.0)        # physiological interval bounds
 PULSE_RISE_FRACTION = 0.3            # systolic upstroke share of the period
 ARTIFACT_AMPLITUDE_RANGE = (1.0, 3.0)  # multiples of the pulse amplitude
+ARTIFACT_DURATION_RANGE_S = (0.5, 2.0)  # seconds per burst
 ARTIFACT_BAND_HZ = (0.5, 5.0)        # rough band of the burst content
 # 24 h; generate_rr_trace lays beats down in a Python loop and render_ppg
 # holds duration_s * sampling_rate_hz samples, so a longer trace costs time
@@ -40,8 +41,6 @@ class SynthConfig:
     hr_drift_period_s: float = 300.0
     rr_jitter_ms: float = 0.0
     artifact_rate_per_min: float = 0.0
-    artifact_duration_range_s: tuple[float, float] = (0.5, 2.0)
-    sensor_bias_gain: float = 1.0
     additive_noise_sigma: float = 0.0
     seed: int = 0
 
@@ -68,11 +67,6 @@ class SynthConfig:
             raise ConfigError("rr_jitter_ms must be >= 0")
         if self.artifact_rate_per_min < 0:
             raise ConfigError("artifact_rate_per_min must be >= 0")
-        dlo, dhi = self.artifact_duration_range_s
-        if not 0 < dlo <= dhi:
-            raise ConfigError("artifact_duration_range_s must satisfy 0 < lo <= hi")
-        if self.sensor_bias_gain <= 0:
-            raise ConfigError("sensor_bias_gain must be positive")
         if self.additive_noise_sigma < 0:
             raise ConfigError("additive_noise_sigma must be >= 0")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -149,12 +143,12 @@ def render_ppg(gt: GroundTruth, cfg: SynthConfig) -> PpgSignal:
     Each beat contributes a raised-cosine pulse peaking at the beat time:
     the upstroke spans 30% of the preceding interval and the decay 70% of
     the following one, so consecutive templates tile without overlap.  The
-    result is gain * pulses + Gaussian noise + motion artifacts.
+    result is pulses + Gaussian noise + motion artifacts.
     """
     fs = cfg.sampling_rate_hz
     n = int(round(cfg.duration_s * fs))
     t = np.arange(n) / fs
-    clean = np.zeros(n)
+    signal = np.zeros(n)
     bt = gt.beat_times_s
     rr_s = gt.rr.intervals_ms / 1000.0
     n_rr = rr_s.size
@@ -165,8 +159,7 @@ def render_ppg(gt: GroundTruth, cfg: SynthConfig) -> PpgSignal:
         j1 = min(n - 1, int(np.floor((b + decay_s) * fs)))
         if j1 < j0:
             continue
-        clean[j0 : j1 + 1] += _pulse_curve(t[j0 : j1 + 1], b, rise_s, decay_s)
-    signal = cfg.sensor_bias_gain * clean
+        signal[j0 : j1 + 1] += _pulse_curve(t[j0 : j1 + 1], b, rise_s, decay_s)
     if cfg.additive_noise_sigma > 0:
         signal = signal + _rng(cfg, _NOISE_STREAM).normal(
             0.0, cfg.additive_noise_sigma, n
@@ -184,8 +177,7 @@ def sample_artifact_epochs(cfg: SynthConfig, rng: np.random.Generator) -> list[t
     if count == 0:
         return []
     starts = np.sort(rng.uniform(0.0, cfg.duration_s, size=count))
-    lo, hi = cfg.artifact_duration_range_s
-    durations = rng.uniform(lo, hi, size=count)
+    durations = rng.uniform(*ARTIFACT_DURATION_RANGE_S, size=count)
     return list(zip(starts.tolist(), durations.tolist()))
 
 
@@ -211,14 +203,13 @@ def inject_motion_artifacts(signal: PpgSignal, cfg: SynthConfig) -> PpgSignal:
     fs = signal.sampling_rate_hz
     x = signal.samples.copy()
     n = x.size
-    pulse_amplitude = cfg.sensor_bias_gain  # templates peak at 1.0 before gain
     for start_s, dur_s in sample_artifact_epochs(cfg, rng):
         j0 = int(round(start_s * fs))
         j1 = min(n, j0 + max(2, int(round(dur_s * fs))))
         if j0 >= n:
             continue
         m = j1 - j0
-        amp = rng.uniform(*ARTIFACT_AMPLITUDE_RANGE) * pulse_amplitude
+        amp = rng.uniform(*ARTIFACT_AMPLITUDE_RANGE)  # pulses peak at 1.0
         x[j0:j1] += amp * _burst(rng, m, fs) * np.hanning(m)
     return PpgSignal(fs, x, signal.start_time_s)
 

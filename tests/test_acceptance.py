@@ -16,17 +16,20 @@ from ppghrv.amplify import amplification_table, default_base_trace
 from ppghrv.cli import main
 from ppghrv.data import build_hrv_dataset, chronological_split, Dataset
 from ppghrv.metrics import HrvMetricKind, RrSeries, mape, rmssd, sdnn
-from ppghrv.models import (
+from ppghrv.models.base import ModelKind
+from ppghrv.models.bench import bench_inference
+from ppghrv.models.codec import serialized_size
+from ppghrv.models.knn import train_knn
+from ppghrv.models.mlp import (
+    RELU,
+    TANH,
     MlpTrainingConfig,
-    ModelKind,
-    bench_inference,
-    random_search,
-    serialized_size,
-    train_dt,
-    train_knn,
+    init_params,
+    loss_and_grads,
     train_mlp,
 )
-from ppghrv.models.mlp import RELU, TANH, init_params, loss_and_grads
+from ppghrv.models.search import random_search
+from ppghrv.models.tree import train_dt
 from ppghrv.sigproc import ppg_to_hr, smooth, zscore_adjust
 from ppghrv.synth import SynthConfig, activity_preset, generate_rr_trace, render_ppg
 
@@ -133,7 +136,7 @@ def test_criterion_04_compound_beats_sigproc(office_hour, rmssd_splits):
     if not (compound < sig and compound <= 20.0):
         result = random_search(
             train, ModelKind.MLP, budget=10, seed=17,
-            mlp_cfg=MlpTrainingConfig(max_epochs=500),
+            mlp_max_epochs=500,
         )
         compound = mape(result.model.predict_batch(test.features), test.labels)
         used = "mlp"

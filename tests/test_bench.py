@@ -3,7 +3,8 @@ import pytest
 
 from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError
-from ppghrv.models import bench_inference, train_dt
+from ppghrv.models.bench import bench_inference
+from ppghrv.models.tree import train_dt
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,8 @@ import ppghrv.experiment
 from ppghrv.cli import main, read_config_file
 from ppghrv.errors import EmptyDataset
 from ppghrv.io import read_dataset_csv, read_ppg_csv, read_rr_csv
-from ppghrv.models import ModelKind, load_model
-from ppghrv.models.codec import MAGIC
+from ppghrv.models.base import ModelKind
+from ppghrv.models.codec import MAGIC, load_model
 
 
 @pytest.fixture(scope="module")
@@ -359,7 +359,12 @@ class TestExitCodes:
         (["--val-fraction", "0"], "val_fraction"),
         (["--val-fraction", "1.5"], "val_fraction"),
         (["--mlp-max-epochs", "0"], "mlp_max_epochs"),
-    ], ids=["activity", "train_zero", "train_above_one", "val_zero", "val_above_one", "epochs_zero"])
+        (["--lengths", "1"], "lengths must be >= 2"),
+        (["--lengths", "0"], "lengths must be >= 2"),
+        (["--lengths", "-5"], "lengths must be >= 2"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["activity", "train_zero", "train_above_one", "val_zero", "val_above_one", "epochs_zero",
+            "length_one", "length_zero", "length_negative", "seed_negative"])
     def test_bad_run_setting_fails_before_any_write(self, args, message, tmp_path, capsys):
         # these used to synthesise every activity, then fail each cell with exit 2
         # (or leave an empty out_dir behind)
@@ -372,9 +377,32 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_negative_seed_is_config_error(self, command, workdir, tmp_path, capsys):
+        # a negative seed reached numpy's SeedSequence and exited 3
+        args = {
+            "train": ["--dataset", str(workdir / "ds.csv"), "--model", "dt",
+                      "--out", str(tmp_path / "m.bin")],
+            "bench": ["--model", str(workdir / "model.bin")],
+        }[command]
+        assert main([command, "--seed", "-1"] + args) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("window_s", ["0.5", "1e6"])
+    def test_amplify_window_yielding_too_few_windows_is_config_error(
+        self, window_s, tmp_path, capsys
+    ):
+        out = tmp_path / "a.csv"
+        code = main(["amplify", "--window-s", window_s, "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert "--window-s" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, message", [
         ("train_fraction = inf", "finite"),
         ("budget = many", "bad budget value"),
+        ("seed = -1", "seed must be >= 0"),
     ])
     def test_bad_config_number_is_config_error(self, line, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -5,29 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppghrv.data import Dataset
 from ppghrv.errors import ParseError
-from ppghrv.models import (
-    MlpTrainingConfig,
+from ppghrv.models.codec import (
+    MAGIC,
+    _write_varint,
     decode,
     encode,
     load_model,
     save_model,
     serialized_size,
-    train_dt,
-    train_knn,
-    train_mlp,
-    train_rf,
 )
-from ppghrv.models.codec import MAGIC, _write_varint
-
-
-def make_ds(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=np.float64)
-    return Dataset(X, y, np.arange(y.size, dtype=np.float64))
+from ppghrv.models.forest import train_rf
+from ppghrv.models.knn import train_knn
+from ppghrv.models.mlp import MlpTrainingConfig, train_mlp
+from ppghrv.models.tree import train_dt
+from helpers import make_ds
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ from ppghrv.errors import ConfigError, EmptyDataset, HrvError
 from ppghrv.experiment import ExperimentConfig, run_experiment
 from ppghrv.io import RESULTS_HEADER, TRACE_HEADER
 from ppghrv.metrics import HrvMetricKind
-from ppghrv.models import ModelKind
+from ppghrv.models.base import ModelKind
 
 
 def small_config(out_dir, **overrides):
@@ -14,7 +14,7 @@ def small_config(out_dir, **overrides):
         out_dir=out_dir,
         activities=("sit",),
         metrics=(HrvMetricKind.RMSSD,),
-        monitor_lens_s=(30, 60),
+        lengths=(30, 60),
         models=(ModelKind.DT, ModelKind.KNN),
         duration_s=400.0,
         stride_s=5,
@@ -113,7 +113,7 @@ class TestRunExperiment:
     def test_bench_repetitions_add_latency(self, tmp_path):
         cfg = small_config(
             tmp_path / "bench",
-            monitor_lens_s=(30,),
+            lengths=(30,),
             models=(ModelKind.DT,),
             bench_repetitions=100,
         )
@@ -129,11 +129,20 @@ class TestExperimentConfigValidation:
 
     def test_zero_lengths_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            small_config(tmp_path, monitor_lens_s=())
+            small_config(tmp_path, lengths=())
+
+    @pytest.mark.parametrize("length", [1, 0, -5])
+    def test_length_below_two_rejected(self, tmp_path, length):
+        with pytest.raises(ConfigError, match="lengths must be >= 2"):
+            small_config(tmp_path, lengths=(30, length))
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            small_config(tmp_path, seed=-1)
 
     def test_duration_must_fit_windows(self, tmp_path):
         with pytest.raises(ConfigError):
-            small_config(tmp_path, duration_s=100.0, monitor_lens_s=(300,))
+            small_config(tmp_path, duration_s=100.0, lengths=(300,))
 
     def test_bad_bench_repetitions(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -148,7 +157,7 @@ class TestNoiselessBaselineBeaten:
             out_dir=tmp_path / "clean",
             activities=("sit",),
             metrics=(HrvMetricKind.RMSSD,),
-            monitor_lens_s=(300,),
+            lengths=(300,),
             models=(ModelKind.DT,),
             duration_s=1500.0,
             stride_s=2,

@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
 
-from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, EmptyDataset
-from ppghrv.models import RandomForest, train_dt, train_rf
+from ppghrv.models.forest import RandomForest, train_rf
+from ppghrv.models.tree import train_dt
+from helpers import make_ds
 from test_tree import assert_same_nodes, oracle_grow
-
-
-def make_ds(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=np.float64)
-    return Dataset(X, y, np.arange(y.size, dtype=np.float64))
 
 
 @pytest.fixture(scope="module")

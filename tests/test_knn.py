@@ -5,18 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, FeatureLengthMismatch, KTooLarge
-from ppghrv.models import KnnRegressor, train_knn
-from ppghrv.models.knn import DISTANCES, MAX_K, MIN_K
-
-
-def make_ds(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=np.float64)
-    return Dataset(X, y, np.arange(y.size, dtype=np.float64))
+from ppghrv.models.knn import DISTANCES, MAX_K, MIN_K, KnnRegressor, train_knn
+from helpers import make_ds
 
 
 class TestKnnOracle:

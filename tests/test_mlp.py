@@ -1,20 +1,12 @@
 import numpy as np
 import pytest
 
-from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, DivergedLoss, EmptyDataset
-from ppghrv.models import MlpTrainingConfig, train_mlp
-from ppghrv.models.mlp import forward, init_params, loss_and_grads
+from ppghrv.models import mlp
+from ppghrv.models.mlp import MlpTrainingConfig, forward, init_params, loss_and_grads, train_mlp
+from helpers import make_ds
 
 FD_STEP = 1e-5
-
-
-def make_ds(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=np.float64)
-    return Dataset(X, y, np.arange(y.size, dtype=np.float64))
 
 
 class TestForwardPass:
@@ -72,9 +64,7 @@ class TestTraining:
         rng = np.random.default_rng(3)
         x = rng.uniform(0.0, 1.0, size=200)
         ds = make_ds(x, 2.0 * x + 1.0)
-        cfg = MlpTrainingConfig(
-            batch_size=32, learning_rate=0.05, max_epochs=2000, patience=200
-        )
+        cfg = MlpTrainingConfig(max_epochs=2000)
         model = train_mlp(ds, hidden_layers=(8,), activation="tanh", cfg=cfg, seed=0)
         preds = model.predict_batch(ds.features)
         mse = float(np.mean((preds - ds.labels) ** 2))
@@ -98,10 +88,11 @@ class TestTraining:
         b = train_mlp(ds, (5,), "relu", cfg=cfg, seed=2)
         assert not np.array_equal(a.params32[0][0], b.params32[0][0])
 
-    def test_diverged_loss_raised(self):
+    def test_diverged_loss_raised(self, monkeypatch):
         rng = np.random.default_rng(6)
         ds = make_ds(rng.normal(size=(80, 2)), rng.uniform(10, 20, size=80))
-        cfg = MlpTrainingConfig(learning_rate=1e9, max_epochs=50)
+        monkeypatch.setattr(mlp, "LEARNING_RATE", 1e9)
+        cfg = MlpTrainingConfig(max_epochs=50)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedLoss):
                 train_mlp(ds, (10, 10), "relu", cfg=cfg, seed=0)
@@ -133,8 +124,4 @@ class TestMlpValidation:
 
     def test_training_config_validated(self):
         with pytest.raises(ConfigError):
-            MlpTrainingConfig(batch_size=0)
-        with pytest.raises(ConfigError):
-            MlpTrainingConfig(learning_rate=0.0)
-        with pytest.raises(ConfigError):
-            MlpTrainingConfig(val_fraction=1.0)
+            MlpTrainingConfig(max_epochs=0)

@@ -1,27 +1,16 @@
 import numpy as np
 import pytest
 
-from ppghrv.data import Dataset, chronological_split
+from ppghrv.data import chronological_split
 from ppghrv.errors import ConfigError, SearchExhausted
 from ppghrv.metrics import mape
-from ppghrv.models import (
-    MlpTrainingConfig,
-    ModelKind,
-    encode,
-    random_search,
-    sample_hyperparams,
-    train_dt,
-)
 from ppghrv.models import search as search_module
 from ppghrv.models import tree as tree_module
-
-
-def make_ds(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=np.float64)
-    return Dataset(X, y, np.arange(y.size, dtype=np.float64))
+from ppghrv.models.base import ModelKind
+from ppghrv.models.codec import encode
+from ppghrv.models.search import random_search, sample_hyperparams
+from ppghrv.models.tree import train_dt
+from helpers import make_ds
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +83,6 @@ class TestRandomSearch:
             random_search(small, ModelKind.KNN, budget=4, seed=7)
 
     def test_mlp_search_uses_training_config(self, regression_ds, monkeypatch):
-        cfg = MlpTrainingConfig(max_epochs=5)
         seen = []
         real = search_module.train_mlp
 
@@ -103,9 +91,9 @@ class TestRandomSearch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(search_module, "train_mlp", spy)
-        random_search(regression_ds, ModelKind.MLP, budget=2, seed=8, mlp_cfg=cfg)
+        random_search(regression_ds, ModelKind.MLP, budget=2, seed=8, mlp_max_epochs=5)
         assert len(seen) == 3  # two candidates and the retrained winner
-        assert all(c is cfg for c in seen)
+        assert all(c.max_epochs == 5 for c in seen)
 
     def test_bad_budget_and_fraction(self, regression_ds):
         with pytest.raises(ConfigError):

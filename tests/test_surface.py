@@ -1,0 +1,70 @@
+"""Ratchets on the package's public surface.
+
+A settable value is a parameter with a default or a dataclass field: each is
+a setting some caller may change.  An option that only ever takes one value
+belongs in a module constant, so the count may fall but must not grow.
+"""
+
+import ast
+from pathlib import Path
+
+import ppghrv
+import ppghrv.models
+
+MAX_SETTABLE_VALUES = 85
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if ast.unparse(target) in ("dataclass", "dataclasses.dataclass"):
+            return True
+    return False
+
+
+def settable_values(source: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            count += len(args.defaults)
+            count += sum(d is not None for d in args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    return count
+
+
+def test_counter_counts_defaults_and_dataclass_fields():
+    source = '''
+from dataclasses import dataclass, field
+
+def f(a, b=1, *, c, d=2):
+    return lambda x=0: x
+
+@dataclass(frozen=True)
+class C:
+    a: int
+    b: tuple = field(repr=False)
+    LIMIT = 3
+
+class Plain:
+    a: int = 1
+'''
+    assert settable_values(source) == 3 + 2
+
+
+def test_settable_values_do_not_grow():
+    src = Path(ppghrv.__file__).parent
+    total = sum(settable_values(p.read_text()) for p in sorted(src.rglob("*.py")))
+    assert total <= MAX_SETTABLE_VALUES
+
+
+def test_models_package_binds_no_public_names():
+    # callers import each model submodule by name
+    public = [
+        name for name in vars(ppghrv.models)
+        if not name.startswith("_") and not isinstance(
+            getattr(ppghrv.models, name), type(ppghrv.models)
+        )
+    ]
+    assert public == []

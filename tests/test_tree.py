@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, EmptyDataset, FeatureLengthMismatch
-from ppghrv.models import train_dt, tree
-from ppghrv.models.tree import LEAF, MIN_SAMPLES_TO_SPLIT, TreeNodes
-
-
-def make_ds(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=np.float64)
-    return Dataset(X, y, np.arange(y.size, dtype=np.float64))
+from ppghrv.models import tree
+from ppghrv.models.tree import LEAF, MIN_SAMPLES_TO_SPLIT, TreeNodes, train_dt
+from helpers import make_ds
 
 
 def oracle_depth1_split(X, y):
@@ -279,8 +271,13 @@ class TestTreeStructure:
     def test_depth_limit_respected(self):
         rng = np.random.default_rng(0)
         ds = make_ds(rng.normal(size=(200, 3)), rng.normal(size=200))
-        for depth in (1, 2, 5):
-            assert train_dt(ds, max_depth=depth).depth() <= depth
+        for max_depth in (1, 2, 5):
+            nodes = train_dt(ds, max_depth=max_depth).nodes
+            depth = [0] * len(nodes)
+            for i in range(len(nodes)):  # preorder: children follow their parent
+                if nodes.feature[i] != LEAF:
+                    depth[nodes.left[i]] = depth[nodes.right[i]] = depth[i] + 1
+            assert max(depth) <= max_depth
 
     def test_predictions_within_label_range(self):
         rng = np.random.default_rng(1)
