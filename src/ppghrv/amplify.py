@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTarget, TooShort
+from .errors import ConfigError
 from .metrics import RrSeries, mape, rmssd, sdnn
 from .synth import SynthConfig, generate_rr_trace
 
@@ -50,13 +50,13 @@ def inject_rr_error(rr: RrSeries, target_mape_pct: float, rng_seed: int) -> RrSe
 
     Each interval becomes RR_i * (1 + eps_i) with eps_i ~ Uniform(-a, a)
     and a = 2 * target / 100, so E|eps| equals the target.  Levels of 50%
-    or more would allow non-positive intervals and raise InvalidTarget.
+    or more would allow non-positive intervals and raise ConfigError.
     """
     if target_mape_pct < 0:
-        raise InvalidTarget("target_mape_pct must be >= 0")
+        raise ConfigError("target_mape_pct must be >= 0")
     a = 2.0 * target_mape_pct / 100.0
     if a >= 1.0:
-        raise InvalidTarget(
+        raise ConfigError(
             f"target of {target_mape_pct}% needs eps amplitude {a} >= 1, "
             "which would produce non-positive intervals"
         )
@@ -105,8 +105,8 @@ def amplification_table(
         raise ConfigError("window_s must be positive")
     slices = _window_slices(base, window_s)
     if len(slices) < MIN_WINDOWS:
-        raise TooShort(
-            f"base trace yields {len(slices)} windows of {window_s}s, "
+        raise ConfigError(
+            f"window_s={window_s} cuts the base trace into {len(slices)} windows, "
             f"need at least {MIN_WINDOWS}"
         )
     base_rmssd = np.array([rmssd(RrSeries(base.intervals_ms[s])) for s in slices])

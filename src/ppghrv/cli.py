@@ -23,7 +23,7 @@ from .amplify import (
     default_base_trace,
 )
 from .data import build_hrv_dataset
-from .errors import ConfigError, HrvError, TooShort
+from .errors import ConfigError, HrvError
 from .experiment import ExperimentConfig, run_experiment
 from .io import (
     read_dataset_csv,
@@ -163,6 +163,8 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; known: {known}")
         try:
             values[key] = RUN_FILE_KEYS[key](raw.strip())
+        except ConfigError as err:
+            raise ConfigError(f"{path}:{lineno}: {err}") from None
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad {key} value {raw.strip()!r}") from None
     return values
@@ -251,18 +253,21 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_process(args) -> None:
+    if bool(args.out_dataset) != bool(args.rr):
+        raise ConfigError("--out-dataset and --rr must be given together")
     signal = read_ppg_csv(args.ppg, declared_rate_hz=args.sampling_rate_hz)
     raw = ppg_to_hr(signal)
     shr = smooth(zscore_adjust(raw, args.z_score))
-    write_hr_csv(args.out_hr, shr)
-    print(f"wrote {len(shr)} per-second HRs to {args.out_hr}")
-    if args.out_dataset or args.rr:
-        if not (args.out_dataset and args.rr):
-            raise ConfigError("--out-dataset and --rr must be given together")
+    ds = None
+    if args.rr:
         gt = read_rr_csv(args.rr)
         ds = build_hrv_dataset(
             shr, gt, n_s=args.n_s, kind=args.metric, stride_s=args.stride_s
         )
+    # write only once every step has succeeded, so a failure leaves no file
+    write_hr_csv(args.out_hr, shr)
+    print(f"wrote {len(shr)} per-second HRs to {args.out_hr}")
+    if ds is not None:
         write_dataset_csv(args.out_dataset, ds)
         print(
             f"wrote {len(ds)} samples (n={args.n_s}s, {args.metric.value}) "
@@ -323,18 +328,13 @@ def _cmd_run(args) -> None:
 
 
 def _cmd_amplify(args) -> None:
-    base = default_base_trace(args.seed)
-    try:
-        rows = amplification_table(
-            base,
-            mape_levels_pct=args.levels,
-            trials=args.trials,
-            window_s=args.window_s,
-            rng_seed=args.seed,
-        )
-    except TooShort as err:
-        # the base trace is built in, so too few windows means a bad --window-s
-        raise ConfigError(f"--window-s {args.window_s:g}: {err}") from None
+    rows = amplification_table(
+        default_base_trace(args.seed),
+        mape_levels_pct=args.levels,
+        trials=args.trials,
+        window_s=args.window_s,
+        rng_seed=args.seed,
+    )
     write_amplification_csv(args.out, rows)
     for r in rows:
         print(

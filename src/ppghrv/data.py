@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyWindow, TooFewSamples, TraceTooShort
+from .errors import ConfigError, HrvError
 from .metrics import HrvMetricKind, RrSeries, rmssd, rough_hrv, sdnn
 from .sigproc import SmoothedHrSeries
 from .synth import GroundTruth
@@ -55,7 +55,7 @@ def _true_hrv_in_window(gt: GroundTruth, t0: float, t1: float, kind: HrvMetricKi
     b = int(np.searchsorted(bt, t1 + 1e-9, side="right"))
     beats = bt[a:b]
     if beats.size < 3:  # fewer than two intervals
-        raise EmptyWindow(
+        raise HrvError(
             f"window [{t0:.1f}, {t1:.1f}]s holds {beats.size} beats; "
             "need at least 3 for an HRV label"
         )
@@ -85,7 +85,7 @@ def build_hrv_dataset(
         raise ConfigError("stride_s must be at least 1")
     vals = shr.values
     if vals.size < n:
-        raise TraceTooShort(
+        raise HrvError(
             f"need {n} smoothed HRs for one window, trace has {vals.size}"
         )
     m = (vals.size - n) // stride + 1
@@ -115,7 +115,7 @@ def chronological_split(d: Dataset, train_fraction: float = 0.8) -> tuple[Datase
         raise ConfigError("train_fraction must lie strictly between 0 and 1")
     m = len(d)
     if m < 2:
-        raise TooFewSamples(f"cannot split {m} sample(s) into train and test")
+        raise HrvError(f"cannot split {m} sample(s) into train and test")
     n_train = int(np.ceil(train_fraction * m))
     n_train = min(max(n_train, 1), m - 1)
 

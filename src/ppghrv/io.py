@@ -11,11 +11,11 @@ Formats (headers are exact):
     amplification    rr_mape,rmssd_mape,sdnn_mape,trials,seed
 
 Floats are written with repr (shortest round-trip), so write->read returns
-the exact in-memory values.  Readers raise ParseError with a line number
-for a malformed or non-finite (nan, inf) value, NonMonotoneTime for
-unsorted timestamps, and RateMismatch when a PPG file's inferred sampling
-rate is off the declared one by more than 1%; a declared rate that is not
-> 0 is a ConfigError.
+the exact in-memory values.  Readers raise HrvError for a malformed or
+non-finite (nan, inf) value and for timestamps that do not strictly
+increase, naming the file and line, and for a PPG file whose inferred
+sampling rate is off the declared one by more than 1%; a declared rate
+that is not > 0 is a ConfigError.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, NonMonotoneTime, ParseError, RateMismatch
+from .errors import ConfigError, HrvError
 from .metrics import RrSeries
 from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, SmoothedHrSeries
 from .synth import GroundTruth
@@ -70,9 +70,9 @@ def _rows(path, expected_header: Sequence[str]):
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+            raise HrvError(f"{path}: empty file") from None
         if header != list(expected_header):
-            raise ParseError(
+            raise HrvError(
                 f"{path}:1: expected header {','.join(expected_header)!r}, "
                 f"got {','.join(header)!r}"
             )
@@ -80,7 +80,7 @@ def _rows(path, expected_header: Sequence[str]):
             if not row:
                 continue
             if len(row) != len(expected_header):
-                raise ParseError(
+                raise HrvError(
                     f"{path}:{lineno}: expected {len(expected_header)} fields, "
                     f"got {len(row)}"
                 )
@@ -91,9 +91,9 @@ def _parse_float(path, lineno: int, text: str, column: str) -> float:
     try:
         v = float(text)
     except ValueError:
-        raise ParseError(f"{path}:{lineno}: bad {column} value {text!r}") from None
+        raise HrvError(f"{path}:{lineno}: bad {column} value {text!r}") from None
     if not math.isfinite(v):
-        raise ParseError(f"{path}:{lineno}: non-finite {column} value {text!r}")
+        raise HrvError(f"{path}:{lineno}: non-finite {column} value {text!r}")
     return v
 
 
@@ -104,7 +104,7 @@ def _check_increasing(path, header: Sequence[str], t: np.ndarray, column: str) -
     bad = np.flatnonzero(np.diff(t) <= 0)
     if bad.size:
         lineno, _ = next(itertools.islice(_rows(path, header), int(bad[0]) + 1, None))
-        raise NonMonotoneTime(f"{path}:{lineno}: {column} does not strictly increase")
+        raise HrvError(f"{path}:{lineno}: {column} does not strictly increase")
 
 
 def write_ppg_csv(path, signal: PpgSignal) -> None:
@@ -123,12 +123,12 @@ def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> Pp
         times.append(_parse_float(path, lineno, row[0], "time_s"))
         values.append(_parse_float(path, lineno, row[1], "value"))
     if len(times) < 2:
-        raise ParseError(f"{path}: need at least 2 samples, got {len(times)}")
+        raise HrvError(f"{path}: need at least 2 samples, got {len(times)}")
     t = np.asarray(times)
     _check_increasing(path, PPG_HEADER, t, "time_s")
     inferred = 1.0 / float(np.median(np.diff(t)))
     if abs(inferred - declared_rate_hz) > RATE_TOLERANCE * declared_rate_hz:
-        raise RateMismatch(
+        raise HrvError(
             f"{path}: inferred rate {inferred:.3f} Hz is more than 1% off "
             f"the declared {declared_rate_hz:g} Hz"
         )
@@ -150,18 +150,18 @@ def read_rr_csv(path) -> GroundTruth:
         beats.append(_parse_float(path, lineno, row[0], "beat_time_s"))
         if first:
             if row[1] != "":
-                raise ParseError(f"{path}:{lineno}: first row must leave rr_ms empty")
+                raise HrvError(f"{path}:{lineno}: first row must leave rr_ms empty")
             first = False
         else:
             rr.append(_parse_float(path, lineno, row[1], "rr_ms"))
     if len(beats) < 2:
-        raise ParseError(f"{path}: need at least 2 beats, got {len(beats)}")
+        raise HrvError(f"{path}: need at least 2 beats, got {len(beats)}")
     bt = np.asarray(beats)
     _check_increasing(path, RR_HEADER, bt, "beat_time_s")
     try:
         return GroundTruth(beat_times_s=bt, rr=RrSeries(np.asarray(rr)))
     except ValueError as err:
-        raise ParseError(f"{path}: {err}") from None
+        raise HrvError(f"{path}: {err}") from None
 
 
 def write_hr_csv(path, shr: SmoothedHrSeries) -> None:
@@ -193,7 +193,7 @@ def read_dataset_csv(path) -> Dataset:
         feats.append([_parse_float(path, lineno, v, "feature") for v in row[1:-1]])
         labels.append(_parse_float(path, lineno, row[-1], "label"))
     if not times:
-        raise ParseError(f"{path}: no data rows")
+        raise HrvError(f"{path}: no data rows")
     t = np.asarray(times)
     _check_increasing(path, header, t, "window_end_time_s")
     return Dataset(np.asarray(feats), np.asarray(labels), t)

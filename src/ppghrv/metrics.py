@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import LengthMismatch, TooFewIntervals, TooShort, ZeroTruth
+from .errors import HrvError
 
 MS_PER_MINUTE = 60_000.0  # converts HR in bpm to an interval in ms
 
@@ -44,7 +44,7 @@ def sdnn(rr: RrSeries) -> float:
     """Standard deviation of the intervals around their mean (divide by N)."""
     x = rr.intervals_ms
     if x.size < 2:
-        raise TooFewIntervals(f"sdnn needs at least 2 intervals, got {x.size}")
+        raise HrvError(f"sdnn needs at least 2 intervals, got {x.size}")
     return float(np.sqrt(np.mean((x - np.mean(x)) ** 2)))
 
 
@@ -52,7 +52,7 @@ def rmssd(rr: RrSeries) -> float:
     """Root mean square of successive differences over the N-1 pairs."""
     x = rr.intervals_ms
     if x.size < 2:
-        raise TooFewIntervals(f"rmssd needs at least 2 intervals, got {x.size}")
+        raise HrvError(f"rmssd needs at least 2 intervals, got {x.size}")
     d = np.diff(x)
     return float(np.sqrt(np.sum(d * d) / d.size))
 
@@ -70,7 +70,7 @@ def rough_hrv(hr_per_s, kind: HrvMetricKind) -> float:
     values = getattr(hr_per_s, "values", hr_per_s)
     hr = np.asarray(values, dtype=np.float64)
     if hr.size < 2:
-        raise TooShort(f"rough_hrv needs at least 2 HR values, got {hr.size}")
+        raise HrvError(f"rough_hrv needs at least 2 HR values, got {hr.size}")
     if not np.all(hr > 0):
         raise ValueError("HR values must be positive")
     pseudo = RrSeries(MS_PER_MINUTE / hr)
@@ -82,11 +82,11 @@ def mape(estimates, truths) -> float:
     est = np.asarray(estimates, dtype=np.float64)
     tru = np.asarray(truths, dtype=np.float64)
     if est.ndim != 1 or tru.ndim != 1:
-        raise LengthMismatch("mape expects two one-dimensional sequences")
+        raise HrvError("mape expects two one-dimensional sequences")
     if est.size != tru.size or est.size == 0:
-        raise LengthMismatch(
+        raise HrvError(
             f"mape needs equal non-empty lengths, got {est.size} and {tru.size}"
         )
     if np.any(tru == 0):
-        raise ZeroTruth("mape is undefined for zero truth values")
+        raise HrvError("mape is undefined for zero truth values")
     return float(np.mean(np.abs(est - tru) / np.abs(tru)) * 100.0)

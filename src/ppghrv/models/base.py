@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import FeatureLengthMismatch
+from ..errors import HrvError
 
 
 class ModelKind(Enum):
@@ -34,7 +34,7 @@ class TrainedModel:
         if X.ndim == 1:
             X = X[None, :]
         if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise FeatureLengthMismatch(
+            raise HrvError(
                 f"model expects {self.n_features} features, got shape {X.shape}"
             )
         return X

@@ -15,7 +15,7 @@ standardisation statistics (float64 for the label scale).  Models keep the
 same quantised parameters in memory, so decode(encode(m)) predicts
 bit-identically.
 
-decode raises ParseError for a file that is malformed or inconsistent:
+decode raises HrvError for a file that is malformed or inconsistent:
 bad magic or tags, truncation, trailing bytes, tree nodes out of preorder
 (a child index must lie after its parent and inside the table, which rules
 out cycles), a split feature >= n_features, a node count the remaining
@@ -31,7 +31,7 @@ import struct
 
 import numpy as np
 
-from ..errors import ParseError
+from ..errors import HrvError
 from .base import ModelKind, TrainedModel
 from .forest import RandomForest
 from .knn import DISTANCES, KnnRegressor
@@ -68,7 +68,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise ParseError(f"model file truncated at byte {self.pos}")
+            raise HrvError(f"model file truncated at byte {self.pos}")
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -83,7 +83,7 @@ class _Reader:
                 return v
             shift += 7
             if shift > 63:
-                raise ParseError(f"varint too long at byte {self.pos}")
+                raise HrvError(f"varint too long at byte {self.pos}")
 
     def f32(self) -> float:
         return struct.unpack("<f", self.take(4))[0]
@@ -102,20 +102,20 @@ class _Reader:
 
     def done(self) -> None:
         if self.remaining():
-            raise ParseError(f"{self.remaining()} trailing bytes in model file")
+            raise HrvError(f"{self.remaining()} trailing bytes in model file")
 
 
 def _finite(values, what: str):
-    """values (a float or an array) unchanged; ParseError if any is nan or inf."""
+    """values (a float or an array) unchanged; HrvError if any is nan or inf."""
     if not np.isfinite(values).all():
-        raise ParseError(f"non-finite {what} in model file")
+        raise HrvError(f"non-finite {what} in model file")
     return values
 
 
 def _std(values, what: str):
-    """values unchanged; ParseError unless every one is finite and > 0."""
+    """values unchanged; HrvError unless every one is finite and > 0."""
     if not np.all(_finite(values, what) > 0):
-        raise ParseError(f"non-positive {what} in model file")
+        raise HrvError(f"non-positive {what} in model file")
     return values
 
 
@@ -137,9 +137,9 @@ def _decode_nodes(r: _Reader, n_features: int) -> TreeNodes:
     and inside the table, so every walk ends at a leaf."""
     count = r.varint()
     if count < 1:
-        raise ParseError("tree with zero nodes")
+        raise HrvError("tree with zero nodes")
     if count * _MIN_NODE_BYTES > r.remaining():
-        raise ParseError(f"tree claims {count} nodes but {r.remaining()} bytes remain")
+        raise HrvError(f"tree claims {count} nodes but {r.remaining()} bytes remain")
     feature = np.empty(count, dtype=np.int32)
     threshold = np.zeros(count, dtype=np.float32)
     left = np.full(count, -1, dtype=np.int32)
@@ -152,12 +152,12 @@ def _decode_nodes(r: _Reader, n_features: int) -> TreeNodes:
             value[i] = r.f64()
             continue
         if tag > n_features:
-            raise ParseError(f"node {i} splits on feature {tag - 1} of {n_features}")
+            raise HrvError(f"node {i} splits on feature {tag - 1} of {n_features}")
         feature[i] = tag - 1
         threshold[i] = np.float32(r.f32())
         lo, hi = r.varint(), r.varint()
         if not (i < lo < count and i < hi < count):
-            raise ParseError(f"node {i} has children {lo}, {hi} outside ({i}, {count})")
+            raise HrvError(f"node {i} has children {lo}, {hi} outside ({i}, {count})")
         left[i] = lo
         right[i] = hi
     _finite(threshold, "split threshold")
@@ -199,21 +199,21 @@ def encode(model: TrainedModel) -> bytes:
         buf += struct.pack("<d", model.y_mu)
         buf += struct.pack("<d", model.y_sigma)
     else:
-        raise ParseError(f"cannot encode model of type {type(model).__name__}")
+        raise HrvError(f"cannot encode model of type {type(model).__name__}")
     return bytes(buf)
 
 
 def decode(data: bytes) -> TrainedModel:
     r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
-        raise ParseError("bad magic bytes; not a model file")
+        raise HrvError("bad magic bytes; not a model file")
     tag = r.take(1)[0]
     if tag not in _TAG_KINDS:
-        raise ParseError(f"unknown model kind tag {tag}")
+        raise HrvError(f"unknown model kind tag {tag}")
     kind = _TAG_KINDS[tag]
     d = r.varint()
     if d > np.iinfo(np.int32).max:
-        raise ParseError(f"n_features {d} overflows the int32 feature column")
+        raise HrvError(f"n_features {d} overflows the int32 feature column")
 
     if kind is ModelKind.DT:
         nodes = _decode_nodes(r, d)
@@ -223,7 +223,7 @@ def decode(data: bytes) -> TrainedModel:
     if kind is ModelKind.RF:
         count = r.varint()
         if count < 1:
-            raise ParseError("forest with zero trees")
+            raise HrvError("forest with zero trees")
         trees = tuple(_decode_nodes(r, d) for _ in range(count))
         r.done()
         return RandomForest(trees, d)
@@ -232,10 +232,10 @@ def decode(data: bytes) -> TrainedModel:
         k = r.varint()
         dist_tag = r.take(1)[0]
         if dist_tag >= len(DISTANCES):
-            raise ParseError(f"unknown distance tag {dist_tag}")
+            raise HrvError(f"unknown distance tag {dist_tag}")
         m = r.varint()
         if not 1 <= k <= m:
-            raise ParseError(f"k={k} outside [1, {m}] stored rows")
+            raise HrvError(f"k={k} outside [1, {m}] stored rows")
         mu = _finite(r.f32_array(d), "feature mean")
         sigma = _std(r.f32_array(d), "feature std")
         X = _finite(r.f32_array(m * d), "stored row").reshape(m, d)
@@ -245,15 +245,15 @@ def decode(data: bytes) -> TrainedModel:
 
     act_tag = r.take(1)[0]
     if act_tag >= len(ACTIVATIONS):
-        raise ParseError(f"unknown activation tag {act_tag}")
+        raise HrvError(f"unknown activation tag {act_tag}")
     n_layers = r.varint()
     if n_layers < 1:
-        raise ParseError("MLP with no layers")
+        raise HrvError("MLP with no layers")
     sizes = [r.varint() for _ in range(n_layers + 1)]
     if sizes[0] != d:
-        raise ParseError(f"input width {sizes[0]} disagrees with n_features {d}")
+        raise HrvError(f"input width {sizes[0]} disagrees with n_features {d}")
     if sizes[-1] != 1:
-        raise ParseError(f"output width {sizes[-1]}, expected 1")
+        raise HrvError(f"output width {sizes[-1]}, expected 1")
     params32 = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         W = _finite(r.f32_array(fan_in * fan_out), "weight").reshape(fan_in, fan_out)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, EmptyDataset
+from ..errors import ConfigError, HrvError
 from .base import ModelKind, TrainedModel
 from .tree import MAX_TREE_DEPTH, TreeNodes, _as_lists, _grow, _walk
 
@@ -41,7 +41,7 @@ def train_rf(
     if not 1 <= int(max_depth) <= MAX_TREE_DEPTH:
         raise ConfigError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {max_depth}")
     if len(train) == 0:
-        raise EmptyDataset("cannot train a forest on an empty dataset")
+        raise HrvError("cannot train a forest on an empty dataset")
     X = train.features
     y = train.labels
     m = y.size

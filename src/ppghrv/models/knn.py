@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, EmptyDataset, KTooLarge
+from ..errors import ConfigError, HrvError
 from .base import ModelKind, TrainedModel
 
 MIN_K = 2
@@ -154,11 +154,11 @@ def train_knn(train, k: int, distance: str) -> KnnRegressor:
     if distance not in DISTANCES:
         raise ConfigError(f"distance must be one of {DISTANCES}, got {distance!r}")
     if len(train) == 0:
-        raise EmptyDataset("cannot train KNN on an empty dataset")
+        raise HrvError("cannot train KNN on an empty dataset")
     if not MIN_K <= int(k) <= MAX_K:
         raise ConfigError(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
     if int(k) > len(train):
-        raise KTooLarge(f"k={k} exceeds the {len(train)} training samples")
+        raise HrvError(f"k={k} exceeds the {len(train)} training samples")
     X64 = train.features
     mu, sigma = standardize_stats(X64)
     mu32 = mu.astype(np.float32)

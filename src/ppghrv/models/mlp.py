@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DivergedLoss, EmptyDataset
+from ..errors import ConfigError, HrvError
 from .base import ModelKind, TrainedModel
 from .knn import standardize_stats
 
@@ -148,7 +148,7 @@ def train_mlp(
     if activation not in ACTIVATIONS:
         raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
     if len(train) == 0:
-        raise EmptyDataset("cannot train an MLP on an empty dataset")
+        raise HrvError("cannot train an MLP on an empty dataset")
 
     X64 = train.features
     y64 = train.labels
@@ -182,7 +182,7 @@ def train_mlp(
             batch = order[lo : lo + BATCH_SIZE]
             loss, grads = loss_and_grads(params, X_tr[batch], y_tr[batch], activation)
             if not np.isfinite(loss):
-                raise DivergedLoss(
+                raise HrvError(
                     f"non-finite batch loss at epoch {epoch} (lr={LEARNING_RATE})"
                 )
             # in place; dW *= lr; W -= dW rounds as W - lr * dW does
@@ -194,7 +194,7 @@ def train_mlp(
         val_pred = forward(params, X_val, activation)
         val_loss = float(np.mean((val_pred - y_val) ** 2))
         if not np.isfinite(val_loss):
-            raise DivergedLoss(f"non-finite validation loss at epoch {epoch}")
+            raise HrvError(f"non-finite validation loss at epoch {epoch}")
         if val_loss < best_val - 1e-12:
             best_val = val_loss
             best = [(W.copy(), b.copy()) for W, b in params]

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from ..data import Dataset, chronological_split
-from ..errors import ConfigError, HrvError, SearchExhausted
+from ..errors import ConfigError, HrvError
 from ..metrics import mape
 from .base import ModelKind, TrainedModel
 from .forest import MAX_TREES, MIN_TREES, train_rf
@@ -150,7 +150,7 @@ def random_search(
 
     scored = [c for c in candidates if c.val_mape_pct is not None]
     if not scored:
-        raise SearchExhausted(
+        raise HrvError(
             f"all {budget} sampled configurations failed; last error: "
             f"{candidates[-1].error}"
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, EmptyDataset, FeatureLengthMismatch
+from ..errors import ConfigError, HrvError
 from .base import ModelKind, TrainedModel
 
 MIN_SAMPLES_TO_SPLIT = 2
@@ -212,7 +212,7 @@ class DecisionTree(TrainedModel):
     def predict(self, features) -> float:
         row = list(features)
         if len(row) != self.n_features:
-            raise FeatureLengthMismatch(
+            raise HrvError(
                 f"model expects {self.n_features} features, got {len(row)}"
             )
         return _walk(self._lists, row)
@@ -232,7 +232,7 @@ def train_dt(train, max_depth: int, seed: int = 0) -> DecisionTree:
     if not 1 <= int(max_depth) <= MAX_TREE_DEPTH:
         raise ConfigError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {max_depth}")
     if len(train) == 0:
-        raise EmptyDataset("cannot train a tree on an empty dataset")
+        raise HrvError("cannot train a tree on an empty dataset")
     nodes = _grow(train.features, train.labels, int(max_depth))
     return DecisionTree(nodes, train.n_features)
 

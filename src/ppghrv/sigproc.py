@@ -43,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import find_peaks
 
-from .errors import ConfigError, EmptySignal, NonFiniteSignal, SignalTooShort, TooShort
+from .errors import ConfigError, HrvError
 from .metrics import MS_PER_MINUTE
 
 DEFAULT_SAMPLING_RATE_HZ = 25.0
@@ -142,9 +142,9 @@ def detect_peaks(window: PpgSignal) -> np.ndarray:
     array; that is a valid result, not a failure.
     """
     if window.samples.size == 0:
-        raise EmptySignal("detect_peaks got an empty window")
+        raise HrvError("detect_peaks got an empty window")
     if window.duration_s < 2 * MIN_PEAK_DISTANCE_S:
-        raise SignalTooShort(
+        raise HrvError(
             f"window of {window.duration_s:.3f}s cannot hold two peaks "
             f"{MIN_PEAK_DISTANCE_S:.3f}s apart"
         )
@@ -170,7 +170,7 @@ def ppg_to_hr(signal: PpgSignal) -> RawHrSeries:
     integer gaps is exactly (last - first) / (count - 1).  Estimates
     outside (20, 250) bpm, and windows with fewer than two peaks, reuse the
     previous value; the very first falls back to 60 bpm.  A nan or inf
-    sample raises NonFiniteSignal.
+    sample raises HrvError.
 
     Windows are searched _BLOCK_SAMPLES samples' worth at a time, in the
     blocked route the module docstring describes; the result equals one
@@ -178,14 +178,14 @@ def ppg_to_hr(signal: PpgSignal) -> RawHrSeries:
     """
     x = signal.samples
     if x.size == 0:
-        raise EmptySignal("ppg_to_hr got an empty signal")
+        raise HrvError("ppg_to_hr got an empty signal")
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise NonFiniteSignal(f"PPG sample {bad} is {x[bad]!r}")
+        raise HrvError(f"PPG sample {bad} is {x[bad]!r}")
     fs = signal.sampling_rate_hz
     duration = signal.duration_s
     if duration < HR_WINDOW_LEN_S:
-        raise SignalTooShort(
+        raise HrvError(
             f"need at least {HR_WINDOW_LEN_S}s of signal, got {duration:.2f}s"
         )
     step = 1.0 / HR_ESTIMATES_PER_S
@@ -330,7 +330,7 @@ def zscore_adjust(hr: RawHrSeries, z_score: float = DEFAULT_Z_SCORE) -> RawHrSer
         raise ConfigError(f"z_score must be a finite number > 0, got {z_score!r}")
     x = hr.values
     if x.size < 3:
-        raise TooShort(f"zscore_adjust needs at least 3 values, got {x.size}")
+        raise HrvError(f"zscore_adjust needs at least 3 values, got {x.size}")
     mu = float(np.mean(x))
     delta = float(np.std(x))
     if delta == 0.0:
@@ -360,7 +360,7 @@ def smooth(hr: RawHrSeries) -> SmoothedHrSeries:
     x = hr.values
     g = HR_ESTIMATES_PER_S
     if x.size < g:
-        raise TooShort(f"smooth needs at least {g} values, got {x.size}")
+        raise HrvError(f"smooth needs at least {g} values, got {x.size}")
     m = x.size // g
     vals = x[: m * g].reshape(m, g).mean(axis=1)
     return SmoothedHrSeries(values=vals, start_time_s=hr.start_time_s)

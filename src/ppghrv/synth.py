@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, TooShort
+from .errors import ConfigError
 from .metrics import MS_PER_MINUTE, RrSeries
 from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, moving_average
 
@@ -118,7 +118,7 @@ def generate_rr_trace(cfg: SynthConfig) -> GroundTruth:
         beats.append(nxt)
         t = nxt
     if len(beats) < 2:
-        raise TooShort(
+        raise ConfigError(
             f"duration_s={cfg.duration_s} is too short for a single beat interval"
         )
     bt = np.asarray(beats)

@@ -10,7 +10,7 @@ from ppghrv.amplify import (
     default_base_trace,
     inject_rr_error,
 )
-from ppghrv.errors import ConfigError, InvalidTarget, TooShort
+from ppghrv.errors import ConfigError
 from ppghrv.metrics import RrSeries, mape
 
 
@@ -43,9 +43,9 @@ class TestInjectRrError:
 
     def test_invalid_targets(self):
         rr = RrSeries(np.full(10, 800.0))
-        with pytest.raises(InvalidTarget):
+        with pytest.raises(ConfigError, match='needs eps amplitude 1.0 >= 1'):
             inject_rr_error(rr, 50.0, rng_seed=0)
-        with pytest.raises(InvalidTarget):
+        with pytest.raises(ConfigError, match='target_mape_pct must be >= 0'):
             inject_rr_error(rr, -1.0, rng_seed=0)
 
     def test_length_preserved(self):
@@ -108,7 +108,7 @@ class TestAmplificationTable:
 
     def test_too_few_windows(self):
         short = RrSeries(np.full(30, 900.0))
-        with pytest.raises(TooShort):
+        with pytest.raises(ConfigError, match='window_s=60.0 cuts the base trace into 0 windows'):
             amplification_table(short, (1.0,), trials=10)
 
     def test_bad_trials(self):

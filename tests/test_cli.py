@@ -7,7 +7,7 @@ import pytest
 
 import ppghrv.experiment
 from ppghrv.cli import main, read_config_file
-from ppghrv.errors import EmptyDataset
+from ppghrv.errors import HrvError
 from ppghrv.io import read_dataset_csv, read_ppg_csv, read_rr_csv
 from ppghrv.models.base import ModelKind
 from ppghrv.models.codec import MAGIC, load_model
@@ -148,7 +148,7 @@ class TestRunCommand:
 
         def flaky(train, kind, **kwargs):
             if kind is ModelKind.KNN:
-                raise EmptyDataset("forced failure")
+                raise HrvError("forced failure")
             return real(train, kind, **kwargs)
 
         monkeypatch.setattr(ppghrv.experiment, "random_search", flaky)
@@ -282,6 +282,30 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "together" in capsys.readouterr().err
+        assert not (tmp_path / "hr.csv").exists()
+
+    @pytest.mark.parametrize("extra, code, message", [
+        (["--rr", "RR"], 1, "together"),
+        (["--rr", "RR", "--n-s", "100000", "--out-dataset", "DS"], 2,
+         "need 100000 smoothed HRs"),
+        (["--rr", "MISSING", "--out-dataset", "DS"], 2, "missing.csv"),
+    ], ids=["rr_without_dataset", "window_longer_than_trace", "missing_rr_file"])
+    def test_failed_process_writes_nothing(
+        self, extra, code, message, workdir, tmp_path, capsys
+    ):
+        paths = {
+            "RR": str(workdir / "rr.csv"),
+            "MISSING": str(tmp_path / "missing.csv"),
+            "DS": str(tmp_path / "ds.csv"),
+        }
+        argv = [
+            "process", "--ppg", str(workdir / "ppg.csv"),
+            "--out-hr", str(tmp_path / "hr.csv"),
+        ] + [paths.get(arg, arg) for arg in extra]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "hr.csv").exists()
+        assert not (tmp_path / "ds.csv").exists()
 
     @pytest.mark.parametrize("argv, config", [
         (["synth", "--preset", "sit", "--duration-s", "nan"], None),
@@ -352,6 +376,15 @@ class TestExitCodes:
         assert "duration_s must lie in (0, 86400] s" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_duration_below_one_beat_is_config_error(self, tmp_path, capsys):
+        code = main([
+            "synth", "--preset", "sit", "--duration-s", "0.5",
+            "--out-ppg", str(tmp_path / "p.csv"), "--out-rr", str(tmp_path / "r.csv"),
+        ])
+        assert code == 1
+        assert "too short for a single beat interval" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("args, message", [
         (["--activities", "sit,bogus"], "unknown activity 'bogus'"),
         (["--train-fraction", "0"], "train_fraction"),
@@ -396,19 +429,23 @@ class TestExitCodes:
         out = tmp_path / "a.csv"
         code = main(["amplify", "--window-s", window_s, "--trials", "1", "--out", str(out)])
         assert code == 1
-        assert "--window-s" in capsys.readouterr().err
+        assert "window_s" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("train_fraction = inf", "finite"),
         ("budget = many", "bad budget value"),
         ("seed = -1", "seed must be >= 0"),
+        ("duration_s = abc", "expected a number, got 'abc'"),
+        ("models = dt,xx", "unknown model 'xx'"),
     ])
     def test_bad_config_number_is_config_error(self, line, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}:1: " in err
+        assert message in err
 
     def test_zero_std_model_is_data_error(self, tmp_path, workdir, capsys):
         # a one-feature KNN file holding one row, whose feature std is 0

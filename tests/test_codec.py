@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppghrv.errors import ParseError
+from ppghrv.errors import ConfigError, HrvError
 from ppghrv.models.codec import (
     MAGIC,
     _write_varint,
@@ -90,21 +90,21 @@ class TestSizeBounds:
 
 class TestParseFailures:
     def test_bad_magic(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(HrvError, match='bad magic bytes'):
             decode(b"NOPE\x01" + b"\x00" * 20)
 
     def test_truncated(self, train_set):
         blob = encode(train_dt(train_set, max_depth=3))
-        with pytest.raises(ParseError):
+        with pytest.raises(HrvError, match='tree claims 15 nodes but 56 bytes remain'):
             decode(blob[: len(blob) // 2])
 
     def test_trailing_garbage(self, train_set):
         blob = encode(train_dt(train_set, max_depth=3))
-        with pytest.raises(ParseError):
+        with pytest.raises(HrvError, match='1 trailing bytes in model file'):
             decode(blob + b"\x00")
 
     def test_unknown_kind_tag(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(HrvError, match='unknown model kind tag 9'):
             decode(MAGIC + bytes([9]) + b"\x01")
 
 
@@ -207,7 +207,7 @@ class TestInconsistentFiles:
         "mlp_zero_x_sigma", "mlp_zero_y_sigma",
     ])
     def test_rejected(self, blob, message):
-        with pytest.raises(ParseError, match=message):
+        with pytest.raises(HrvError, match=message):
             decode(blob)
 
 
@@ -215,10 +215,11 @@ PROPERTY = settings(max_examples=150, deadline=1000, derandomize=True, database=
 
 
 def predicts_if_decoded(data):
-    """decode either refuses with ParseError or gives a model that predicts."""
+    """decode either refuses with a data error or gives a model that predicts."""
     try:
         model = decode(data)
-    except ParseError:
+    except HrvError as err:
+        assert not isinstance(err, ConfigError)
         return
     if model.n_features <= 64:
         assert model.predict_batch(np.zeros((1, model.n_features))).shape == (1,)

@@ -8,7 +8,7 @@ from ppghrv.data import (
     build_hrv_dataset,
     chronological_split,
 )
-from ppghrv.errors import ConfigError, EmptyWindow, TooFewSamples, TraceTooShort
+from ppghrv.errors import ConfigError, HrvError
 from ppghrv.metrics import HrvMetricKind, RrSeries, rough_hrv
 from ppghrv.sigproc import SmoothedHrSeries
 from ppghrv.synth import GroundTruth, SynthConfig, generate_rr_trace
@@ -90,13 +90,13 @@ class TestBuildHrvDataset:
         bt = np.concatenate([np.arange(0.0, 10.0), np.arange(70.0, 120.0)])
         gt = GroundTruth(beat_times_s=bt, rr=RrSeries(np.diff(bt) * 1000.0))
         shr = SmoothedHrSeries(np.full(100, 60.0))
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(HrvError, match='need at least 3 for an HRV label'):
             build_hrv_dataset(shr, gt, n_s=20, kind=HrvMetricKind.RMSSD)
 
     def test_trace_shorter_than_window(self):
         gt = metronome_gt(100)
         shr = SmoothedHrSeries(np.full(50, 60.0))
-        with pytest.raises(TraceTooShort):
+        with pytest.raises(HrvError, match='need 60 smoothed HRs for one window'):
             build_hrv_dataset(shr, gt, n_s=60, kind=HrvMetricKind.SDNN)
 
     def test_bad_config(self):
@@ -159,7 +159,7 @@ class TestChronologicalSplit:
 
     def test_too_few_samples(self):
         d = Dataset(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(HrvError, match='cannot split'):
             chronological_split(d)
 
     def test_bad_fraction(self, tiny):

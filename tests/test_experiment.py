@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ppghrv.experiment
-from ppghrv.errors import ConfigError, EmptyDataset, HrvError
+from ppghrv.errors import ConfigError, HrvError
 from ppghrv.experiment import ExperimentConfig, run_experiment
 from ppghrv.io import RESULTS_HEADER, TRACE_HEADER
 from ppghrv.metrics import HrvMetricKind
@@ -82,7 +82,7 @@ class TestRunExperiment:
 
         def flaky(train, kind, **kwargs):
             if kind is ModelKind.KNN:
-                raise EmptyDataset("forced failure")
+                raise HrvError("forced failure")
             return real(train, kind, **kwargs)
 
         monkeypatch.setattr(ppghrv.experiment, "random_search", flaky)
@@ -102,7 +102,7 @@ class TestRunExperiment:
 
         def flaky(shr, gt, n_s, **kwargs):
             if n_s == 30:
-                raise EmptyDataset("forced failure")
+                raise HrvError("forced failure")
             return real(shr, gt, n_s=n_s, **kwargs)
 
         monkeypatch.setattr(ppghrv.experiment, "build_hrv_dataset", flaky)

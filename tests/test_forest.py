@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppghrv.errors import ConfigError, EmptyDataset
+from ppghrv.errors import ConfigError, HrvError
 from ppghrv.models.forest import RandomForest, train_rf
 from ppghrv.models.tree import train_dt
 from helpers import make_ds
@@ -69,5 +69,5 @@ class TestForest:
 
     def test_empty_dataset(self):
         ds = make_ds(np.empty((0, 2)), np.empty(0))
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(HrvError, match='cannot train a forest on an empty dataset'):
             train_rf(ds, trees=2, max_depth=3)

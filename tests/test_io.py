@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ppghrv.data import Dataset
-from ppghrv.errors import ConfigError, NonMonotoneTime, ParseError, RateMismatch
+from ppghrv.errors import ConfigError, HrvError
 from ppghrv.io import (
     read_dataset_csv,
     read_ppg_csv,
@@ -39,7 +39,7 @@ class TestPpgRoundTrip:
         _, ppg = trace
         path = tmp_path / "ppg.csv"
         write_ppg_csv(path, ppg)
-        with pytest.raises(RateMismatch):
+        with pytest.raises(HrvError, match='more than 1% off the declared 30 Hz'):
             read_ppg_csv(path, declared_rate_hz=30.0)
 
     @pytest.mark.parametrize("rate", [0.0, -25.0])
@@ -53,31 +53,31 @@ class TestPpgRoundTrip:
     def test_shuffled_rows(self, tmp_path):
         path = tmp_path / "ppg.csv"
         path.write_text("time_s,value\n0.0,1.0\n0.08,1.2\n0.04,1.1\n")
-        with pytest.raises(NonMonotoneTime):
+        with pytest.raises(HrvError, match=':4: time_s does not strictly increase'):
             read_ppg_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "ppg.csv"
         path.write_text("")
-        with pytest.raises(ParseError):
+        with pytest.raises(HrvError, match='empty file'):
             read_ppg_csv(path)
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "ppg.csv"
         path.write_text("time_s,value\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(HrvError, match='need at least 2 samples, got 0'):
             read_ppg_csv(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "ppg.csv"
         path.write_text("t,v\n0.0,1.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(HrvError, match=':1: expected header'):
             read_ppg_csv(path)
 
     def test_bad_float_reports_line(self, tmp_path):
         path = tmp_path / "ppg.csv"
         path.write_text("time_s,value\n0.0,1.0\n0.04,oops\n")
-        with pytest.raises(ParseError, match=":3:"):
+        with pytest.raises(HrvError, match=":3:"):
             read_ppg_csv(path)
 
 
@@ -93,13 +93,13 @@ class TestRrRoundTrip:
     def test_non_monotone_beats(self, tmp_path):
         path = tmp_path / "rr.csv"
         path.write_text("beat_time_s,rr_ms\n0.0,\n1.0,1000.0\n0.5,500.0\n")
-        with pytest.raises(NonMonotoneTime):
+        with pytest.raises(HrvError, match=':4: beat_time_s does not strictly increase'):
             read_rr_csv(path)
 
     def test_first_row_must_omit_rr(self, tmp_path):
         path = tmp_path / "rr.csv"
         path.write_text("beat_time_s,rr_ms\n0.0,900.0\n0.9,900.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(HrvError, match=':2: first row must leave rr_ms empty'):
             read_rr_csv(path)
 
 
@@ -125,7 +125,7 @@ class TestHrCsv:
 def test_non_finite_value_reports_line(tmp_path, reader, text):
     path = tmp_path / "in.csv"
     path.write_text(text)
-    with pytest.raises(ParseError, match=":3: non-finite"):
+    with pytest.raises(HrvError, match=":3: non-finite"):
         reader(path)
 
 
@@ -138,7 +138,7 @@ def test_non_increasing_time_after_blank_line_reports_line(tmp_path, reader, tex
     # _rows skips the blank line 3, so the bad row is the file's line 5
     path = tmp_path / "in.csv"
     path.write_text(text)
-    with pytest.raises(NonMonotoneTime, match=":5: "):
+    with pytest.raises(HrvError, match=":5: "):
         reader(path)
 
 
@@ -160,11 +160,11 @@ class TestDatasetCsv:
     def test_header_checked(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("window_end_time_s,f0,f2,label\n1.0,2.0,3.0,4.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(HrvError, match=':1: expected header'):
             read_dataset_csv(path)
 
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("window_end_time_s,f0,label\n1.0,2.0\n")
-        with pytest.raises(ParseError, match=":2:"):
+        with pytest.raises(HrvError, match=":2:"):
             read_dataset_csv(path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppghrv.errors import ConfigError, FeatureLengthMismatch, KTooLarge
+from ppghrv.errors import ConfigError, HrvError
 from ppghrv.models.knn import DISTANCES, MAX_K, MIN_K, KnnRegressor, train_knn
 from helpers import make_ds
 
@@ -58,7 +58,7 @@ class TestKnnOracle:
 class TestKnnErrors:
     def test_k_too_large(self):
         ds = make_ds(np.arange(5.0), np.arange(5.0) + 1.0)
-        with pytest.raises(KTooLarge):
+        with pytest.raises(HrvError, match='k=6 exceeds the 5 training samples'):
             train_knn(ds, k=6, distance="euclidean")
 
     def test_k_bounds(self):
@@ -76,7 +76,7 @@ class TestKnnErrors:
     def test_feature_length_checked(self):
         ds = make_ds(np.arange(10.0).reshape(5, 2), np.arange(5.0) + 1.0)
         model = train_knn(ds, k=2, distance="manhattan")
-        with pytest.raises(FeatureLengthMismatch):
+        with pytest.raises(HrvError, match='model expects 2 features'):
             model.predict([1.0, 2.0, 3.0])
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppghrv.data import chronological_split
-from ppghrv.errors import ConfigError, SearchExhausted
+from ppghrv.errors import ConfigError, HrvError
 from ppghrv.metrics import mape
 from ppghrv.models import search as search_module
 from ppghrv.models import tree as tree_module
@@ -68,7 +68,7 @@ class TestRandomSearch:
     def test_failing_candidates_are_skipped(self, regression_ds):
         # k range 2..30 straddles the fit split, so some draws fail
         small = make_ds(regression_ds.features[:20], regression_ds.labels[:20])
-        # fit split holds 16 samples; k in 17..30 raises KTooLarge
+        # fit split holds 16 samples; k in 17..30 raises HrvError
         result = random_search(small, ModelKind.KNN, budget=12, seed=6)
         failed = [c for c in result.candidates if c.val_mape_pct is None]
         scored = [c for c in result.candidates if c.val_mape_pct is not None]
@@ -79,7 +79,7 @@ class TestRandomSearch:
     def test_all_candidates_failing_raises(self, regression_ds):
         # the fit split holds 1 sample, below every k >= MIN_K
         small = make_ds(regression_ds.features[:2], regression_ds.labels[:2])
-        with pytest.raises(SearchExhausted):
+        with pytest.raises(HrvError, match='all 4 sampled configurations failed'):
             random_search(small, ModelKind.KNN, budget=4, seed=7)
 
     def test_mlp_search_uses_training_config(self, regression_ds, monkeypatch):
@@ -147,7 +147,7 @@ class TestDtSearchFromOneGrow:
             search_module, "chronological_split", lambda ds, frac: (empty, ds)
         )
         with caplog.at_level("WARNING", logger=search_module.__name__):
-            with pytest.raises(SearchExhausted, match="all 4 sampled.*empty dataset"):
+            with pytest.raises(HrvError, match="all 4 sampled.*empty dataset"):
                 random_search(regression_ds, ModelKind.DT, budget=4, seed=13)
         failed = [r.getMessage() for r in caplog.records]
         assert len(failed) == 4

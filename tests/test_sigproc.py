@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppghrv.errors import ConfigError, EmptySignal, NonFiniteSignal, SignalTooShort, TooShort
+from ppghrv.errors import ConfigError, HrvError
 from ppghrv.metrics import MS_PER_MINUTE
 from ppghrv.sigproc import (
     HR_CLAMP_HIGH_BPM,
@@ -49,11 +49,11 @@ class TestDetectPeaks:
         assert detect_peaks(flat).size == 0
 
     def test_empty_signal(self):
-        with pytest.raises(EmptySignal):
+        with pytest.raises(HrvError, match='detect_peaks got an empty window'):
             detect_peaks(PpgSignal(FS, np.array([])))
 
     def test_too_short_for_two_peaks(self):
-        with pytest.raises(SignalTooShort):
+        with pytest.raises(HrvError, match='cannot hold two peaks'):
             detect_peaks(PpgSignal(FS, np.ones(12)))  # 0.48 s < 2 * 0.27 s
 
     @pytest.mark.parametrize("n", range(14, 25))
@@ -98,7 +98,7 @@ class TestPpgToHr:
         assert np.all(out.values < 74.0)
 
     def test_too_short(self):
-        with pytest.raises(SignalTooShort):
+        with pytest.raises(HrvError, match='s of signal, got 5.00s'):
             ppg_to_hr(sine_signal(1.2, 5.0))
 
     def test_fallback_then_carry(self):
@@ -123,7 +123,7 @@ class TestPpgToHr:
         # fallback or a carried value, with no error
         x = sine_signal(1.2, 30.0).samples.copy()
         x[where] = value
-        with pytest.raises(NonFiniteSignal, match="PPG sample"):
+        with pytest.raises(HrvError, match="PPG sample"):
             ppg_to_hr(PpgSignal(FS, x))
 
 
@@ -328,7 +328,7 @@ class TestZscoreAdjust:
         assert out.values[4] == 152.5
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(HrvError, match='zscore_adjust needs at least 3 values, got 2'):
             zscore_adjust(RawHrSeries(np.array([60.0, 61.0])))
 
     def test_non_outliers_never_touched(self):
@@ -383,7 +383,7 @@ class TestSmooth:
             assert len(smooth(RawHrSeries(x))) == n // 4
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(HrvError, match='smooth needs at least'):
             smooth(RawHrSeries(np.array([60.0, 61.0, 62.0])))
 
     def test_mean_per_block(self):

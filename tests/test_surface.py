@@ -6,9 +6,12 @@ belongs in a module constant, so the count may fall but must not grow.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import ppghrv
+import ppghrv.errors
 import ppghrv.models
 
 MAX_SETTABLE_VALUES = 85
@@ -68,3 +71,22 @@ def test_models_package_binds_no_public_names():
         )
     ]
     assert public == []
+
+
+def _exception_classes(module) -> set[str]:
+    return {
+        name for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+        and value.__module__ == module.__name__
+    }
+
+
+def test_one_error_type_per_exit_code():
+    # the CLI tells errors apart only by exit code: ConfigError 1, HrvError 2
+    assert _exception_classes(ppghrv.errors) == {"HrvError", "ConfigError"}
+    others = {}
+    for info in pkgutil.walk_packages(ppghrv.__path__, "ppghrv."):
+        if info.name != "ppghrv.errors":
+            others[info.name] = _exception_classes(importlib.import_module(info.name))
+    assert "ppghrv.cli" in others
+    assert {name: found for name, found in others.items() if found} == {}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppghrv.errors import ConfigError, EmptyDataset, FeatureLengthMismatch
+from ppghrv.errors import ConfigError, HrvError
 from ppghrv.models import tree
 from ppghrv.models.tree import LEAF, MIN_SAMPLES_TO_SPLIT, TreeNodes, train_dt
 from helpers import make_ds
@@ -223,7 +223,7 @@ class TestDepthTruncation:
         assert grown == [9]
 
     def test_errors_of_the_grow_propagate(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(HrvError, match='cannot train a tree on an empty dataset'):
             tree.train_dt_depths(make_ds(np.empty((0, 2)), np.empty(0)), [3, 4])
         with pytest.raises(ConfigError):
             tree.train_dt_depths(make_ds(np.arange(4.0), np.arange(4.0)), [3, 21])
@@ -313,7 +313,7 @@ class TestTreeStructure:
 class TestTreeErrors:
     def test_empty_dataset(self):
         ds = make_ds(np.empty((0, 2)), np.empty(0))
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(HrvError, match='cannot train a tree on an empty dataset'):
             train_dt(ds, max_depth=3)
 
     def test_depth_bounds(self):
@@ -326,7 +326,7 @@ class TestTreeErrors:
     def test_feature_length_checked(self):
         ds = make_ds(np.arange(8.0).reshape(4, 2), np.arange(4.0))
         model = train_dt(ds, max_depth=2)
-        with pytest.raises(FeatureLengthMismatch):
+        with pytest.raises(HrvError, match='model expects 2 features, got 3'):
             model.predict([1.0, 2.0, 3.0])
-        with pytest.raises(FeatureLengthMismatch):
+        with pytest.raises(HrvError, match=r"model expects 2 features, got shape \(2, 3\)"):
             model.predict_batch(np.zeros((2, 3)))
