@@ -5,6 +5,22 @@ per-interval errors compound: a few percent of RR error can mean tens of
 percent of RMSSD error.  inject_rr_error perturbs a series at a chosen RR
 MAPE level; amplification_table measures the resulting HRV MAPE per level
 by Monte Carlo over paired windows.
+
+amplification_table handles its trials in batches, and its rows equal those
+of a loop that perturbs one trial at a time and calls rmssd, sdnn and mape
+on each window, bit for bit.  Trial k of level i still draws its own
+perturbation from SeedSequence((rng_seed, i, k)), so every perturbed
+interval is the same float.  A batch stores its perturbed series as the
+rows of one C-contiguous (trials, intervals) array, and a window is a column
+slice of it, so each row of the slice is a run of intervals with unit
+stride.  The metrics kernels reduce along that last axis, where numpy hands
+each row to the same pairwise-summation loop as a 1-D call on the row, so
+each trial's window RMSSD and SDNN are the same floats as the loop's, and so
+is its MAPE over the windows, a last-axis mean over one C-contiguous row.
+The per-trial MAPEs are then added in trial order with Python floats, as
+the loop adds them.  The batch holds at most TRIAL_CHUNK_BYTES of perturbed
+intervals (but at least one trial), so memory does not grow with the trial
+count.
 """
 
 from __future__ import annotations
@@ -14,12 +30,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import RrSeries, mape, rmssd, sdnn
+from .metrics import RrSeries, mape_rows, rmssd, rmssd_rows, sdnn, sdnn_rows
 from .synth import SynthConfig, generate_rr_trace
 
 DEFAULT_MAPE_LEVELS_PCT = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_WINDOW_S = 60.0
 MIN_WINDOWS = 10
+# Size of amplification_table's batch of perturbed series (see above).
+TRIAL_CHUNK_BYTES = 1024 * 1024
 
 # Base-trace recipe used by the CLI and the verification suite: mean RR
 # around 900 ms with SDNN near 50 ms, split between a slow drift component
@@ -45,24 +63,34 @@ class AmplificationRow:
     seed: int
 
 
-def inject_rr_error(rr: RrSeries, target_mape_pct: float, rng_seed: int) -> RrSeries:
-    """Multiplicative uniform noise with expected |relative error| = target.
-
-    Each interval becomes RR_i * (1 + eps_i) with eps_i ~ Uniform(-a, a)
-    and a = 2 * target / 100, so E|eps| equals the target.  Levels of 50%
-    or more would allow non-positive intervals and raise ConfigError.
-    """
-    if target_mape_pct < 0:
-        raise ConfigError("target_mape_pct must be >= 0")
+def _eps_amplitude(target_mape_pct: float) -> float:
+    """The half-width a of the uniform eps that gives the target, checked."""
+    if not target_mape_pct >= 0:
+        raise ConfigError(f"target_mape_pct must be >= 0, got {target_mape_pct}")
     a = 2.0 * target_mape_pct / 100.0
     if a >= 1.0:
         raise ConfigError(
             f"target of {target_mape_pct}% needs eps amplitude {a} >= 1, "
             "which would produce non-positive intervals"
         )
-    rng = np.random.default_rng(rng_seed)
-    eps = rng.uniform(-a, a, size=len(rr))
-    return RrSeries(rr.intervals_ms * (1.0 + eps))
+    return a
+
+
+def _error_factors(a: float, rng_seed: int, n: int) -> np.ndarray:
+    """The n factors 1 + eps that one perturbation multiplies the intervals by."""
+    return 1.0 + np.random.default_rng(rng_seed).uniform(-a, a, size=n)
+
+
+def inject_rr_error(rr: RrSeries, target_mape_pct: float, rng_seed: int) -> RrSeries:
+    """Multiplicative uniform noise with expected |relative error| = target.
+
+    Each interval becomes RR_i * (1 + eps_i) with eps_i ~ Uniform(-a, a)
+    and a = 2 * target / 100, so E|eps| equals the target.  A target that
+    is not a number >= 0, or of 50% or more (which would allow non-positive
+    intervals), raises ConfigError.
+    """
+    a = _eps_amplitude(target_mape_pct)
+    return RrSeries(rr.intervals_ms * _error_factors(a, rng_seed, len(rr)))
 
 
 def _window_slices(rr: RrSeries, window_s: float) -> list[slice]:
@@ -109,21 +137,34 @@ def amplification_table(
             f"window_s={window_s} cuts the base trace into {len(slices)} windows, "
             f"need at least {MIN_WINDOWS}"
         )
-    base_rmssd = np.array([rmssd(RrSeries(base.intervals_ms[s])) for s in slices])
-    base_sdnn = np.array([sdnn(RrSeries(base.intervals_ms[s])) for s in slices])
+    amplitudes = [_eps_amplitude(level) for level in mape_levels_pct]
+    x = base.intervals_ms
+    base_rmssd = np.array([rmssd(RrSeries(x[s])) for s in slices])
+    base_sdnn = np.array([sdnn(RrSeries(x[s])) for s in slices])
+    chunk = max(1, TRIAL_CHUNK_BYTES // x.nbytes)
+    pert = np.empty((min(chunk, trials), x.size))
+    r_est = np.empty((pert.shape[0], len(slices)))
+    s_est = np.empty_like(r_est)
     rows = []
-    for li, level in enumerate(mape_levels_pct):
+    for li, (level, a) in enumerate(zip(mape_levels_pct, amplitudes)):
         rmssd_sum = 0.0
         sdnn_sum = 0.0
-        for trial in range(trials):
-            seed = int(
-                np.random.SeedSequence((rng_seed, li, trial)).generate_state(1)[0]
-            )
-            pert = inject_rr_error(base, level, seed)
-            r_est = np.array([rmssd(RrSeries(pert.intervals_ms[s])) for s in slices])
-            s_est = np.array([sdnn(RrSeries(pert.intervals_ms[s])) for s in slices])
-            rmssd_sum += mape(r_est, base_rmssd)
-            sdnn_sum += mape(s_est, base_sdnn)
+        for t0 in range(0, trials, chunk):
+            m = min(chunk, trials - t0)
+            for j in range(m):
+                seed = int(
+                    np.random.SeedSequence((rng_seed, li, t0 + j)).generate_state(1)[0]
+                )
+                np.multiply(x, _error_factors(a, seed, x.size), out=pert[j])
+            for w, s in enumerate(slices):
+                r_est[:m, w] = rmssd_rows(pert[:m, s])
+                s_est[:m, w] = sdnn_rows(pert[:m, s])
+            for r, sd in zip(
+                mape_rows(r_est[:m], base_rmssd).tolist(),
+                mape_rows(s_est[:m], base_sdnn).tolist(),
+            ):
+                rmssd_sum += r
+                sdnn_sum += sd
         rows.append(
             AmplificationRow(
                 rr_mape_pct=float(level),

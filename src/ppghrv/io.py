@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,16 +52,24 @@ AMPLIFICATION_HEADER = ["rr_mape", "rmssd_mape", "sdnn_mape", "trials", "seed"]
 
 RATE_TOLERANCE = 0.01  # inferred vs declared sampling rate
 
+# The characters of a CSV line that holds only plain numbers (see _plain_table)
+_PLAIN_LINE = re.compile(r"[0-9eE+\-.,\r\n]*")
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path, header: Sequence[str], records: Iterable[Sequence[str]]) -> None:
+def _write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write the header and the lines, each ended by csv's \\r\\n.
+
+    Every field written is a float repr, an integer or a fixed name, none of
+    which csv would quote, so joining fields with commas gives the bytes
+    csv.writer gives.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(records)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line + "\r\n" for line in lines)
 
 
 def _rows(path, expected_header: Sequence[str]):
@@ -109,10 +118,10 @@ def _check_increasing(path, header: Sequence[str], t: np.ndarray, column: str) -
 
 def write_ppg_csv(path, signal: PpgSignal) -> None:
     fs = signal.sampling_rate_hz
-    records = (
-        [_fmt(signal.start_time_s + i / fs), _fmt(v)] for i, v in enumerate(signal.samples)
+    lines = (
+        f"{_fmt(signal.start_time_s + i / fs)},{_fmt(v)}" for i, v in enumerate(signal.samples)
     )
-    _write_csv(path, PPG_HEADER, records)
+    _write_csv(path, PPG_HEADER, lines)
 
 
 def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> PpgSignal:
@@ -137,10 +146,10 @@ def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> Pp
 
 def write_rr_csv(path, gt: GroundTruth) -> None:
     rr = gt.rr.intervals_ms
-    records = (
-        [_fmt(bt), "" if i == 0 else _fmt(rr[i - 1])] for i, bt in enumerate(gt.beat_times_s)
+    lines = (
+        f"{_fmt(bt)},{_fmt(rr[i - 1]) if i else ''}" for i, bt in enumerate(gt.beat_times_s)
     )
-    _write_csv(path, RR_HEADER, records)
+    _write_csv(path, RR_HEADER, lines)
 
 
 def read_rr_csv(path) -> GroundTruth:
@@ -165,8 +174,8 @@ def read_rr_csv(path) -> GroundTruth:
 
 
 def write_hr_csv(path, shr: SmoothedHrSeries) -> None:
-    records = ([_fmt(shr.start_time_s + i), _fmt(v)] for i, v in enumerate(shr.values))
-    _write_csv(path, HR_HEADER, records)
+    lines = (f"{_fmt(shr.start_time_s + i)},{_fmt(v)}" for i, v in enumerate(shr.values))
+    _write_csv(path, HR_HEADER, lines)
 
 
 def _dataset_header(n_features: int) -> list[str]:
@@ -174,11 +183,41 @@ def _dataset_header(n_features: int) -> list[str]:
 
 
 def write_dataset_csv(path, ds: Dataset) -> None:
-    records = (
-        [_fmt(t)] + [_fmt(v) for v in x] + [_fmt(label)]
-        for t, x, label in zip(ds.window_end_times_s, ds.features, ds.labels)
-    )
-    _write_csv(path, _dataset_header(ds.n_features), records)
+    table = np.column_stack([ds.window_end_times_s, ds.features, ds.labels])
+    lines = (",".join(map(repr, row.tolist())) for row in table)
+    _write_csv(path, _dataset_header(ds.n_features), lines)
+
+
+def _plain_table(path, header: Sequence[str]) -> np.ndarray | None:
+    """The data rows of a file made only of plain numbers, as one array.
+
+    Taken only when the first line is the header and every later line holds
+    nothing but _PLAIN_LINE's characters.  There csv.reader and a split at
+    commas cut the same fields from the same lines, and float() is
+    _parse_float's parser, so the array is what the per-field path builds.
+    Returns None on anything else (another character, a line longer than
+    csv's field limit, a field-count mismatch, a bad or non-finite number,
+    no rows, text that does not decode); the caller then takes the
+    per-field path, which names the line or raises what it raises.
+    """
+    limit = csv.field_size_limit()
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            if next(csv.reader([fh.readline()]), None) != list(header):
+                return None
+            for line in fh:
+                if len(line) > limit or not _PLAIN_LINE.fullmatch(line):
+                    return None
+                line = line.rstrip("\r\n")
+                if line:
+                    rows.append(list(map(float, line.split(","))))
+    except (ValueError, csv.Error):  # a bad number, or UnicodeDecodeError
+        return None
+    if not rows or any(len(row) != len(header) for row in rows):
+        return None
+    table = np.array(rows, dtype=np.float64)
+    return table if np.isfinite(table).all() else None
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -187,6 +226,11 @@ def read_dataset_csv(path) -> Dataset:
         width = len(next(csv.reader(fh), []))
     # the header declares the feature count; one is the least accepted
     header = _dataset_header(max(width - 2, 1))
+    table = _plain_table(path, header)
+    if table is not None:
+        t = table[:, 0].copy()
+        _check_increasing(path, header, t, "window_end_time_s")
+        return Dataset(np.ascontiguousarray(table[:, 1:-1]), table[:, -1].copy(), t)
     times, feats, labels = [], [], []
     for lineno, row in _rows(path, header):
         times.append(_parse_float(path, lineno, row[0], "window_end_time_s"))
@@ -200,8 +244,8 @@ def read_dataset_csv(path) -> Dataset:
 
 
 def write_results_csv(path, rows: Iterable) -> None:
-    records = (
-        [
+    lines = (
+        ",".join([
             r.activity,
             r.metric,
             str(r.n_s),
@@ -210,26 +254,26 @@ def write_results_csv(path, rows: Iterable) -> None:
             _fmt(r.sigproc_mape_pct),
             str(r.model_bytes),
             "" if r.latency_us_mean is None else _fmt(r.latency_us_mean),
-        ]
+        ])
         for r in rows
     )
-    _write_csv(path, RESULTS_HEADER, records)
+    _write_csv(path, RESULTS_HEADER, lines)
 
 
 def write_trace_csv(path, window_end_s, truth_ms, sigproc_ms, model_ms) -> None:
     columns = zip(window_end_s, truth_ms, sigproc_ms, model_ms)
-    _write_csv(path, TRACE_HEADER, ([_fmt(v) for v in row] for row in columns))
+    _write_csv(path, TRACE_HEADER, (",".join(map(_fmt, row)) for row in columns))
 
 
 def write_amplification_csv(path, rows: Iterable) -> None:
-    records = (
-        [
+    lines = (
+        ",".join([
             _fmt(r.rr_mape_pct),
             _fmt(r.rmssd_mape_pct),
             _fmt(r.sdnn_mape_pct),
             str(r.trials),
             str(r.seed),
-        ]
+        ])
         for r in rows
     )
-    _write_csv(path, AMPLIFICATION_HEADER, records)
+    _write_csv(path, AMPLIFICATION_HEADER, lines)

@@ -3,6 +3,12 @@
 Metric values are milliseconds; mape() returns percent.  SDNN uses the
 population form (divide by N), RMSSD averages the N-1 squared successive
 differences.
+
+Each formula is written once, as a kernel over the last axis of an array
+(rmssd_rows, sdnn_rows, mape_rows); the 1-D functions check their input and
+call the kernel on it.  numpy reduces each row of an array along a last axis
+of unit stride with the same pairwise sum as a 1-D call on that row, so a
+kernel's value for a row equals the 1-D function's value bit for bit.
 """
 
 from __future__ import annotations
@@ -40,12 +46,23 @@ class RrSeries:
         return int(self.intervals_ms.size)
 
 
+def sdnn_rows(x: np.ndarray) -> np.ndarray:
+    """SDNN of each row of x, intervals along the last axis (at least 2)."""
+    return np.sqrt(np.mean((x - np.mean(x, axis=-1, keepdims=True)) ** 2, axis=-1))
+
+
+def rmssd_rows(x: np.ndarray) -> np.ndarray:
+    """RMSSD of each row of x, intervals along the last axis (at least 2)."""
+    d = np.diff(x, axis=-1)
+    return np.sqrt(np.sum(d * d, axis=-1) / d.shape[-1])
+
+
 def sdnn(rr: RrSeries) -> float:
     """Standard deviation of the intervals around their mean (divide by N)."""
     x = rr.intervals_ms
     if x.size < 2:
         raise HrvError(f"sdnn needs at least 2 intervals, got {x.size}")
-    return float(np.sqrt(np.mean((x - np.mean(x)) ** 2)))
+    return float(sdnn_rows(x))
 
 
 def rmssd(rr: RrSeries) -> float:
@@ -53,8 +70,7 @@ def rmssd(rr: RrSeries) -> float:
     x = rr.intervals_ms
     if x.size < 2:
         raise HrvError(f"rmssd needs at least 2 intervals, got {x.size}")
-    d = np.diff(x)
-    return float(np.sqrt(np.sum(d * d) / d.size))
+    return float(rmssd_rows(x))
 
 
 def rough_hrv(hr_per_s, kind: HrvMetricKind) -> float:
@@ -77,6 +93,13 @@ def rough_hrv(hr_per_s, kind: HrvMetricKind) -> float:
     return sdnn(pseudo) if kind is HrvMetricKind.SDNN else rmssd(pseudo)
 
 
+def mape_rows(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """MAPE in percent of each row of estimates against the 1-D truths."""
+    if np.any(truths == 0):
+        raise HrvError("mape is undefined for zero truth values")
+    return np.mean(np.abs(estimates - truths) / np.abs(truths), axis=-1) * 100.0
+
+
 def mape(estimates, truths) -> float:
     """Mean absolute percentage error of estimates against truths, in percent."""
     est = np.asarray(estimates, dtype=np.float64)
@@ -87,6 +110,4 @@ def mape(estimates, truths) -> float:
         raise HrvError(
             f"mape needs equal non-empty lengths, got {est.size} and {tru.size}"
         )
-    if np.any(tru == 0):
-        raise HrvError("mape is undefined for zero truth values")
-    return float(np.mean(np.abs(est - tru) / np.abs(tru)) * 100.0)
+    return float(mape_rows(est, tru))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ppghrv import amplify
 from ppghrv.amplify import (
     AmplificationRow,
     _window_slices,
@@ -11,7 +12,37 @@ from ppghrv.amplify import (
     inject_rr_error,
 )
 from ppghrv.errors import ConfigError
-from ppghrv.metrics import RrSeries, mape
+from ppghrv.metrics import RrSeries, mape, rmssd, sdnn
+
+
+def oracle_table(base, mape_levels_pct, trials, window_s, rng_seed):
+    """The table one trial at a time: perturb, then rmssd/sdnn per window."""
+    slices = _window_slices(base, window_s)
+    base_rmssd = np.array([rmssd(RrSeries(base.intervals_ms[s])) for s in slices])
+    base_sdnn = np.array([sdnn(RrSeries(base.intervals_ms[s])) for s in slices])
+    rows = []
+    for li, level in enumerate(mape_levels_pct):
+        rmssd_sum = 0.0
+        sdnn_sum = 0.0
+        for trial in range(trials):
+            seed = int(
+                np.random.SeedSequence((rng_seed, li, trial)).generate_state(1)[0]
+            )
+            pert = inject_rr_error(base, level, seed)
+            r_est = np.array([rmssd(RrSeries(pert.intervals_ms[s])) for s in slices])
+            s_est = np.array([sdnn(RrSeries(pert.intervals_ms[s])) for s in slices])
+            rmssd_sum += mape(r_est, base_rmssd)
+            sdnn_sum += mape(s_est, base_sdnn)
+        rows.append(
+            AmplificationRow(
+                rr_mape_pct=float(level),
+                rmssd_mape_pct=rmssd_sum / trials,
+                sdnn_mape_pct=sdnn_sum / trials,
+                trials=trials,
+                seed=rng_seed,
+            )
+        )
+    return rows
 
 
 class TestInjectRrError:
@@ -47,6 +78,15 @@ class TestInjectRrError:
             inject_rr_error(rr, 50.0, rng_seed=0)
         with pytest.raises(ConfigError, match='target_mape_pct must be >= 0'):
             inject_rr_error(rr, -1.0, rng_seed=0)
+
+    @pytest.mark.parametrize("target, message", [
+        (float("nan"), "target_mape_pct must be >= 0, got nan"),
+        (float("-inf"), "target_mape_pct must be >= 0, got -inf"),
+        (float("inf"), "needs eps amplitude inf >= 1"),
+    ])
+    def test_non_finite_targets(self, target, message):
+        with pytest.raises(ConfigError, match=message):
+            inject_rr_error(RrSeries(np.full(10, 800.0)), target, rng_seed=0)
 
     def test_length_preserved(self):
         rr = default_base_trace()
@@ -114,3 +154,60 @@ class TestAmplificationTable:
     def test_bad_trials(self):
         with pytest.raises(ConfigError):
             amplification_table(default_base_trace(), (1.0,), trials=0)
+
+    @pytest.mark.parametrize("level", [float("nan"), 50.0])
+    def test_bad_last_level_fails_before_any_trial(self, monkeypatch, level):
+        drawn = []
+        monkeypatch.setattr(amplify, "_error_factors", lambda *a: drawn.append(a))
+        with pytest.raises(ConfigError, match="target"):
+            amplification_table(default_base_trace(), (1.0, 2.0, level), trials=3)
+        assert drawn == []
+
+
+def _uniform_base(n, seed=5):
+    return RrSeries(np.random.default_rng(seed).uniform(400.0, 1200.0, size=n))
+
+
+class TestBatchedTableMatchesLoop:
+    """Rows equal the one-trial-at-a-time loop exactly, not approximately."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_default_base(self, trials):
+        base = default_base_trace(3)
+        levels = (0.0, 1.0, 4.5)
+        assert amplification_table(base, levels, trials, 60.0, 9) == oracle_table(
+            base, levels, trials, 60.0, 9
+        )
+
+    @pytest.mark.parametrize("trials", [6, 7, 15])
+    def test_trials_over_several_chunks(self, trials):
+        # 1 MiB holds 6 trials of this base, so 7 and 15 take a partial last chunk
+        base = _uniform_base(20_000)
+        assert amplify.TRIAL_CHUNK_BYTES // base.intervals_ms.nbytes == 6
+        levels = (0.0, 3.0)
+        assert amplification_table(base, levels, trials, 600.0, 2) == oracle_table(
+            base, levels, trials, 600.0, 2
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 4, 30])
+    def test_chunk_size_does_not_change_rows(self, monkeypatch, chunk):
+        base = default_base_trace(1)
+        monkeypatch.setattr(amplify, "TRIAL_CHUNK_BYTES", chunk * base.intervals_ms.nbytes)
+        levels = (0.0, 2.0, 5.0)
+        assert amplification_table(base, levels, 13, 60.0, 4) == oracle_table(
+            base, levels, 13, 60.0, 4
+        )
+
+    @pytest.mark.parametrize("window_s, lo, hi", [
+        (3.0, 2, 7),        # fewer than 8 intervals per window
+        (40.0, 8, 128),     # numpy's 8-way unrolled sum
+        (200.0, 129, None),  # the pairwise split
+    ])
+    def test_window_lengths_across_pairwise_routes(self, window_s, lo, hi):
+        base = _uniform_base(3000)
+        sizes = [s.stop - s.start for s in _window_slices(base, window_s)]
+        assert min(sizes) >= lo and (hi is None or max(sizes) <= hi)
+        levels = (0.0, 1.5, 7.0)
+        assert amplification_table(base, levels, 9, window_s, 4) == oracle_table(
+            base, levels, 9, window_s, 4
+        )

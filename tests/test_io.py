@@ -1,18 +1,26 @@
 import csv
+import dataclasses
+import io
 
 import numpy as np
 import pytest
 
+from ppghrv import io as hrvio
+from ppghrv.amplify import AmplificationRow
 from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, HrvError
+from ppghrv.experiment import ResultRow
 from ppghrv.io import (
     read_dataset_csv,
     read_ppg_csv,
     read_rr_csv,
+    write_amplification_csv,
     write_dataset_csv,
     write_hr_csv,
     write_ppg_csv,
+    write_results_csv,
     write_rr_csv,
+    write_trace_csv,
 )
 from ppghrv.sigproc import SmoothedHrSeries
 from ppghrv.synth import SynthConfig, generate_rr_trace, render_ppg
@@ -168,3 +176,154 @@ class TestDatasetCsv:
         path.write_text("window_end_time_s,f0,label\n1.0,2.0\n")
         with pytest.raises(HrvError, match=":2:"):
             read_dataset_csv(path)
+
+
+def csv_writer_bytes(rows) -> bytes:
+    """What csv.writer writes for these rows of strings."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+def oracle_dataset_bytes(ds: Dataset) -> bytes:
+    """The dataset file as csv.writer wrote it, one repr per field."""
+    header = ["window_end_time_s"] + [f"f{i}" for i in range(ds.n_features)] + ["label"]
+    rows = (
+        [repr(float(t))] + [repr(float(v)) for v in x] + [repr(float(label))]
+        for t, x, label in zip(ds.window_end_times_s, ds.features, ds.labels)
+    )
+    return csv_writer_bytes([header, *rows])
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+    1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3, 123456789.125,
+]
+
+
+def random_dataset(rng, m, d) -> Dataset:
+    values = np.where(
+        rng.random((m, d + 1)) < 0.3,
+        rng.choice(SPECIAL_FLOATS, size=(m, d + 1)),
+        rng.normal(0.0, 10.0 ** rng.integers(-5, 6, size=(m, d + 1))),
+    )
+    times = np.cumsum(rng.uniform(1e-3, 1e3, size=m))
+    return Dataset(values[:, :d], values[:, d], times)
+
+
+class TestDatasetCsvFastPaths:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_writer_bytes_match_csv_writer(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, int(rng.integers(1, 40)), int(rng.integers(1, 30)))
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(path, ds)
+        assert path.read_bytes() == oracle_dataset_bytes(ds)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fast_reader_gives_the_written_bits(self, tmp_path, seed):
+        rng = np.random.default_rng(100 + seed)
+        ds = random_dataset(rng, int(rng.integers(1, 40)), int(rng.integers(1, 30)))
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(path, ds)
+        header = hrvio._dataset_header(ds.n_features)
+        assert hrvio._plain_table(path, header) is not None
+        back = read_dataset_csv(path)
+        for got, want in [(back.features, ds.features), (back.labels, ds.labels),
+                          (back.window_end_times_s, ds.window_end_times_s)]:
+            assert got.tobytes() == want.tobytes()
+            assert got.flags["C_CONTIGUOUS"]
+
+
+def _outcome(path):
+    try:
+        ds = read_dataset_csv(path)
+    except Exception as err:  # the type and message are what is compared
+        return type(err), str(err)
+    return tuple(a.tobytes() for a in (ds.features, ds.labels, ds.window_end_times_s))
+
+
+H = "window_end_time_s,f0,label"
+
+
+@pytest.mark.parametrize("text", [
+    f"{H}\r\n1.0,2.0,3.0\r\n2.0,-0.0,4e-320\r\n",
+    f"{H}\n1.0,2.0,3.0\n\n\n2.0,2.5,3.5\n",
+    f"{H}\r1.0,2.0,3.0\r2.0,2.5,3.5\r",
+    f"{H}\r\n1.0,2.0,3.0\r\r\n2.0,2.5,3.5",
+    f"{H}\n1.0,+2.,.5e+1\n2.0,1E3,-3\n",
+    f"{H}\n\"1.0\",2.0,\"3.0\"\n2.0,2.5,3.5\n",
+    f"{H}\n\"1.0\n\",2.0,3.0\n",
+    f"{H}\n1.0,2.0\x0b,3.0\n2.0,2.5,3.5\n",
+    f"{H}\n1.0,2.\x0b0,3.0\n",
+    f"{H}\n1.0,\x0c2.0,3.0\n2.0,2.5,3.5\n",
+    f"{H}\n1.0,2.0\u2028,3.0\n2.0,2.5,3.5\n",
+    f"{H}\n1.0,2\u20280,3.0\n",
+    f"{H}\n 1.0,2.0 ,3.0\n2.0,2.5,3.5\n",
+    f"{H}\n1_0,2.0,3.0\n2_0,2.5,3.5\n",
+    f"{H}\n1.0,nan,3.0\n",
+    f"{H}\n1.0,2.0,inf\n",
+    f"{H}\n1.0,2.0,1e999\n",
+    f"{H}\n1.0,2.0,3.0\n2.0,2.5\n",
+    f"{H}\n1.0,2.0,3.0\n2.0,2.5,3.5,4.5\n",
+    f"{H}\n1.0,2.0,3.0\n2.0,,3.5\n",
+    f"{H}\n1.0,2.0,3.0\n2.0,1.2.3,3.5\n",
+    f"{H}\n1.0,2.0,3.0\n2.0,e,3.5\n",
+    f"{H}\n1.0,2.0,3.0\n,\n",
+    f"{H}\n2.0,2.0,3.0\n\n1.0,2.5,3.5\n",
+    f"{H}\n1.0,2.0,3.0\n1.0,2.5,3.5\n",
+    f"{H}\n",
+    f"{H}\n\n\r\n",
+    "",
+    "window_end_time_s,f0,f1\n1.0,2.0,3.0\n",
+    "window_end_time_s,f0,\"label\n1.0,2.0,3.0\n",
+    f"{H}\n1.0,2.0,{'1' * 200_000}e-199999\n",
+], ids=[
+    "crlf", "blank_lines", "cr_only", "cr_cr_lf", "signs_and_exponents",
+    "quoted", "quoted_newline", "vt_after_field", "vt_inside_field",
+    "ff_before_field", "line_separator_after_field", "line_separator_inside_field",
+    "spaces", "underscores", "nan", "inf", "overflow", "short_row", "long_row",
+    "empty_field", "two_points", "bare_exponent", "commas_only",
+    "decreasing_after_blank", "repeated_time", "header_only", "header_and_blanks",
+    "empty_file", "wrong_header", "open_quote_in_header", "field_over_csv_limit",
+])
+def test_dataset_reader_paths_agree(tmp_path, monkeypatch, text):
+    path = tmp_path / "ds.csv"
+    path.write_text(text, newline="")
+    fast = _outcome(path)
+    monkeypatch.setattr(hrvio, "_plain_table", lambda path, header: None)
+    assert fast == _outcome(path)
+
+
+def test_plain_files_take_the_fast_path(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text(f"{H}\r1.0,2.0,3.0\r\n\n2.0,-1e-3,3.5", newline="")
+    table = hrvio._plain_table(path, H.split(","))
+    assert table.tolist() == [[1.0, 2.0, 3.0], [2.0, -1e-3, 3.5]]
+
+
+def test_every_writer_writes_what_csv_writer_would(tmp_path, trace):
+    # re-rendering each parsed file with csv.writer gives the same bytes: no
+    # field needed quoting and every line ends with \r\n
+    gt, ppg = trace
+    shr = SmoothedHrSeries(np.array([61.5, 62.25, 63.0]), start_time_s=8.0)
+    result = ResultRow("office_work", "rmssd", 60, "dt", 12.5, 98.25, 1234, None)
+    writers = {
+        "ppg": lambda p: write_ppg_csv(p, ppg),
+        "rr": lambda p: write_rr_csv(p, gt),
+        "hr": lambda p: write_hr_csv(p, shr),
+        "results": lambda p: write_results_csv(
+            p, [result, dataclasses.replace(result, latency_us_mean=3.5)]
+        ),
+        "trace": lambda p: write_trace_csv(p, [1.0, 2.0], [3.0, 4.0], [5.0, -0.0], [7.0, 8.0]),
+        "amplification": lambda p: write_amplification_csv(
+            p, [AmplificationRow(0.0, 0.0, 0.0, 10, 3), AmplificationRow(1.0, 9.5, 4.25, 10, 3)]
+        ),
+    }
+    for name, write in writers.items():
+        path = tmp_path / f"{name}.csv"
+        write(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1, name
+        assert path.read_bytes() == csv_writer_bytes(rows), name

@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 
 from ppghrv.errors import HrvError
-from ppghrv.metrics import HrvMetricKind, RrSeries, mape, rmssd, rough_hrv, sdnn
+from ppghrv.metrics import (
+    HrvMetricKind,
+    RrSeries,
+    mape,
+    mape_rows,
+    rmssd,
+    rmssd_rows,
+    rough_hrv,
+    sdnn,
+    sdnn_rows,
+)
 
 
 def oracle_sdnn(xs):
@@ -174,3 +184,53 @@ class TestRrSeries:
 
     def test_len(self):
         assert len(RrSeries(np.array([800.0, 900.0, 1000.0]))) == 3
+
+
+# The 1-D metrics as they were written before the last-axis kernels: the
+# kernels must give these values bit for bit, not just within rounding.
+def direct_sdnn(x):
+    return float(np.sqrt(np.mean((x - np.mean(x)) ** 2)))
+
+
+def direct_rmssd(x):
+    d = np.diff(x)
+    return float(np.sqrt(np.sum(d * d) / d.size))
+
+
+def direct_mape(est, tru):
+    return float(np.mean(np.abs(est - tru) / np.abs(tru)) * 100.0)
+
+
+# sizes around numpy's pairwise-sum routes: < 8, 8..128 and above 128
+ROUTE_SIZES = [2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 130, 257, 1000]
+
+
+class TestLastAxisKernels:
+    @pytest.mark.parametrize("n", ROUTE_SIZES)
+    def test_one_d_functions_keep_their_values(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = random_rr(rng, n)
+            est = x + rng.normal(0.0, 30.0, size=n)
+            assert sdnn(RrSeries(x)) == direct_sdnn(x)
+            assert rmssd(RrSeries(x)) == direct_rmssd(x)
+            assert mape(est, x) == direct_mape(est, x)
+
+    @pytest.mark.parametrize("n", ROUTE_SIZES)
+    def test_rows_of_a_column_slice_equal_one_d_calls(self, n):
+        # a window of a batch is a column slice: rows keep unit stride but
+        # are not adjacent in memory
+        rng = np.random.default_rng(100 + n)
+        batch = random_rr(rng, (9, n + 13))
+        x = batch[:, 5:5 + n]
+        truths = random_rr(rng, n)
+        r, s, m = rmssd_rows(x), sdnn_rows(x), mape_rows(x, truths)
+        assert r.shape == s.shape == m.shape == (9,)
+        for i in range(9):
+            assert r[i] == direct_rmssd(x[i])
+            assert s[i] == direct_sdnn(x[i])
+            assert m[i] == direct_mape(x[i], truths)
+
+    def test_mape_rows_rejects_zero_truth(self):
+        with pytest.raises(HrvError, match="undefined for zero truth values"):
+            mape_rows(np.ones((2, 3)), np.array([1.0, 0.0, 1.0]))
