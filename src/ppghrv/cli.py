@@ -26,6 +26,7 @@ from .data import build_hrv_dataset
 from .errors import ConfigError, HrvError
 from .experiment import ExperimentConfig, run_experiment
 from .io import (
+    opened,
     read_dataset_csv,
     read_ppg_csv,
     read_rr_csv,
@@ -109,6 +110,16 @@ def _float(text: str) -> float:
     return value
 
 
+def _output(text: str) -> str:
+    """An output path: not a directory, and inside a directory that exists."""
+    path = Path(text)
+    if path.is_dir():
+        raise ConfigError(f"output path {text} is a directory")
+    if not path.absolute().parent.is_dir():
+        raise ConfigError(f"no directory for output path {text}")
+    return text
+
+
 def _list_of(convert):
     """Converter for a comma-separated list whose items `convert` parses."""
     return lambda text: tuple(convert(part) for part in _csv_list(text))
@@ -147,9 +158,10 @@ def read_config_file(path) -> dict:
     """key=value lines; # starts a comment; unknown keys are rejected."""
     values = {}
     try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        with opened(path, "r") as fh:
+            text = fh.read()
+    except HrvError as err:  # the config path is a setting
+        raise ConfigError(str(err)) from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -181,20 +193,20 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--clean", action="store_true",
                    help="disable motion artifacts and sensor noise")
-    p.add_argument("--out-ppg", required=True)
-    p.add_argument("--out-rr", required=True)
+    p.add_argument("--out-ppg", type=_output, required=True)
+    p.add_argument("--out-rr", type=_output, required=True)
 
     p = sub.add_parser("process",
                        help="PPG CSV -> per-second HR CSV (and optionally a dataset)")
     p.add_argument("--ppg", required=True)
     p.add_argument("--sampling-rate-hz", type=_float, default=DEFAULT_SAMPLING_RATE_HZ)
     p.add_argument("--z-score", type=_float, default=DEFAULT_Z_SCORE)
-    p.add_argument("--out-hr", required=True)
+    p.add_argument("--out-hr", type=_output, required=True)
     p.add_argument("--rr", help="RR ground-truth CSV, needed for --out-dataset")
     p.add_argument("--metric", type=_metric, default=HrvMetricKind.RMSSD)
     p.add_argument("--n-s", type=int, default=300)
     p.add_argument("--stride-s", type=int, default=1)
-    p.add_argument("--out-dataset")
+    p.add_argument("--out-dataset", type=_output)
 
     p = sub.add_parser("train",
                        help="random hyperparameter search over one model kind")
@@ -204,13 +216,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--val-fraction", type=_float, default=0.2)
     p.add_argument("--mlp-max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output, required=True)
 
     p = sub.add_parser("eval",
                        help="test MAPE of a saved model on a dataset CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--out-trace", help="write window_end_s,truth,sigproc,model CSV")
+    p.add_argument("--out-trace", type=_output,
+                   help="write window_end_s,truth,sigproc,model CSV")
 
     p = sub.add_parser("run",
                        help="full experiment matrix; see --config")
@@ -228,7 +241,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--window-s", type=_float, default=DEFAULT_WINDOW_S)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output, required=True)
 
     p = sub.add_parser("bench",
                        help="single-prediction latency of a saved model")
@@ -379,7 +392,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except (HrvError, FileNotFoundError) as err:
+    except HrvError as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports and exits

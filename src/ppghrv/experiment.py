@@ -22,7 +22,7 @@ from .errors import ConfigError, HrvError
 from .io import write_results_csv, write_trace_csv
 from .metrics import HrvMetricKind, mape
 from .models.base import ModelKind
-from .models.bench import bench_inference
+from .models.bench import MIN_REPETITIONS, bench_inference
 from .models.codec import serialized_size
 from .models.mlp import DEFAULT_MAX_EPOCHS
 from .models.search import random_search
@@ -75,8 +75,8 @@ class ExperimentConfig:
                 f"duration_s={self.duration_s:g} leaves no room for "
                 f"{max_n}s windows plus a test split"
             )
-        if self.bench_repetitions != 0 and self.bench_repetitions < 100:
-            raise ConfigError("bench_repetitions must be 0 (off) or >= 100")
+        if self.bench_repetitions != 0 and self.bench_repetitions < MIN_REPETITIONS:
+            raise ConfigError(f"bench_repetitions must be 0 (off) or >= {MIN_REPETITIONS}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
         if not 0.0 < self.val_fraction < 1.0:
@@ -135,7 +135,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     results.csv is written.
     """
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create out_dir {out_dir}: {err.strerror or err}") from None
     rows: list[ResultRow] = []
     failed: list[str] = []
     for activity in cfg.activities:

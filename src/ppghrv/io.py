@@ -1,4 +1,4 @@
-"""CSV wire formats and the binary-agnostic file plumbing.
+"""CSV wire formats, and `opened`, the package's one way to open a file.
 
 Formats (headers are exact):
 
@@ -15,7 +15,15 @@ the exact in-memory values.  Readers raise HrvError for a malformed or
 non-finite (nan, inf) value and for timestamps that do not strictly
 increase, naming the file and line, and for a PPG file whose inferred
 sampling rate is off the declared one by more than 1%; a declared rate
-that is not > 0 is a ConfigError.
+that is not > 0 is a ConfigError.  A line csv rejects (such as a field
+longer than csv's field limit) is an HrvError naming the line.
+
+Every file the package reads or writes, CSV or binary model, is opened by
+`opened`.  A file that cannot be read (missing, a directory, no permission,
+text that is not UTF-8) raises HrvError naming the path; one that cannot be
+written raises ConfigError, because an output path is a setting.  Writes go
+straight to the target, so a failure mid-write (say, a full disk) can leave
+a partial file.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import csv
 import itertools
 import math
 import re
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,6 +69,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def opened(path, mode: str):
+    """Open path in mode ("r", "w", "rb" or "wb"); text is UTF-8, newlines
+    untranslated.  A failed read raises HrvError, a failed write ConfigError,
+    each naming the path."""
+    text = "b" not in mode
+    try:
+        with open(
+            path, mode, encoding="utf-8" if text else None, newline="" if text else None
+        ) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        if mode.startswith("r"):
+            raise HrvError(f"cannot read {path}: {reason}") from None
+        raise ConfigError(f"cannot write {path}: {reason}") from None
+
+
 def _write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
     """Write the header and the lines, each ended by csv's \\r\\n.
 
@@ -67,33 +94,35 @@ def _write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
     which csv would quote, so joining fields with commas gives the bytes
     csv.writer gives.
     """
-    with open(path, "w", newline="") as fh:
+    with opened(path, "w") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(line + "\r\n" for line in lines)
 
 
 def _rows(path, expected_header: Sequence[str]):
     """Yield (line_number, row) for data rows; validates the header."""
-    with open(path, newline="") as fh:
+    with opened(path, "r") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise HrvError(f"{path}: empty file") from None
-        if header != list(expected_header):
-            raise HrvError(
-                f"{path}:1: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
+            header = next(reader, None)
+            if header is None:
+                raise HrvError(f"{path}: empty file")
+            if header != list(expected_header):
                 raise HrvError(
-                    f"{path}:{lineno}: expected {len(expected_header)} fields, "
-                    f"got {len(row)}"
+                    f"{path}:1: expected header {','.join(expected_header)!r}, "
+                    f"got {','.join(header)!r}"
                 )
-            yield lineno, row
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise HrvError(
+                        f"{path}:{lineno}: expected {len(expected_header)} fields, "
+                        f"got {len(row)}"
+                    )
+                yield lineno, row
+        except csv.Error as err:
+            raise HrvError(f"{path}:{reader.line_num}: {err}") from None
 
 
 def _parse_float(path, lineno: int, text: str, column: str) -> float:
@@ -197,13 +226,13 @@ def _plain_table(path, header: Sequence[str]) -> np.ndarray | None:
     _parse_float's parser, so the array is what the per-field path builds.
     Returns None on anything else (another character, a line longer than
     csv's field limit, a field-count mismatch, a bad or non-finite number,
-    no rows, text that does not decode); the caller then takes the
-    per-field path, which names the line or raises what it raises.
+    no rows); the caller then takes the per-field path, which names the line
+    or raises what it raises.  A file that cannot be read raises HrvError.
     """
     limit = csv.field_size_limit()
     rows = []
     try:
-        with open(path, newline="") as fh:
+        with opened(path, "r") as fh:
             if next(csv.reader([fh.readline()]), None) != list(header):
                 return None
             for line in fh:
@@ -212,7 +241,7 @@ def _plain_table(path, header: Sequence[str]) -> np.ndarray | None:
                 line = line.rstrip("\r\n")
                 if line:
                     rows.append(list(map(float, line.split(","))))
-    except (ValueError, csv.Error):  # a bad number, or UnicodeDecodeError
+    except (ValueError, csv.Error):  # a bad number, or a header csv rejects
         return None
     if not rows or any(len(row) != len(header) for row in rows):
         return None
@@ -222,9 +251,11 @@ def _plain_table(path, header: Sequence[str]) -> np.ndarray | None:
 
 def read_dataset_csv(path) -> Dataset:
     """Read what write_dataset_csv wrote: the same arrays, bit for bit."""
-    with open(path, newline="") as fh:
-        width = len(next(csv.reader(fh), []))
-    # the header declares the feature count; one is the least accepted
+    with opened(path, "r") as fh:
+        width = fh.readline().count(",") + 1
+    # the header declares the feature count; one is the least accepted.  It
+    # counts commas, not csv fields, so a header line csv rejects reaches
+    # _rows, which names it; a header with a quoted comma matches none anyway.
     header = _dataset_header(max(width - 2, 1))
     table = _plain_table(path, header)
     if table is not None:

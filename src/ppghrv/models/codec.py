@@ -32,6 +32,7 @@ import struct
 import numpy as np
 
 from ..errors import HrvError
+from ..io import opened
 from .base import ModelKind, TrainedModel
 from .forest import RandomForest
 from .knn import DISTANCES, KnnRegressor
@@ -273,10 +274,10 @@ def serialized_size(model: TrainedModel) -> int:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    with open(path, "wb") as fh:
+    with opened(path, "wb") as fh:
         fh.write(encode(model))
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "rb") as fh:
+    with opened(path, "rb") as fh:
         return decode(fh.read())

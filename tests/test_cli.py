@@ -289,7 +289,9 @@ class TestExitCodes:
         (["--rr", "RR", "--n-s", "100000", "--out-dataset", "DS"], 2,
          "need 100000 smoothed HRs"),
         (["--rr", "MISSING", "--out-dataset", "DS"], 2, "missing.csv"),
-    ], ids=["rr_without_dataset", "window_longer_than_trace", "missing_rr_file"])
+        (["--rr", "RR", "--n-s", "30", "--out-dataset", "NODIR"], 1, "nodir"),
+    ], ids=["rr_without_dataset", "window_longer_than_trace", "missing_rr_file",
+            "dataset_dir_missing"])
     def test_failed_process_writes_nothing(
         self, extra, code, message, workdir, tmp_path, capsys
     ):
@@ -297,6 +299,7 @@ class TestExitCodes:
             "RR": str(workdir / "rr.csv"),
             "MISSING": str(tmp_path / "missing.csv"),
             "DS": str(tmp_path / "ds.csv"),
+            "NODIR": str(tmp_path / "nodir" / "d.csv"),
         }
         argv = [
             "process", "--ppg", str(workdir / "ppg.csv"),
@@ -306,6 +309,65 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "hr.csv").exists()
         assert not (tmp_path / "ds.csv").exists()
+
+    @pytest.mark.parametrize("argv, code, names", [
+        (["process", "--ppg", "DIR", "--out-hr", "OUT/hr.csv"], 2, "DIR"),
+        (["process", "--ppg", "MISSING", "--out-hr", "OUT/hr.csv"], 2, "MISSING"),
+        (["process", "--ppg", "LATIN1", "--out-hr", "OUT/hr.csv"], 2, "LATIN1"),
+        (["process", "--ppg", "LONG", "--out-hr", "OUT/hr.csv"], 2, "LONG:2:"),
+        (["train", "--dataset", "LATIN1_DS", "--model", "dt", "--out", "OUT/m.bin"],
+         2, "LATIN1_DS"),
+        (["eval", "--model", "DIR", "--dataset", "DS"], 2, "DIR"),
+        (["bench", "--model", "DIR"], 2, "DIR"),
+        (["run", "--config", "DIR", "--out-dir", "OUT/run"], 1, "DIR"),
+        (["run", "--config", "MISSING", "--out-dir", "OUT/run"], 1, "MISSING"),
+        (["synth", "--preset", "sit", "--out-ppg", "DIR", "--out-rr", "OUT/rr.csv"], 1, "DIR"),
+        (["eval", "--model", "MODEL", "--dataset", "DS", "--out-trace", "DIR"], 1, "DIR"),
+        (["train", "--dataset", "DS", "--model", "dt", "--out", "DIR"], 1, "DIR"),
+        (["run", "--out-dir", "FILE"], 1, "FILE"),
+        (["amplify", "--out", "NODIR/a.csv"], 1, "NODIR/a.csv"),
+    ], ids=[
+        "process_ppg_dir", "process_ppg_missing", "process_ppg_not_utf8",
+        "process_ppg_field_over_csv_limit", "train_dataset_not_utf8", "eval_model_dir",
+        "bench_model_dir", "run_config_dir", "run_config_missing", "synth_out_dir",
+        "eval_out_trace_dir", "train_out_dir", "run_out_dir_is_file", "amplify_out_no_dir",
+    ])
+    def test_file_failure_exit_codes(self, argv, code, names, workdir, tmp_path, capsys):
+        # a path that cannot be read is bad data (2); one that cannot be
+        # written, or a bad --config or --out-dir, is a bad setting (1)
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("keep\n")
+        (tmp_path / "latin1.csv").write_bytes(b"time_s,value\n0.0,1.0\n0.04,caf\xe9\n")
+        (tmp_path / "latin1_ds.csv").write_bytes(b"window_end_time_s,f0,label\n1.0,\xe9,2.0\n")
+        (tmp_path / "long.csv").write_text("time_s,value\n0.0," + "1" * 200_000 + "\n")
+        paths = {
+            "DIR": tmp_path / "dir",
+            "FILE": tmp_path / "file",
+            "MISSING": tmp_path / "missing.csv",
+            "LATIN1": tmp_path / "latin1.csv",
+            "LATIN1_DS": tmp_path / "latin1_ds.csv",
+            "LONG": tmp_path / "long.csv",
+            "DS": workdir / "ds.csv",
+            "MODEL": workdir / "model.bin",
+            "OUT": out,
+            "NODIR": tmp_path / "nodir",
+        }
+
+        def resolve(arg):
+            head, _, tail = arg.partition("/")
+            return str(paths[head] / tail) if head in paths else arg
+
+        assert main([resolve(arg) for arg in argv]) == code
+        name, _, line = names.partition(":")
+        err = capsys.readouterr().err
+        assert err.startswith("config error" if code == 1 else "data error")
+        assert resolve(name) + (f":{line}" if line else "") in err
+        assert list(out.iterdir()) == []
+        assert list((tmp_path / "dir").iterdir()) == []
+        assert (tmp_path / "file").read_text() == "keep\n"
+        assert not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("argv, config", [
         (["synth", "--preset", "sit", "--duration-s", "nan"], None),

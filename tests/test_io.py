@@ -11,6 +11,7 @@ from ppghrv.data import Dataset
 from ppghrv.errors import ConfigError, HrvError
 from ppghrv.experiment import ResultRow
 from ppghrv.io import (
+    opened,
     read_dataset_csv,
     read_ppg_csv,
     read_rr_csv,
@@ -135,6 +136,32 @@ def test_non_finite_value_reports_line(tmp_path, reader, text):
     path.write_text(text)
     with pytest.raises(HrvError, match=":3: non-finite"):
         reader(path)
+
+
+LONG_FIELD = "1" * 200_000  # longer than csv's 131 072-character field limit
+
+
+@pytest.mark.parametrize("reader, text, lineno", [
+    (read_ppg_csv, f"time_s,value\n{LONG_FIELD}\n", 2),
+    (read_rr_csv, f"beat_time_s,rr_ms\n{LONG_FIELD}\n", 2),
+    (read_dataset_csv, f"window_end_time_s,f0,label\n{LONG_FIELD}\n", 2),
+    (read_dataset_csv, f"window_end_time_s,{LONG_FIELD},label\n1.0,2.0,3.0\n", 1),
+], ids=["ppg", "rr", "dataset", "dataset_header"])
+def test_line_csv_rejects_reports_line(tmp_path, reader, text, lineno):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(HrvError, match=f":{lineno}: field larger than field limit"):
+        reader(path)
+
+
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_opened_maps_write_failures_to_config_error(tmp_path, mode):
+    for path in [tmp_path, tmp_path / "nodir" / "out.csv"]:
+        with pytest.raises(ConfigError) as info:
+            with opened(path, mode):
+                pass
+        assert str(info.value).startswith(f"cannot write {path}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("reader, text", [

@@ -3,6 +3,10 @@
 A settable value is a parameter with a default or a dataclass field: each is
 a setting some caller may change.  An option that only ever takes one value
 belongs in a module constant, so the count may fall but must not grow.
+
+Every file is opened by `ppghrv.io.opened`, which decides what a failure
+means (HrvError for a read, ConfigError for a write); so no other code
+opens one, and `cli.main` catches no OS exception.
 """
 
 import ast
@@ -11,6 +15,7 @@ import pkgutil
 from pathlib import Path
 
 import ppghrv
+import ppghrv.cli
 import ppghrv.errors
 import ppghrv.models
 
@@ -90,3 +95,68 @@ def test_one_error_type_per_exit_code():
             others[info.name] = _exception_classes(importlib.import_module(info.name))
     assert "ppghrv.cli" in others
     assert {name: found for name, found in others.items() if found} == {}
+
+
+# calls that open a file: open() itself, and these methods of any object
+# (pathlib's readers and writers, Path.open, os.open, gzip.open, ...)
+_OPENING_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def file_opens(source: str, allowed: str | None) -> list[str]:
+    """The calls in source that open a file, outside the function `allowed`."""
+    tree = ast.parse(source)
+    exempt = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == allowed
+        for inner in ast.walk(node)
+    }
+    return [
+        f"{node.lineno}: {ast.unparse(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in exempt and (
+            (isinstance(node.func, ast.Name) and node.func.id == "open")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr in _OPENING_METHODS)
+        )
+    ]
+
+
+def test_finder_sees_each_way_to_open_a_file():
+    source = '''
+def opened(path, mode):
+    return open(path, mode)
+
+def f(p, fh):
+    open(p)
+    p.read_text(), p.write_text(""), p.read_bytes(), p.write_bytes(b"")
+    Path.open(p), os.open(p, 0)
+    fh.read(), fh.write("")
+'''
+    assert len(file_opens(source, allowed=None)) == 8
+    assert len(file_opens(source, allowed="opened")) == 7
+
+
+def test_only_io_opened_opens_files():
+    src = Path(ppghrv.__file__).parent
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        name = path.relative_to(src).as_posix()
+        calls = file_opens(path.read_text(), allowed="opened" if name == "io.py" else None)
+        if calls:
+            found[name] = calls
+    assert found == {}
+    assert len(file_opens((src / "io.py").read_text(), allowed=None)) == 1
+
+
+def test_cli_main_catches_only_the_package_errors():
+    tree = ast.parse(Path(ppghrv.cli.__file__).read_text())
+    main = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    caught = [
+        ast.unparse(handler.type)
+        for node in ast.walk(main) if isinstance(node, ast.Try)
+        for handler in node.handlers
+    ]
+    assert caught == ["ConfigError", "HrvError", "Exception"]
