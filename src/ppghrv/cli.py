@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -118,6 +119,24 @@ def _output(text: str) -> str:
     if not path.absolute().parent.is_dir():
         raise ConfigError(f"no directory for output path {text}")
     return text
+
+
+# the flags that name a file: the outputs, then the inputs
+_PATH_FLAGS = ("--out-ppg", "--out-rr", "--out-hr", "--out-dataset", "--out", "--out-trace",
+               "--ppg", "--rr", "--dataset", "--model")
+
+
+def _check_distinct_paths(args) -> None:
+    """ConfigError when two path flags name one file, so that no output
+    overwrites another output or an input."""
+    seen = {}
+    for flag in _PATH_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if isinstance(value, str):  # set, and not train's --model kind
+            real = os.path.realpath(value)
+            if real in seen:
+                raise ConfigError(f"{seen[real]} and {flag} name the same file {value}")
+            seen[real] = flag
 
 
 def _list_of(convert):
@@ -387,6 +406,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_distinct_paths(args)
         _COMMANDS[args.command](args)
         return 0
     except ConfigError as err:

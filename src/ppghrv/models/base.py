@@ -22,7 +22,7 @@ class ModelKind(Enum):
 
 
 class TrainedModel:
-    """Base class: feature-length checks and batch/single prediction glue."""
+    """Base class: feature-length checks and the one single-row predict."""
 
     kind: ModelKind
 
@@ -40,8 +40,11 @@ class TrainedModel:
         return X
 
     def predict(self, features) -> float:
-        out = self.predict_batch(np.asarray(features, dtype=np.float64)[None, :])
-        return float(out[0])
+        x = np.asarray(features, dtype=np.float64)
+        if x.shape != (self.n_features,):
+            got = x.shape[0] if x.ndim == 1 else f"shape {x.shape}"
+            raise HrvError(f"model expects {self.n_features} features, got {got}")
+        return float(self._predict_batch(x[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
         return self._predict_batch(self._check(X))

@@ -49,5 +49,5 @@ def train_rf(
     for t in range(int(trees)):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), t)))
         idx = rng.integers(0, m, size=m)
-        grown.append(_grow(X[idx], y[idx], int(max_depth)))
+        grown.append(_grow(X[idx], y[idx], int(max_depth))[0])
     return RandomForest(tuple(grown), train.n_features)

@@ -60,9 +60,14 @@ UNDERFLOW32 = 2.0**-125
 
 def standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean and population std; a std that is 0 once stored as
-    float32 becomes 1, so a saved model never divides by zero."""
-    mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
+    float32 becomes 1, so a saved model never divides by zero.  A mean or
+    std beyond float32 is an HrvError, as its model file could not load."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = X.mean(axis=0)
+        sigma = X.std(axis=0)
+        stored = np.isfinite(np.stack([mu, sigma]).astype(np.float32)).all(axis=0)
+    if not stored.all():
+        raise HrvError(f"feature f{np.argmin(stored)} has a mean or std beyond float32")
     sigma = np.where(sigma.astype(np.float32) == 0.0, 1.0, sigma)
     return mu, sigma
 

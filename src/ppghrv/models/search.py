@@ -2,8 +2,9 @@
 
 All candidate configurations are drawn up front from one seeded stream, so
 the candidate list depends only on (kind, budget, seed).  Candidates
-that fail to train are logged and skipped; the winner (lowest validation
-MAPE, ties to the earlier candidate) is retrained on the full training set.
+that fail to train, or whose validation MAPE is not finite, are logged
+and skipped; the winner (lowest validation MAPE, ties to the earlier
+candidate) is retrained on the full training set.
 
 A dt search grows one tree on the fit rows, at the deepest drawn
 max_depth, and cuts every candidate from it (tree.train_dt_depths); the
@@ -142,6 +143,8 @@ def random_search(
             model = train_candidate(i, seeds[i])
             preds = model.predict_batch(holdout.features)
             score = mape(preds, holdout.labels)
+            if not np.isfinite(score):
+                raise HrvError(f"validation MAPE is {score}")
         except HrvError as err:
             log.warning("search candidate %d (%s) failed: %s", i, params, err)
             candidates.append(Candidate(i, params, None, error=str(err)))

@@ -8,9 +8,9 @@ float32 (the serialised width) and the partition is made with the
 quantised value, keeping file round-trips bit-identical with in-memory
 predictions.
 
-train_dt, the forest's bootstrap trees and train_dt_depths all grow
-through _grow.  train_dt_depths serves a depth search from one grow: a
-shallower tree is cut from the deepest one.
+Every tree comes from _grow, which records each node's depth and the mean
+label of its rows.  A dt tree is a cut of one grow: train_dt_depths grows
+at the deepest depth and cuts each shallower tree with those records.
 """
 
 from __future__ import annotations
@@ -119,8 +119,9 @@ def _partition(orders: np.ndarray, goes_left: np.ndarray, n_left: int) -> None:
         block[:, n_left:] = rights.reshape(-1, n - n_left)
 
 
-def _grow(X: np.ndarray, y: np.ndarray, max_depth: int) -> TreeNodes:
-    """Greedy CART growth with every column sorted once.
+def _grow(X: np.ndarray, y: np.ndarray, max_depth: int):
+    """Greedy CART growth with every column sorted once: (nodes, depth,
+    mean), each node's depth and the mean label of its rows.
 
     rows[a:b] lists a node's rows in row order and orders[:, a:b] the same
     rows sorted by each feature; a split partitions both in place, stably,
@@ -128,6 +129,7 @@ def _grow(X: np.ndarray, y: np.ndarray, max_depth: int) -> TreeNodes:
     Nodes are numbered in preorder: the left subtree is grown first.
     """
     feature, threshold, left, right, value = [], [], [], [], []
+    depths, means = [], []
     X = np.ascontiguousarray(X)
     rows = np.arange(y.size, dtype=np.int32)
     orders = _presort(X)
@@ -142,6 +144,8 @@ def _grow(X: np.ndarray, y: np.ndarray, max_depth: int) -> TreeNodes:
             side[parent] = idx
         node_rows = rows[a:b]
         node_y = y[node_rows]
+        depths.append(depth)
+        means.append(float(np.mean(node_y)))
         split = None
         if not (
             depth >= max_depth
@@ -154,7 +158,7 @@ def _grow(X: np.ndarray, y: np.ndarray, max_depth: int) -> TreeNodes:
         if split is None:
             feature.append(LEAF)
             threshold.append(0.0)
-            value.append(float(np.mean(node_y)))
+            value.append(means[-1])
             continue
         f, thr = split
         feature.append(f)
@@ -174,7 +178,7 @@ def _grow(X: np.ndarray, y: np.ndarray, max_depth: int) -> TreeNodes:
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
         value=np.asarray(value, dtype=np.float64),
-    )
+    ), np.asarray(depths), np.asarray(means)
 
 
 def _as_lists(nodes: TreeNodes) -> tuple[list, list, list, list, list]:
@@ -209,56 +213,9 @@ class DecisionTree(TrainedModel):
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def predict(self, features) -> float:
-        row = list(features)
-        if len(row) != self.n_features:
-            raise HrvError(
-                f"model expects {self.n_features} features, got {len(row)}"
-            )
-        return _walk(self._lists, row)
-
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         lists = self._lists
         return np.array([_walk(lists, row) for row in X.tolist()], dtype=np.float64)
-
-
-def train_dt(train, max_depth: int, seed: int = 0) -> DecisionTree:
-    """Greedy CART regressor; leaves predict the mean of their labels.
-
-    max_depth 1 is allowed (a single split) even though hyperparameter
-    search only samples 3..20; the tiny trees are useful as oracles.
-    Growth is deterministic, so seed has no effect.
-    """
-    if not 1 <= int(max_depth) <= MAX_TREE_DEPTH:
-        raise ConfigError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {max_depth}")
-    if len(train) == 0:
-        raise HrvError("cannot train a tree on an empty dataset")
-    nodes = _grow(train.features, train.labels, int(max_depth))
-    return DecisionTree(nodes, train.n_features)
-
-
-def _cut_means(nodes: TreeNodes, X: np.ndarray, y: np.ndarray, max_depth: int):
-    """Depth of each node of a tree grown on (X, y), and the label mean of
-    each node no deeper than max_depth.
-
-    Sending the rows down the tree's splits in row order gives each node
-    the rows the grow split there, in the same order, so the means are the
-    ones the grow would have stored had the node been a leaf.  Deeper nodes
-    keep depth max_depth + 1.
-    """
-    depth = np.full(len(nodes), max_depth + 1)
-    mean = np.zeros(len(nodes))
-    stack = [(0, 0, np.arange(y.size))]
-    while stack:
-        i, node_depth, node_rows = stack.pop()
-        depth[i] = node_depth
-        mean[i] = np.mean(y[node_rows])
-        f = int(nodes.feature[i])
-        if f != LEAF and node_depth < max_depth:
-            mask = X[node_rows, f] <= np.float64(nodes.threshold[i])
-            stack.append((int(nodes.left[i]), node_depth + 1, node_rows[mask]))
-            stack.append((int(nodes.right[i]), node_depth + 1, node_rows[~mask]))
-    return depth, mean
 
 
 def _truncate(
@@ -280,22 +237,29 @@ def _truncate(
 
 
 def train_dt_depths(train, depths) -> list[DecisionTree]:
-    """What train_dt(train, d) gives for each d in depths, from one grow.
+    """The greedy CART regressor at each max_depth in depths, from one grow.
 
     A greedy depth-d tree is the depth-d truncation of a deeper tree grown
     on the same rows: the nodes above depth d are the same, and a node at
-    depth d becomes a leaf holding the mean label of its rows.  So
-    train_dt grows one tree at the deepest depth and each shallower one is
-    cut from it.
+    depth d becomes a leaf holding the mean label of its rows.  So one tree
+    is grown at the deepest depth and each shallower one is cut from it.
+    max_depth 1 (a single split), which search never samples, makes oracles.
     """
+    depths = [int(d) for d in depths]
+    if not depths:
+        raise ConfigError("no max_depth to train a tree at")
+    for d in depths:
+        if not 1 <= d <= MAX_TREE_DEPTH:
+            raise ConfigError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {d}")
+    if len(train) == 0:
+        raise HrvError("cannot train a tree on an empty dataset")
     deepest = max(depths)
-    model = train_dt(train, deepest)
-    shallower = [d for d in depths if d < deepest]
-    if not shallower:
-        return [model for _ in depths]
-    depth, mean = _cut_means(model.nodes, train.features, train.labels, max(shallower))
-    return [
-        model if d == deepest
-        else DecisionTree(_truncate(model.nodes, depth, mean, d), train.n_features)
-        for d in depths
-    ]
+    nodes, depth, mean = _grow(train.features, train.labels, deepest)
+    cuts = [nodes if d == deepest else _truncate(nodes, depth, mean, d) for d in depths]
+    return [DecisionTree(cut, train.n_features) for cut in cuts]
+
+
+def train_dt(train, max_depth: int, seed: int = 0) -> DecisionTree:
+    """train_dt_depths at one depth.  Growth is deterministic, so seed has
+    no effect."""
+    return train_dt_depths(train, [max_depth])[0]

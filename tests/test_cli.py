@@ -326,11 +326,19 @@ class TestExitCodes:
         (["train", "--dataset", "DS", "--model", "dt", "--out", "DIR"], 1, "DIR"),
         (["run", "--out-dir", "FILE"], 1, "FILE"),
         (["amplify", "--out", "NODIR/a.csv"], 1, "NODIR/a.csv"),
+        (["synth", "--preset", "sit", "--out-ppg", "OUT/same.csv", "--out-rr", "OUT/same.csv"],
+         1, "OUT/same.csv"),
+        (["process", "--ppg", "PPG", "--rr", "RR", "--out-hr", "OUT/same.csv",
+          "--out-dataset", "OUT/same.csv"], 1, "OUT/same.csv"),
+        (["process", "--ppg", "PPG", "--out-hr", "PPG"], 1, "PPG"),
+        (["train", "--dataset", "DS_COPY", "--model", "dt", "--out", "DS_COPY"], 1, "DS_COPY"),
     ], ids=[
         "process_ppg_dir", "process_ppg_missing", "process_ppg_not_utf8",
         "process_ppg_field_over_csv_limit", "train_dataset_not_utf8", "eval_model_dir",
         "bench_model_dir", "run_config_dir", "run_config_missing", "synth_out_dir",
         "eval_out_trace_dir", "train_out_dir", "run_out_dir_is_file", "amplify_out_no_dir",
+        "synth_outputs_collide", "process_outputs_collide", "process_out_hr_is_its_ppg",
+        "train_out_is_its_dataset",
     ])
     def test_file_failure_exit_codes(self, argv, code, names, workdir, tmp_path, capsys):
         # a path that cannot be read is bad data (2); one that cannot be
@@ -342,6 +350,12 @@ class TestExitCodes:
         (tmp_path / "latin1.csv").write_bytes(b"time_s,value\n0.0,1.0\n0.04,caf\xe9\n")
         (tmp_path / "latin1_ds.csv").write_bytes(b"window_end_time_s,f0,label\n1.0,\xe9,2.0\n")
         (tmp_path / "long.csv").write_text("time_s,value\n0.0," + "1" * 200_000 + "\n")
+        inputs = {
+            tmp_path / "ppg.csv": (workdir / "ppg.csv").read_bytes(),
+            tmp_path / "ds.csv": (workdir / "ds.csv").read_bytes(),
+        }
+        for path, data in inputs.items():
+            path.write_bytes(data)
         paths = {
             "DIR": tmp_path / "dir",
             "FILE": tmp_path / "file",
@@ -350,6 +364,9 @@ class TestExitCodes:
             "LATIN1_DS": tmp_path / "latin1_ds.csv",
             "LONG": tmp_path / "long.csv",
             "DS": workdir / "ds.csv",
+            "PPG": tmp_path / "ppg.csv",
+            "RR": workdir / "rr.csv",
+            "DS_COPY": tmp_path / "ds.csv",
             "MODEL": workdir / "model.bin",
             "OUT": out,
             "NODIR": tmp_path / "nodir",
@@ -368,6 +385,20 @@ class TestExitCodes:
         assert list((tmp_path / "dir").iterdir()) == []
         assert (tmp_path / "file").read_text() == "keep\n"
         assert not (tmp_path / "nodir").exists()
+        for path, data in inputs.items():
+            assert path.read_bytes() == data
+
+    def test_colliding_paths_name_both_flags(self, workdir, tmp_path, capsys):
+        # a symlink names the same file by another path
+        ppg = tmp_path / "ppg.csv"
+        ppg.write_bytes((workdir / "ppg.csv").read_bytes())
+        link = tmp_path / "link.csv"
+        link.symlink_to(ppg)
+        before = ppg.read_bytes()
+        code = main(["process", "--ppg", str(ppg), "--out-hr", str(link)])
+        assert code == 1
+        assert "--out-hr and --ppg name the same file" in capsys.readouterr().err
+        assert ppg.read_bytes() == before
 
     @pytest.mark.parametrize("argv, config", [
         (["synth", "--preset", "sit", "--duration-s", "nan"], None),
@@ -508,6 +539,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{cfg}:1: " in err
         assert message in err
+
+    @pytest.mark.parametrize("model", ["knn", "mlp"])
+    def test_feature_beyond_float32_is_data_error(self, model, tmp_path, workdir, capsys):
+        # 1e41 is a finite float64, but the mean and std a model stores are
+        # float32; such a model was saved and then failed to load
+        lines = (workdir / "ds.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[4] = "1e41"  # f3
+        lines[2] = ",".join(fields)
+        ds = tmp_path / "ds.csv"
+        ds.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.bin"
+        code = main(["train", "--dataset", str(ds), "--model", model,
+                     "--budget", "2", "--mlp-max-epochs", "2", "--out", str(out)])
+        assert code == 2
+        assert "feature f3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_std_model_is_data_error(self, tmp_path, workdir, capsys):
         # a one-feature KNN file holding one row, whose feature std is 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppghrv.errors import ConfigError, HrvError
+from ppghrv.models.base import ModelKind
 from ppghrv.models.codec import (
     MAGIC,
     _write_varint,
@@ -51,6 +52,18 @@ class TestRoundTrip:
             np.testing.assert_array_equal(
                 clone.predict_batch(probes), model.predict_batch(probes)
             )
+            for m in (model, clone):
+                # the single-row predict is the batch's row, bit for bit, except
+                # that BLAS rounds the MLP's one-row product (gemv) and its
+                # many-row one (gemm) differently
+                singles = np.array([m.predict(p) for p in probes])
+                batch = m.predict_batch(probes)
+                if m.kind is ModelKind.MLP:
+                    np.testing.assert_allclose(singles, batch, rtol=1e-12, atol=0.0)
+                else:
+                    assert singles.tobytes() == batch.tobytes()
+                with pytest.raises(HrvError, match="model expects 6 features, got 5$"):
+                    m.predict(probes[0][:5])
 
     def test_reencode_is_stable(self, train_set):
         for model in fitted_models(train_set):

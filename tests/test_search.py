@@ -82,6 +82,20 @@ class TestRandomSearch:
         with pytest.raises(HrvError, match='all 4 sampled configurations failed'):
             random_search(small, ModelKind.KNN, budget=4, seed=7)
 
+    def test_non_finite_validation_mape_fails_the_candidate(self, regression_ds, monkeypatch):
+        scores = []
+
+        def nan_first(preds, truths):
+            scores.append(float("nan") if not scores else mape(preds, truths))
+            return scores[-1]
+
+        monkeypatch.setattr(search_module, "mape", nan_first)
+        result = random_search(regression_ds, ModelKind.KNN, budget=3, seed=9)
+        first, *rest = result.candidates
+        assert first.val_mape_pct is None and "validation MAPE is nan" in first.error
+        assert all(c.val_mape_pct is not None for c in rest)
+        assert np.isfinite(result.best.val_mape_pct)
+
     def test_mlp_search_uses_training_config(self, regression_ds, monkeypatch):
         seen = []
         real = search_module.train_mlp
@@ -125,14 +139,13 @@ class TestDtSearchFromOneGrow:
 
     def test_grows_two_trees(self, regression_ds, monkeypatch):
         grown = []
-        real = tree_module.train_dt
+        real = tree_module._grow
 
-        def spy(train, max_depth, seed=0):
-            grown.append((len(train), max_depth))
-            return real(train, max_depth, seed)
+        def spy(X, y, max_depth):
+            grown.append((y.size, max_depth))
+            return real(X, y, max_depth)
 
-        monkeypatch.setattr(tree_module, "train_dt", spy)
-        monkeypatch.setattr(search_module, "train_dt", spy)
+        monkeypatch.setattr(tree_module, "_grow", spy)
         result = random_search(regression_ds, ModelKind.DT, budget=5, seed=12)
         deepest = max(c.hyperparams["max_depth"] for c in result.candidates)
         fit, _ = chronological_split(regression_ds, 0.8)

@@ -18,6 +18,7 @@ import ppghrv
 import ppghrv.cli
 import ppghrv.errors
 import ppghrv.models
+from ppghrv.models.base import TrainedModel
 
 MAX_SETTABLE_VALUES = 85
 
@@ -76,6 +77,17 @@ def test_models_package_binds_no_public_names():
         )
     ]
     assert public == []
+
+
+def test_one_single_row_predict():
+    # every model predicts one row through TrainedModel.predict, which hands
+    # the row to the model's batch path
+    defining = set()
+    for info in pkgutil.walk_packages(ppghrv.models.__path__, "ppghrv.models."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if isinstance(value, type) and "predict" in vars(value):
+                defining.add(value)
+    assert defining == {TrainedModel}
 
 
 def _exception_classes(module) -> set[str]:

@@ -168,7 +168,7 @@ class TestSplitSearchParity:
                 expected = oracle_grow(Xr, yr, depth)
                 for block_elements in (tree.SPLIT_BLOCK_ELEMENTS, 3 * n, 1):
                     monkeypatch.setattr(tree, "SPLIT_BLOCK_ELEMENTS", block_elements)
-                    assert_same_nodes(tree._grow(Xr, yr, depth), expected,
+                    assert_same_nodes(tree._grow(Xr, yr, depth)[0], expected,
                                       (rows, depth, block_elements))
 
     def test_bootstrap_rows_of_a_larger_set(self):
@@ -179,7 +179,7 @@ class TestSplitSearchParity:
         y = X[:, 0] - X[:, 3] + rng.normal(scale=0.5, size=300)
         for seed in range(3):
             Xb, yb = bootstrap(X, y, seed)
-            assert_same_nodes(tree._grow(Xb, yb, 8), oracle_grow(Xb, yb, 8), seed)
+            assert_same_nodes(tree._grow(Xb, yb, 8)[0], oracle_grow(Xb, yb, 8), seed)
 
 
 class TestDepthTruncation:
@@ -212,21 +212,22 @@ class TestDepthTruncation:
         rng = np.random.default_rng(25)
         ds = make_ds(rng.normal(size=(80, 3)), rng.normal(size=80))
         grown = []
-        real = tree.train_dt
+        real = tree._grow
 
-        def spy(train, max_depth, seed=0):
+        def spy(X, y, max_depth):
             grown.append(max_depth)
-            return real(train, max_depth, seed)
+            return real(X, y, max_depth)
 
-        monkeypatch.setattr(tree, "train_dt", spy)
+        monkeypatch.setattr(tree, "_grow", spy)
         tree.train_dt_depths(ds, [4, 9, 6])
         assert grown == [9]
 
     def test_errors_of_the_grow_propagate(self):
         with pytest.raises(HrvError, match='cannot train a tree on an empty dataset'):
             tree.train_dt_depths(make_ds(np.empty((0, 2)), np.empty(0)), [3, 4])
-        with pytest.raises(ConfigError):
-            tree.train_dt_depths(make_ds(np.arange(4.0), np.arange(4.0)), [3, 21])
+        for depths in ([3, 21], [0, 5], []):
+            with pytest.raises(ConfigError):
+                tree.train_dt_depths(make_ds(np.arange(4.0), np.arange(4.0)), depths)
 
 
 class TestDepthOneOracle:
