@@ -7,11 +7,16 @@ lower training-sample index.
 
 Search.  A query gets the same k rows, in the same order, as a stable sort
 of the exact float64 distances to every stored row; only the rows that can
-be among them are measured exactly.  For Manhattan the exact distance
-to every row is the filter: one partition finds the k-th smallest value v,
-and the rows with a distance <= v are the candidates.  Euclidean filters
-with one float32 matrix product.  For a standardised query q and a stored
-row x_j, with s_j = fl32(x_j . fl32(q)),
+be among them are measured exactly.  Each distance gives every stored row a
+cheap bound lo_j, and the query a threshold T, such that every row of the
+exact k nearest has lo_j <= T (derived below).  The candidates are the rows
+with lo_j <= T, in index order.  Their exact distances are computed as a
+full scan computes them, each row's float64 sum depending on that row alone,
+and sorted stably.  When a bound is not finite (a nan, inf or overflowing
+query), every row is a candidate.
+
+Euclidean filters with one float32 matrix product.  For a standardised
+query q and a stored row x_j, with s_j = fl32(x_j . fl32(q)),
 
     e_j = xx_j + qq - 2 s_j    estimates the float64 sum S_j of (x_jf - q_f)^2
                                that the exact distance sqrt(S_j) is taken of,
@@ -31,12 +36,39 @@ more than 3 (d + 2) u S_j, so e_j + delta_j >= S_j (1 + 2^-21).  Let T be the
 k-th smallest e_j + delta_j; it is at least the k-th smallest S_j times
 1 + 2^-21.  A row of the exact k nearest has a distance that rounds to at most
 the k-th one, and two sums whose square roots round to one double differ by
-a factor below 1 + 2^-51, so S_j <= T and e_j - delta_j <= T.  The
-candidates are the rows with e_j - delta_j <= T, in index order; at least k
-pass, as e_j - delta_j <= e_j + delta_j.  Their exact distances are computed
-as a full scan computes them, each row's float64 sum depending on that row
-alone, and sorted stably.  When a bound is not finite (a nan, inf or
-overflowing query), every row is a candidate.
+a factor below 1 + 2^-51, so S_j <= T and lo_j = e_j - delta_j <= T.
+
+Manhattan filters with block sums, the piecewise aggregate bound (Keogh et
+al., Dimensionality reduction for fast similarity search in large time
+series databases, 2001; Yi and Faloutsos, Fast time sequence indexing for
+arbitrary Lp norms, VLDB 2000).  The d columns are cut into n blocks B_b of
+PAA_WIDTH consecutive columns, the last maybe partial, and w = min(PAA_WIDTH,
+d).  With p_jb and r_b the float64 sums of x_j and q over B_b, and nu_j and
+mu the float64 L1 norms of x_j and q,
+
+    L_j = sum_b |p_jb - r_b|    bounds the exact distance D_j = sum_f |x_jf - q_f|,
+    lo_j = L_j - delta_j,       delta_j = 4 (d + 1) u (nu_j + mu),  u = 2^-53.
+
+In exact arithmetic L_j <= D_j by the triangle inequality, and the bound is
+tight when neighbouring features move together, as consecutive heart rates
+do.  In floating point, let A_j = |x_j|_1 + |q|_1 and gamma_m = m u / (1 - m u).
+A float64 addition or subtraction errs by at most u relatively (a subnormal
+result is exact), and a float64 sum of m terms, in any order, by at most
+gamma_(m-1) times the sum of their magnitudes (Higham, section 4.2).  So
+sum_b |p_jb - r_b| exceeds the exact L_j by at most gamma_(w-1) A_j, the
+computed L_j is at most (1 + gamma_n) times that, and the computed D_j is at
+least (1 - gamma_d) D_j.  As D_j <= A_j, n + w - 1 <= d and gamma_a + gamma_b
++ gamma_a gamma_b <= gamma_(a+b) (Higham, Lemma 3.3), the computed L_j exceeds
+the computed D_j by at most 2 gamma_d A_j.  The computed nu_j + mu is at least
+(1 - gamma_d) A_j, so the computed delta_j is at least twice that excess.  A
+product below 2^-1022 rounds to an absolute 2^-1075, not relatively.  That
+matters only if some sum or difference rounded (else the computed L_j is
+L_j <= D_j); a rounded result is at least 2^-1022 and every partial result
+at most about A_j, so delta_j is then at least about 2^-1072 and loses under
+an eighth.  So the computed lo_j is at most the computed D_j.  T is the
+largest computed distance of the k rows with the smallest lo_j, so it is at
+least the k-th smallest computed distance, and every row of the exact k
+nearest has lo_j <= D_j <= T.
 """
 
 from __future__ import annotations
@@ -56,6 +88,14 @@ DISTANCES = (MANHATTAN, EUCLIDEAN)
 # the terms of the Euclidean filter's slack (see the module docstring)
 ROUNDOFF32 = 2.0**-24
 UNDERFLOW32 = 2.0**-125
+
+# the Manhattan filter: columns per block sum, the unit roundoff of its
+# slack (see the module docstring), queries per (queries, m) bound array,
+# and stored rows per reduceat call at construction
+PAA_WIDTH = 4
+ROUNDOFF64 = 2.0**-53
+MANHATTAN_QUERIES = 32
+ROW_CHUNK = 64
 
 
 def standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,17 +132,26 @@ class KnnRegressor(TrainedModel):
         self.sigma = sigma
         self.k = int(k)
         self.distance = distance
-        self._xx = np.einsum("ij,ij->i", X, X, dtype=np.float64)
-        self._norm = np.sqrt(self._xx)
+        if distance == MANHATTAN:
+            self._starts = np.arange(0, X.shape[1], PAA_WIDTH)
+            self._sums, self._l1 = _block_sums_and_l1(X, self._starts)
+        else:
+            self._xx = np.einsum("ij,ij->i", X, X, dtype=np.float64)
+            self._norm = np.sqrt(self._xx)
 
     def _predict_batch(self, Q: np.ndarray) -> np.ndarray:
         # the float32 parameters widen exactly to float64 inside each ufunc,
         # so no float64 copy of the matrix is made
         q = (Q - self.mu) / self.sigma
         out = np.empty(Q.shape[0], dtype=np.float64)
-        # the three (block, m) float64 arrays of _bounds take no more memory
-        # than the two (m, d) temporaries of one full-scan distance did
-        block = max(1, self.X.shape[1] // 2)
+        # queries are bounded a block at a time.  Euclidean's block keeps the
+        # matrix product wide and its three (block, m) float64 arrays at 1.5
+        # times an (m, d) one; Manhattan bounds each query on its own, so a
+        # wider block than MANHATTAN_QUERIES would only hold more memory
+        if self.distance == MANHATTAN:
+            block = MANHATTAN_QUERIES
+        else:
+            block = max(1, self.X.shape[1] // 2)
         for start in range(0, q.shape[0], block):
             out[start : start + block] = self._predict_block(q[start : start + block])
         return out
@@ -122,14 +171,13 @@ class KnnRegressor(TrainedModel):
         return np.sqrt(diff.sum(axis=1))
 
     def _bounds(self, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per query and stored row, bounds on the squared Euclidean sum, or
-        the exact Manhattan distance twice."""
-        if self.distance == MANHATTAN:
-            d = np.empty((qb.shape[0], self.X.shape[0]))
-            for i, q in enumerate(qb):
-                d[i] = self._distances(self.X, q)
-            return d, d
+        """Per query and stored row, lower and upper bounds on the squared
+        Euclidean sum, or the Manhattan lower bound lo_j twice (it has no
+        upper bound)."""
         with np.errstate(all="ignore"):
+            if self.distance == MANHATTAN:
+                lo = self._block_bound(qb)
+                return lo, lo
             qq = np.einsum("ij,ij->i", qb, qb)
             est = np.matmul(qb.astype(np.float32), self.X.T).astype(np.float64)
             est *= -2.0
@@ -143,16 +191,46 @@ class KnnRegressor(TrainedModel):
             est -= slack
         return est, hi
 
+    def _block_bound(self, qb: np.ndarray) -> np.ndarray:
+        """The Manhattan lo_j = L_j - delta_j of the module docstring, per
+        query and stored row."""
+        c = 4 * (self.X.shape[1] + 1) * ROUNDOFF64
+        lo = np.empty((qb.shape[0], self.X.shape[0]))
+        step = np.empty_like(self._sums)
+        for q, r, row in zip(qb, np.add.reduceat(qb, self._starts, axis=1), lo):
+            np.subtract(self._sums, r[:, None], out=step)
+            np.abs(step, out=step).sum(axis=0, out=row)
+            row -= c * (self._l1 + np.abs(q).sum())
+        return lo
+
     def _nearest(self, q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Indices of the k nearest rows, nearest first, ties to the lower
-        index: the rows whose lower bound is at most the k-th smallest upper
-        bound, ranked by exact distance."""
-        if np.isfinite(hi).all():
-            rows = np.flatnonzero(lo <= np.partition(hi, self.k - 1)[self.k - 1])
-        else:
+        index: the rows whose lower bound is at most T, ranked by exact
+        distance.  T is the k-th smallest upper bound, or for Manhattan the
+        largest exact distance of the k rows with the smallest lower bound."""
+        k = self.k
+        if not np.isfinite(hi).all():
             rows = np.arange(self.X.shape[0])
+        elif self.distance == MANHATTAN:
+            near = np.argpartition(lo, k - 1)[:k]
+            rows = np.flatnonzero(lo <= self._distances(self.X[near], q).max())
+        else:
+            rows = np.flatnonzero(lo <= np.partition(hi, k - 1)[k - 1])
         d = self._distances(self.X[rows], q)
-        return rows[np.argsort(d, kind="stable")[: self.k]]
+        return rows[np.argsort(d, kind="stable")[:k]]
+
+
+def _block_sums_and_l1(X: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 sums of each block of columns, one array row per block,
+    and each stored row's float64 L1 norm.  Row chunks keep the float64 copy
+    that reduceat makes of its input small."""
+    sums = np.empty((len(starts), X.shape[0]))
+    l1 = np.empty(X.shape[0])
+    for r in range(0, X.shape[0], ROW_CHUNK):
+        rows = X[r : r + ROW_CHUNK]
+        sums[:, r : r + ROW_CHUNK] = np.add.reduceat(rows, starts, axis=1, dtype=np.float64).T
+        np.abs(rows).sum(axis=1, dtype=np.float64, out=l1[r : r + ROW_CHUNK])
+    return sums, l1
 
 
 def train_knn(train, k: int, distance: str) -> KnnRegressor:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppghrv.errors import ConfigError, HrvError
-from ppghrv.models.knn import DISTANCES, MAX_K, MIN_K, KnnRegressor, train_knn
+from ppghrv.models.knn import (
+    DISTANCES, MANHATTAN, MAX_K, MIN_K, PAA_WIDTH, KnnRegressor, train_knn,
+)
 from helpers import make_ds
 
 
@@ -157,6 +160,31 @@ def _non_finite(rng):
     return X, Q
 
 
+def _overflowing_bounds(rng):
+    # features with a std near 2, so these queries standardise to finite
+    # values near float64's maximum
+    X = rng.integers(-3, 4, size=(40, 2 * PAA_WIDTH + 1)).astype(float)
+    Q = rng.integers(-3, 4, size=(6, X.shape[1])).astype(float)
+    Q[0] = 1.7e308                          # every block sum overflows
+    Q[1, ::2], Q[1, 1::2] = 1.7e308, -1.7e308  # the block sums cancel, the L1 norm overflows
+    Q[2, 0] = 1.7e308                       # finite bounds, every distance ties
+    Q[3, :PAA_WIDTH] = -1.7e308
+    return X, Q
+
+
+def _walks(rng, rows, d):
+    """Heart-rate-like rows: a level plus a random walk along the features, so
+    neighbouring features move together and block sums bound tightly."""
+    return rng.normal(70, 8, size=(rows, 1)) + np.cumsum(rng.normal(size=(rows, d)), axis=1)
+
+
+def _random_walks(d, m=200):
+    def make(rng):
+        X = _walks(rng, m, d)
+        return X, np.vstack([X[:5], _walks(rng, 15, d)])
+    return make
+
+
 DATASETS = {
     "integer_ties": _ties,
     "duplicated_rows": _duplicates,
@@ -165,6 +193,13 @@ DATASETS = {
     "scale_1e-20": _scaled(1e-20),
     "one_feature": _one_feature,
     "non_finite_queries": _non_finite,
+    "overflowing_bounds": _overflowing_bounds,
+    # a last block of one column, as run_matrix's n = 60 and n = 300 rows have
+    "random_walks_61": _random_walks(61),
+    "random_walks_301": _random_walks(301),
+    "one_block_short": _random_walks(PAA_WIDTH - 1, m=60),
+    "one_block": _random_walks(PAA_WIDTH, m=60),
+    "one_block_and_a_column": _random_walks(PAA_WIDTH + 1, m=60),
 }
 
 
@@ -204,10 +239,12 @@ class TestSearchMatchesFullScan:
 
     @pytest.mark.parametrize("distance", DISTANCES)
     def test_exact_distances_only_for_candidates(self, distance, monkeypatch):
-        # the filter has to filter: after the full Manhattan scan, each query
-        # measures a few rows again, not all of them
+        # the filter has to filter: no finite query measures every stored row,
+        # only a few (Manhattan the k rows of smallest bound, then its
+        # candidates; Euclidean its candidates)
         rng = np.random.default_rng(10)
-        model = train_knn(make_ds(rng.normal(size=(300, 10)), rng.uniform(size=300)), 5, distance)
+        X, Q = _random_walks(61, m=300)(rng)
+        model = train_knn(make_ds(X, rng.uniform(size=300)), 5, distance)
         measured = []
         full_scan = KnnRegressor._distances
 
@@ -216,16 +253,31 @@ class TestSearchMatchesFullScan:
             return full_scan(self, X, q)
 
         monkeypatch.setattr(KnnRegressor, "_distances", spy)
-        model.predict_batch(rng.normal(size=(20, 10)))
-        refined = [n for n in measured if n < 300]
-        assert len(refined) == 20
-        assert max(refined) <= 10
+        model.predict_batch(Q)
+        calls = 2 if distance == MANHATTAN else 1
+        assert len(measured) == calls * len(Q)
+        assert max(measured) <= 20  # of 300 stored rows
+
+    def test_manhattan_batch_memory_below_one_float64_matrix(self):
+        # a full scan made (m, d) float64 temporaries for every query; the
+        # filter's arrays for 300 finite queries stay below one of them
+        rng = np.random.default_rng(11)
+        X = _walks(rng, 1000, 301)
+        model = train_knn(make_ds(X, rng.uniform(size=1000)), 27, MANHATTAN)
+        Q = _walks(rng, 300, 301)
+        tracemalloc.start()
+        try:
+            model.predict_batch(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.size * 8
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_property(self, data):
         m = data.draw(st.integers(MIN_K, 40))
-        d = data.draw(st.integers(1, 6))
+        d = data.draw(st.integers(1, 3 * PAA_WIDTH + 1))
         k = data.draw(st.integers(MIN_K, min(m, MAX_K)))
         scale = 10.0 ** data.draw(st.integers(-25, 25))
         grid = st.integers(-2, 2).map(float)  # few values: many ties and duplicates
