@@ -89,13 +89,10 @@ DISTANCES = (MANHATTAN, EUCLIDEAN)
 ROUNDOFF32 = 2.0**-24
 UNDERFLOW32 = 2.0**-125
 
-# the Manhattan filter: columns per block sum, the unit roundoff of its
-# slack (see the module docstring), queries per (queries, m) bound array,
-# and stored rows per reduceat call at construction
+# the Manhattan filter: columns per block sum and the unit roundoff of its
+# slack (see the module docstring)
 PAA_WIDTH = 4
 ROUNDOFF64 = 2.0**-53
-MANHATTAN_QUERIES = 32
-ROW_CHUNK = 64
 
 
 def standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +130,13 @@ class KnnRegressor(TrainedModel):
         self.k = int(k)
         self.distance = distance
         if distance == MANHATTAN:
+            # float64 sums straight from float32, a column block at a time,
+            # so no float64 copy of X is made; one array row per block
             self._starts = np.arange(0, X.shape[1], PAA_WIDTH)
-            self._sums, self._l1 = _block_sums_and_l1(X, self._starts)
+            self._sums = np.empty((len(self._starts), X.shape[0]))
+            for s, row in zip(self._starts, self._sums):
+                X[:, s : s + PAA_WIDTH].sum(axis=1, dtype=np.float64, out=row)
+            self._l1 = np.abs(X).sum(axis=1, dtype=np.float64)
         else:
             self._xx = np.einsum("ij,ij->i", X, X, dtype=np.float64)
             self._norm = np.sqrt(self._xx)
@@ -144,14 +146,17 @@ class KnnRegressor(TrainedModel):
         # so no float64 copy of the matrix is made
         q = (Q - self.mu) / self.sigma
         out = np.empty(Q.shape[0], dtype=np.float64)
-        # queries are bounded a block at a time.  Euclidean's block keeps the
-        # matrix product wide and its three (block, m) float64 arrays at 1.5
-        # times an (m, d) one; Manhattan bounds each query on its own, so a
-        # wider block than MANHATTAN_QUERIES would only hold more memory
         if self.distance == MANHATTAN:
-            block = MANHATTAN_QUERIES
-        else:
-            block = max(1, self.X.shape[1] // 2)
+            # one bound buffer for the batch: a fresh one per query took about
+            # 8 % more CPU time over run_matrix's Manhattan batches
+            step = np.empty_like(self._sums)
+            for i, row in enumerate(q):
+                out[i] = np.mean(self.y[self._manhattan_nearest(row, step)])
+            return out
+        # Euclidean bounds queries a block at a time: the block keeps the
+        # matrix product wide and its three (block, m) float64 arrays at 1.5
+        # times an (m, d) one
+        block = max(1, self.X.shape[1] // 2)
         for start in range(0, q.shape[0], block):
             out[start : start + block] = self._predict_block(q[start : start + block])
         return out
@@ -172,12 +177,8 @@ class KnnRegressor(TrainedModel):
 
     def _bounds(self, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per query and stored row, lower and upper bounds on the squared
-        Euclidean sum, or the Manhattan lower bound lo_j twice (it has no
-        upper bound)."""
+        Euclidean sum."""
         with np.errstate(all="ignore"):
-            if self.distance == MANHATTAN:
-                lo = self._block_bound(qb)
-                return lo, lo
             qq = np.einsum("ij,ij->i", qb, qb)
             est = np.matmul(qb.astype(np.float32), self.X.T).astype(np.float64)
             est *= -2.0
@@ -191,46 +192,36 @@ class KnnRegressor(TrainedModel):
             est -= slack
         return est, hi
 
-    def _block_bound(self, qb: np.ndarray) -> np.ndarray:
-        """The Manhattan lo_j = L_j - delta_j of the module docstring, per
-        query and stored row."""
-        c = 4 * (self.X.shape[1] + 1) * ROUNDOFF64
-        lo = np.empty((qb.shape[0], self.X.shape[0]))
-        step = np.empty_like(self._sums)
-        for q, r, row in zip(qb, np.add.reduceat(qb, self._starts, axis=1), lo):
-            np.subtract(self._sums, r[:, None], out=step)
-            np.abs(step, out=step).sum(axis=0, out=row)
-            row -= c * (self._l1 + np.abs(q).sum())
-        return lo
-
     def _nearest(self, q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Indices of the k nearest rows, nearest first, ties to the lower
-        index: the rows whose lower bound is at most T, ranked by exact
-        distance.  T is the k-th smallest upper bound, or for Manhattan the
-        largest exact distance of the k rows with the smallest lower bound."""
-        k = self.k
-        if not np.isfinite(hi).all():
+        """Indices of the k nearest rows by Euclidean distance: the rows whose
+        lower bound is at most the k-th smallest upper bound, ranked."""
+        if np.isfinite(hi).all():
+            rows = np.flatnonzero(lo <= np.partition(hi, self.k - 1)[self.k - 1])
+        else:
             rows = np.arange(self.X.shape[0])
-        elif self.distance == MANHATTAN:
-            near = np.argpartition(lo, k - 1)[:k]
+        return self._rank(rows, q)
+
+    def _manhattan_nearest(self, q: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """Indices of the k nearest rows by Manhattan distance: the rows whose
+        lo_j of the module docstring is at most T, the largest exact distance
+        of the k rows with the smallest lo_j, ranked.  step is scratch space
+        shaped like the block sums."""
+        with np.errstate(all="ignore"):
+            np.subtract(self._sums, np.add.reduceat(q, self._starts)[:, None], out=step)
+            lo = np.abs(step, out=step).sum(axis=0)
+            lo -= 4 * (self.X.shape[1] + 1) * ROUNDOFF64 * (self._l1 + np.abs(q).sum())
+        if np.isfinite(lo).all():
+            near = np.argpartition(lo, self.k - 1)[: self.k]
             rows = np.flatnonzero(lo <= self._distances(self.X[near], q).max())
         else:
-            rows = np.flatnonzero(lo <= np.partition(hi, k - 1)[k - 1])
+            rows = np.arange(self.X.shape[0])
+        return self._rank(rows, q)
+
+    def _rank(self, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The k of the given rows nearest q, nearest first, ties to the
+        lower index."""
         d = self._distances(self.X[rows], q)
-        return rows[np.argsort(d, kind="stable")[:k]]
-
-
-def _block_sums_and_l1(X: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 sums of each block of columns, one array row per block,
-    and each stored row's float64 L1 norm.  Row chunks keep the float64 copy
-    that reduceat makes of its input small."""
-    sums = np.empty((len(starts), X.shape[0]))
-    l1 = np.empty(X.shape[0])
-    for r in range(0, X.shape[0], ROW_CHUNK):
-        rows = X[r : r + ROW_CHUNK]
-        sums[:, r : r + ROW_CHUNK] = np.add.reduceat(rows, starts, axis=1, dtype=np.float64).T
-        np.abs(rows).sum(axis=1, dtype=np.float64, out=l1[r : r + ROW_CHUNK])
-    return sums, l1
+        return rows[np.argsort(d, kind="stable")[: self.k]]
 
 
 def train_knn(train, k: int, distance: str) -> KnnRegressor:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ppghrv.errors import ConfigError, HrvError
 from ppghrv.models.knn import (
-    DISTANCES, MANHATTAN, MAX_K, MIN_K, PAA_WIDTH, KnnRegressor, train_knn,
+    DISTANCES, EUCLIDEAN, MANHATTAN, MAX_K, MIN_K, PAA_WIDTH, KnnRegressor, train_knn,
 )
 from helpers import make_ds
 
@@ -178,6 +178,10 @@ def _walks(rng, rows, d):
     return rng.normal(70, 8, size=(rows, 1)) + np.cumsum(rng.normal(size=(rows, d)), axis=1)
 
 
+def _gaussian(rng):
+    return rng.normal(size=(300, 10)), rng.normal(size=(20, 10))
+
+
 def _random_walks(d, m=200):
     def make(rng):
         X = _walks(rng, m, d)
@@ -237,13 +241,22 @@ class TestSearchMatchesFullScan:
         Q = np.vstack([X[:5], rng.integers(-3, 4, size=(10, 3)) * scale]).astype(np.float64)
         assert_same_as_oracle(model, Q)
 
-    @pytest.mark.parametrize("distance", DISTANCES)
-    def test_exact_distances_only_for_candidates(self, distance, monkeypatch):
+    @pytest.mark.parametrize(
+        "distance, make, limit",
+        [
+            pytest.param(EUCLIDEAN, _gaussian, 10, id="euclidean"),
+            pytest.param(EUCLIDEAN, _random_walks(61, m=300), 10, id="euclidean-random_walks_61"),
+            # the block sums bound the 300 x 10 Gaussian rows too loosely to
+            # prune them, so Manhattan runs on heart-rate-like rows only
+            pytest.param(MANHATTAN, _random_walks(61, m=300), 20, id="manhattan"),
+        ],
+    )
+    def test_exact_distances_only_for_candidates(self, distance, make, limit, monkeypatch):
         # the filter has to filter: no finite query measures every stored row,
         # only a few (Manhattan the k rows of smallest bound, then its
         # candidates; Euclidean its candidates)
         rng = np.random.default_rng(10)
-        X, Q = _random_walks(61, m=300)(rng)
+        X, Q = make(rng)
         model = train_knn(make_ds(X, rng.uniform(size=300)), 5, distance)
         measured = []
         full_scan = KnnRegressor._distances
@@ -256,7 +269,7 @@ class TestSearchMatchesFullScan:
         model.predict_batch(Q)
         calls = 2 if distance == MANHATTAN else 1
         assert len(measured) == calls * len(Q)
-        assert max(measured) <= 20  # of 300 stored rows
+        assert max(measured) <= limit  # of 300 stored rows
 
     def test_manhattan_batch_memory_below_one_float64_matrix(self):
         # a full scan made (m, d) float64 temporaries for every query; the
