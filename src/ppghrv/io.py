@@ -12,10 +12,10 @@ Formats (headers are exact):
 
 Floats are written with repr (shortest round-trip), so write->read returns
 the exact in-memory values.  Readers raise HrvError for a malformed or
-non-finite (nan, inf) value and for timestamps that do not strictly
-increase, naming the file and line, and for a PPG file whose inferred
-sampling rate is off the declared one by more than 1%; a declared rate
-that is not > 0 is a ConfigError.  A line csv rejects (such as a field
+non-finite (nan, inf) value, an rr_ms that is not > 0 and timestamps that
+do not strictly increase, naming the file and line, and for a PPG file
+whose inferred sampling rate is off the declared one by more than 1%; a
+declared rate that is not > 0 is a ConfigError.  A line csv rejects (such as a field
 longer than csv's field limit) is an HrvError naming the line.
 
 Every file the package reads or writes, CSV or binary model, is opened by
@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import re
+import operator
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
@@ -60,9 +60,6 @@ TRACE_HEADER = ["window_end_s", "truth_ms", "sigproc_ms", "model_ms"]
 AMPLIFICATION_HEADER = ["rr_mape", "rmssd_mape", "sdnn_mape", "trials", "seed"]
 
 RATE_TOLERANCE = 0.01  # inferred vs declared sampling rate
-
-# The characters of a CSV line that holds only plain numbers (see _plain_table)
-_PLAIN_LINE = re.compile(r"[0-9eE+\-.,\r\n]*")
 
 
 def _fmt(x: float) -> str:
@@ -135,14 +132,41 @@ def _parse_float(path, lineno: int, text: str, column: str) -> float:
     return v
 
 
-def _check_increasing(path, header: Sequence[str], t: np.ndarray, column: str) -> None:
-    """t holds one time per data row; name the line of the first that does not
-    increase.  _rows skips blank lines, so the line number is read back from
-    it on this error path rather than kept for every row."""
+def _check_increasing(path, header: Sequence[str], t: np.ndarray) -> None:
+    """t holds one time per data row (column header[0]); name the line of the
+    first that does not increase.  _rows skips blank lines, so the line number
+    is read back from it on this error path rather than kept for every row."""
     bad = np.flatnonzero(np.diff(t) <= 0)
     if bad.size:
         lineno, _ = next(itertools.islice(_rows(path, header), int(bad[0]) + 1, None))
-        raise HrvError(f"{path}:{lineno}: {column} does not strictly increase")
+        raise HrvError(f"{path}:{lineno}: {header[0]} does not strictly increase")
+
+
+def _table(path, header: Sequence[str]) -> np.ndarray:
+    """The data rows as one (rows, len(header)) float64 array whose column 0
+    strictly increases.
+
+    The fields _rows yields go through float into np.fromiter, with no
+    Python list in between.  On any failure (a ValueError from float, an
+    HrvError from _rows, a non-finite value) the table is rebuilt field by
+    field with _parse_float from a second _rows pass, which raises the error
+    for the first bad field or line in file order.
+    """
+    fields = itertools.chain.from_iterable(map(operator.itemgetter(1), _rows(path, header)))
+    try:
+        flat = np.fromiter(map(float, fields), dtype=np.float64)
+        ok = bool(np.isfinite(flat).all())
+    except (ValueError, HrvError):
+        ok = False
+    if not ok:
+        flat = np.array([
+            _parse_float(path, lineno, text, column)
+            for lineno, row in _rows(path, header)
+            for text, column in zip(row, header)
+        ], dtype=np.float64)
+    table = flat.reshape(-1, len(header))
+    _check_increasing(path, header, table[:, 0])
+    return table
 
 
 def write_ppg_csv(path, signal: PpgSignal) -> None:
@@ -156,21 +180,17 @@ def write_ppg_csv(path, signal: PpgSignal) -> None:
 def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> PpgSignal:
     if not declared_rate_hz > 0:
         raise ConfigError(f"sampling rate must be > 0 Hz, got {declared_rate_hz:g}")
-    times, values = [], []
-    for lineno, row in _rows(path, PPG_HEADER):
-        times.append(_parse_float(path, lineno, row[0], "time_s"))
-        values.append(_parse_float(path, lineno, row[1], "value"))
-    if len(times) < 2:
-        raise HrvError(f"{path}: need at least 2 samples, got {len(times)}")
-    t = np.asarray(times)
-    _check_increasing(path, PPG_HEADER, t, "time_s")
+    table = _table(path, PPG_HEADER)
+    if len(table) < 2:
+        raise HrvError(f"{path}: need at least 2 samples, got {len(table)}")
+    t = table[:, 0]
     inferred = 1.0 / float(np.median(np.diff(t)))
     if abs(inferred - declared_rate_hz) > RATE_TOLERANCE * declared_rate_hz:
         raise HrvError(
             f"{path}: inferred rate {inferred:.3f} Hz is more than 1% off "
             f"the declared {declared_rate_hz:g} Hz"
         )
-    return PpgSignal(declared_rate_hz, np.asarray(values), start_time_s=float(t[0]))
+    return PpgSignal(declared_rate_hz, table[:, 1].copy(), start_time_s=float(t[0]))
 
 
 def write_rr_csv(path, gt: GroundTruth) -> None:
@@ -192,14 +212,13 @@ def read_rr_csv(path) -> GroundTruth:
             first = False
         else:
             rr.append(_parse_float(path, lineno, row[1], "rr_ms"))
+            if not rr[-1] > 0:
+                raise HrvError(f"{path}:{lineno}: rr_ms must be > 0, got {row[1]!r}")
     if len(beats) < 2:
         raise HrvError(f"{path}: need at least 2 beats, got {len(beats)}")
     bt = np.asarray(beats)
-    _check_increasing(path, RR_HEADER, bt, "beat_time_s")
-    try:
-        return GroundTruth(beat_times_s=bt, rr=RrSeries(np.asarray(rr)))
-    except ValueError as err:
-        raise HrvError(f"{path}: {err}") from None
+    _check_increasing(path, RR_HEADER, bt)
+    return GroundTruth(beat_times_s=bt, rr=RrSeries(np.asarray(rr)))
 
 
 def write_hr_csv(path, shr: SmoothedHrSeries) -> None:
@@ -217,38 +236,6 @@ def write_dataset_csv(path, ds: Dataset) -> None:
     _write_csv(path, _dataset_header(ds.n_features), lines)
 
 
-def _plain_table(path, header: Sequence[str]) -> np.ndarray | None:
-    """The data rows of a file made only of plain numbers, as one array.
-
-    Taken only when the first line is the header and every later line holds
-    nothing but _PLAIN_LINE's characters.  There csv.reader and a split at
-    commas cut the same fields from the same lines, and float() is
-    _parse_float's parser, so the array is what the per-field path builds.
-    Returns None on anything else (another character, a line longer than
-    csv's field limit, a field-count mismatch, a bad or non-finite number,
-    no rows); the caller then takes the per-field path, which names the line
-    or raises what it raises.  A file that cannot be read raises HrvError.
-    """
-    limit = csv.field_size_limit()
-    rows = []
-    try:
-        with opened(path, "r") as fh:
-            if next(csv.reader([fh.readline()]), None) != list(header):
-                return None
-            for line in fh:
-                if len(line) > limit or not _PLAIN_LINE.fullmatch(line):
-                    return None
-                line = line.rstrip("\r\n")
-                if line:
-                    rows.append(list(map(float, line.split(","))))
-    except (ValueError, csv.Error):  # a bad number, or a header csv rejects
-        return None
-    if not rows or any(len(row) != len(header) for row in rows):
-        return None
-    table = np.array(rows, dtype=np.float64)
-    return table if np.isfinite(table).all() else None
-
-
 def read_dataset_csv(path) -> Dataset:
     """Read what write_dataset_csv wrote: the same arrays, bit for bit."""
     with opened(path, "r") as fh:
@@ -256,22 +243,10 @@ def read_dataset_csv(path) -> Dataset:
     # the header declares the feature count; one is the least accepted.  It
     # counts commas, not csv fields, so a header line csv rejects reaches
     # _rows, which names it; a header with a quoted comma matches none anyway.
-    header = _dataset_header(max(width - 2, 1))
-    table = _plain_table(path, header)
-    if table is not None:
-        t = table[:, 0].copy()
-        _check_increasing(path, header, t, "window_end_time_s")
-        return Dataset(np.ascontiguousarray(table[:, 1:-1]), table[:, -1].copy(), t)
-    times, feats, labels = [], [], []
-    for lineno, row in _rows(path, header):
-        times.append(_parse_float(path, lineno, row[0], "window_end_time_s"))
-        feats.append([_parse_float(path, lineno, v, "feature") for v in row[1:-1]])
-        labels.append(_parse_float(path, lineno, row[-1], "label"))
-    if not times:
+    table = _table(path, _dataset_header(max(width - 2, 1)))
+    if not len(table):
         raise HrvError(f"{path}: no data rows")
-    t = np.asarray(times)
-    _check_increasing(path, header, t, "window_end_time_s")
-    return Dataset(np.asarray(feats), np.asarray(labels), t)
+    return Dataset(np.ascontiguousarray(table[:, 1:-1]), table[:, -1].copy(), table[:, 0].copy())
 
 
 def write_results_csv(path, rows: Iterable) -> None:

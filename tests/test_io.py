@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import io
+import math
+import re
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from ppghrv.io import (
     write_rr_csv,
     write_trace_csv,
 )
-from ppghrv.sigproc import SmoothedHrSeries
+from ppghrv.sigproc import PpgSignal, SmoothedHrSeries
 from ppghrv.synth import SynthConfig, generate_rr_trace, render_ppg
 
 
@@ -136,6 +140,37 @@ def test_non_finite_value_reports_line(tmp_path, reader, text):
     path.write_text(text)
     with pytest.raises(HrvError, match=":3: non-finite"):
         reader(path)
+
+
+@pytest.mark.parametrize("rr", ["0.0", "-0.0", "-800.0"])
+def test_non_positive_rr_reports_line(tmp_path, rr):
+    path = tmp_path / "rr.csv"
+    path.write_text(f"beat_time_s,rr_ms\n0.0,\n0.8,800.0\n1.6,{rr}\n")
+    with pytest.raises(HrvError, match=re.escape(f":4: rr_ms must be > 0, got '{rr}'")):
+        read_rr_csv(path)
+
+
+def test_readers_peak_memory_is_below_three_tables(tmp_path):
+    # a reader's peak is measured against the float64 table its file holds
+    # (rows x columns; for the dataset, the bytes of the arrays returned):
+    # no list of Python floats may stand between the file and the array
+    rng = np.random.default_rng(0)
+    write_dataset_csv(tmp_path / "ds.csv", Dataset(
+        rng.normal(size=(300, 301)), rng.normal(size=300), np.arange(300.0)
+    ))
+    write_ppg_csv(tmp_path / "ppg.csv", PpgSignal(25.0, rng.normal(size=15_000)))
+    for read, name, table_bytes in [
+        (read_dataset_csv, "ds.csv", 300 * 303 * 8),
+        (read_ppg_csv, "ppg.csv", 15_000 * 2 * 8),
+    ]:
+        read(tmp_path / name)  # the first call's one-off allocations are not counted
+        tracemalloc.start()
+        try:
+            read(tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * table_bytes, (name, peak / table_bytes)
 
 
 LONG_FIELD = "1" * 200_000  # longer than csv's 131 072-character field limit
@@ -253,24 +288,110 @@ class TestDatasetCsvFastPaths:
         ds = random_dataset(rng, int(rng.integers(1, 40)), int(rng.integers(1, 30)))
         path = tmp_path / "ds.csv"
         write_dataset_csv(path, ds)
-        header = hrvio._dataset_header(ds.n_features)
-        assert hrvio._plain_table(path, header) is not None
         back = read_dataset_csv(path)
+        ppg = PpgSignal(
+            25.0, np.concatenate([ds.features.ravel(), ds.labels]),
+            start_time_s=float(ds.window_end_times_s[0]),
+        )
+        write_ppg_csv(path, ppg)
+        ppg_back = read_ppg_csv(path)
+        assert ppg_back.start_time_s == ppg.start_time_s
         for got, want in [(back.features, ds.features), (back.labels, ds.labels),
-                          (back.window_end_times_s, ds.window_end_times_s)]:
+                          (back.window_end_times_s, ds.window_end_times_s),
+                          (ppg_back.samples, ppg.samples)]:
             assert got.tobytes() == want.tobytes()
             assert got.flags["C_CONTIGUOUS"]
 
 
-def _outcome(path):
+def oracle_table(path, header: list[str]) -> np.ndarray:
+    """The per-field reference reader: csv.reader, then float and
+    math.isfinite for each field, then the time-order check, with io's
+    messages.  A row's line number counts csv records (the header is 1)."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            head = next(reader, None)
+            if head is None:
+                raise HrvError(f"{path}: empty file")
+            if head != header:
+                raise HrvError(
+                    f"{path}:1: expected header {','.join(header)!r}, got {','.join(head)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise HrvError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                values = []
+                for text, column in zip(row, header):
+                    try:
+                        v = float(text)
+                    except ValueError:
+                        raise HrvError(f"{path}:{lineno}: bad {column} value {text!r}") from None
+                    if not math.isfinite(v):
+                        raise HrvError(f"{path}:{lineno}: non-finite {column} value {text!r}")
+                    values.append(v)
+                rows.append((lineno, values))
+        except csv.Error as err:
+            raise HrvError(f"{path}:{reader.line_num}: {err}") from None
+    for (_, before), (lineno, values) in zip(rows, rows[1:]):
+        if not values[0] > before[0]:
+            raise HrvError(f"{path}:{lineno}: {header[0]} does not strictly increase")
+    return np.array([values for _, values in rows], dtype=np.float64).reshape(-1, len(header))
+
+
+def oracle_dataset(path) -> Dataset:
+    with open(path, newline="", encoding="utf-8") as fh:
+        n_features = max(fh.readline().count(",") - 1, 1)
+    table = oracle_table(path, hrvio._dataset_header(n_features))
+    if not len(table):
+        raise HrvError(f"{path}: no data rows")
+    return Dataset(table[:, 1:-1], table[:, -1], table[:, 0])
+
+
+def oracle_ppg(path, rate_hz: float) -> PpgSignal:
+    table = oracle_table(path, ["time_s", "value"])
+    if len(table) < 2:
+        raise HrvError(f"{path}: need at least 2 samples, got {len(table)}")
+    inferred = 1.0 / float(np.median(np.diff(table[:, 0])))
+    if abs(inferred - rate_hz) > 0.01 * rate_hz:
+        raise HrvError(
+            f"{path}: inferred rate {inferred:.3f} Hz is more than 1% off "
+            f"the declared {rate_hz:g} Hz"
+        )
+    return PpgSignal(rate_hz, table[:, 1], start_time_s=float(table[0, 0]))
+
+
+def _outcome(read, path):
     try:
-        ds = read_dataset_csv(path)
+        got = read(path)
     except Exception as err:  # the type and message are what is compared
         return type(err), str(err)
-    return tuple(a.tobytes() for a in (ds.features, ds.labels, ds.window_end_times_s))
+    if isinstance(got, Dataset):
+        return tuple(a.tobytes() for a in (got.features, got.labels, got.window_end_times_s))
+    return got.samples.tobytes(), got.start_time_s
 
 
 H = "window_end_time_s,f0,label"
+
+
+def as_ppg(text: str, drop: int) -> str:
+    """A dataset case as a PPG case: the header H becomes the PPG header, and
+    every line after it loses field `drop` (1 = f0, 2 = label) if it has one,
+    so each quirk of the other two fields is kept in a two-column file.  Text
+    that does not start with H is returned as it is."""
+    if not text.startswith(H):
+        return text
+    parts = re.split(r"(\r\n|\r|\n)", text[len(H):])  # lines, with their endings between
+    for i in range(0, len(parts), 2):
+        fields = parts[i].split(",")
+        if len(fields) > drop:
+            del fields[drop]
+        parts[i] = ",".join(fields)
+    return "time_s,value" + "".join(parts)
 
 
 @pytest.mark.parametrize("text", [
@@ -314,19 +435,17 @@ H = "window_end_time_s,f0,label"
     "decreasing_after_blank", "repeated_time", "header_only", "header_and_blanks",
     "empty_file", "wrong_header", "open_quote_in_header", "field_over_csv_limit",
 ])
-def test_dataset_reader_paths_agree(tmp_path, monkeypatch, text):
+def test_dataset_reader_paths_agree(tmp_path, text):
+    # the dataset reader gives the per-field oracle's outcome: the same
+    # error type and message, or the same arrays bit for bit
     path = tmp_path / "ds.csv"
     path.write_text(text, newline="")
-    fast = _outcome(path)
-    monkeypatch.setattr(hrvio, "_plain_table", lambda path, header: None)
-    assert fast == _outcome(path)
-
-
-def test_plain_files_take_the_fast_path(tmp_path):
-    path = tmp_path / "ds.csv"
-    path.write_text(f"{H}\r1.0,2.0,3.0\r\n\n2.0,-1e-3,3.5", newline="")
-    table = hrvio._plain_table(path, H.split(","))
-    assert table.tolist() == [[1.0, 2.0, 3.0], [2.0, -1e-3, 3.5]]
+    assert _outcome(read_dataset_csv, path) == _outcome(oracle_dataset, path)
+    for drop in (1, 2):
+        path.write_text(as_ppg(text, drop), newline="")
+        assert _outcome(partial(read_ppg_csv, declared_rate_hz=1.0), path) == _outcome(
+            partial(oracle_ppg, rate_hz=1.0), path
+        )
 
 
 def test_every_writer_writes_what_csv_writer_would(tmp_path, trace):

@@ -7,6 +7,9 @@ belongs in a module constant, so the count may fall but must not grow.
 Every file is opened by `ppghrv.io.opened`, which decides what a failure
 means (HrvError for a read, ConfigError for a write); so no other code
 opens one, and `cli.main` catches no OS exception.
+
+The CSV readers cut fields with one tokenizer, the `csv.reader` in
+`ppghrv.io._rows`, so two readers cannot disagree on what a line holds.
 """
 
 import ast
@@ -17,6 +20,7 @@ from pathlib import Path
 import ppghrv
 import ppghrv.cli
 import ppghrv.errors
+import ppghrv.io
 import ppghrv.models
 from ppghrv.models.base import TrainedModel
 
@@ -113,9 +117,18 @@ def test_one_error_type_per_exit_code():
 # (pathlib's readers and writers, Path.open, os.open, gzip.open, ...)
 _OPENING_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 
+# calls that cut text into fields or lines: csv's readers and str's splits
+_TOKENIZING_METHODS = {"reader", "DictReader", "split", "rsplit", "splitlines"}
+
 
 def file_opens(source: str, allowed: str | None) -> list[str]:
     """The calls in source that open a file, outside the function `allowed`."""
+    return calls_outside(source, allowed, {"open"}, _OPENING_METHODS)
+
+
+def calls_outside(source: str, allowed: str | None, functions: set, methods: set) -> list[str]:
+    """The calls in source of a name in functions or of a method in methods
+    (of any object), outside the function `allowed`."""
     tree = ast.parse(source)
     exempt = {
         id(inner)
@@ -127,8 +140,8 @@ def file_opens(source: str, allowed: str | None) -> list[str]:
         f"{node.lineno}: {ast.unparse(node.func)}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and id(node) not in exempt and (
-            (isinstance(node.func, ast.Name) and node.func.id == "open")
-            or (isinstance(node.func, ast.Attribute) and node.func.attr in _OPENING_METHODS)
+            (isinstance(node.func, ast.Name) and node.func.id in functions)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr in methods)
         )
     ]
 
@@ -158,6 +171,25 @@ def test_only_io_opened_opens_files():
             found[name] = calls
     assert found == {}
     assert len(file_opens((src / "io.py").read_text(), allowed=None)) == 1
+
+
+def test_finder_sees_each_tokenizer():
+    source = '''
+def _rows(fh):
+    return csv.reader(fh)
+
+def f(line, fh):
+    line.split(","), str.split(line, ","), re.split(",", line), line.rsplit(",")
+    fh.read().splitlines(), csv.DictReader(fh), line.count(",")
+'''
+    assert len(calls_outside(source, None, set(), _TOKENIZING_METHODS)) == 7
+    assert len(calls_outside(source, "_rows", set(), _TOKENIZING_METHODS)) == 6
+
+
+def test_only_io_rows_tokenizes():
+    source = Path(ppghrv.io.__file__).read_text()
+    assert calls_outside(source, "_rows", set(), _TOKENIZING_METHODS) == []
+    assert len(calls_outside(source, None, set(), _TOKENIZING_METHODS)) == 1
 
 
 def test_cli_main_catches_only_the_package_errors():
