@@ -36,6 +36,9 @@ from .synth import SynthConfig, generate_rr_trace
 DEFAULT_MAPE_LEVELS_PCT = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_WINDOW_S = 60.0
 MIN_WINDOWS = 10
+# each trial perturbs and measures the whole base trace once per level, so
+# 10^5 trials (100x the default) already take tens of seconds
+MAX_TRIALS = 100_000
 # Size of amplification_table's batch of perturbed series (see above).
 TRIAL_CHUNK_BYTES = 1024 * 1024
 
@@ -127,8 +130,8 @@ def amplification_table(
     against the unperturbed values.  Level 0 reproduces the base bit for
     bit, so its row is exactly zero.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
     if window_s <= 0:
         raise ConfigError("window_s must be positive")
     slices = _window_slices(base, window_s)

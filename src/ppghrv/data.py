@@ -11,11 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, HrvError
-from .metrics import HrvMetricKind, RrSeries, rmssd, rough_hrv, sdnn
+from .metrics import HrvMetricKind, hrv_rows, rough_hrv
 from .sigproc import SmoothedHrSeries
 from .synth import GroundTruth
+
+CHUNK_BYTES = 256 * 1024  # bytes of windows measured at a time; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -48,21 +51,6 @@ class Dataset:
         return int(self.features.shape[1])
 
 
-def _true_hrv_in_window(gt: GroundTruth, t0: float, t1: float, kind: HrvMetricKind) -> float:
-    """Metric over intervals whose beats both fall inside [t0, t1]."""
-    bt = gt.beat_times_s
-    a = int(np.searchsorted(bt, t0 - 1e-9, side="left"))
-    b = int(np.searchsorted(bt, t1 + 1e-9, side="right"))
-    beats = bt[a:b]
-    if beats.size < 3:  # fewer than two intervals
-        raise HrvError(
-            f"window [{t0:.1f}, {t1:.1f}]s holds {beats.size} beats; "
-            "need at least 3 for an HRV label"
-        )
-    rr = RrSeries(np.diff(beats) * 1000.0)
-    return sdnn(rr) if kind is HrvMetricKind.SDNN else rmssd(rr)
-
-
 def build_hrv_dataset(
     shr: SmoothedHrSeries,
     gt: GroundTruth,
@@ -89,19 +77,30 @@ def build_hrv_dataset(
             f"need {n} smoothed HRs for one window, trace has {vals.size}"
         )
     m = (vals.size - n) // stride + 1
+    lo = np.arange(m) * stride
+    t0 = shr.start_time_s + lo
+    t_end = shr.start_time_s + (lo + n)
+    first = np.searchsorted(gt.beat_times_s, t0 - 1e-9, side="left")
+    beats = np.searchsorted(gt.beat_times_s, t_end + 1e-9, side="right") - first
+    short = np.flatnonzero(beats < 3)  # fewer than two intervals
+    if short.size:
+        w = short[0]
+        raise HrvError(
+            f"window [{t0[w]:.1f}, {t_end[w]:.1f}]s holds {beats[w]} beats; "
+            "need at least 3 for an HRV label"
+        )
     X = np.empty((m, n + 1), dtype=np.float64)
+    X[:, :n] = sliding_window_view(vals, n)[::stride]
     y = np.empty(m, dtype=np.float64)
-    t_end = np.empty(m, dtype=np.float64)
-    for w in range(m):
-        lo = w * stride
-        hi = lo + n
-        hrs = vals[lo:hi]
-        t0 = shr.start_time_s + lo
-        t1 = shr.start_time_s + hi
-        X[w, :n] = hrs
-        X[w, n] = rough_hrv(hrs, kind)
-        y[w] = _true_hrv_in_window(gt, t0, t1, kind)
-        t_end[w] = t1
+    rr = np.diff(gt.beat_times_s) * 1000.0
+    # each kernel row is a fresh C-contiguous copy, so it equals a 1-D call
+    step = max(1, CHUNK_BYTES // (8 * n))
+    for c0 in range(0, m, step):
+        X[c0 : c0 + step, n] = rough_hrv(X[c0 : c0 + step, :n], kind)
+        counts = beats[c0 : c0 + step]
+        for count in np.unique(counts):
+            same = c0 + np.flatnonzero(counts == count)
+            y[same] = hrv_rows(rr[first[same, None] + np.arange(count - 1)], kind)
     return Dataset(X, y, t_end)
 
 

@@ -22,10 +22,10 @@ from .errors import ConfigError, HrvError
 from .io import write_results_csv, write_trace_csv
 from .metrics import HrvMetricKind, mape
 from .models.base import ModelKind
-from .models.bench import MIN_REPETITIONS, bench_inference
+from .models.bench import MAX_REPETITIONS, MIN_REPETITIONS, bench_inference
 from .models.codec import serialized_size
 from .models.mlp import DEFAULT_MAX_EPOCHS
-from .models.search import random_search
+from .models.search import MAX_BUDGET, random_search
 from .sigproc import SmoothedHrSeries, ppg_to_hr, smooth, zscore_adjust
 from .synth import GroundTruth, activity_preset, generate_rr_trace, render_ppg
 
@@ -61,8 +61,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one activity, metric and monitoring length")
         if not self.models:
             raise ConfigError("need at least one model kind")
-        if self.budget < 1:
-            raise ConfigError("search budget must be >= 1")
+        if not 1 <= self.budget <= MAX_BUDGET:
+            raise ConfigError(f"search budget must lie in [1, {MAX_BUDGET}], got {self.budget}")
         if self.stride_s < 1:
             raise ConfigError("stride_s must be >= 1")
         if self.seed < 0:
@@ -75,8 +75,13 @@ class ExperimentConfig:
                 f"duration_s={self.duration_s:g} leaves no room for "
                 f"{max_n}s windows plus a test split"
             )
-        if self.bench_repetitions != 0 and self.bench_repetitions < MIN_REPETITIONS:
-            raise ConfigError(f"bench_repetitions must be 0 (off) or >= {MIN_REPETITIONS}")
+        if self.bench_repetitions != 0 and not (
+            MIN_REPETITIONS <= self.bench_repetitions <= MAX_REPETITIONS
+        ):
+            raise ConfigError(
+                f"bench_repetitions must be 0 (off) or lie in "
+                f"[{MIN_REPETITIONS}, {MAX_REPETITIONS}], got {self.bench_repetitions}"
+            )
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
         if not 0.0 < self.val_fraction < 1.0:

@@ -97,7 +97,9 @@ def _write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
 
 
 def _rows(path, expected_header: Sequence[str]):
-    """Yield (line_number, row) for data rows; validates the header."""
+    """Yield (line_number, row) for data rows; validates the header.  The
+    number is the physical line a row ends on, so a quoted field that spans
+    lines does not shift the numbers of the rows after it."""
     with opened(path, "r") as fh:
         reader = csv.reader(fh)
         try:
@@ -109,9 +111,10 @@ def _rows(path, expected_header: Sequence[str]):
                     f"{path}:1: expected header {','.join(expected_header)!r}, "
                     f"got {','.join(header)!r}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                lineno = reader.line_num
                 if len(row) != len(expected_header):
                     raise HrvError(
                         f"{path}:{lineno}: expected {len(expected_header)} fields, "

@@ -5,10 +5,10 @@ population form (divide by N), RMSSD averages the N-1 squared successive
 differences.
 
 Each formula is written once, as a kernel over the last axis of an array
-(rmssd_rows, sdnn_rows, mape_rows); the 1-D functions check their input and
-call the kernel on it.  numpy reduces each row of an array along a last axis
-of unit stride with the same pairwise sum as a 1-D call on that row, so a
-kernel's value for a row equals the 1-D function's value bit for bit.
+(rmssd_rows, sdnn_rows, mape_rows; hrv_rows picks SDNN or RMSSD); the 1-D
+functions check their input and call the kernel on it.  numpy reduces each
+row along a last axis of unit stride with the same pairwise sum as a 1-D call
+on that row, so a kernel's value for a row equals the 1-D value bit for bit.
 """
 
 from __future__ import annotations
@@ -73,24 +73,25 @@ def rmssd(rr: RrSeries) -> float:
     return float(rmssd_rows(x))
 
 
-def rough_hrv(hr_per_s, kind: HrvMetricKind) -> float:
-    """HRV estimated directly from a per-second HR sequence.
+def hrv_rows(x: np.ndarray, kind: HrvMetricKind) -> np.ndarray:
+    """The metric `kind` of each row of x, intervals along the last axis."""
+    return sdnn_rows(x) if kind is HrvMetricKind.SDNN else rmssd_rows(x)
+
+
+def rough_hrv(hr_per_s, kind: HrvMetricKind) -> np.ndarray:
+    """HRV estimated directly from per-second HRs (bpm) along the last axis.
 
     Each HR value is converted to a pseudo RR interval 60000/HR and the
     requested metric is computed over those intervals.  This is the
     signal-processing-only estimate; smoothing upstream means it understates
-    the true beat-to-beat variability.
-
-    Accepts a SmoothedHrSeries or any 1-D array of HRs in bpm.
+    the true beat-to-beat variability.  A 1-D input gives a 0-d array.
     """
-    values = getattr(hr_per_s, "values", hr_per_s)
-    hr = np.asarray(values, dtype=np.float64)
-    if hr.size < 2:
-        raise HrvError(f"rough_hrv needs at least 2 HR values, got {hr.size}")
+    hr = np.atleast_1d(np.asarray(hr_per_s, dtype=np.float64))
+    if hr.shape[-1] < 2:
+        raise HrvError(f"rough_hrv needs at least 2 HR values, got {hr.shape[-1]}")
     if not np.all(hr > 0):
         raise ValueError("HR values must be positive")
-    pseudo = RrSeries(MS_PER_MINUTE / hr)
-    return sdnn(pseudo) if kind is HrvMetricKind.SDNN else rmssd(pseudo)
+    return hrv_rows(MS_PER_MINUTE / hr, kind)
 
 
 def mape_rows(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:

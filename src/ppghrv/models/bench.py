@@ -11,6 +11,9 @@ from ..errors import ConfigError
 from .base import TrainedModel
 
 MIN_REPETITIONS = 100
+# times_ns holds one float per call and a knn predict takes ~0.1 ms, so 10^6
+# calls are 8 MB and about two minutes; 100x the CLI's default
+MAX_REPETITIONS = 1_000_000
 WARMUP_CALLS = 50
 
 
@@ -32,8 +35,10 @@ def bench_inference(
     The first WARMUP_CALLS calls are run untimed so caches and allocator state
     settle; statistics cover exactly `repetitions` timed calls.
     """
-    if repetitions < MIN_REPETITIONS:
-        raise ConfigError(f"repetitions must be >= {MIN_REPETITIONS}, got {repetitions}")
+    if not MIN_REPETITIONS <= repetitions <= MAX_REPETITIONS:
+        raise ConfigError(
+            f"repetitions must lie in [{MIN_REPETITIONS}, {MAX_REPETITIONS}], got {repetitions}"
+        )
     probes = [np.asarray(p, dtype=np.float64) for p in probe_inputs]
     if not probes:
         raise ConfigError("need at least one probe input")

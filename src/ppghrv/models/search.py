@@ -39,6 +39,8 @@ from .tree import MAX_TREE_DEPTH, train_dt, train_dt_depths
 log = logging.getLogger(__name__)
 
 MIN_SEARCH_DEPTH = 3  # search never samples the oracle-sized depths 1..2
+# each candidate trains one model, up to seconds each; 100x the default budget
+MAX_BUDGET = 1000
 
 
 def sample_hyperparams(kind: ModelKind, rng) -> dict[str, Any]:
@@ -121,8 +123,8 @@ def random_search(
     retrained on all of `train` with the same derived seed.  mlp_max_epochs
     bounds each MLP's training; other kinds ignore it.
     """
-    if budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ConfigError(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must lie strictly between 0 and 1")
     mlp_cfg = MlpTrainingConfig(max_epochs=mlp_max_epochs)

@@ -469,6 +469,35 @@ class TestExitCodes:
         assert "duration_s must lie in (0, 86400] s" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--repetitions", "1000000000000"], "repetitions must lie in [100, 1000000]"),
+        (["run", "--bench-repetitions", "1000000000000"], "bench_repetitions must be 0 (off) or lie in"),
+        (["train", "--budget", "1000000000000"], "budget must lie in [1, 1000]"),
+        (["run", "--budget", "1000000000000"], "search budget must lie in [1, 1000]"),
+        (["amplify", "--trials", "1000000000000"], "trials must lie in [1, 100000]"),
+    ], ids=["bench_repetitions", "run_bench_repetitions", "train_budget", "run_budget",
+            "amplify_trials"])
+    def test_huge_iteration_count_is_config_error(self, argv, message, workdir, tmp_path):
+        # these allocated terabytes (exit 3) or ran without bound; a subprocess
+        # bounds the wait
+        out = tmp_path / "out"
+        argv = argv + {
+            "bench": ["--model", str(workdir / "model.bin")],
+            "run": ["--out-dir", str(out), "--activities", "sit", "--lengths", "30",
+                    "--duration-s", "200", "--models", "dt"],
+            "train": ["--dataset", str(workdir / "ds.csv"), "--model", "dt", "--out", str(out)],
+            "amplify": ["--out", str(out)],
+        }[argv[0]]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppghrv.cli"] + argv,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
+        assert not out.exists()
+
     def test_duration_below_one_beat_is_config_error(self, tmp_path, capsys):
         code = main([
             "synth", "--preset", "sit", "--duration-s", "0.5",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,15 @@ from ppghrv.data import (
     chronological_split,
 )
 from ppghrv.errors import ConfigError, HrvError
-from ppghrv.metrics import HrvMetricKind, RrSeries, rough_hrv
-from ppghrv.sigproc import SmoothedHrSeries
-from ppghrv.synth import GroundTruth, SynthConfig, generate_rr_trace
+from ppghrv.metrics import MS_PER_MINUTE, HrvMetricKind, RrSeries, rmssd, rough_hrv, sdnn
+from ppghrv.sigproc import SmoothedHrSeries, ppg_to_hr, smooth, zscore_adjust
+from ppghrv.synth import (
+    GroundTruth,
+    SynthConfig,
+    activity_preset,
+    generate_rr_trace,
+    render_ppg,
+)
 
 
 def oracle_window_label(gt, t0, t1, kind):
@@ -25,6 +32,42 @@ def oracle_window_label(gt, t0, t1, kind):
     return math.sqrt(sum(v * v for v in diffs) / len(diffs))
 
 
+def oracle_build_hrv_dataset(shr, gt, n_s, kind, stride_s=1):
+    """The builder one window at a time, each value from a 1-D metric call."""
+    one = sdnn if kind is HrvMetricKind.SDNN else rmssd
+    vals, bt = shr.values, gt.beat_times_s
+    m = (vals.size - n_s) // stride_s + 1
+    X = np.empty((m, n_s + 1))
+    y = np.empty(m)
+    t_end = np.empty(m)
+    for w in range(m):
+        lo = w * stride_s
+        hi = lo + n_s
+        t0 = shr.start_time_s + lo
+        t1 = shr.start_time_s + hi
+        X[w, :n_s] = vals[lo:hi]
+        X[w, n_s] = one(RrSeries(MS_PER_MINUTE / vals[lo:hi]))
+        a = int(np.searchsorted(bt, t0 - 1e-9, side="left"))
+        b = int(np.searchsorted(bt, t1 + 1e-9, side="right"))
+        beats = bt[a:b]
+        if beats.size < 3:
+            raise HrvError(
+                f"window [{t0:.1f}, {t1:.1f}]s holds {beats.size} beats; "
+                "need at least 3 for an HRV label"
+            )
+        y[w] = one(RrSeries(np.diff(beats) * 1000.0))
+        t_end[w] = t1
+    return Dataset(X, y, t_end)
+
+
+def _outcome(build, *args):
+    try:
+        ds = build(*args)
+    except HrvError as err:  # the message is what is compared
+        return str(err)
+    return tuple(a.tobytes() for a in (ds.features, ds.labels, ds.window_end_times_s))
+
+
 def metronome_gt(n_beats, rr_s=1.0):
     bt = np.arange(n_beats, dtype=np.float64) * rr_s
     return GroundTruth(beat_times_s=bt, rr=RrSeries(np.diff(bt) * 1000.0))
@@ -34,6 +77,73 @@ def metronome_gt(n_beats, rr_s=1.0):
 def jittered_gt():
     cfg = SynthConfig(duration_s=240.0, base_hr_bpm=70.0, rr_jitter_ms=30.0, seed=11)
     return generate_rr_trace(cfg)
+
+
+@pytest.fixture(scope="module")
+def office_trace():
+    cfg = activity_preset("office_work", duration_s=600.0, seed=5)
+    gt = generate_rr_trace(cfg)
+    return gt, smooth(zscore_adjust(ppg_to_hr(render_ppg(gt, cfg))))
+
+
+def fast_gt():
+    # about 160 bpm with uneven intervals, so 2 s windows hold 4 to 6 beats
+    bt = np.cumsum(np.random.default_rng(8).uniform(0.3, 0.45, size=800))
+    return GroundTruth(beat_times_s=bt, rr=RrSeries(np.diff(bt) * 1000.0))
+
+
+def gap_gt():
+    # a 30 s silence after 100 s leaves the windows inside it short of beats
+    bt = np.concatenate([np.arange(0.0, 100.0, 0.8), np.arange(130.0, 300.0, 0.8)])
+    return GroundTruth(beat_times_s=bt, rr=RrSeries(np.diff(bt) * 1000.0))
+
+
+class TestMatchesPerWindowOracle:
+    @pytest.mark.parametrize("kind", list(HrvMetricKind))
+    @pytest.mark.parametrize("start", [8.0, 8.37, 0.0])
+    @pytest.mark.parametrize("n, stride", [(60, 1), (300, 1), (30, 7), (120, 1000)])
+    def test_office_trace(self, office_trace, kind, start, n, stride):
+        gt, shr = office_trace
+        shr = SmoothedHrSeries(shr.values, start_time_s=start)
+        got = _outcome(build_hrv_dataset, shr, gt, n, kind, stride)
+        assert isinstance(got, tuple)
+        assert got == _outcome(oracle_build_hrv_dataset, shr, gt, n, kind, stride)
+
+    @pytest.mark.parametrize("kind", list(HrvMetricKind))
+    @pytest.mark.parametrize("start", [0.0, 8.37])
+    @pytest.mark.parametrize("n, stride", [(2, 1), (3, 2), (3, 7)])
+    def test_short_windows_of_differing_beat_counts(self, kind, start, n, stride):
+        gt = fast_gt()
+        shr = SmoothedHrSeries(np.random.default_rng(2).uniform(60, 90, 250), start)
+        got = _outcome(build_hrv_dataset, shr, gt, n, kind, stride)
+        assert isinstance(got, tuple)
+        assert got == _outcome(oracle_build_hrv_dataset, shr, gt, n, kind, stride)
+
+    @pytest.mark.parametrize("kind", list(HrvMetricKind))
+    @pytest.mark.parametrize("start, n, stride", [(0.0, 2, 1), (8.37, 20, 3), (8.0, 20, 95)])
+    def test_first_short_window_message(self, kind, start, n, stride):
+        gt = gap_gt()
+        shr = SmoothedHrSeries(np.full(280, 75.0), start)
+        got = _outcome(build_hrv_dataset, shr, gt, n, kind, stride)
+        assert "need at least 3 for an HRV label" in got
+        assert got == _outcome(oracle_build_hrv_dataset, shr, gt, n, kind, stride)
+
+
+def test_peak_memory_is_the_arrays_plus_one_mib():
+    # the windows are measured a bounded block of rows at a time, so no
+    # (windows x n) temporary stands beside the returned arrays
+    cfg = activity_preset("office_work", duration_s=1800.0, seed=5)
+    gt = generate_rr_trace(cfg)
+    shr = smooth(zscore_adjust(ppg_to_hr(render_ppg(gt, cfg))))
+    build_hrv_dataset(shr, gt, 300, HrvMetricKind.RMSSD)  # one-off allocations
+    tracemalloc.start()
+    try:
+        ds = build_hrv_dataset(shr, gt, 300, HrvMetricKind.RMSSD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = ds.features.nbytes + ds.labels.nbytes + ds.window_end_times_s.nbytes
+    assert peak < arrays + 1024 * 1024, (peak, arrays)
 
 
 class TestBuildHrvDataset:
@@ -59,7 +169,7 @@ class TestBuildHrvDataset:
             lo = w * 13
             np.testing.assert_array_equal(ds.features[w, :40], vals[lo : lo + 40])
             expect = rough_hrv(vals[lo : lo + 40], HrvMetricKind.RMSSD)
-            assert ds.features[w, 40] == pytest.approx(expect, rel=1e-12)
+            assert ds.features[w, 40] == expect
 
     def test_window_end_times(self):
         gt = metronome_gt(400)

@@ -212,6 +212,18 @@ def test_non_increasing_time_after_blank_line_reports_line(tmp_path, reader, tex
         reader(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('time_s,value\n"0.0\n",1.0\n0.04,oops\n', ":4: bad value value 'oops'"),
+    ('time_s,value\n"0.0\n",1.0\n0.04,1.0\n0.04,1.0\n', ":5: time_s does not strictly increase"),
+], ids=["bad_field", "repeated_time"])
+def test_quoted_newline_counts_physical_lines(tmp_path, text, message):
+    # the quoted field spans lines 2 and 3, so the next row is line 4
+    path = tmp_path / "in.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(HrvError, match=re.escape(message)):
+        read_ppg_csv(path)
+
+
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -306,7 +318,7 @@ class TestDatasetCsvFastPaths:
 def oracle_table(path, header: list[str]) -> np.ndarray:
     """The per-field reference reader: csv.reader, then float and
     math.isfinite for each field, then the time-order check, with io's
-    messages.  A row's line number counts csv records (the header is 1)."""
+    messages.  A row's line number is the physical line it ends on."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -318,9 +330,10 @@ def oracle_table(path, header: list[str]) -> np.ndarray:
                 raise HrvError(
                     f"{path}:1: expected header {','.join(header)!r}, got {','.join(head)!r}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                lineno = reader.line_num
                 if len(row) != len(header):
                     raise HrvError(
                         f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
@@ -402,6 +415,8 @@ def as_ppg(text: str, drop: int) -> str:
     f"{H}\n1.0,+2.,.5e+1\n2.0,1E3,-3\n",
     f"{H}\n\"1.0\",2.0,\"3.0\"\n2.0,2.5,3.5\n",
     f"{H}\n\"1.0\n\",2.0,3.0\n",
+    f"{H}\n\"1.0\n\",2.0,3.0\n2.0,oops,oops\n",
+    f"{H}\n\"1.0\n\",2.0,3.0\n2.0,2.5,3.5\n2.0,2.5,3.5\n",
     f"{H}\n1.0,2.0\x0b,3.0\n2.0,2.5,3.5\n",
     f"{H}\n1.0,2.\x0b0,3.0\n",
     f"{H}\n1.0,\x0c2.0,3.0\n2.0,2.5,3.5\n",
@@ -428,7 +443,8 @@ def as_ppg(text: str, drop: int) -> str:
     f"{H}\n1.0,2.0,{'1' * 200_000}e-199999\n",
 ], ids=[
     "crlf", "blank_lines", "cr_only", "cr_cr_lf", "signs_and_exponents",
-    "quoted", "quoted_newline", "vt_after_field", "vt_inside_field",
+    "quoted", "quoted_newline", "quoted_newline_then_bad_field",
+    "quoted_newline_then_repeated_time", "vt_after_field", "vt_inside_field",
     "ff_before_field", "line_separator_after_field", "line_separator_inside_field",
     "spaces", "underscores", "nan", "inf", "overflow", "short_row", "long_row",
     "empty_field", "two_points", "bare_exponent", "commas_only",

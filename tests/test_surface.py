@@ -10,6 +10,9 @@ opens one, and `cli.main` catches no OS exception.
 
 The CSV readers cut fields with one tokenizer, the `csv.reader` in
 `ppghrv.io._rows`, so two readers cannot disagree on what a line holds.
+
+SDNN or RMSSD is picked in one place, `ppghrv.metrics.hrv_rows`; every
+other windowed HRV goes through it.
 """
 
 import ast
@@ -21,6 +24,7 @@ import ppghrv
 import ppghrv.cli
 import ppghrv.errors
 import ppghrv.io
+import ppghrv.metrics
 import ppghrv.models
 from ppghrv.models.base import TrainedModel
 
@@ -126,16 +130,21 @@ def file_opens(source: str, allowed: str | None) -> list[str]:
     return calls_outside(source, allowed, {"open"}, _OPENING_METHODS)
 
 
+def _nodes_inside(tree: ast.AST, function: str | None) -> set[int]:
+    """The ids of every node in the functions named `function`."""
+    return {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+        for inner in ast.walk(node)
+    }
+
+
 def calls_outside(source: str, allowed: str | None, functions: set, methods: set) -> list[str]:
     """The calls in source of a name in functions or of a method in methods
     (of any object), outside the function `allowed`."""
     tree = ast.parse(source)
-    exempt = {
-        id(inner)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == allowed
-        for inner in ast.walk(node)
-    }
+    exempt = _nodes_inside(tree, allowed)
     return [
         f"{node.lineno}: {ast.unparse(node.func)}"
         for node in ast.walk(tree)
@@ -190,6 +199,58 @@ def test_only_io_rows_tokenizes():
     source = Path(ppghrv.io.__file__).read_text()
     assert calls_outside(source, "_rows", set(), _TOKENIZING_METHODS) == []
     assert len(calls_outside(source, None, set(), _TOKENIZING_METHODS)) == 1
+
+
+_KIND_VALUES = {member.value for member in ppghrv.metrics.HrvMetricKind}
+
+
+def _names_a_kind(node: ast.expr) -> bool:
+    """node is an HrvMetricKind member (HrvMetricKind.SDNN) or its value
+    ("sdnn"), or a tuple, list or set that holds one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_kind(element) for element in node.elts)
+    if isinstance(node, ast.Attribute):
+        return ast.unparse(node.value).rsplit(".", 1)[-1] == "HrvMetricKind"
+    return isinstance(node, ast.Constant) and node.value in _KIND_VALUES
+
+
+def kind_comparisons(source: str, allowed: str | None) -> list[str]:
+    """The comparisons in source against an HrvMetricKind member, outside the
+    function `allowed`."""
+    tree = ast.parse(source)
+    exempt = _nodes_inside(tree, allowed)
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and id(node) not in exempt
+        and any(_names_a_kind(side) for side in [node.left, *node.comparators])
+    ]
+
+
+def test_finder_sees_each_kind_comparison():
+    source = '''
+def hrv_rows(x, kind):
+    return sdnn_rows(x) if kind is HrvMetricKind.SDNN else rmssd_rows(x)
+
+def f(kind):
+    kind == HrvMetricKind.RMSSD, metrics.HrvMetricKind.SDNN is not kind
+    kind.value == "sdnn", kind in (HrvMetricKind.SDNN,), kind.value != "mape"
+    kind is other, kind in KINDS
+'''
+    assert len(kind_comparisons(source, None)) == 5
+    assert len(kind_comparisons(source, "hrv_rows")) == 4
+
+
+def test_only_metrics_hrv_rows_picks_the_metric():
+    src = Path(ppghrv.__file__).parent
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        name = path.relative_to(src).as_posix()
+        calls = kind_comparisons(path.read_text(), "hrv_rows" if name == "metrics.py" else None)
+        if calls:
+            found[name] = calls
+    assert found == {}
+    assert len(kind_comparisons(Path(ppghrv.metrics.__file__).read_text(), None)) == 1
 
 
 def test_cli_main_catches_only_the_package_errors():
