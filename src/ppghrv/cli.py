@@ -320,6 +320,8 @@ def _cmd_train(args) -> None:
     save_model(result.model, args.out)
     print(f"best hyperparams: {result.best.hyperparams}")
     print(f"validation MAPE: {result.best.val_mape_pct:.4f}%")
+    if result.best.best_epoch is not None:
+        print(f"best epoch: {result.best.best_epoch}")
     print(f"model bytes: {serialized_size(result.model)}")
     print(f"saved model to {args.out}")
 

@@ -5,6 +5,12 @@ split only; predictions are de-normalised on the way out.  Training runs
 in float64, the kept weights are quantised to float32 once at the end so
 the serialised model predicts bit-identically.
 
+Two fits share one SGD epoch loop (_epochs).  fit_early_stopped holds out
+the chronological tail of train and keeps the best epoch's weights;
+train_mlp is that fit.  fit_epochs trains on all of train for a fixed
+number of epochs, as a search retrains its winner for the winning
+candidate's best epoch + 1 (Goodfellow et al., Deep Learning, 2016, §7.8).
+
 init_params / forward / loss_and_grads are module functions so tests can
 drive them directly (finite-difference gradient checks, zero-weight
 forward-pass identities).
@@ -139,7 +145,60 @@ def train_mlp(
     cfg: MlpTrainingConfig | None = None,
     seed: int = 0,
 ) -> MlpRegressor:
+    """An MLP trained with early stopping on the chronological tail of train."""
     cfg = cfg or MlpTrainingConfig()
+    return fit_early_stopped(train, hidden_layers, activation, cfg, seed)[0]
+
+
+def fit_early_stopped(train, hidden_layers, activation: str, cfg: MlpTrainingConfig, seed: int):
+    """(model, best epoch): SGD on all but the last VAL_FRACTION of train,
+    stopped after PATIENCE epochs without a better validation loss; the model
+    keeps the weights of the best epoch (0-based)."""
+    Xs, ys, params, rng, finish = _prepare(train, hidden_layers, activation, seed)
+    m = ys.size
+    n_val = int(np.floor(VAL_FRACTION * m))
+    if n_val >= 1:
+        X_tr, y_tr = Xs[: m - n_val], ys[: m - n_val]
+        X_val, y_val = Xs[m - n_val :], ys[m - n_val :]
+    else:
+        X_tr, y_tr = Xs, ys          # too small to hold anything out
+        X_val, y_val = Xs, ys
+
+    best = [(W.copy(), b.copy()) for W, b in params]
+    best_epoch = 0
+    best_val = np.inf
+    stall = 0
+    for epoch in _epochs(params, X_tr, y_tr, activation, rng, cfg.max_epochs):
+        val_pred = forward(params, X_val, activation)
+        val_loss = float(np.mean((val_pred - y_val) ** 2))
+        if not np.isfinite(val_loss):
+            raise HrvError(f"non-finite validation loss at epoch {epoch}")
+        if val_loss < best_val - 1e-12:
+            best_val = val_loss
+            best = [(W.copy(), b.copy()) for W, b in params]
+            best_epoch = epoch
+            stall = 0
+        else:
+            stall += 1
+            if stall >= PATIENCE:
+                break
+    return finish(best), best_epoch
+
+
+def fit_epochs(train, hidden_layers, activation: str, epochs: int, seed: int) -> MlpRegressor:
+    """SGD on all of train for exactly `epochs` epochs, with no holdout and
+    no early stop; the model keeps the weights after the last epoch."""
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    Xs, ys, params, rng, finish = _prepare(train, hidden_layers, activation, seed)
+    for _ in _epochs(params, Xs, ys, activation, rng, epochs):
+        pass
+    return finish(params)
+
+
+def _prepare(train, hidden_layers, activation: str, seed: int):
+    """Checked architecture -> (standardised X, standardised y, initial
+    params, the seeded rng, params -> MlpRegressor)."""
     hidden = tuple(int(h) for h in hidden_layers)
     if not 1 <= len(hidden) <= MAX_HIDDEN_LAYERS:
         raise ConfigError(f"need 1..{MAX_HIDDEN_LAYERS} hidden layers, got {len(hidden)}")
@@ -160,27 +219,34 @@ def train_mlp(
     Xs = (X64 - x_mu) / x_sigma
     ys = (y64 - y_mu) / y_sigma
 
-    m = ys.size
-    n_val = int(np.floor(VAL_FRACTION * m))
-    if n_val >= 1:
-        X_tr, y_tr = Xs[: m - n_val], ys[: m - n_val]
-        X_val, y_val = Xs[m - n_val :], ys[m - n_val :]
-    else:
-        X_tr, y_tr = Xs, ys          # too small to hold anything out
-        X_val, y_val = Xs, ys
-
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
     layer_sizes = (X64.shape[1],) + hidden + (1,)
     params = init_params(layer_sizes, rng)
 
-    best = [(W.copy(), b.copy()) for W, b in params]
-    best_val = np.inf
-    stall = 0
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(y_tr.size)
-        for lo in range(0, y_tr.size, BATCH_SIZE):
+    def finish(kept) -> MlpRegressor:
+        params32 = [(W.astype(np.float32), b.astype(np.float32)) for W, b in kept]
+        return MlpRegressor(
+            params32,
+            activation,
+            x_mu.astype(np.float32),
+            x_sigma.astype(np.float32),
+            y_mu,
+            y_sigma,
+            train.n_features,
+        )
+
+    return Xs, ys, params, rng, finish
+
+
+def _epochs(params, X: np.ndarray, y: np.ndarray, activation: str, rng, max_epochs: int):
+    """Mini-batch SGD on (X, y), updating params in place; yields each epoch's
+    0-based index once its batches are done.  The one SGD loop: both fits
+    run it, so they share every bit of their steps."""
+    for epoch in range(max_epochs):
+        order = rng.permutation(y.size)
+        for lo in range(0, y.size, BATCH_SIZE):
             batch = order[lo : lo + BATCH_SIZE]
-            loss, grads = loss_and_grads(params, X_tr[batch], y_tr[batch], activation)
+            loss, grads = loss_and_grads(params, X[batch], y[batch], activation)
             if not np.isfinite(loss):
                 raise HrvError(
                     f"non-finite batch loss at epoch {epoch} (lr={LEARNING_RATE})"
@@ -191,26 +257,4 @@ def train_mlp(
                 W -= dW
                 db *= LEARNING_RATE
                 b -= db
-        val_pred = forward(params, X_val, activation)
-        val_loss = float(np.mean((val_pred - y_val) ** 2))
-        if not np.isfinite(val_loss):
-            raise HrvError(f"non-finite validation loss at epoch {epoch}")
-        if val_loss < best_val - 1e-12:
-            best_val = val_loss
-            best = [(W.copy(), b.copy()) for W, b in params]
-            stall = 0
-        else:
-            stall += 1
-            if stall >= PATIENCE:
-                break
-
-    params32 = [(W.astype(np.float32), b.astype(np.float32)) for W, b in best]
-    return MlpRegressor(
-        params32,
-        activation,
-        x_mu.astype(np.float32),
-        x_sigma.astype(np.float32),
-        y_mu,
-        y_sigma,
-        train.n_features,
-    )
+        yield epoch

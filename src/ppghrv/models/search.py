@@ -6,6 +6,10 @@ that fail to train, or whose validation MAPE is not finite, are logged
 and skipped; the winner (lowest validation MAPE, ties to the earlier
 candidate) is retrained on the full training set.
 
+An MLP candidate early-stops on the tail of its fit rows and records its
+best epoch; the winner is retrained on all of train for exactly best
+epoch + 1 epochs, with no holdout and no early stop (mlp.fit_epochs).
+
 A dt search grows one tree on the fit rows, at the deepest drawn
 max_depth, and cuts every candidate from it (tree.train_dt_depths); the
 candidates are the trees train_dt would grow for each depth alone.
@@ -32,7 +36,8 @@ from .mlp import (
     MAX_HIDDEN_LAYERS,
     MAX_NEURONS_PER_LAYER,
     MlpTrainingConfig,
-    train_mlp,
+    fit_early_stopped,
+    fit_epochs,
 )
 from .tree import MAX_TREE_DEPTH, train_dt, train_dt_depths
 
@@ -72,26 +77,43 @@ def sample_hyperparams(kind: ModelKind, rng) -> dict[str, Any]:
 
 
 def _candidate_trainer(kind, fit, drawn, mlp_cfg):
-    """(index, seed) -> the model for draw index, trained on fit."""
+    """(index, seed) -> (model, best epoch) for draw index, trained on fit;
+    the best epoch is None for every kind but mlp."""
     if kind is ModelKind.DT:
         # one grow serves every draw; a failed grow is retried, and fails,
         # per draw
         depths = [p["max_depth"] for p in drawn]
         trees = functools.cache(lambda: train_dt_depths(fit, depths))
-        return lambda i, seed: trees()[i]
-    return lambda i, seed: _train(kind, fit, drawn[i], seed, mlp_cfg)
+        return lambda i, seed: (trees()[i], None)
+    if kind is ModelKind.MLP:
+        return lambda i, seed: fit_early_stopped(
+            fit, drawn[i]["hidden_layers"], drawn[i]["activation"], mlp_cfg, seed
+        )
+    return lambda i, seed: (_train(kind, fit, drawn[i], seed), None)
 
 
-def _train(kind, train, params, seed, mlp_cfg):
+def _train(kind, train, params, seed):
     if kind is ModelKind.DT:
         return train_dt(train, params["max_depth"])
     if kind is ModelKind.RF:
         return train_rf(train, params["trees"], params["max_depth"], seed=seed)
-    if kind is ModelKind.KNN:
-        return train_knn(train, params["k"], params["distance"])
-    return train_mlp(
-        train, params["hidden_layers"], params["activation"], cfg=mlp_cfg, seed=seed
-    )
+    return train_knn(train, params["k"], params["distance"])
+
+
+def _retrain(kind, train, best, seed):
+    """The winner on all of train; an MLP for its best epoch + 1 epochs."""
+    params = best.hyperparams
+    if kind is ModelKind.MLP:
+        return fit_epochs(
+            train, params["hidden_layers"], params["activation"], best.best_epoch + 1, seed
+        )
+    return _train(kind, train, params, seed)
+
+
+def _best(candidates) -> Candidate | None:
+    """Lowest validation MAPE among the scored candidates, ties to the earlier."""
+    scored = [c for c in candidates if c.val_mape_pct is not None]
+    return min(scored, key=lambda c: (c.val_mape_pct, c.index), default=None)
 
 
 @dataclass(frozen=True)
@@ -99,14 +121,19 @@ class Candidate:
     index: int
     hyperparams: dict[str, Any]
     val_mape_pct: float | None   # None when training/scoring failed
+    best_epoch: int | None       # an MLP's 0-based best epoch; None otherwise
     error: str | None = None
 
 
 @dataclass(frozen=True)
 class SearchResult:
     model: TrainedModel
-    best: Candidate
     candidates: tuple[Candidate, ...] = field(repr=False)
+
+    @property
+    def best(self) -> Candidate:
+        """The candidate whose configuration `model` was retrained with."""
+        return _best(self.candidates)
 
 
 def random_search(
@@ -121,7 +148,8 @@ def random_search(
 
     Validation is the chronological tail of `train`; the winner is then
     retrained on all of `train` with the same derived seed.  mlp_max_epochs
-    bounds each MLP's training; other kinds ignore it.
+    bounds each MLP candidate's training, and so the winner's retrain;
+    other kinds ignore it.
     """
     if not 1 <= budget <= MAX_BUDGET:
         raise ConfigError(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
@@ -142,23 +170,22 @@ def random_search(
     candidates: list[Candidate] = []
     for i, params in enumerate(drawn):
         try:
-            model = train_candidate(i, seeds[i])
+            model, best_epoch = train_candidate(i, seeds[i])
             preds = model.predict_batch(holdout.features)
             score = mape(preds, holdout.labels)
             if not np.isfinite(score):
                 raise HrvError(f"validation MAPE is {score}")
         except HrvError as err:
             log.warning("search candidate %d (%s) failed: %s", i, params, err)
-            candidates.append(Candidate(i, params, None, error=str(err)))
+            candidates.append(Candidate(i, params, None, None, error=str(err)))
             continue
-        candidates.append(Candidate(i, params, score))
+        candidates.append(Candidate(i, params, score, best_epoch))
 
-    scored = [c for c in candidates if c.val_mape_pct is not None]
-    if not scored:
+    best = _best(candidates)
+    if best is None:
         raise HrvError(
             f"all {budget} sampled configurations failed; last error: "
             f"{candidates[-1].error}"
         )
-    best = min(scored, key=lambda c: (c.val_mape_pct, c.index))
-    final = _train(kind, train, best.hyperparams, seeds[best.index], mlp_cfg)
-    return SearchResult(model=final, best=best, candidates=tuple(candidates))
+    final = _retrain(kind, train, best, seeds[best.index])
+    return SearchResult(model=final, candidates=tuple(candidates))

@@ -67,6 +67,20 @@ class TestPipelineCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "best hyperparams" in out and "validation MAPE" in out
+        assert "best epoch" not in out
+
+    def test_train_mlp_prints_best_epoch(self, workdir, tmp_path, capsys):
+        code = main([
+            "train", "--dataset", str(workdir / "ds.csv"), "--model", "mlp",
+            "--budget", "2", "--seed", "1", "--mlp-max-epochs", "3",
+            "--out", str(tmp_path / "m.bin"),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        mape_line, epoch_line = out.splitlines()[1:3]
+        assert mape_line.startswith("validation MAPE: ")
+        assert epoch_line.startswith("best epoch: ")
+        assert 0 <= int(epoch_line.split(": ")[1]) < 3
 
     def test_eval_reports_both_mapes(self, workdir, tmp_path, capsys):
         code = main([

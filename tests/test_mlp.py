@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,31 @@ class TestTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(HrvError, match='non-finite (batch|validation) loss'):
                 train_mlp(ds, (10, 10), "relu", cfg=cfg, seed=0)
+
+    def test_early_stopped_weights_are_pinned(self, monkeypatch):
+        # noisy labels: validation stops improving at epoch 134 and the fit
+        # stops PATIENCE epochs later, well before max_epochs
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(90, 4))
+        y = 30.0 + 3.0 * X[:, 0] + rng.normal(scale=30.0, size=90)
+        epochs = []
+        real_forward = mlp.forward
+
+        def counting_forward(*args):
+            epochs.append(1)
+            return real_forward(*args)
+
+        monkeypatch.setattr(mlp, "forward", counting_forward)
+        model = train_mlp(make_ds(X, y), (6, 4), "tanh",
+                          cfg=MlpTrainingConfig(max_epochs=400), seed=3)
+        assert len(epochs) == 155  # one validation pass per epoch
+        digest = hashlib.sha256()
+        for W, b in model.params32:
+            digest.update(W.tobytes())
+            digest.update(b.tobytes())
+        assert digest.hexdigest() == (
+            "94fe52726cbde1ddf7d2377103379c2b3d7e5ad8b330dece726dc8ed291ec912"
+        )
 
     def test_constant_labels_fit(self):
         rng = np.random.default_rng(7)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from ppghrv.data import chronological_split
 from ppghrv.errors import ConfigError, HrvError
 from ppghrv.metrics import mape
+from ppghrv.models import mlp as mlp_module
 from ppghrv.models import search as search_module
 from ppghrv.models import tree as tree_module
 from ppghrv.models.base import ModelKind
@@ -97,17 +100,35 @@ class TestRandomSearch:
         assert np.isfinite(result.best.val_mape_pct)
 
     def test_mlp_search_uses_training_config(self, regression_ds, monkeypatch):
-        seen = []
-        real = search_module.train_mlp
+        # candidates early-stop within mlp_max_epochs; the winner's retrain
+        # runs a fixed epoch count that cannot exceed it
+        seen_cfgs, retrain_epochs = [], []
+        real_candidate, real_retrain = search_module.fit_early_stopped, search_module.fit_epochs
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs["cfg"])
-            return real(*args, **kwargs)
+        def candidate_spy(*args):
+            seen_cfgs.append(args[3])
+            return real_candidate(*args)
 
-        monkeypatch.setattr(search_module, "train_mlp", spy)
-        random_search(regression_ds, ModelKind.MLP, budget=2, seed=8, mlp_max_epochs=5)
-        assert len(seen) == 3  # two candidates and the retrained winner
-        assert all(c.max_epochs == 5 for c in seen)
+        def retrain_spy(*args):
+            retrain_epochs.append(args[3])
+            return real_retrain(*args)
+
+        monkeypatch.setattr(search_module, "fit_early_stopped", candidate_spy)
+        monkeypatch.setattr(search_module, "fit_epochs", retrain_spy)
+        result = random_search(regression_ds, ModelKind.MLP, budget=2, seed=8, mlp_max_epochs=5)
+        assert [c.max_epochs for c in seen_cfgs] == [5, 5]
+        assert retrain_epochs == [result.best.best_epoch + 1]
+        assert 1 <= retrain_epochs[0] <= 5
+
+    def test_best_epoch_only_for_mlp(self, regression_ds):
+        mlp = random_search(regression_ds, ModelKind.MLP, budget=3, seed=8, mlp_max_epochs=40)
+        assert all(0 <= c.best_epoch < 40 for c in mlp.candidates)
+        for kind in (ModelKind.DT, ModelKind.KNN):
+            result = random_search(regression_ds, kind, budget=3, seed=8)
+            assert all(c.best_epoch is None for c in result.candidates)
+        small = make_ds(regression_ds.features[:20], regression_ds.labels[:20])
+        failed = random_search(small, ModelKind.KNN, budget=12, seed=6).candidates
+        assert all(c.best_epoch is None for c in failed if c.error)
 
     def test_bad_budget_and_fraction(self, regression_ds):
         with pytest.raises(ConfigError):
@@ -167,3 +188,84 @@ class TestDtSearchFromOneGrow:
         for i, message in enumerate(failed):
             assert message.startswith(f"search candidate {i} (")
             assert "cannot train a tree on an empty dataset" in message
+
+
+class TestMlpRetrain:
+    """The MLP winner is retrained on all of train for its candidate's best
+    epoch + 1 epochs: no holdout, no early stop, no validation pass."""
+
+    @staticmethod
+    def _count_retrain_steps(monkeypatch):
+        """Spies counting (batch steps, forward passes) inside fit_epochs."""
+        counts = {"steps": 0, "forwards": 0}
+        inside = []
+        real_step, real_forward = mlp_module.loss_and_grads, mlp_module.forward
+        real_retrain = search_module.fit_epochs
+
+        def step(*args):
+            counts["steps"] += bool(inside)
+            return real_step(*args)
+
+        def forward(*args):
+            counts["forwards"] += bool(inside)
+            return real_forward(*args)
+
+        def retrain(*args):
+            inside.append(True)
+            try:
+                return real_retrain(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(mlp_module, "loss_and_grads", step)
+        monkeypatch.setattr(mlp_module, "forward", forward)
+        monkeypatch.setattr(search_module, "fit_epochs", retrain)
+        return counts
+
+    def test_retrain_steps_are_best_epoch_plus_one_epochs(self, regression_ds, monkeypatch):
+        # noisy labels make the winning candidate stop early
+        rng = np.random.default_rng(21)
+        noisy = make_ds(regression_ds.features,
+                        regression_ds.labels + rng.normal(scale=10.0, size=len(regression_ds)))
+        counts = self._count_retrain_steps(monkeypatch)
+        result = random_search(noisy, ModelKind.MLP, budget=3, seed=16, mlp_max_epochs=200)
+        assert result.best.best_epoch + mlp_module.PATIENCE < 200 - 1
+        batches = math.ceil(len(noisy) / mlp_module.BATCH_SIZE)
+        assert counts["steps"] == (result.best.best_epoch + 1) * batches
+        assert counts["forwards"] == 0
+
+    def test_best_epoch_zero_retrains_one_epoch(self, regression_ds, monkeypatch):
+        counts = self._count_retrain_steps(monkeypatch)
+        # one epoch allowed: every candidate's best epoch is its first
+        result = random_search(regression_ds, ModelKind.MLP, budget=2, seed=15, mlp_max_epochs=1)
+        assert [c.best_epoch for c in result.candidates] == [0, 0]
+        assert counts["steps"] == math.ceil(len(regression_ds) / mlp_module.BATCH_SIZE)
+        assert np.all(np.isfinite(result.model.predict_batch(regression_ds.features)))
+
+    def test_set_smaller_than_a_batch(self, regression_ds, monkeypatch):
+        small = make_ds(regression_ds.features[:20], regression_ds.labels[:20])
+        assert len(small) < mlp_module.BATCH_SIZE
+        steps = []
+        real_step = mlp_module.loss_and_grads
+
+        def step(params, X, y, activation):
+            steps.append(y.size)
+            return real_step(params, X, y, activation)
+
+        monkeypatch.setattr(mlp_module, "loss_and_grads", step)
+        model = mlp_module.fit_epochs(small, (4,), "relu", 3, seed=0)
+        assert steps == [20, 20, 20]
+        assert np.all(np.isfinite(model.predict_batch(small.features)))
+
+    def test_retrain_matches_a_direct_fit(self, regression_ds):
+        result = random_search(regression_ds, ModelKind.MLP, budget=2, seed=16, mlp_max_epochs=30)
+        seed = int(np.random.SeedSequence((16, 1 + result.best.index)).generate_state(1)[0])
+        direct = mlp_module.fit_epochs(
+            regression_ds, result.best.hyperparams["hidden_layers"],
+            result.best.hyperparams["activation"], result.best.best_epoch + 1, seed,
+        )
+        assert encode(result.model) == encode(direct)
+
+    def test_epochs_below_one_rejected(self, regression_ds):
+        with pytest.raises(ConfigError, match="epochs must be >= 1"):
+            mlp_module.fit_epochs(regression_ds, (4,), "relu", 0, seed=0)
