@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from .amplify import (
 )
 from .data import build_hrv_dataset
 from .errors import ConfigError, HrvError
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import ExperimentConfig, evaluate, heart_rate, run_experiment, synthesize
 from .io import (
     opened,
     read_dataset_csv,
@@ -36,22 +35,14 @@ from .io import (
     write_hr_csv,
     write_ppg_csv,
     write_rr_csv,
-    write_trace_csv,
 )
-from .metrics import HrvMetricKind, mape
+from .metrics import HrvMetricKind
 from .models.base import ModelKind
 from .models.bench import bench_inference
 from .models.codec import load_model, save_model, serialized_size
-from .models.mlp import DEFAULT_MAX_EPOCHS
 from .models.search import random_search
-from .sigproc import (
-    DEFAULT_SAMPLING_RATE_HZ,
-    DEFAULT_Z_SCORE,
-    ppg_to_hr,
-    smooth,
-    zscore_adjust,
-)
-from .synth import ACTIVITY_PRESETS, activity_preset, generate_rr_trace, render_ppg
+from .sigproc import DEFAULT_SAMPLING_RATE_HZ, DEFAULT_Z_SCORE
+from .synth import ACTIVITY_PRESETS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,17 +215,17 @@ def build_parser() -> _Parser:
     p.add_argument("--rr", help="RR ground-truth CSV, needed for --out-dataset")
     p.add_argument("--metric", type=_metric, default=HrvMetricKind.RMSSD)
     p.add_argument("--n-s", type=int, default=300)
-    p.add_argument("--stride-s", type=int, default=1)
+    p.add_argument("--stride-s", type=int, default=ExperimentConfig.stride_s)
     p.add_argument("--out-dataset", type=_output)
 
     p = sub.add_parser("train",
                        help="random hyperparameter search over one model kind")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", type=_model_kind, required=True)
-    p.add_argument("--budget", type=int, default=10)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--val-fraction", type=_float, default=0.2)
-    p.add_argument("--mlp-max-epochs", type=int, default=DEFAULT_MAX_EPOCHS)
+    p.add_argument("--budget", type=int, default=ExperimentConfig.budget)
+    p.add_argument("--seed", type=_seed, default=ExperimentConfig.seed)
+    p.add_argument("--val-fraction", type=_float, default=ExperimentConfig.val_fraction)
+    p.add_argument("--mlp-max-epochs", type=int, default=ExperimentConfig.mlp_max_epochs)
     p.add_argument("--out", type=_output, required=True)
 
     p = sub.add_parser("eval",
@@ -273,11 +264,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> None:
-    cfg = activity_preset(args.preset, duration_s=args.duration_s, seed=args.seed)
-    if args.clean:
-        cfg = replace(cfg, artifact_rate_per_min=0.0, additive_noise_sigma=0.0)
-    gt = generate_rr_trace(cfg)
-    ppg = render_ppg(gt, cfg)
+    gt, ppg = synthesize(args.preset, args.duration_s, args.seed, args.clean)
     write_ppg_csv(args.out_ppg, ppg)
     write_rr_csv(args.out_rr, gt)
     print(f"wrote {len(ppg.samples)} PPG samples to {args.out_ppg}")
@@ -287,9 +274,7 @@ def _cmd_synth(args) -> None:
 def _cmd_process(args) -> None:
     if bool(args.out_dataset) != bool(args.rr):
         raise ConfigError("--out-dataset and --rr must be given together")
-    signal = read_ppg_csv(args.ppg, declared_rate_hz=args.sampling_rate_hz)
-    raw = ppg_to_hr(signal)
-    shr = smooth(zscore_adjust(raw, args.z_score))
+    shr = heart_rate(read_ppg_csv(args.ppg, declared_rate_hz=args.sampling_rate_hz), args.z_score)
     ds = None
     if args.rr:
         gt = read_rr_csv(args.rr)
@@ -310,12 +295,8 @@ def _cmd_process(args) -> None:
 def _cmd_train(args) -> None:
     ds = read_dataset_csv(args.dataset)
     result = random_search(
-        ds,
-        args.model,
-        budget=args.budget,
-        seed=args.seed,
-        val_fraction=args.val_fraction,
-        mlp_max_epochs=args.mlp_max_epochs,
+        ds, args.model, budget=args.budget, seed=args.seed,
+        val_fraction=args.val_fraction, mlp_max_epochs=args.mlp_max_epochs,
     )
     save_model(result.model, args.out)
     print(f"best hyperparams: {result.best.hyperparams}")
@@ -329,15 +310,10 @@ def _cmd_train(args) -> None:
 def _cmd_eval(args) -> None:
     model = load_model(args.model)
     ds = read_dataset_csv(args.dataset)
-    preds = model.predict_batch(ds.features)
-    test_mape = mape(preds, ds.labels)
-    sigproc = ds.features[:, -1]  # rough-HRV feature of each window
+    test_mape, sigproc_mape = evaluate(model, ds, args.out_trace)
     print(f"model MAPE: {test_mape:.4f}%")
-    print(f"sigproc MAPE: {mape(sigproc, ds.labels):.4f}%")
+    print(f"sigproc MAPE: {sigproc_mape:.4f}%")
     if args.out_trace:
-        write_trace_csv(
-            args.out_trace, ds.window_end_times_s, ds.labels, sigproc, preds
-        )
         print(f"wrote trace to {args.out_trace}")
 
 

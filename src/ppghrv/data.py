@@ -65,12 +65,9 @@ def build_hrv_dataset(
     metric over the ground-truth beats inside the same time span.  With
     stride 1 the dataset holds len(shr) - n + 1 samples.
     """
+    check_window(n_s, stride_s)
     n = int(n_s)
     stride = int(stride_s)
-    if n < 2:
-        raise ConfigError("n_s must be at least 2")
-    if stride < 1:
-        raise ConfigError("stride_s must be at least 1")
     vals = shr.values
     if vals.size < n:
         raise HrvError(
@@ -92,7 +89,7 @@ def build_hrv_dataset(
     X = np.empty((m, n + 1), dtype=np.float64)
     X[:, :n] = sliding_window_view(vals, n)[::stride]
     y = np.empty(m, dtype=np.float64)
-    rr = np.diff(gt.beat_times_s) * 1000.0
+    rr = gt.rr.intervals_ms
     # each kernel row is a fresh C-contiguous copy, so it equals a 1-D call
     step = max(1, CHUNK_BYTES // (8 * n))
     for c0 in range(0, m, step):
@@ -104,14 +101,33 @@ def build_hrv_dataset(
     return Dataset(X, y, t_end)
 
 
+def sigproc_estimates(ds: Dataset) -> np.ndarray:
+    """Each window's sig-proc-only HRV estimate: the rough HRV that
+    build_hrv_dataset writes as the last feature."""
+    return ds.features[:, -1]
+
+
+def check_window(n_s: int, stride_s: int) -> None:
+    """ConfigError unless build_hrv_dataset can cut n_s s windows every stride_s s."""
+    if n_s < 2:
+        raise ConfigError(f"n_s must be at least 2 s, got {n_s}")
+    if stride_s < 1:
+        raise ConfigError(f"stride_s must be at least 1 s, got {stride_s}")
+
+
+def check_train_fraction(train_fraction: float) -> None:
+    """ConfigError unless chronological_split can split at train_fraction."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError("train_fraction must lie strictly between 0 and 1")
+
+
 def chronological_split(d: Dataset, train_fraction: float = 0.8) -> tuple[Dataset, Dataset]:
     """First ceil(fraction * m) samples train, the rest test; no shuffling.
 
     Both halves are guaranteed non-empty, nudging the boundary by one
     sample when rounding would empty either side.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError("train_fraction must lie strictly between 0 and 1")
+    check_train_fraction(train_fraction)
     m = len(d)
     if m < 2:
         raise HrvError(f"cannot split {m} sample(s) into train and test")

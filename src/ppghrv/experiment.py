@@ -1,4 +1,10 @@
-"""Full evaluation matrix: activities x metrics x monitoring lengths x models.
+"""The pipeline's steps, and the evaluation matrix built from them.
+
+A cell of the matrix (activity x metric x monitoring length x model) is
+synth -> process -> chronological split -> train -> eval: `synthesize`,
+`heart_rate` and build_hrv_dataset, chronological_split, random_search,
+then `evaluate`.  The CLI's synth, process, train and eval subcommands call
+the same functions, and take their defaults from ExperimentConfig.
 
 Every cell trains on the chronological head of its dataset, searches
 hyperparameters against a validation tail, and reports test MAPE for the
@@ -17,21 +23,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, build_hrv_dataset, chronological_split
+from .data import Dataset, build_hrv_dataset, chronological_split, sigproc_estimates
+from .data import check_train_fraction, check_window
 from .errors import ConfigError, HrvError
 from .io import write_results_csv, write_trace_csv
 from .metrics import HrvMetricKind, mape
-from .models.base import ModelKind
-from .models.bench import MAX_REPETITIONS, MIN_REPETITIONS, bench_inference
+from .models.base import ModelKind, TrainedModel
+from .models.bench import bench_inference, check_repetitions
 from .models.codec import serialized_size
-from .models.mlp import DEFAULT_MAX_EPOCHS
-from .models.search import MAX_BUDGET, random_search
-from .sigproc import SmoothedHrSeries, ppg_to_hr, smooth, zscore_adjust
+from .models.mlp import DEFAULT_MAX_EPOCHS, MlpTrainingConfig
+from .models.search import check_search, random_search
+from .sigproc import DEFAULT_Z_SCORE, PpgSignal, SmoothedHrSeries, ppg_to_hr, smooth, zscore_adjust
 from .synth import GroundTruth, activity_preset, generate_rr_trace, render_ppg
 
 log = logging.getLogger(__name__)
-
-DEFAULT_LENGTHS_S = (30, 60, 120, 180, 240, 300)
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class ExperimentConfig:
     out_dir: Path
     activities: tuple[str, ...] = ("sit", "sleep", "office_work")
     metrics: tuple[HrvMetricKind, ...] = (HrvMetricKind.RMSSD, HrvMetricKind.SDNN)
-    lengths: tuple[int, ...] = DEFAULT_LENGTHS_S  # monitoring lengths n_s
+    lengths: tuple[int, ...] = (30, 60, 120, 180, 240, 300)  # monitoring lengths n_s
     models: tuple[ModelKind, ...] = (
         ModelKind.DT,
         ModelKind.RF,
@@ -57,39 +62,32 @@ class ExperimentConfig:
     mlp_max_epochs: int = DEFAULT_MAX_EPOCHS
 
     def __post_init__(self):
-        if not self.activities or not self.metrics or not self.lengths:
-            raise ConfigError("need at least one activity, metric and monitoring length")
-        if not self.models:
-            raise ConfigError("need at least one model kind")
-        if not 1 <= self.budget <= MAX_BUDGET:
-            raise ConfigError(f"search budget must lie in [1, {MAX_BUDGET}], got {self.budget}")
-        if self.stride_s < 1:
-            raise ConfigError("stride_s must be >= 1")
+        for key in ("activities", "metrics", "lengths", "models"):
+            values = getattr(self, key)
+            if not values:
+                raise ConfigError(f"{key} needs at least one entry")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:  # it would only run the same cells again
+                shown = getattr(repeated[0], "value", repeated[0])
+                raise ConfigError(f"{key} lists {shown} more than once")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if min(self.lengths) < 2:
-            raise ConfigError(f"lengths must be >= 2 s, got {min(self.lengths)}")
+        # each step's own checks, reached here so that a bad setting fails
+        # before run_experiment writes a file
+        for n_s in self.lengths:
+            check_window(n_s, self.stride_s)
         max_n = max(self.lengths)
         if self.duration_s < max_n + 60:
             raise ConfigError(
                 f"duration_s={self.duration_s:g} leaves no room for "
                 f"{max_n}s windows plus a test split"
             )
-        if self.bench_repetitions != 0 and not (
-            MIN_REPETITIONS <= self.bench_repetitions <= MAX_REPETITIONS
-        ):
-            raise ConfigError(
-                f"bench_repetitions must be 0 (off) or lie in "
-                f"[{MIN_REPETITIONS}, {MAX_REPETITIONS}], got {self.bench_repetitions}"
-            )
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must lie strictly between 0 and 1")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must lie strictly between 0 and 1")
-        if self.mlp_max_epochs < 1:
-            raise ConfigError("mlp_max_epochs must be >= 1")
-        # each activity's synth config rejects an unknown name and a duration
-        # above synth.MAX_DURATION_S here, before run_experiment writes a file
+        check_train_fraction(self.train_fraction)
+        check_search(self.budget, self.val_fraction)
+        MlpTrainingConfig(max_epochs=self.mlp_max_epochs)
+        if self.bench_repetitions != 0:
+            check_repetitions(self.bench_repetitions)
+        # and synth's: an unknown name, a duration above synth.MAX_DURATION_S
         for activity in self.activities:
             activity_preset(activity, duration_s=self.duration_s)
 
@@ -111,24 +109,32 @@ def _cell_seed(root_seed: int, *parts) -> int:
     return int(np.random.SeedSequence((int(root_seed), tag)).generate_state(1)[0])
 
 
-def _process_activity(
-    cfg: ExperimentConfig, activity: str
-) -> tuple[GroundTruth, SmoothedHrSeries]:
-    synth_cfg = activity_preset(
-        activity, duration_s=cfg.duration_s, seed=_cell_seed(cfg.seed, activity)
-    )
-    if cfg.clean:
-        synth_cfg = replace(
-            synth_cfg, artifact_rate_per_min=0.0, additive_noise_sigma=0.0
-        )
-    gt = generate_rr_trace(synth_cfg)
-    ppg = render_ppg(gt, synth_cfg)
-    shr = smooth(zscore_adjust(ppg_to_hr(ppg)))
-    return gt, shr
+def synthesize(
+    activity: str, duration_s: float, seed: int, clean: bool
+) -> tuple[GroundTruth, PpgSignal]:
+    """Synth step: the activity's beats and the PPG rendered from them.
+    clean turns motion artifacts and sensor noise off."""
+    cfg = activity_preset(activity, duration_s=duration_s, seed=seed)
+    if clean:
+        cfg = replace(cfg, artifact_rate_per_min=0.0, additive_noise_sigma=0.0)
+    gt = generate_rr_trace(cfg)
+    return gt, render_ppg(gt, cfg)
 
 
-def _trace_filename(activity: str, metric: str, n_s: int, model: str) -> str:
-    return f"trace_{activity}_{metric}_{n_s}s_{model}.csv"
+def heart_rate(ppg: PpgSignal, z_score: float) -> SmoothedHrSeries:
+    """Process step: per-second HRs from a PPG (peaks, z-score repair, smoothing)."""
+    return smooth(zscore_adjust(ppg_to_hr(ppg), z_score))
+
+
+def evaluate(model: TrainedModel, ds: Dataset, trace_path) -> tuple[float, float]:
+    """Eval step: the model's and the sig-proc-only MAPE over ds's windows;
+    unless trace_path is None, then the trace CSV of their estimates."""
+    preds = model.predict_batch(ds.features)
+    sigproc = sigproc_estimates(ds)
+    scores = mape(preds, ds.labels), mape(sigproc, ds.labels)
+    if trace_path is not None:
+        write_trace_csv(trace_path, ds.window_end_times_s, ds.labels, sigproc, preds)
+    return scores
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -147,7 +153,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     failed: list[str] = []
     for activity in cfg.activities:
-        gt, shr = _process_activity(cfg, activity)
+        gt, ppg = synthesize(activity, cfg.duration_s, _cell_seed(cfg.seed, activity), cfg.clean)
+        shr = heart_rate(ppg, DEFAULT_Z_SCORE)
+        del ppg  # the cells need only gt and shr; keeps the matrix's peak memory down
         for metric in cfg.metrics:
             for n_s in cfg.lengths:
                 try:
@@ -155,8 +163,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                         shr, gt, n_s=n_s, kind=metric, stride_s=cfg.stride_s
                     )
                     train, test = chronological_split(ds, cfg.train_fraction)
-                    sigproc_est = test.features[:, n_s]  # the rough-HRV feature
-                    sigproc_mape = mape(sigproc_est, test.labels)
                 except HrvError as err:
                     log.error(
                         "cell %s/%s/n=%ds: dataset failed: %s",
@@ -169,12 +175,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 for model_kind in cfg.models:
                     cell = (activity, metric.value, n_s, model_kind.value)
                     try:
-                        rows.append(
-                            _run_cell(
-                                cfg, out_dir, cell, train, test,
-                                sigproc_est, sigproc_mape, model_kind,
-                            )
-                        )
+                        rows.append(_run_cell(cfg, out_dir, cell, train, test, model_kind))
                     except HrvError as err:
                         failed.append("/".join(map(str, cell)))
                         log.error("cell %s failed: %s", failed[-1], err)
@@ -193,35 +194,20 @@ def _run_cell(
     cell: tuple,
     train: Dataset,
     test: Dataset,
-    sigproc_est: np.ndarray,
-    sigproc_mape: float,
     model_kind: ModelKind,
 ) -> ResultRow:
     activity, metric, n_s, model_name = cell
-    result = random_search(
-        train,
-        model_kind,
-        budget=cfg.budget,
-        seed=_cell_seed(cfg.seed, *cell),
-        val_fraction=cfg.val_fraction,
-        mlp_max_epochs=cfg.mlp_max_epochs,
+    model = random_search(
+        train, model_kind, budget=cfg.budget, seed=_cell_seed(cfg.seed, *cell),
+        val_fraction=cfg.val_fraction, mlp_max_epochs=cfg.mlp_max_epochs,
+    ).model
+    test_mape, sigproc_mape = evaluate(
+        model, test, out_dir / f"trace_{activity}_{metric}_{n_s}s_{model_name}.csv"
     )
-    model = result.model
-    preds = model.predict_batch(test.features)
-    test_mape = mape(preds, test.labels)
     latency = None
     if cfg.bench_repetitions > 0:
-        stats = bench_inference(
-            model, list(test.features[:32]), repetitions=cfg.bench_repetitions
-        )
-        latency = stats.mean_us
-    write_trace_csv(
-        out_dir / _trace_filename(activity, metric, n_s, model_name),
-        test.window_end_times_s,
-        test.labels,
-        sigproc_est,
-        preds,
-    )
+        probes = list(test.features[:32])
+        latency = bench_inference(model, probes, repetitions=cfg.bench_repetitions).mean_us
     return ResultRow(
         activity=activity,
         metric=metric,

@@ -12,7 +12,8 @@ Formats (headers are exact):
 
 Floats are written with repr (shortest round-trip), so write->read returns
 the exact in-memory values.  Readers raise HrvError for a malformed or
-non-finite (nan, inf) value, an rr_ms that is not > 0 and timestamps that
+non-finite (nan, inf) value, an rr_ms that is not > 0 or that differs from
+its beat-time difference by more than RR_TOLERANCE_MS, and timestamps that
 do not strictly increase, naming the file and line, and for a PPG file
 whose inferred sampling rate is off the declared one by more than 1%; a
 declared rate that is not > 0 is a ConfigError.  A line csv rejects (such as a field
@@ -39,7 +40,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, HrvError
-from .metrics import RrSeries
 from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, SmoothedHrSeries
 from .synth import GroundTruth
 
@@ -60,6 +60,9 @@ TRACE_HEADER = ["window_end_s", "truth_ms", "sigproc_ms", "model_ms"]
 AMPLIFICATION_HEADER = ["rr_mape", "rmssd_mape", "sdnn_mape", "trials", "seed"]
 
 RATE_TOLERANCE = 0.01  # inferred vs declared sampling rate
+# rr_ms vs 1000 x its beat-time difference; the labels use only the beat
+# times, and a file written here holds exactly that product
+RR_TOLERANCE_MS = 1e-3
 
 
 def _fmt(x: float) -> str:
@@ -205,23 +208,28 @@ def write_rr_csv(path, gt: GroundTruth) -> None:
 
 
 def read_rr_csv(path) -> GroundTruth:
-    beats, rr = [], []
-    first = True
+    beats = []
     for lineno, row in _rows(path, RR_HEADER):
         beats.append(_parse_float(path, lineno, row[0], "beat_time_s"))
-        if first:
+        if len(beats) == 1:
             if row[1] != "":
                 raise HrvError(f"{path}:{lineno}: first row must leave rr_ms empty")
-            first = False
-        else:
-            rr.append(_parse_float(path, lineno, row[1], "rr_ms"))
-            if not rr[-1] > 0:
-                raise HrvError(f"{path}:{lineno}: rr_ms must be > 0, got {row[1]!r}")
+            continue
+        rr = _parse_float(path, lineno, row[1], "rr_ms")
+        if not rr > 0:
+            raise HrvError(f"{path}:{lineno}: rr_ms must be > 0, got {row[1]!r}")
+        # GroundTruth.rr's value; _check_increasing names a beat that does not increase
+        diff_ms = (beats[-1] - beats[-2]) * 1000.0
+        if diff_ms > 0 and abs(rr - diff_ms) > RR_TOLERANCE_MS:
+            raise HrvError(
+                f"{path}:{lineno}: rr_ms {rr!r} differs from its beat-time difference "
+                f"{diff_ms!r} ms by more than {RR_TOLERANCE_MS:g} ms"
+            )
     if len(beats) < 2:
         raise HrvError(f"{path}: need at least 2 beats, got {len(beats)}")
     bt = np.asarray(beats)
     _check_increasing(path, RR_HEADER, bt)
-    return GroundTruth(beat_times_s=bt, rr=RrSeries(np.asarray(rr)))
+    return GroundTruth(beat_times_s=bt)
 
 
 def write_hr_csv(path, shr: SmoothedHrSeries) -> None:

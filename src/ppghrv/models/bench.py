@@ -25,6 +25,14 @@ class LatencyStats:
     repetitions: int
 
 
+def check_repetitions(repetitions: int) -> None:
+    """ConfigError unless bench_inference may time `repetitions` calls."""
+    if not MIN_REPETITIONS <= repetitions <= MAX_REPETITIONS:
+        raise ConfigError(
+            f"repetitions must lie in [{MIN_REPETITIONS}, {MAX_REPETITIONS}], got {repetitions}"
+        )
+
+
 def bench_inference(
     model: TrainedModel,
     probe_inputs,
@@ -35,10 +43,7 @@ def bench_inference(
     The first WARMUP_CALLS calls are run untimed so caches and allocator state
     settle; statistics cover exactly `repetitions` timed calls.
     """
-    if not MIN_REPETITIONS <= repetitions <= MAX_REPETITIONS:
-        raise ConfigError(
-            f"repetitions must lie in [{MIN_REPETITIONS}, {MAX_REPETITIONS}], got {repetitions}"
-        )
+    check_repetitions(repetitions)
     probes = [np.asarray(p, dtype=np.float64) for p in probe_inputs]
     if not probes:
         raise ConfigError("need at least one probe input")

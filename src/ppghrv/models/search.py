@@ -32,7 +32,6 @@ from .forest import MAX_TREES, MIN_TREES, train_rf
 from .knn import DISTANCES, MAX_K, MIN_K, train_knn
 from .mlp import (
     ACTIVATIONS,
-    DEFAULT_MAX_EPOCHS,
     MAX_HIDDEN_LAYERS,
     MAX_NEURONS_PER_LAYER,
     MlpTrainingConfig,
@@ -136,13 +135,21 @@ class SearchResult:
         return _best(self.candidates)
 
 
+def check_search(budget: int, val_fraction: float) -> None:
+    """ConfigError unless random_search can use this budget and val_fraction."""
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ConfigError(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
+    if not 0.0 < val_fraction < 1.0:
+        raise ConfigError("val_fraction must lie strictly between 0 and 1")
+
+
 def random_search(
     train: Dataset,
     kind: ModelKind,
     budget: int,
-    seed: int = 0,
-    val_fraction: float = 0.2,
-    mlp_max_epochs: int = DEFAULT_MAX_EPOCHS,
+    seed: int,
+    val_fraction: float,
+    mlp_max_epochs: int,
 ) -> SearchResult:
     """Try `budget` sampled configs, keep the lowest validation MAPE.
 
@@ -151,10 +158,7 @@ def random_search(
     bounds each MLP candidate's training, and so the winner's retrain;
     other kinds ignore it.
     """
-    if not 1 <= budget <= MAX_BUDGET:
-        raise ConfigError(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError("val_fraction must lie strictly between 0 and 1")
+    check_search(budget, val_fraction)
     mlp_cfg = MlpTrainingConfig(max_epochs=mlp_max_epochs)
 
     sampler = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))

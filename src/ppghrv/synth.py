@@ -75,10 +75,9 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact beat times plus the RR intervals derived from them."""
+    """Exact beat times; the RR intervals are derived from them."""
 
     beat_times_s: np.ndarray
-    rr: RrSeries
 
     def __post_init__(self):
         bt = np.asarray(self.beat_times_s, dtype=np.float64)
@@ -87,8 +86,11 @@ class GroundTruth:
         if not np.all(np.diff(bt) > 0):
             raise ValueError("beat times must strictly increase")
         object.__setattr__(self, "beat_times_s", bt)
-        if len(self.rr) != bt.size - 1:
-            raise ValueError("rr length must be len(beat_times) - 1")
+
+    @property
+    def rr(self) -> RrSeries:
+        """The intervals between consecutive beats, diff(beat_times_s) * 1000 ms."""
+        return RrSeries(np.diff(self.beat_times_s) * 1000.0)
 
 
 def _rng(cfg: SynthConfig, stream: int) -> np.random.Generator:
@@ -99,8 +101,8 @@ def generate_rr_trace(cfg: SynthConfig) -> GroundTruth:
     """Sequential beats from the instantaneous-HR curve plus jitter.
 
     The interval drawn at beat time t is 60000 / hr(t) plus Gaussian jitter,
-    clamped to physiological bounds.  RR intervals are recomputed from the
-    final beat times so gt.rr always equals diff(beat_times) * 1000 exactly.
+    clamped to physiological bounds.  Only the beat times are kept; gt.rr
+    derives the intervals from them.
     """
     rng = _rng(cfg, _RR_STREAM)
     two_pi = 2.0 * np.pi
@@ -121,8 +123,7 @@ def generate_rr_trace(cfg: SynthConfig) -> GroundTruth:
         raise ConfigError(
             f"duration_s={cfg.duration_s} is too short for a single beat interval"
         )
-    bt = np.asarray(beats)
-    return GroundTruth(beat_times_s=bt, rr=RrSeries(np.diff(bt) * 1000.0))
+    return GroundTruth(beat_times_s=np.asarray(beats))
 
 
 def _pulse_curve(tt: np.ndarray, beat_t: float, rise_s: float, decay_s: float) -> np.ndarray:

@@ -130,13 +130,14 @@ def test_criterion_04_compound_beats_sigproc(office_hour, rmssd_splits):
     train, test = rmssd_splits[300]
     sig = mape(test.features[:, -1], test.labels)
 
-    result = random_search(train, ModelKind.DT, budget=10, seed=17)
+    result = random_search(
+        train, ModelKind.DT, budget=10, seed=17, val_fraction=0.2, mlp_max_epochs=500
+    )
     compound = mape(result.model.predict_batch(test.features), test.labels)
     used = "dt"
     if not (compound < sig and compound <= 20.0):
         result = random_search(
-            train, ModelKind.MLP, budget=10, seed=17,
-            mlp_max_epochs=500,
+            train, ModelKind.MLP, budget=10, seed=17, val_fraction=0.2, mlp_max_epochs=500
         )
         compound = mape(result.model.predict_batch(test.features), test.labels)
         used = "mlp"
@@ -157,7 +158,9 @@ def test_criterion_05_longer_window_is_easier(rmssd_splits):
         train, test = rmssd_splits[n]
         errors = []
         for kind in (ModelKind.DT, ModelKind.KNN):
-            res = random_search(train, kind, budget=5, seed=23)
+            res = random_search(
+                train, kind, budget=5, seed=23, val_fraction=0.2, mlp_max_epochs=500
+            )
             errors.append(mape(res.model.predict_batch(test.features), test.labels))
         means[n] = float(np.mean(errors))
     elapsed = time.perf_counter() - t0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import struct
 import subprocess
 import sys
@@ -485,9 +486,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["bench", "--repetitions", "1000000000000"], "repetitions must lie in [100, 1000000]"),
-        (["run", "--bench-repetitions", "1000000000000"], "bench_repetitions must be 0 (off) or lie in"),
+        (["run", "--bench-repetitions", "1000000000000"], "repetitions must lie in [100, 1000000]"),
         (["train", "--budget", "1000000000000"], "budget must lie in [1, 1000]"),
-        (["run", "--budget", "1000000000000"], "search budget must lie in [1, 1000]"),
+        (["run", "--budget", "1000000000000"], "budget must lie in [1, 1000]"),
         (["amplify", "--trials", "1000000000000"], "trials must lie in [1, 100000]"),
     ], ids=["bench_repetitions", "run_bench_repetitions", "train_budget", "run_budget",
             "amplify_trials"])
@@ -527,10 +528,10 @@ class TestExitCodes:
         (["--train-fraction", "1.5"], "train_fraction"),
         (["--val-fraction", "0"], "val_fraction"),
         (["--val-fraction", "1.5"], "val_fraction"),
-        (["--mlp-max-epochs", "0"], "mlp_max_epochs"),
-        (["--lengths", "1"], "lengths must be >= 2"),
-        (["--lengths", "0"], "lengths must be >= 2"),
-        (["--lengths", "-5"], "lengths must be >= 2"),
+        (["--mlp-max-epochs", "0"], "max_epochs must be >= 1"),
+        (["--lengths", "1"], "n_s must be at least 2 s, got 1"),
+        (["--lengths", "0"], "n_s must be at least 2 s, got 0"),
+        (["--lengths", "-5"], "n_s must be at least 2 s, got -5"),
         (["--seed", "-1"], "seed must be >= 0"),
     ], ids=["activity", "train_zero", "train_above_one", "val_zero", "val_above_one", "epochs_zero",
             "length_one", "length_zero", "length_negative", "seed_negative"])
@@ -545,6 +546,45 @@ class TestExitCodes:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, repeated", [
+        ("activities", "sit,sleep,sit", "sit"),
+        ("metrics", "rmssd,RMSSD", "rmssd"),
+        ("lengths", "30,60,30", "30"),
+        ("models", "dt,dt", "dt"),
+    ])
+    def test_repeated_run_list_entry_fails_before_any_write(
+        self, key, value, repeated, tmp_path, capsys
+    ):
+        # each repeat ran its cells again, adding identical results.csv rows
+        # and overwriting their trace files
+        out = tmp_path / "out"
+        settings = {"activities": "sit", "lengths": "30", "duration_s": "200",
+                    "models": "dt", "budget": "1", key: value}
+        lines = "".join(f"{k} = {v}\n" for k, v in settings.items())
+        flags = [part for k, v in settings.items() for part in ("--" + k.replace("_", "-"), v)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        for argv in (flags, ["--config", str(cfg)]):
+            assert main(["run", "--out-dir", str(out)] + argv) == 1
+            assert f"{key} lists {repeated} more than once" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_rr_file_disagreeing_with_its_beat_times_is_data_error(
+        self, workdir, tmp_path, capsys
+    ):
+        rows = (workdir / "rr.csv").read_text().splitlines()
+        bad = tmp_path / "rr.csv"
+        bad.write_text("\n".join(rows[:2] + [r.split(",")[0] + ",5000.0" for r in rows[2:]]))
+        code = main([
+            "process", "--ppg", str(workdir / "ppg.csv"), "--out-hr", str(tmp_path / "hr.csv"),
+            "--rr", str(bad), "--n-s", "30", "--out-dataset", str(tmp_path / "ds.csv"),
+        ])
+        assert code == 2
+        assert f"{bad}:3: rr_ms 5000.0 differs from its beat-time difference" in (
+            capsys.readouterr().err
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rr.csv"]
 
     @pytest.mark.parametrize("command", ["train", "bench"])
     def test_negative_seed_is_config_error(self, command, workdir, tmp_path, capsys):
@@ -615,6 +655,74 @@ class TestExitCodes:
         cfg.write_text("outdir = /tmp/x\n")
         assert main(["run", "--config", str(cfg)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Bytes of a small `run` and of `eval`, fixed so that a change to how the
+    steps are composed cannot move an output unnoticed."""
+
+    RUN_SHA256 = {
+        "stdout": "1020feba0697c8c7414812cf7310a0658858e715c2819952ce064c864dba4ec0",
+        "results.csv": "7e9e40910ae332bacc30933a553ab7f97eef429386761402b9706d016615f696",
+        "trace_sit_rmssd_30s_dt.csv": "ad04210d91e7a3a5a0b451bb6f92a73fe7f68f3682f99aebba8fbc01a1cec1fd",
+        "trace_sit_rmssd_30s_knn.csv": "7958f4d4ca5646e98176c14806f9894d60e94c2830f4909a717fba0d8fdf8080",
+        "trace_sit_rmssd_30s_mlp.csv": "3cef98d9aa1da9bd3c74929c9dbad37473d218838c1877f8504ac5100f8f14bb",
+        "trace_sit_rmssd_60s_dt.csv": "3e82b9f6d5e31cd6050181659b405a522f75bbe4162fe53c084bee746823c2b8",
+        "trace_sit_rmssd_60s_knn.csv": "c5158f61f5482a2cab6a6417a1f7c2079df9260ed82e576a831207daf6871edf",
+        "trace_sit_rmssd_60s_mlp.csv": "0034bd9abc975c385ebea7e5bcc2752b0f7ea460e6629e7e8ae10a64ac2b327a",
+    }
+
+    def test_run_outputs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--out-dir", str(out), "--activities", "sit", "--metrics", "rmssd",
+            "--lengths", "30,60", "--models", "dt,knn,mlp", "--duration-s", "300",
+            "--stride-s", "3", "--budget", "1", "--seed", "5", "--mlp-max-epochs", "5",
+        ])
+        assert code == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        found = {"stdout": _sha256(stdout.encode())}
+        found.update((p.name, _sha256(p.read_bytes())) for p in sorted(out.iterdir()))
+        assert found == self.RUN_SHA256
+
+    EVAL_SHA256 = {
+        "ppg.csv": "7f907d6bf97a9828a63e2f8daf33ce65eb7cf1c0db825a940c6c1fe2acfc3107",
+        "rr.csv": "4be2c1456993cbcf8922dfd147e75a9f1548a2768689a3ed3b232aa138ca9b20",
+        "hr.csv": "bde4abce7852f65ab83ffcac8db487e134bcb077ea76fa14a9c539d9162b9f35",
+        "ds.csv": "b60ab33923fa315784f720be869d070a40fada7f39d867364ebc8d8818bf981f",
+        "trace.csv": "80639dc52f658346e423fe4d03146b971ea3d024b5609164b6cc44198040444e",
+    }
+
+    def test_synth_process_eval_outputs(self, workdir, tmp_path, capsys):
+        # a second recording, so the saved model is scored on windows it never saw
+        assert main([
+            "synth", "--preset", "sit", "--duration-s", "120", "--seed", "4",
+            "--out-ppg", str(tmp_path / "ppg.csv"), "--out-rr", str(tmp_path / "rr.csv"),
+        ]) == 0
+        assert main([
+            "process", "--ppg", str(tmp_path / "ppg.csv"), "--out-hr", str(tmp_path / "hr.csv"),
+            "--rr", str(tmp_path / "rr.csv"), "--n-s", "30",
+            "--out-dataset", str(tmp_path / "ds.csv"),
+        ]) == 0
+        assert main([
+            "eval", "--model", str(workdir / "model.bin"),
+            "--dataset", str(tmp_path / "ds.csv"), "--out-trace", str(tmp_path / "trace.csv"),
+        ]) == 0
+        assert capsys.readouterr().out.replace(str(tmp_path), "TMP") == (
+            "wrote 3000 PPG samples to TMP/ppg.csv\n"
+            "wrote 130 beats to TMP/rr.csv\n"
+            "wrote 112 per-second HRs to TMP/hr.csv\n"
+            "wrote 83 samples (n=30s, rmssd) to TMP/ds.csv\n"
+            "model MAPE: 12.3746%\n"
+            "sigproc MAPE: 78.3149%\n"
+            "wrote trace to TMP/trace.csv\n"
+        )
+        found = {name: _sha256((tmp_path / name).read_bytes()) for name in self.EVAL_SHA256}
+        assert found == self.EVAL_SHA256
 
 
 def test_module_entry_point(tmp_path):

@@ -70,7 +70,7 @@ def _outcome(build, *args):
 
 def metronome_gt(n_beats, rr_s=1.0):
     bt = np.arange(n_beats, dtype=np.float64) * rr_s
-    return GroundTruth(beat_times_s=bt, rr=RrSeries(np.diff(bt) * 1000.0))
+    return GroundTruth(beat_times_s=bt)
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +89,13 @@ def office_trace():
 def fast_gt():
     # about 160 bpm with uneven intervals, so 2 s windows hold 4 to 6 beats
     bt = np.cumsum(np.random.default_rng(8).uniform(0.3, 0.45, size=800))
-    return GroundTruth(beat_times_s=bt, rr=RrSeries(np.diff(bt) * 1000.0))
+    return GroundTruth(beat_times_s=bt)
 
 
 def gap_gt():
     # a 30 s silence after 100 s leaves the windows inside it short of beats
     bt = np.concatenate([np.arange(0.0, 100.0, 0.8), np.arange(130.0, 300.0, 0.8)])
-    return GroundTruth(beat_times_s=bt, rr=RrSeries(np.diff(bt) * 1000.0))
+    return GroundTruth(beat_times_s=bt)
 
 
 class TestMatchesPerWindowOracle:
@@ -198,7 +198,7 @@ class TestBuildHrvDataset:
     def test_beat_gap_raises_empty_window(self):
         # 10 s of beats, a 60 s silence, then beats again
         bt = np.concatenate([np.arange(0.0, 10.0), np.arange(70.0, 120.0)])
-        gt = GroundTruth(beat_times_s=bt, rr=RrSeries(np.diff(bt) * 1000.0))
+        gt = GroundTruth(beat_times_s=bt)
         shr = SmoothedHrSeries(np.full(100, 60.0))
         with pytest.raises(HrvError, match='need at least 3 for an HRV label'):
             build_hrv_dataset(shr, gt, n_s=20, kind=HrvMetricKind.RMSSD)

@@ -133,7 +133,7 @@ class TestExperimentConfigValidation:
 
     @pytest.mark.parametrize("length", [1, 0, -5])
     def test_length_below_two_rejected(self, tmp_path, length):
-        with pytest.raises(ConfigError, match="lengths must be >= 2"):
+        with pytest.raises(ConfigError, match=f"n_s must be at least 2 s, got {length}"):
             small_config(tmp_path, lengths=(30, length))
 
     def test_negative_seed_rejected(self, tmp_path):

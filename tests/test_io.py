@@ -109,6 +109,23 @@ class TestRrRoundTrip:
         with pytest.raises(HrvError, match=':4: beat_time_s does not strictly increase'):
             read_rr_csv(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0.8,5000.0\n1.6,800.0", ":3: rr_ms 5000.0 differs from its beat-time difference 800.0 ms"),
+        ("0.8,800.0\n\n1.6,800.002", ":5: rr_ms 800.002 differs from its beat-time difference"),
+    ], ids=["far", "past_tolerance_after_blank_line"])
+    def test_rr_must_agree_with_beat_times(self, tmp_path, rows, message):
+        # the labels come from the beat times alone, so a disagreeing rr_ms
+        # column used to be read and ignored
+        path = tmp_path / "rr.csv"
+        path.write_text(f"beat_time_s,rr_ms\n0.0,\n{rows}\n")
+        with pytest.raises(HrvError, match=re.escape(message)):
+            read_rr_csv(path)
+
+    def test_rr_within_tolerance_reads(self, tmp_path):
+        path = tmp_path / "rr.csv"
+        path.write_text("beat_time_s,rr_ms\n0.0,\n0.8,800.0009\n1.6,799.9991\n")
+        np.testing.assert_array_equal(read_rr_csv(path).beat_times_s, [0.0, 0.8, 1.6])
+
     def test_first_row_must_omit_rr(self, tmp_path):
         path = tmp_path / "rr.csv"
         path.write_text("beat_time_s,rr_ms\n0.0,900.0\n0.9,900.0\n")

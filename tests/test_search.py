@@ -49,20 +49,28 @@ class TestSampling:
 
 class TestRandomSearch:
     def test_budget_one_returns_that_config(self, regression_ds):
-        result = random_search(regression_ds, ModelKind.DT, budget=1, seed=3)
+        result = random_search(
+            regression_ds, ModelKind.DT, budget=1, seed=3, val_fraction=0.2, mlp_max_epochs=500
+        )
         assert len(result.candidates) == 1
         assert result.best.index == 0
         winner = train_dt(regression_ds, result.best.hyperparams["max_depth"])
         assert encode(result.model) == encode(winner)
 
     def test_best_is_argmin_of_validation_mape(self, regression_ds):
-        result = random_search(regression_ds, ModelKind.DT, budget=8, seed=4)
+        result = random_search(
+            regression_ds, ModelKind.DT, budget=8, seed=4, val_fraction=0.2, mlp_max_epochs=500
+        )
         scored = [c.val_mape_pct for c in result.candidates if c.val_mape_pct is not None]
         assert result.best.val_mape_pct == min(scored)
 
     def test_deterministic(self, regression_ds):
-        a = random_search(regression_ds, ModelKind.KNN, budget=6, seed=5)
-        b = random_search(regression_ds, ModelKind.KNN, budget=6, seed=5)
+        a = random_search(
+            regression_ds, ModelKind.KNN, budget=6, seed=5, val_fraction=0.2, mlp_max_epochs=500
+        )
+        b = random_search(
+            regression_ds, ModelKind.KNN, budget=6, seed=5, val_fraction=0.2, mlp_max_epochs=500
+        )
         assert a.best.hyperparams == b.best.hyperparams
         assert [c.val_mape_pct for c in a.candidates] == [
             c.val_mape_pct for c in b.candidates
@@ -72,7 +80,9 @@ class TestRandomSearch:
         # k range 2..30 straddles the fit split, so some draws fail
         small = make_ds(regression_ds.features[:20], regression_ds.labels[:20])
         # fit split holds 16 samples; k in 17..30 raises HrvError
-        result = random_search(small, ModelKind.KNN, budget=12, seed=6)
+        result = random_search(
+            small, ModelKind.KNN, budget=12, seed=6, val_fraction=0.2, mlp_max_epochs=500
+        )
         failed = [c for c in result.candidates if c.val_mape_pct is None]
         scored = [c for c in result.candidates if c.val_mape_pct is not None]
         assert failed and scored
@@ -83,7 +93,9 @@ class TestRandomSearch:
         # the fit split holds 1 sample, below every k >= MIN_K
         small = make_ds(regression_ds.features[:2], regression_ds.labels[:2])
         with pytest.raises(HrvError, match='all 4 sampled configurations failed'):
-            random_search(small, ModelKind.KNN, budget=4, seed=7)
+            random_search(
+                small, ModelKind.KNN, budget=4, seed=7, val_fraction=0.2, mlp_max_epochs=500
+            )
 
     def test_non_finite_validation_mape_fails_the_candidate(self, regression_ds, monkeypatch):
         scores = []
@@ -93,7 +105,9 @@ class TestRandomSearch:
             return scores[-1]
 
         monkeypatch.setattr(search_module, "mape", nan_first)
-        result = random_search(regression_ds, ModelKind.KNN, budget=3, seed=9)
+        result = random_search(
+            regression_ds, ModelKind.KNN, budget=3, seed=9, val_fraction=0.2, mlp_max_epochs=500
+        )
         first, *rest = result.candidates
         assert first.val_mape_pct is None and "validation MAPE is nan" in first.error
         assert all(c.val_mape_pct is not None for c in rest)
@@ -115,26 +129,38 @@ class TestRandomSearch:
 
         monkeypatch.setattr(search_module, "fit_early_stopped", candidate_spy)
         monkeypatch.setattr(search_module, "fit_epochs", retrain_spy)
-        result = random_search(regression_ds, ModelKind.MLP, budget=2, seed=8, mlp_max_epochs=5)
+        result = random_search(
+            regression_ds, ModelKind.MLP, budget=2, seed=8, mlp_max_epochs=5, val_fraction=0.2
+        )
         assert [c.max_epochs for c in seen_cfgs] == [5, 5]
         assert retrain_epochs == [result.best.best_epoch + 1]
         assert 1 <= retrain_epochs[0] <= 5
 
     def test_best_epoch_only_for_mlp(self, regression_ds):
-        mlp = random_search(regression_ds, ModelKind.MLP, budget=3, seed=8, mlp_max_epochs=40)
+        mlp = random_search(
+            regression_ds, ModelKind.MLP, budget=3, seed=8, mlp_max_epochs=40, val_fraction=0.2
+        )
         assert all(0 <= c.best_epoch < 40 for c in mlp.candidates)
         for kind in (ModelKind.DT, ModelKind.KNN):
-            result = random_search(regression_ds, kind, budget=3, seed=8)
+            result = random_search(
+                regression_ds, kind, budget=3, seed=8, val_fraction=0.2, mlp_max_epochs=500
+            )
             assert all(c.best_epoch is None for c in result.candidates)
         small = make_ds(regression_ds.features[:20], regression_ds.labels[:20])
-        failed = random_search(small, ModelKind.KNN, budget=12, seed=6).candidates
+        failed = random_search(
+            small, ModelKind.KNN, budget=12, seed=6, val_fraction=0.2, mlp_max_epochs=500
+        ).candidates
         assert all(c.best_epoch is None for c in failed if c.error)
 
     def test_bad_budget_and_fraction(self, regression_ds):
         with pytest.raises(ConfigError):
-            random_search(regression_ds, ModelKind.DT, budget=0, seed=0)
+            random_search(
+                regression_ds, ModelKind.DT, budget=0, seed=0, val_fraction=0.2, mlp_max_epochs=500
+            )
         with pytest.raises(ConfigError):
-            random_search(regression_ds, ModelKind.DT, budget=1, seed=0, val_fraction=1.0)
+            random_search(
+                regression_ds, ModelKind.DT, budget=1, seed=0, val_fraction=1.0, mlp_max_epochs=500
+            )
 
 
 class TestDtSearchFromOneGrow:
@@ -143,7 +169,10 @@ class TestDtSearchFromOneGrow:
 
     def test_same_as_training_each_candidate(self, regression_ds):
         budget, seed = 6, 11
-        result = random_search(regression_ds, ModelKind.DT, budget=budget, seed=seed)
+        result = random_search(
+            regression_ds, ModelKind.DT,
+            budget=budget, seed=seed, val_fraction=0.2, mlp_max_epochs=500
+        )
         sampler = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         drawn = [sample_hyperparams(ModelKind.DT, sampler) for _ in range(budget)]
         fit, holdout = chronological_split(regression_ds, 0.8)
@@ -167,7 +196,9 @@ class TestDtSearchFromOneGrow:
             return real(X, y, max_depth)
 
         monkeypatch.setattr(tree_module, "_grow", spy)
-        result = random_search(regression_ds, ModelKind.DT, budget=5, seed=12)
+        result = random_search(
+            regression_ds, ModelKind.DT, budget=5, seed=12, val_fraction=0.2, mlp_max_epochs=500
+        )
         deepest = max(c.hyperparams["max_depth"] for c in result.candidates)
         fit, _ = chronological_split(regression_ds, 0.8)
         assert grown == [
@@ -182,7 +213,10 @@ class TestDtSearchFromOneGrow:
         )
         with caplog.at_level("WARNING", logger=search_module.__name__):
             with pytest.raises(HrvError, match="all 4 sampled.*empty dataset"):
-                random_search(regression_ds, ModelKind.DT, budget=4, seed=13)
+                random_search(
+                    regression_ds, ModelKind.DT,
+                    budget=4, seed=13, val_fraction=0.2, mlp_max_epochs=500
+                )
         failed = [r.getMessage() for r in caplog.records]
         assert len(failed) == 4
         for i, message in enumerate(failed):
@@ -228,7 +262,9 @@ class TestMlpRetrain:
         noisy = make_ds(regression_ds.features,
                         regression_ds.labels + rng.normal(scale=10.0, size=len(regression_ds)))
         counts = self._count_retrain_steps(monkeypatch)
-        result = random_search(noisy, ModelKind.MLP, budget=3, seed=16, mlp_max_epochs=200)
+        result = random_search(
+            noisy, ModelKind.MLP, budget=3, seed=16, mlp_max_epochs=200, val_fraction=0.2
+        )
         assert result.best.best_epoch + mlp_module.PATIENCE < 200 - 1
         batches = math.ceil(len(noisy) / mlp_module.BATCH_SIZE)
         assert counts["steps"] == (result.best.best_epoch + 1) * batches
@@ -237,7 +273,9 @@ class TestMlpRetrain:
     def test_best_epoch_zero_retrains_one_epoch(self, regression_ds, monkeypatch):
         counts = self._count_retrain_steps(monkeypatch)
         # one epoch allowed: every candidate's best epoch is its first
-        result = random_search(regression_ds, ModelKind.MLP, budget=2, seed=15, mlp_max_epochs=1)
+        result = random_search(
+            regression_ds, ModelKind.MLP, budget=2, seed=15, mlp_max_epochs=1, val_fraction=0.2
+        )
         assert [c.best_epoch for c in result.candidates] == [0, 0]
         assert counts["steps"] == math.ceil(len(regression_ds) / mlp_module.BATCH_SIZE)
         assert np.all(np.isfinite(result.model.predict_batch(regression_ds.features)))
@@ -258,7 +296,9 @@ class TestMlpRetrain:
         assert np.all(np.isfinite(model.predict_batch(small.features)))
 
     def test_retrain_matches_a_direct_fit(self, regression_ds):
-        result = random_search(regression_ds, ModelKind.MLP, budget=2, seed=16, mlp_max_epochs=30)
+        result = random_search(
+            regression_ds, ModelKind.MLP, budget=2, seed=16, mlp_max_epochs=30, val_fraction=0.2
+        )
         seed = int(np.random.SeedSequence((16, 1 + result.best.index)).generate_state(1)[0])
         direct = mlp_module.fit_epochs(
             regression_ds, result.best.hyperparams["hidden_layers"],

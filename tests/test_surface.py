@@ -13,6 +13,10 @@ The CSV readers cut fields with one tokenizer, the `csv.reader` in
 
 SDNN or RMSSD is picked in one place, `ppghrv.metrics.hrv_rows`; every
 other windowed HRV goes through it.
+
+A `run` cell and the step subcommands share their settings' defaults, which
+ExperimentConfig holds, and each setting's bound is checked by the step that
+uses the value, so its message is written once.
 """
 
 import ast
@@ -23,12 +27,13 @@ from pathlib import Path
 import ppghrv
 import ppghrv.cli
 import ppghrv.errors
+import ppghrv.experiment
 import ppghrv.io
 import ppghrv.metrics
 import ppghrv.models
 from ppghrv.models.base import TrainedModel
 
-MAX_SETTABLE_VALUES = 85
+MAX_SETTABLE_VALUES = 81
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -265,3 +270,33 @@ def test_cli_main_catches_only_the_package_errors():
         for handler in node.handlers
     ]
     assert caught == ["ConfigError", "HrvError", "Exception"]
+
+
+def test_step_defaults_are_the_run_defaults():
+    parser = ppghrv.cli.build_parser()
+    train = parser.parse_args(["train", "--dataset", "d.csv", "--model", "dt", "--out", "m.bin"])
+    process = parser.parse_args(["process", "--ppg", "p.csv", "--out-hr", "hr.csv"])
+    run = ppghrv.experiment.ExperimentConfig(out_dir=Path("out"))
+    for key in ("budget", "seed", "val_fraction", "mlp_max_epochs"):
+        assert getattr(train, key) == getattr(run, key), key
+    assert process.stride_s == run.stride_s
+
+
+# the bound of each setting that `run` and a step subcommand share
+_SHARED_BOUNDS = [
+    "budget must lie in [1, ",
+    "val_fraction must lie strictly between 0 and 1",
+    "train_fraction must lie strictly between 0 and 1",
+    "n_s must be at least 2 s",
+    "stride_s must be at least 1 s",
+    "max_epochs must be >= 1",
+    "repetitions must lie in [",
+]
+
+
+def test_each_shared_bound_is_stated_once():
+    src = Path(ppghrv.__file__).parent
+    text = "".join(p.read_text() for p in sorted(src.rglob("*.py")))
+    assert {bound: text.count(bound) for bound in _SHARED_BOUNDS} == dict.fromkeys(
+        _SHARED_BOUNDS, 1
+    )
