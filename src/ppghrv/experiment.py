@@ -70,8 +70,6 @@ class ExperimentConfig:
             if repeated:  # it would only run the same cells again
                 shown = getattr(repeated[0], "value", repeated[0])
                 raise ConfigError(f"{key} lists {shown} more than once")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # each step's own checks, reached here so that a bad setting fails
         # before run_experiment writes a file
         for n_s in self.lengths:
@@ -83,7 +81,7 @@ class ExperimentConfig:
                 f"{max_n}s windows plus a test split"
             )
         check_train_fraction(self.train_fraction)
-        check_search(self.budget, self.val_fraction)
+        check_search(self.budget, self.seed, self.val_fraction)
         MlpTrainingConfig(max_epochs=self.mlp_max_epochs)
         if self.bench_repetitions != 0:
             check_repetitions(self.bench_repetitions)

@@ -19,6 +19,10 @@ whose inferred sampling rate is off the declared one by more than 1%; a
 declared rate that is not > 0 is a ConfigError.  A line csv rejects (such as a field
 longer than csv's field limit) is an HrvError naming the line.
 
+The dataset writer sorts each block of rows by value and formats each run
+of equal bits once, so a value that recurs across rows is formatted about
+once per block; the bytes equal one repr per field.
+
 Every file the package reads or writes, CSV or binary model, is opened by
 `opened`.  A file that cannot be read (missing, a directory, no permission,
 text that is not UTF-8) raises HrvError naming the path; one that cannot be
@@ -34,7 +38,7 @@ import itertools
 import math
 import operator
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +67,7 @@ RATE_TOLERANCE = 0.01  # inferred vs declared sampling rate
 # rr_ms vs 1000 x its beat-time difference; the labels use only the beat
 # times, and a file written here holds exactly that product
 RR_TOLERANCE_MS = 1e-3
+_WRITE_BLOCK_BYTES = 64 * 1024  # float64 bytes of dataset rows formatted at a time
 
 
 def _fmt(x: float) -> str:
@@ -241,9 +246,37 @@ def _dataset_header(n_features: int) -> list[str]:
     return ["window_end_time_s"] + [f"f{i}" for i in range(n_features)] + ["label"]
 
 
+def _block_lines(block: np.ndarray) -> Iterator[str]:
+    """block's rows as lines, each run of equal bits formatted once.
+
+    A float argsort brings equal values together, and a run ends wherever
+    the bits change: 0.0 == -0.0, but the two print differently, so a zero
+    may fall into more than one run, each of one bit pattern.  The float64
+    argsort and the int64 comparison are numpy code an ingest pass already
+    runs (find_peaks, np.unique on counts); np.unique on the bits instead
+    would page in 128 KB more of numpy's code.  A generator of its own, so
+    one block's texts are freed before the next block's are made.
+    """
+    flat = block.ravel()
+    order = flat.argsort()
+    bits = flat.view(np.int64)[order]
+    starts = np.concatenate([[True], bits[1:] != bits[:-1]])
+    inverse = np.empty(flat.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    texts = np.array(list(map(repr, flat[order[starts]].tolist())), dtype=object)
+    yield from map(",".join, texts[inverse].reshape(block.shape).tolist())
+
+
 def write_dataset_csv(path, ds: Dataset) -> None:
-    table = np.column_stack([ds.window_end_times_s, ds.features, ds.labels])
-    lines = (",".join(map(repr, row.tolist())) for row in table)
+    # a window's features are the last n_s per-second values, so one value
+    # recurs in up to n_s rows; a bounded block of rows is stacked at a time
+    step = max(1, _WRITE_BLOCK_BYTES // (8 * (ds.n_features + 2)))
+    blocks = (
+        np.column_stack([ds.window_end_times_s[r:r + step], ds.features[r:r + step],
+                         ds.labels[r:r + step]])
+        for r in range(0, len(ds), step)
+    )
+    lines = itertools.chain.from_iterable(map(_block_lines, blocks))
     _write_csv(path, _dataset_header(ds.n_features), lines)
 
 

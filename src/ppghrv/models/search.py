@@ -135,10 +135,12 @@ class SearchResult:
         return _best(self.candidates)
 
 
-def check_search(budget: int, val_fraction: float) -> None:
-    """ConfigError unless random_search can use this budget and val_fraction."""
+def check_search(budget: int, seed: int, val_fraction: float) -> None:
+    """ConfigError unless random_search can use this budget, seed and val_fraction."""
     if not 1 <= budget <= MAX_BUDGET:
         raise ConfigError(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must lie strictly between 0 and 1")
 
@@ -158,7 +160,7 @@ def random_search(
     bounds each MLP candidate's training, and so the winner's retrain;
     other kinds ignore it.
     """
-    check_search(budget, val_fraction)
+    check_search(budget, seed, val_fraction)
     mlp_cfg = MlpTrainingConfig(max_epochs=mlp_max_epochs)
 
     sampler = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))

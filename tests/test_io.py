@@ -11,7 +11,7 @@ import pytest
 
 from ppghrv import io as hrvio
 from ppghrv.amplify import AmplificationRow
-from ppghrv.data import Dataset
+from ppghrv.data import Dataset, build_hrv_dataset
 from ppghrv.errors import ConfigError, HrvError
 from ppghrv.experiment import ResultRow
 from ppghrv.io import (
@@ -27,7 +27,8 @@ from ppghrv.io import (
     write_rr_csv,
     write_trace_csv,
 )
-from ppghrv.sigproc import PpgSignal, SmoothedHrSeries
+from ppghrv.metrics import HrvMetricKind
+from ppghrv.sigproc import PpgSignal, SmoothedHrSeries, ppg_to_hr, smooth, zscore_adjust
 from ppghrv.synth import SynthConfig, generate_rr_trace, render_ppg
 
 
@@ -190,6 +191,22 @@ def test_readers_peak_memory_is_below_three_tables(tmp_path):
         assert peak < 3 * table_bytes, (name, peak / table_bytes)
 
 
+def test_dataset_writer_peak_memory_is_below_two_tables(tmp_path):
+    # the writer stacks and formats a bounded block of rows at a time, so
+    # neither a second full table nor a whole-table index stands beside ds
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.normal(size=(300, 301)), rng.normal(size=300), np.arange(300.0))
+    table_bytes = 300 * 303 * 8
+    write_dataset_csv(tmp_path / "ds.csv", ds)  # the first call's one-off allocations
+    tracemalloc.start()
+    try:
+        write_dataset_csv(tmp_path / "ds.csv", ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table_bytes, peak / table_bytes
+
+
 LONG_FIELD = "1" * 200_000  # longer than csv's 131 072-character field limit
 
 
@@ -330,6 +347,49 @@ class TestDatasetCsvFastPaths:
                           (ppg_back.samples, ppg.samples)]:
             assert got.tobytes() == want.tobytes()
             assert got.flags["C_CONTIGUOUS"]
+
+
+def block_rows(n_features: int) -> int:
+    """Rows of an n_features dataset that write_dataset_csv formats at a time."""
+    return max(1, hrvio._WRITE_BLOCK_BYTES // (8 * (n_features + 2)))
+
+
+class TestDatasetWriterBlocks:
+    """write_dataset_csv formats a block of rows at a time, each run of equal
+    bits once; its bytes must not depend on where the blocks fall."""
+
+    def assert_oracle_bytes(self, tmp_path, ds):
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(path, ds)
+        assert path.read_bytes() == oracle_dataset_bytes(ds)
+
+    def test_table_spanning_several_blocks(self, tmp_path):
+        rows = block_rows(20)
+        ds = random_dataset(np.random.default_rng(7), 3 * rows + rows // 2, 20)
+        self.assert_oracle_bytes(tmp_path, ds)
+
+    def test_row_wider_than_a_block(self, tmp_path):
+        d = hrvio._WRITE_BLOCK_BYTES // 8 + 10
+        assert block_rows(d) == 1
+        self.assert_oracle_bytes(tmp_path, random_dataset(np.random.default_rng(8), 3, d))
+
+    def test_signed_zeros_in_one_block_and_across_blocks(self, tmp_path):
+        # 0.0 == -0.0, but the two print differently
+        rows = block_rows(4)
+        X = np.ones((3 * rows, 4))
+        X[:rows, 2] = np.where(np.arange(rows) % 2, 0.0, -0.0)  # block 0 mixes both
+        X[rows:2 * rows, 0] = -0.0                              # block 1: -0.0 only
+        X[2 * rows:, 3] = 0.0                                   # block 2: 0.0 only
+        ds = Dataset(X, np.ones(3 * rows), np.arange(3.0 * rows) + 1.0)
+        self.assert_oracle_bytes(tmp_path, ds)
+
+    def test_sliding_window_dataset(self, tmp_path):
+        cfg = SynthConfig(duration_s=420.0, base_hr_bpm=70.0, rr_jitter_ms=30.0, seed=9)
+        gt = generate_rr_trace(cfg)
+        shr = smooth(zscore_adjust(ppg_to_hr(render_ppg(gt, cfg))))
+        ds = build_hrv_dataset(shr, gt, 60, HrvMetricKind.RMSSD)
+        assert len(ds) > block_rows(ds.n_features)
+        self.assert_oracle_bytes(tmp_path, ds)
 
 
 def oracle_table(path, header: list[str]) -> np.ndarray:

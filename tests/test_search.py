@@ -162,6 +162,11 @@ class TestRandomSearch:
                 regression_ds, ModelKind.DT, budget=1, seed=0, val_fraction=1.0, mlp_max_epochs=500
             )
 
+    def test_negative_seed_is_config_error(self, regression_ds):
+        # numpy's SeedSequence would raise a bare ValueError for it
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            random_search(regression_ds, ModelKind.DT, 1, -1, 0.2, 500)
+
 
 class TestDtSearchFromOneGrow:
     """A dt search cuts its candidates from one tree grown on the fit rows;
