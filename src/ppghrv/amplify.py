@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metrics import RrSeries, mape_rows, rmssd, rmssd_rows, sdnn, sdnn_rows
-from .synth import SynthConfig, generate_rr_trace
+from .synth import SynthConfig, check_seed, generate_rr_trace
 
 DEFAULT_MAPE_LEVELS_PCT = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_WINDOW_S = 60.0
@@ -90,8 +90,9 @@ def inject_rr_error(rr: RrSeries, target_mape_pct: float, rng_seed: int) -> RrSe
     Each interval becomes RR_i * (1 + eps_i) with eps_i ~ Uniform(-a, a)
     and a = 2 * target / 100, so E|eps| equals the target.  A target that
     is not a number >= 0, or of 50% or more (which would allow non-positive
-    intervals), raises ConfigError.
+    intervals), raises ConfigError, as does a negative rng_seed.
     """
+    check_seed(rng_seed)
     a = _eps_amplitude(target_mape_pct)
     return RrSeries(rr.intervals_ms * _error_factors(a, rng_seed, len(rr)))
 
@@ -130,6 +131,7 @@ def amplification_table(
     against the unperturbed values.  Level 0 reproduces the base bit for
     bit, so its row is exactly zero.
     """
+    check_seed(rng_seed)
     if not 1 <= trials <= MAX_TRIALS:
         raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
     if window_s <= 0:

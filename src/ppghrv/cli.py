@@ -42,7 +42,7 @@ from .models.bench import bench_inference
 from .models.codec import load_model, save_model, serialized_size
 from .models.search import random_search
 from .sigproc import DEFAULT_SAMPLING_RATE_HZ, DEFAULT_Z_SCORE
-from .synth import ACTIVITY_PRESETS
+from .synth import ACTIVITY_PRESETS, check_seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,8 +87,7 @@ def _seed(text: str) -> int:
         value = int(text)
     except ValueError:
         raise ConfigError(f"expected a seed (an integer >= 0), got {text!r}") from None
-    if value < 0:
-        raise ConfigError(f"seed must be >= 0, got {value}")
+    check_seed(value)
     return value
 
 

@@ -13,7 +13,11 @@ exact k nearest has lo_j <= T (derived below).  The candidates are the rows
 with lo_j <= T, in index order.  Their exact distances are computed as a
 full scan computes them, each row's float64 sum depending on that row alone,
 and sorted stably.  When a bound is not finite (a nan, inf or overflowing
-query), every row is a candidate.
+query), every row is a candidate.  The k rows are then the first k of a
+stable sort by (distance, index), so for every k' <= k the first k' of
+them are the k' nearest: one ranking at the largest k serves every smaller
+k (the knn search scores its candidates from it).  Queries are bounded a
+block at a time; each query's threshold and exact distances are its own.
 
 Euclidean filters with one float32 matrix product.  For a standardised
 query q and a stored row x_j, with s_j = fl32(x_j . fl32(q)),
@@ -49,6 +53,11 @@ mu the float64 L1 norms of x_j and q,
     L_j = sum_b |p_jb - r_b|    bounds the exact distance D_j = sum_f |x_jf - q_f|,
     lo_j = L_j - delta_j,       delta_j = 4 (d + 1) u (nu_j + mu),  u = 2^-53.
 
+For a block of queries, L_j is taken by scipy's cdist ("cityblock") from the
+(queries, n) sums r_b and the stored (m, n) sums p_jb, in whatever order it
+adds the n terms.  The argument below holds for a float64 sum in any order,
+so it covers cdist's with no further slack.
+
 In exact arithmetic L_j <= D_j by the triangle inequality, and the bound is
 tight when neighbouring features move together, as consecutive heart rates
 do.  In floating point, let A_j = |x_j|_1 + |q|_1 and gamma_m = m u / (1 - m u).
@@ -74,6 +83,7 @@ nearest has lo_j <= D_j <= T.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from ..errors import ConfigError, HrvError
 from .base import ModelKind, TrainedModel
@@ -131,39 +141,51 @@ class KnnRegressor(TrainedModel):
         self.distance = distance
         if distance == MANHATTAN:
             # float64 sums straight from float32, a column block at a time,
-            # so no float64 copy of X is made; one array row per block
+            # so no float64 copy of X is made; one array column per block,
+            # in the C-contiguous (m, blocks) layout cdist takes as is
             self._starts = np.arange(0, X.shape[1], PAA_WIDTH)
-            self._sums = np.empty((len(self._starts), X.shape[0]))
-            for s, row in zip(self._starts, self._sums):
-                X[:, s : s + PAA_WIDTH].sum(axis=1, dtype=np.float64, out=row)
+            self._sums = np.empty((X.shape[0], len(self._starts)))
+            for b, s in enumerate(self._starts):
+                X[:, s : s + PAA_WIDTH].sum(axis=1, dtype=np.float64, out=self._sums[:, b])
             self._l1 = np.abs(X).sum(axis=1, dtype=np.float64)
         else:
             self._xx = np.einsum("ij,ij->i", X, X, dtype=np.float64)
             self._norm = np.sqrt(self._xx)
 
     def _predict_batch(self, Q: np.ndarray) -> np.ndarray:
+        # a C-contiguous (queries, k) gather, so each row's mean has the bits
+        # of np.mean over that query's k labels
+        return self.y[self._neighbours(Q)].mean(axis=1)
+
+    def neighbours(self, X) -> np.ndarray:
+        """The (queries, k) indices of each query's k nearest stored rows,
+        nearest first, ties to the lower index.  The first k' columns are
+        the k' nearest, for every k' <= k."""
+        return self._neighbours(self._check(X))
+
+    def _neighbours(self, Q: np.ndarray) -> np.ndarray:
         # the float32 parameters widen exactly to float64 inside each ufunc,
         # so no float64 copy of the matrix is made
         q = (Q - self.mu) / self.sigma
-        out = np.empty(Q.shape[0], dtype=np.float64)
-        if self.distance == MANHATTAN:
-            # one bound buffer for the batch: a fresh one per query took about
-            # 8 % more CPU time over run_matrix's Manhattan batches
-            step = np.empty_like(self._sums)
-            for i, row in enumerate(q):
-                out[i] = np.mean(self.y[self._manhattan_nearest(row, step)])
-            return out
-        # Euclidean bounds queries a block at a time: the block keeps the
-        # matrix product wide and its three (block, m) float64 arrays at 1.5
-        # times an (m, d) one
-        block = max(1, self.X.shape[1] // 2)
+        out = np.empty((q.shape[0], self.k), dtype=np.intp)
+        # queries are bounded a block at a time: the block keeps the matrix
+        # product and cdist wide, and its (block, m) float64 arrays at 1.5
+        # times an (m, d) one (Euclidean's three) or 0.5 times (Manhattan's two)
+        block = max(1, self.X.shape[1] // (4 if self.distance == MANHATTAN else 2))
         for start in range(0, q.shape[0], block):
-            out[start : start + block] = self._predict_block(q[start : start + block])
+            self._rank_block(q[start : start + block], out[start : start + block])
         return out
 
-    def _predict_block(self, qb: np.ndarray) -> list[float]:
-        lo, hi = self._bounds(qb)
-        return [float(np.mean(self.y[self._nearest(*row)])) for row in zip(qb, lo, hi)]
+    def _rank_block(self, qb: np.ndarray, out: np.ndarray) -> None:
+        """Fills out with the ranked neighbours of the queries qb.  The
+        block's bound arrays live in this frame only, so two blocks' are
+        never held at once."""
+        if self.distance == MANHATTAN:
+            for q, lo, row in zip(qb, self._manhattan_bounds(qb), out):
+                row[:] = self._manhattan_nearest(q, lo)
+        else:
+            for q, lo, hi, row in zip(qb, *self._bounds(qb), out):
+                row[:] = self._nearest(q, lo, hi)
 
     def _distances(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         # one (rows, d) temporary, reused in place: with two, a full scan of a
@@ -192,6 +214,15 @@ class KnnRegressor(TrainedModel):
             est -= slack
         return est, hi
 
+    def _manhattan_bounds(self, qb: np.ndarray) -> np.ndarray:
+        """Per query and stored row, the lo_j of the module docstring."""
+        with np.errstate(all="ignore"):
+            lo = cdist(np.add.reduceat(qb, self._starts, axis=1), self._sums, "cityblock")
+            slack = np.add.outer(np.abs(qb).sum(axis=1), self._l1)
+            slack *= 4 * (self.X.shape[1] + 1) * ROUNDOFF64
+            lo -= slack
+        return lo
+
     def _nearest(self, q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Indices of the k nearest rows by Euclidean distance: the rows whose
         lower bound is at most the k-th smallest upper bound, ranked."""
@@ -201,15 +232,10 @@ class KnnRegressor(TrainedModel):
             rows = np.arange(self.X.shape[0])
         return self._rank(rows, q)
 
-    def _manhattan_nearest(self, q: np.ndarray, step: np.ndarray) -> np.ndarray:
+    def _manhattan_nearest(self, q: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Indices of the k nearest rows by Manhattan distance: the rows whose
-        lo_j of the module docstring is at most T, the largest exact distance
-        of the k rows with the smallest lo_j, ranked.  step is scratch space
-        shaped like the block sums."""
-        with np.errstate(all="ignore"):
-            np.subtract(self._sums, np.add.reduceat(q, self._starts)[:, None], out=step)
-            lo = np.abs(step, out=step).sum(axis=0)
-            lo -= 4 * (self.X.shape[1] + 1) * ROUNDOFF64 * (self._l1 + np.abs(q).sum())
+        lo_j is at most T, the largest exact distance of the k rows with the
+        smallest lo_j, ranked."""
         if np.isfinite(lo).all():
             near = np.argpartition(lo, self.k - 1)[: self.k]
             rows = np.flatnonzero(lo <= self._distances(self.X[near], q).max())
@@ -224,15 +250,21 @@ class KnnRegressor(TrainedModel):
         return rows[np.argsort(d, kind="stable")[: self.k]]
 
 
-def train_knn(train, k: int, distance: str) -> KnnRegressor:
+def check_knn(n_train: int, k: int, distance: str) -> None:
+    """The errors train_knn raises for these settings on n_train rows,
+    before any work."""
     if distance not in DISTANCES:
         raise ConfigError(f"distance must be one of {DISTANCES}, got {distance!r}")
-    if len(train) == 0:
+    if n_train == 0:
         raise HrvError("cannot train KNN on an empty dataset")
     if not MIN_K <= int(k) <= MAX_K:
         raise ConfigError(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
-    if int(k) > len(train):
-        raise HrvError(f"k={k} exceeds the {len(train)} training samples")
+    if int(k) > n_train:
+        raise HrvError(f"k={k} exceeds the {n_train} training samples")
+
+
+def train_knn(train, k: int, distance: str) -> KnnRegressor:
+    check_knn(len(train), k, distance)
     X64 = train.features
     mu, sigma = standardize_stats(X64)
     mu32 = mu.astype(np.float32)

@@ -13,6 +13,12 @@ epoch + 1 epochs, with no holdout and no early stop (mlp.fit_epochs).
 A dt search grows one tree on the fit rows, at the deepest drawn
 max_depth, and cuts every candidate from it (tree.train_dt_depths); the
 candidates are the trees train_dt would grow for each depth alone.
+
+A knn search ranks the holdout once per drawn distance, at the largest
+drawn k that the fit rows can hold (KnnRegressor.neighbours), and scores
+each candidate from the first k columns of that ranking: the k nearest
+are the first k of the K nearest, so every candidate predicts what
+train_knn would train for it alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ import numpy as np
 from ..data import Dataset, chronological_split
 from ..errors import ConfigError, HrvError
 from ..metrics import mape
+from ..synth import check_seed
 from .base import ModelKind, TrainedModel
 from .forest import MAX_TREES, MIN_TREES, train_rf
-from .knn import DISTANCES, MAX_K, MIN_K, train_knn
+from .knn import DISTANCES, MAX_K, MIN_K, check_knn, train_knn
 from .mlp import (
     ACTIVATIONS,
     MAX_HIDDEN_LAYERS,
@@ -75,20 +82,46 @@ def sample_hyperparams(kind: ModelKind, rng) -> dict[str, Any]:
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _candidate_trainer(kind, fit, drawn, mlp_cfg):
-    """(index, seed) -> (model, best epoch) for draw index, trained on fit;
-    the best epoch is None for every kind but mlp."""
+def _candidate_predictor(kind, fit, holdout, drawn, mlp_cfg):
+    """(index, seed) -> (holdout predictions, best epoch) for draw index,
+    trained on fit; the best epoch is None for every kind but mlp."""
+    Q = holdout.features
     if kind is ModelKind.DT:
         # one grow serves every draw; a failed grow is retried, and fails,
         # per draw
         depths = [p["max_depth"] for p in drawn]
         trees = functools.cache(lambda: train_dt_depths(fit, depths))
-        return lambda i, seed: (trees()[i], None)
+        return lambda i, seed: (trees()[i].predict_batch(Q), None)
+    if kind is ModelKind.KNN:
+        return _knn_predictor(fit, Q, drawn)
     if kind is ModelKind.MLP:
-        return lambda i, seed: fit_early_stopped(
-            fit, drawn[i]["hidden_layers"], drawn[i]["activation"], mlp_cfg, seed
-        )
-    return lambda i, seed: (_train(kind, fit, drawn[i], seed), None)
+        def predict(i, seed):
+            model, best_epoch = fit_early_stopped(
+                fit, drawn[i]["hidden_layers"], drawn[i]["activation"], mlp_cfg, seed
+            )
+            return model.predict_batch(Q), best_epoch
+        return predict
+    return lambda i, seed: (_train(kind, fit, drawn[i], seed).predict_batch(Q), None)
+
+
+def _knn_predictor(fit, Q, drawn):
+    """One ranking of Q per distance, at the largest k drawn for it that fit
+    can hold; a candidate predicts the mean label of its first k columns,
+    which is what train_knn(fit, k, distance) predicts.  A failed ranking
+    is retried, and fails, per draw."""
+    @functools.cache
+    def ranking(distance):
+        k = max(p["k"] for p in drawn if p["distance"] == distance and p["k"] <= len(fit))
+        model = train_knn(fit, k, distance)
+        return model.y, model.neighbours(Q)
+
+    def predict(i, seed):
+        k, distance = drawn[i]["k"], drawn[i]["distance"]
+        check_knn(len(fit), k, distance)
+        y, ranked = ranking(distance)
+        return y[ranked[:, :k]].mean(axis=1), None
+
+    return predict
 
 
 def _train(kind, train, params, seed):
@@ -139,8 +172,7 @@ def check_search(budget: int, seed: int, val_fraction: float) -> None:
     """ConfigError unless random_search can use this budget, seed and val_fraction."""
     if not 1 <= budget <= MAX_BUDGET:
         raise ConfigError(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must lie strictly between 0 and 1")
 
@@ -172,12 +204,11 @@ def random_search(
 
     fit, holdout = chronological_split(train, 1.0 - val_fraction)
 
-    train_candidate = _candidate_trainer(kind, fit, drawn, mlp_cfg)
+    predict_candidate = _candidate_predictor(kind, fit, holdout, drawn, mlp_cfg)
     candidates: list[Candidate] = []
     for i, params in enumerate(drawn):
         try:
-            model, best_epoch = train_candidate(i, seeds[i])
-            preds = model.predict_batch(holdout.features)
+            preds, best_epoch = predict_candidate(i, seeds[i])
             score = mape(preds, holdout.labels)
             if not np.isfinite(score):
                 raise HrvError(f"validation MAPE is {score}")

@@ -32,6 +32,15 @@ _NOISE_STREAM = 1
 _ARTIFACT_STREAM = 2
 
 
+def check_seed(seed) -> None:
+    """ConfigError unless seed is an integer >= 0, as numpy's SeedSequence
+    needs."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     duration_s: float
@@ -69,8 +78,7 @@ class SynthConfig:
             raise ConfigError("artifact_rate_per_min must be >= 0")
         if self.additive_noise_sigma < 0:
             raise ConfigError("additive_noise_sigma must be >= 0")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,11 @@ class TestInjectRrError:
         rr = default_base_trace()
         assert len(inject_rr_error(rr, 4.0, rng_seed=9)) == len(rr)
 
+    def test_negative_seed_is_config_error(self):
+        # numpy's default_rng would raise a bare ValueError for it
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            inject_rr_error(RrSeries(np.full(10, 800.0)), 1.0, rng_seed=-1)
+
 
 class TestWindowSlices:
     def test_covers_consecutive_indices(self):
@@ -139,6 +144,11 @@ class TestAmplificationTable:
         assert [r.rr_mape_pct for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert all(r.trials == 200 for r in rows)
         assert all(r.seed == 7 for r in rows)
+
+    def test_negative_seed_is_config_error(self):
+        # numpy's SeedSequence would raise a bare ValueError for it
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            amplification_table(default_base_trace(), trials=1, rng_seed=-1)
 
     def test_reproducible(self):
         base = default_base_trace()

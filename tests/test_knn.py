@@ -83,21 +83,25 @@ class TestKnnErrors:
             model.predict([1.0, 2.0, 3.0])
 
 
-def oracle_predict(model, Q):
+def oracle_neighbours(model, Q):
     """The full scan the filtered search must reproduce: the exact distance
     to every stored row, then a stable sort, per query."""
     Q = np.asarray(Q, dtype=np.float64)
     q = (Q - model.mu) / model.sigma
-    out = np.empty(Q.shape[0], dtype=np.float64)
+    out = np.empty((Q.shape[0], model.k), dtype=np.intp)
     for r in range(q.shape[0]):
         diff = model.X - q[r]
         if model.distance == "manhattan":
             d = np.abs(diff).sum(axis=1)
         else:
             d = np.sqrt((diff * diff).sum(axis=1))
-        near = np.argsort(d, kind="stable")[: model.k]
-        out[r] = float(np.mean(model.y[near]))
+        out[r] = np.argsort(d, kind="stable")[: model.k]
     return out
+
+
+def oracle_predict(model, Q):
+    """The full scan's prediction: np.mean of each query's k labels."""
+    return np.array([float(np.mean(model.y[near])) for near in oracle_neighbours(model, Q)])
 
 
 def _messages(run):
@@ -286,6 +290,21 @@ class TestSearchMatchesFullScan:
             tracemalloc.stop()
         assert peak < X.size * 8
 
+    def test_euclidean_batch_memory_below_two_and_a_quarter_float64_matrices(self):
+        # the bounds of one query block are three (block, m) float64 arrays,
+        # 1.5 times an (m, d) one; two blocks' alive at once would pass 2.25
+        rng = np.random.default_rng(11)
+        X = _walks(rng, 1000, 301)
+        model = train_knn(make_ds(X, rng.uniform(size=1000)), 27, EUCLIDEAN)
+        Q = _walks(rng, 300, 301)
+        tracemalloc.start()
+        try:
+            model.predict_batch(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * X.size * 8
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_property(self, data):
@@ -307,3 +326,55 @@ class TestSearchMatchesFullScan:
         with np.errstate(over="ignore"):
             Q = np.vstack([X[:2], Q]) * scale
         assert_same_as_oracle(model, Q)
+
+
+class TestOneRankingServesEveryK:
+    """neighbours() ranks each query's k nearest rows; the search scores
+    every smaller k from the first columns of one ranking."""
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    @pytest.mark.parametrize("name", ["integer_ties", "overflowing_bounds", "non_finite_queries"])
+    def test_first_columns_are_the_smaller_k_ranking(self, name, distance):
+        rng = np.random.default_rng(12)
+        X, Q = DATASETS[name](rng)
+        ds = make_ds(X, rng.uniform(size=X.shape[0]))
+        top = train_knn(ds, MAX_K, distance)
+        # overflowing queries warn in the full scan too
+        with np.errstate(all="ignore"):
+            ranked = top.neighbours(Q)
+            np.testing.assert_array_equal(ranked, oracle_neighbours(top, Q))
+            for k in range(MIN_K, MAX_K + 1):
+                np.testing.assert_array_equal(
+                    ranked[:, :k], train_knn(ds, k, distance).neighbours(Q), err_msg=f"k={k}"
+                )
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_row_mean_is_the_per_row_mean(self, distance):
+        # labels of mixed magnitudes, so a different summation order would
+        # show in the last bits
+        rng = np.random.default_rng(13)
+        X = _walks(rng, 200, 2 * PAA_WIDTH + 1)
+        y = rng.normal(size=200) * 10.0 ** rng.integers(-3, 6, size=200)
+        Q = _walks(rng, 40, X.shape[1])
+        for k in range(MIN_K, MAX_K + 1):
+            model = train_knn(make_ds(X, y), k, distance)
+            want = np.array([np.mean(model.y[row]) for row in model.neighbours(Q)])
+            assert model.predict_batch(Q).tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-15, 1.0, 1e15, 1e30])
+    def test_batched_manhattan_bound_is_below_every_exact_distance(self, scale):
+        # hand-built rows keep their scale (training would standardise it
+        # away); queries on and next to stored rows have the tightest bounds
+        rng = np.random.default_rng(14)
+        d = 2 * PAA_WIDTH + 3
+        X = (_walks(rng, 80, d) * scale).astype(np.float32)
+        model = KnnRegressor(
+            X, rng.uniform(size=80), np.zeros(d, np.float32), np.ones(d, np.float32),
+            MIN_K, MANHATTAN, d,
+        )
+        near = X[:10].astype(np.float64)
+        Q = np.vstack([near, near * (1 + 1e-7), _walks(rng, 10, d) * scale])
+        lo = model._manhattan_bounds(Q)
+        exact = np.array([model._distances(model.X, q) for q in Q])
+        assert np.isfinite(lo).all()
+        assert (lo <= exact).all()

@@ -11,6 +11,7 @@ from ppghrv.models import search as search_module
 from ppghrv.models import tree as tree_module
 from ppghrv.models.base import ModelKind
 from ppghrv.models.codec import encode
+from ppghrv.models.knn import KnnRegressor, train_knn
 from ppghrv.models.search import random_search, sample_hyperparams
 from ppghrv.models.tree import train_dt
 from helpers import make_ds
@@ -227,6 +228,69 @@ class TestDtSearchFromOneGrow:
         for i, message in enumerate(failed):
             assert message.startswith(f"search candidate {i} (")
             assert "cannot train a tree on an empty dataset" in message
+
+
+class TestKnnSearchFromOneRanking:
+    """A knn search ranks the holdout once per distance and scores each
+    candidate from the first k columns; its results are those of training
+    every candidate alone."""
+
+    # the fit rows hold 16 samples; k = 20 cannot train, and k = 7 repeats
+    DRAWN = [
+        {"k": 7, "distance": "euclidean"},
+        {"k": 3, "distance": "manhattan"},
+        {"k": 20, "distance": "manhattan"},
+        {"k": 16, "distance": "euclidean"},
+        {"k": 7, "distance": "manhattan"},
+        {"k": 7, "distance": "euclidean"},
+        {"k": 2, "distance": "manhattan"},
+    ]
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        draws = iter(self.DRAWN)
+        monkeypatch.setattr(search_module, "sample_hyperparams", lambda kind, rng: next(draws))
+        return self.DRAWN
+
+    @pytest.fixture
+    def small(self, regression_ds):
+        return make_ds(regression_ds.features[:20], regression_ds.labels[:20])
+
+    def test_same_as_training_each_candidate(self, small, drawn):
+        result = random_search(
+            small, ModelKind.KNN,
+            budget=len(drawn), seed=14, val_fraction=0.2, mlp_max_epochs=500
+        )
+        fit, holdout = chronological_split(small, 0.8)
+        expected = [
+            None if p["k"] > len(fit) else mape(
+                train_knn(fit, p["k"], p["distance"]).predict_batch(holdout.features),
+                holdout.labels,
+            )
+            for p in drawn
+        ]
+        assert [c.hyperparams for c in result.candidates] == drawn
+        assert [c.val_mape_pct for c in result.candidates] == expected
+        assert result.candidates[2].error == "k=20 exceeds the 16 training samples"
+        best = result.best.hyperparams
+        winner = train_knn(small, best["k"], best["distance"])
+        assert encode(result.model) == encode(winner)
+
+    def test_one_ranking_per_distance_at_the_largest_trainable_k(
+        self, small, drawn, monkeypatch
+    ):
+        ranked = []
+        real = KnnRegressor.neighbours
+
+        def spy(self, X):
+            ranked.append((self.distance, self.k))
+            return real(self, X)
+
+        monkeypatch.setattr(KnnRegressor, "neighbours", spy)
+        random_search(
+            small, ModelKind.KNN, budget=len(drawn), seed=14, val_fraction=0.2, mlp_max_epochs=500
+        )
+        assert ranked == [("euclidean", 16), ("manhattan", 7)]
 
 
 class TestMlpRetrain:

@@ -291,6 +291,7 @@ _SHARED_BOUNDS = [
     "stride_s must be at least 1 s",
     "max_epochs must be >= 1",
     "repetitions must lie in [",
+    "seed must be >= 0, got ",
 ]
 
 
