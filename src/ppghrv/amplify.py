@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metrics import RrSeries, mape_rows, rmssd, rmssd_rows, sdnn, sdnn_rows
-from .synth import SynthConfig, check_seed, generate_rr_trace
+from .synth import SynthConfig, check_seed, derived_seed, generate_rr_trace
 
 DEFAULT_MAPE_LEVELS_PCT = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_WINDOW_S = 60.0
@@ -157,9 +157,7 @@ def amplification_table(
         for t0 in range(0, trials, chunk):
             m = min(chunk, trials - t0)
             for j in range(m):
-                seed = int(
-                    np.random.SeedSequence((rng_seed, li, t0 + j)).generate_state(1)[0]
-                )
+                seed = derived_seed((rng_seed, li, t0 + j))
                 np.multiply(x, _error_factors(a, seed, x.size), out=pert[j])
             for w, s in enumerate(slices):
                 r_est[:m, w] = rmssd_rows(pert[:m, s])

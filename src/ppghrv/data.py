@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, HrvError
 from .metrics import HrvMetricKind, hrv_rows, rough_hrv
 from .sigproc import SmoothedHrSeries
-from .synth import GroundTruth
+from .synth import GroundTruth, first_non_increasing
 
 CHUNK_BYTES = 256 * 1024  # bytes of windows measured at a time; bounds the temporaries
 
@@ -37,8 +37,9 @@ class Dataset:
             raise ValueError("features must be 2-D; labels and times 1-D")
         if not (X.shape[0] == y.size == t.size):
             raise ValueError("features, labels and times must agree in length")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("window end times must strictly increase")
+        bad = first_non_increasing(t)
+        if bad is not None:
+            raise HrvError(f"window end times must strictly increase, not at {float(t[bad])} s")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "window_end_times_s", t)

@@ -21,8 +21,6 @@ import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import Dataset, build_hrv_dataset, chronological_split, sigproc_estimates
 from .data import check_train_fraction, check_window
 from .errors import ConfigError, HrvError
@@ -34,7 +32,7 @@ from .models.codec import serialized_size
 from .models.mlp import DEFAULT_MAX_EPOCHS, MlpTrainingConfig
 from .models.search import check_search, random_search
 from .sigproc import DEFAULT_Z_SCORE, PpgSignal, SmoothedHrSeries, ppg_to_hr, smooth, zscore_adjust
-from .synth import GroundTruth, activity_preset, generate_rr_trace, render_ppg
+from .synth import GroundTruth, activity_preset, derived_seed, generate_rr_trace, render_ppg
 
 log = logging.getLogger(__name__)
 
@@ -104,7 +102,7 @@ class ResultRow:
 
 def _cell_seed(root_seed: int, *parts) -> int:
     tag = zlib.crc32("|".join(str(p) for p in parts).encode())
-    return int(np.random.SeedSequence((int(root_seed), tag)).generate_state(1)[0])
+    return derived_seed((int(root_seed), tag))
 
 
 def synthesize(

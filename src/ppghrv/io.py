@@ -13,11 +13,13 @@ Formats (headers are exact):
 Floats are written with repr (shortest round-trip), so write->read returns
 the exact in-memory values.  Readers raise HrvError for a malformed or
 non-finite (nan, inf) value, an rr_ms that is not > 0 or that differs from
-its beat-time difference by more than RR_TOLERANCE_MS, and timestamps that
-do not strictly increase, naming the file and line, and for a PPG file
-whose inferred sampling rate is off the declared one by more than 1%; a
-declared rate that is not > 0 is a ConfigError.  A line csv rejects (such as a field
-longer than csv's field limit) is an HrvError naming the line.
+its beat-time difference by more than RR_TOLERANCE_MS, timestamps that do
+not strictly increase, and a PPG interval more than 1% off 1 / the declared
+rate (a gap, or samples closer than the rate allows), naming the file and
+line, and for a PPG file whose rate inferred from the median interval is off
+the declared one by more than 1%; a declared rate that is not > 0 is a
+ConfigError.  A line csv rejects (such as a field longer than csv's field
+limit) is an HrvError naming the line.
 
 The dataset writer sorts each block of rows by value and formats each run
 of equal bits once, so a value that recurs across rows is formatted about
@@ -34,18 +36,19 @@ a partial file.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 import operator
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, HrvError
-from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, SmoothedHrSeries
-from .synth import GroundTruth
+from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, SmoothedHrSeries, check_rate
+from .synth import GroundTruth, first_non_increasing
 
 PPG_HEADER = ["time_s", "value"]
 RR_HEADER = ["beat_time_s", "rr_ms"]
@@ -63,7 +66,7 @@ RESULTS_HEADER = [
 TRACE_HEADER = ["window_end_s", "truth_ms", "sigproc_ms", "model_ms"]
 AMPLIFICATION_HEADER = ["rr_mape", "rmssd_mape", "sdnn_mape", "trials", "seed"]
 
-RATE_TOLERANCE = 0.01  # inferred vs declared sampling rate
+RATE_TOLERANCE = 0.01  # inferred vs declared sampling rate, and each interval vs 1 / rate
 # rr_ms vs 1000 x its beat-time difference; the labels use only the beat
 # times, and a file written here holds exactly that product
 RR_TOLERANCE_MS = 1e-3
@@ -102,6 +105,18 @@ def _write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
     with opened(path, "w") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(line + "\r\n" for line in lines)
+
+
+def _field(value) -> str:
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def _write_records(path, header: Sequence[str], records: Iterable[Sequence]) -> None:
+    """Write one line per record, a field per value: None is left empty, a
+    float (numpy's too) is written by _fmt and anything else by str."""
+    _write_csv(path, header, (",".join(map(_field, r)) for r in records))
 
 
 def _rows(path, expected_header: Sequence[str]):
@@ -143,14 +158,19 @@ def _parse_float(path, lineno: int, text: str, column: str) -> float:
     return v
 
 
+def _fail_at(path, header: Sequence[str], row: int, message: str) -> NoReturn:
+    """HrvError naming the line data row `row` ends on, read back from _rows
+    (which skips blank lines) on this error path rather than kept for every row."""
+    lineno, _ = next(itertools.islice(_rows(path, header), row, None))
+    raise HrvError(f"{path}:{lineno}: {message}")
+
+
 def _check_increasing(path, header: Sequence[str], t: np.ndarray) -> None:
     """t holds one time per data row (column header[0]); name the line of the
-    first that does not increase.  _rows skips blank lines, so the line number
-    is read back from it on this error path rather than kept for every row."""
-    bad = np.flatnonzero(np.diff(t) <= 0)
-    if bad.size:
-        lineno, _ = next(itertools.islice(_rows(path, header), int(bad[0]) + 1, None))
-        raise HrvError(f"{path}:{lineno}: {header[0]} does not strictly increase")
+    first that does not increase."""
+    bad = first_non_increasing(t)
+    if bad is not None:
+        _fail_at(path, header, bad, f"{header[0]} does not strictly increase")
 
 
 def _table(path, header: Sequence[str]) -> np.ndarray:
@@ -189,27 +209,31 @@ def write_ppg_csv(path, signal: PpgSignal) -> None:
 
 
 def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> PpgSignal:
-    if not declared_rate_hz > 0:
-        raise ConfigError(f"sampling rate must be > 0 Hz, got {declared_rate_hz:g}")
+    check_rate(declared_rate_hz)
     table = _table(path, PPG_HEADER)
     if len(table) < 2:
         raise HrvError(f"{path}: need at least 2 samples, got {len(table)}")
     t = table[:, 0]
-    inferred = 1.0 / float(np.median(np.diff(t)))
+    dt = np.diff(t)
+    inferred = 1.0 / float(np.median(dt))
     if abs(inferred - declared_rate_hz) > RATE_TOLERANCE * declared_rate_hz:
         raise HrvError(
             f"{path}: inferred rate {inferred:.3f} Hz is more than 1% off "
             f"the declared {declared_rate_hz:g} Hz"
         )
+    # each interval's relative distance from 1 / rate, in place in dt
+    dt *= declared_rate_hz
+    dt -= 1.0
+    np.abs(dt, out=dt)
+    gap = int(dt.argmax())
+    if dt[gap] > RATE_TOLERANCE:
+        _fail_at(path, PPG_HEADER, gap + 1, f"interval {float(t[gap + 1] - t[gap])!r} s "
+                 f"is more than 1% off 1/{declared_rate_hz:g} Hz")
     return PpgSignal(declared_rate_hz, table[:, 1].copy(), start_time_s=float(t[0]))
 
 
 def write_rr_csv(path, gt: GroundTruth) -> None:
-    rr = gt.rr.intervals_ms
-    lines = (
-        f"{_fmt(bt)},{_fmt(rr[i - 1]) if i else ''}" for i, bt in enumerate(gt.beat_times_s)
-    )
-    _write_csv(path, RR_HEADER, lines)
+    _write_records(path, RR_HEADER, zip(gt.beat_times_s, [None, *gt.rr.intervals_ms]))
 
 
 def read_rr_csv(path) -> GroundTruth:
@@ -294,20 +318,7 @@ def read_dataset_csv(path) -> Dataset:
 
 
 def write_results_csv(path, rows: Iterable) -> None:
-    lines = (
-        ",".join([
-            r.activity,
-            r.metric,
-            str(r.n_s),
-            r.model,
-            _fmt(r.mape_pct),
-            _fmt(r.sigproc_mape_pct),
-            str(r.model_bytes),
-            "" if r.latency_us_mean is None else _fmt(r.latency_us_mean),
-        ])
-        for r in rows
-    )
-    _write_csv(path, RESULTS_HEADER, lines)
+    _write_records(path, RESULTS_HEADER, map(dataclasses.astuple, rows))
 
 
 def write_trace_csv(path, window_end_s, truth_ms, sigproc_ms, model_ms) -> None:
@@ -316,14 +327,4 @@ def write_trace_csv(path, window_end_s, truth_ms, sigproc_ms, model_ms) -> None:
 
 
 def write_amplification_csv(path, rows: Iterable) -> None:
-    lines = (
-        ",".join([
-            _fmt(r.rr_mape_pct),
-            _fmt(r.rmssd_mape_pct),
-            _fmt(r.sdnn_mape_pct),
-            str(r.trials),
-            str(r.seed),
-        ])
-        for r in rows
-    )
-    _write_csv(path, AMPLIFICATION_HEADER, lines)
+    _write_records(path, AMPLIFICATION_HEADER, map(dataclasses.astuple, rows))

@@ -36,7 +36,7 @@ def check_repetitions(repetitions: int) -> None:
 def bench_inference(
     model: TrainedModel,
     probe_inputs,
-    repetitions: int = 1000,
+    repetitions: int,
 ) -> LatencyStats:
     """Time `repetitions` single predict calls, cycling over the probes.
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, HrvError
+from ..synth import derived_rng
 from .base import ModelKind, TrainedModel
-from .tree import MAX_TREE_DEPTH, TreeNodes, _as_lists, _grow, _walk
+from .tree import TreeNodes, _as_lists, _grow, _walk, check_depth
 
 MIN_TREES = 2
 MAX_TREES = 128
@@ -38,8 +39,7 @@ def train_rf(
     derived seed."""
     if not MIN_TREES <= int(trees) <= MAX_TREES:
         raise ConfigError(f"trees must be in [{MIN_TREES}, {MAX_TREES}], got {trees}")
-    if not 1 <= int(max_depth) <= MAX_TREE_DEPTH:
-        raise ConfigError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {max_depth}")
+    check_depth(max_depth)
     if len(train) == 0:
         raise HrvError("cannot train a forest on an empty dataset")
     X = train.features
@@ -47,7 +47,7 @@ def train_rf(
     m = y.size
     grown = []
     for t in range(int(trees)):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), t)))
+        rng = derived_rng((int(seed), t))
         idx = rng.integers(0, m, size=m)
         grown.append(_grow(X[idx], y[idx], int(max_depth))[0])
     return RandomForest(tuple(grown), train.n_features)

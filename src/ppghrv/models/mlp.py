@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, HrvError
+from ..synth import derived_rng
 from .base import ModelKind, TrainedModel
 from .knn import standardize_stats
 
@@ -219,7 +220,7 @@ def _prepare(train, hidden_layers, activation: str, seed: int):
     Xs = (X64 - x_mu) / x_sigma
     ys = (y64 - y_mu) / y_sigma
 
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
+    rng = derived_rng((int(seed), 0))
     layer_sizes = (X64.shape[1],) + hidden + (1,)
     params = init_params(layer_sizes, rng)
 

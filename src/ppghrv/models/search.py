@@ -33,7 +33,7 @@ import numpy as np
 from ..data import Dataset, chronological_split
 from ..errors import ConfigError, HrvError
 from ..metrics import mape
-from ..synth import check_seed
+from ..synth import check_seed, derived_rng, derived_seed
 from .base import ModelKind, TrainedModel
 from .forest import MAX_TREES, MIN_TREES, train_rf
 from .knn import DISTANCES, MAX_K, MIN_K, check_knn, train_knn
@@ -195,12 +195,9 @@ def random_search(
     check_search(budget, seed, val_fraction)
     mlp_cfg = MlpTrainingConfig(max_epochs=mlp_max_epochs)
 
-    sampler = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
+    sampler = derived_rng((int(seed), 0))
     drawn = [sample_hyperparams(kind, sampler) for _ in range(budget)]
-    seeds = [
-        int(np.random.SeedSequence((int(seed), 1 + i)).generate_state(1)[0])
-        for i in range(budget)
-    ]
+    seeds = [derived_seed((int(seed), 1 + i)) for i in range(budget)]
 
     fit, holdout = chronological_split(train, 1.0 - val_fraction)
 

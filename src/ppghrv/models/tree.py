@@ -236,6 +236,12 @@ def _truncate(
     )
 
 
+def check_depth(max_depth: int) -> None:
+    """ConfigError unless a tree may be grown to max_depth."""
+    if not 1 <= int(max_depth) <= MAX_TREE_DEPTH:
+        raise ConfigError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {max_depth}")
+
+
 def train_dt_depths(train, depths) -> list[DecisionTree]:
     """The greedy CART regressor at each max_depth in depths, from one grow.
 
@@ -249,8 +255,7 @@ def train_dt_depths(train, depths) -> list[DecisionTree]:
     if not depths:
         raise ConfigError("no max_depth to train a tree at")
     for d in depths:
-        if not 1 <= d <= MAX_TREE_DEPTH:
-            raise ConfigError(f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {d}")
+        check_depth(d)
     if len(train) == 0:
         raise HrvError("cannot train a tree on an empty dataset")
     deepest = max(depths)

@@ -64,6 +64,12 @@ DEFAULT_Z_SCORE = 3.0
 _BLOCK_SAMPLES = 16384
 
 
+def check_rate(sampling_rate_hz: float) -> None:
+    """ConfigError unless sampling_rate_hz is > 0 Hz; nan is not."""
+    if not sampling_rate_hz > 0:
+        raise ConfigError(f"sampling rate must be > 0 Hz, got {sampling_rate_hz:g}")
+
+
 @dataclass(frozen=True)
 class PpgSignal:
     """Uniformly sampled PPG samples with a start offset in seconds."""
@@ -73,8 +79,7 @@ class PpgSignal:
     start_time_s: float = 0.0
 
     def __post_init__(self):
-        if self.sampling_rate_hz <= 0:
-            raise ValueError("sampling_rate_hz must be positive")
+        check_rate(self.sampling_rate_hz)
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")

@@ -12,9 +12,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, HrvError
 from .metrics import MS_PER_MINUTE, RrSeries
-from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, moving_average
+from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, check_rate, moving_average
 
 RR_CLAMP_MS = (250.0, 2000.0)        # physiological interval bounds
 PULSE_RISE_FRACTION = 0.3            # systolic upstroke share of the period
@@ -41,6 +41,23 @@ def check_seed(seed) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
+def derived_rng(entropy: tuple) -> np.random.Generator:
+    """A generator seeded by SeedSequence(entropy), one entropy tuple per stream."""
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def derived_seed(entropy: tuple) -> int:
+    """The 32-bit seed SeedSequence(entropy) derives first."""
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+def first_non_increasing(t: np.ndarray) -> int | None:
+    """The index of the first time in t that does not exceed the one before it
+    (a nan exceeds nothing), or None if t strictly increases."""
+    ok = np.diff(t) > 0
+    return None if ok.all() else int(ok.argmin()) + 1
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     duration_s: float
@@ -60,8 +77,7 @@ class SynthConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if not 0 < self.duration_s <= MAX_DURATION_S:
             raise ConfigError(f"duration_s must lie in (0, {MAX_DURATION_S:g}] s")
-        if self.sampling_rate_hz <= 0:
-            raise ConfigError("sampling_rate_hz must be positive")
+        check_rate(self.sampling_rate_hz)
         if not 30.0 < self.base_hr_bpm < 200.0:
             raise ConfigError("base_hr_bpm must lie in (30, 200)")
         if self.hr_drift_amplitude_bpm < 0:
@@ -91,18 +107,15 @@ class GroundTruth:
         bt = np.asarray(self.beat_times_s, dtype=np.float64)
         if bt.ndim != 1 or bt.size < 2:
             raise ValueError("need at least two beat times")
-        if not np.all(np.diff(bt) > 0):
-            raise ValueError("beat times must strictly increase")
+        bad = first_non_increasing(bt)
+        if bad is not None:
+            raise HrvError(f"beat times must strictly increase, not at {float(bt[bad])} s")
         object.__setattr__(self, "beat_times_s", bt)
 
     @property
     def rr(self) -> RrSeries:
         """The intervals between consecutive beats, diff(beat_times_s) * 1000 ms."""
         return RrSeries(np.diff(self.beat_times_s) * 1000.0)
-
-
-def _rng(cfg: SynthConfig, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((cfg.seed, stream)))
 
 
 def generate_rr_trace(cfg: SynthConfig) -> GroundTruth:
@@ -112,7 +125,7 @@ def generate_rr_trace(cfg: SynthConfig) -> GroundTruth:
     clamped to physiological bounds.  Only the beat times are kept; gt.rr
     derives the intervals from them.
     """
-    rng = _rng(cfg, _RR_STREAM)
+    rng = derived_rng((cfg.seed, _RR_STREAM))
     two_pi = 2.0 * np.pi
     beats = [0.0]
     t = 0.0
@@ -170,7 +183,7 @@ def render_ppg(gt: GroundTruth, cfg: SynthConfig) -> PpgSignal:
             continue
         signal[j0 : j1 + 1] += _pulse_curve(t[j0 : j1 + 1], b, rise_s, decay_s)
     if cfg.additive_noise_sigma > 0:
-        signal = signal + _rng(cfg, _NOISE_STREAM).normal(
+        signal = signal + derived_rng((cfg.seed, _NOISE_STREAM)).normal(
             0.0, cfg.additive_noise_sigma, n
         )
     out = PpgSignal(fs, signal)
@@ -208,7 +221,7 @@ def inject_motion_artifacts(signal: PpgSignal, cfg: SynthConfig) -> PpgSignal:
     """
     if cfg.artifact_rate_per_min == 0:
         return signal
-    rng = _rng(cfg, _ARTIFACT_STREAM)
+    rng = derived_rng((cfg.seed, _ARTIFACT_STREAM))
     fs = signal.sampling_rate_hz
     x = signal.samples.copy()
     n = x.size

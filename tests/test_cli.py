@@ -289,6 +289,40 @@ class TestExitCodes:
         assert code == 2
         assert ":101: non-finite value" in capsys.readouterr().err
 
+    def test_times_past_float_resolution_are_data_error(self, tmp_path, capsys):
+        # past 2**53 s a whole second is below the spacing of the times, so
+        # consecutive window end times round to one value
+        times = [repr(float(2**54 + 4 * k)) for k in range(400)]
+        (tmp_path / "ppg.csv").write_text(
+            "time_s,value\n" + "".join(f"{t},{k % 2}.0\n" for k, t in enumerate(times))
+        )
+        (tmp_path / "rr.csv").write_text(
+            "beat_time_s,rr_ms\n" + f"{times[0]},\n" + "".join(f"{t},4000.0\n" for t in times[1:])
+        )
+        code = main([
+            "process", "--ppg", str(tmp_path / "ppg.csv"), "--sampling-rate-hz", "0.25",
+            "--rr", str(tmp_path / "rr.csv"), "--n-s", "40",
+            "--out-hr", str(tmp_path / "hr.csv"), "--out-dataset", str(tmp_path / "ds.csv"),
+        ])
+        assert code == 2
+        assert "not at 1.801439850948203e+16 s" in capsys.readouterr().err
+        assert not (tmp_path / "hr.csv").exists()
+        assert not (tmp_path / "ds.csv").exists()
+
+    def test_gap_in_ppg_time_is_data_error(self, tmp_path, workdir, capsys):
+        # drop 30 s of samples; the rows after the gap keep their own times
+        lines = (workdir / "ppg.csv").read_text().splitlines()
+        gapped = tmp_path / "ppg.csv"
+        gapped.write_text("\n".join(lines[:751] + lines[1501:]) + "\n")
+        code = main([
+            "process", "--ppg", str(gapped), "--rr", str(workdir / "rr.csv"), "--n-s", "30",
+            "--out-hr", str(tmp_path / "hr.csv"), "--out-dataset", str(tmp_path / "ds.csv"),
+        ])
+        assert code == 2
+        assert "ppg.csv:752: interval" in capsys.readouterr().err
+        assert not (tmp_path / "hr.csv").exists()
+        assert not (tmp_path / "ds.csv").exists()
+
     def test_dataset_flag_needs_rr(self, workdir, tmp_path, capsys):
         code = main([
             "process", "--ppg", str(workdir / "ppg.csv"),

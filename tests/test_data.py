@@ -220,12 +220,18 @@ class TestBuildHrvDataset:
 
 class TestDatasetValidation:
     def test_times_must_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HrvError):
             Dataset(
                 np.zeros((3, 2)),
                 np.zeros(3),
                 np.array([1.0, 1.0, 2.0]),
             )
+
+    def test_non_increasing_time_is_named(self):
+        with pytest.raises(HrvError, match=r"not at 1\.0 s"):
+            Dataset(np.zeros((3, 2)), np.zeros(3), np.array([1.0, 1.0, 2.0]))
+        with pytest.raises(HrvError, match=r"not at nan s"):
+            Dataset(np.zeros((3, 2)), np.zeros(3), np.array([1.0, 2.0, np.nan]))
 
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError):

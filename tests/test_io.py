@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import math
 import re
@@ -29,7 +30,7 @@ from ppghrv.io import (
 )
 from ppghrv.metrics import HrvMetricKind
 from ppghrv.sigproc import PpgSignal, SmoothedHrSeries, ppg_to_hr, smooth, zscore_adjust
-from ppghrv.synth import SynthConfig, generate_rr_trace, render_ppg
+from ppghrv.synth import GroundTruth, SynthConfig, generate_rr_trace, render_ppg
 
 
 @pytest.fixture(scope="module")
@@ -566,3 +567,32 @@ def test_every_writer_writes_what_csv_writer_would(tmp_path, trace):
             rows = list(csv.reader(fh))
         assert len(rows) > 1, name
         assert path.read_bytes() == csv_writer_bytes(rows), name
+
+
+def test_record_writers_bytes_are_pinned(tmp_path):
+    # None, numpy floats, signed zeros, a subnormal and ints in fixed rows; a
+    # float32 prints its float64 value, which str would not
+    results = [
+        ResultRow("office_work", "rmssd", 60, "dt", np.float64(12.5), -0.0, 1234, None),
+        ResultRow("sit", "sdnn", 300, "knn", 1e-320, np.float64(98.25), 1_450_000,
+                  np.float32(0.1)),
+    ]
+    amplification = [
+        AmplificationRow(0.0, -0.0, 1e-320, 10, 3),
+        AmplificationRow(np.float64(1.0), np.float64(9.5), 4.25, 250, 777),
+    ]
+    gt = GroundTruth(np.array([-0.0, 1e-320, 0.8125, 1.6]))
+    writers = {
+        "results": lambda p: write_results_csv(p, results),
+        "amplification": lambda p: write_amplification_csv(p, amplification),
+        "rr": lambda p: write_rr_csv(p, gt),
+    }
+    found = {}
+    for name, write in writers.items():
+        write(tmp_path / name)
+        found[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert found == {
+        "results": "f17b04ae3dcab9024854412adc40ed648721f69da2a748111280fc9b4f91e94d",
+        "amplification": "90a136d23f2e1e96773735b79c20bec546b38209185d840300196797c8fe387c",
+        "rr": "04a4d60679f4950e27c0844650391eb3d36581cb154e8002a4753de47b7024fc",
+    }

@@ -24,9 +24,30 @@ from ppghrv.sigproc import (
     smooth,
     zscore_adjust,
 )
-from ppghrv.synth import ACTIVITY_PRESETS, activity_preset, generate_rr_trace, render_ppg
+from ppghrv.io import read_ppg_csv
+from ppghrv.synth import (
+    ACTIVITY_PRESETS,
+    SynthConfig,
+    activity_preset,
+    generate_rr_trace,
+    render_ppg,
+)
 
 FS = 25.0
+
+
+@pytest.mark.parametrize("rate", [0.0, -25.0, float("nan")])
+def test_every_rate_check_rejects_the_same_way(tmp_path, rate):
+    # the PPG reader checks the declared rate before it opens the file
+    makers = [
+        lambda: PpgSignal(rate, np.zeros(3)),
+        lambda: read_ppg_csv(tmp_path / "absent.csv", declared_rate_hz=rate),
+    ]
+    if not np.isnan(rate):  # SynthConfig rejects a nan setting as not finite
+        makers.append(lambda: SynthConfig(duration_s=10.0, sampling_rate_hz=rate))
+    for make in makers:
+        with pytest.raises(ConfigError, match=f"sampling rate must be > 0 Hz, got {rate:g}"):
+            make()
 
 
 def sine_signal(freq_hz, duration_s, fs=FS, amplitude=1.0, offset=0.0):

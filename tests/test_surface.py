@@ -33,7 +33,7 @@ import ppghrv.metrics
 import ppghrv.models
 from ppghrv.models.base import TrainedModel
 
-MAX_SETTABLE_VALUES = 81
+MAX_SETTABLE_VALUES = 80
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -301,3 +301,105 @@ def test_each_shared_bound_is_stated_once():
     assert {bound: text.count(bound) for bound in _SHARED_BOUNDS} == dict.fromkeys(
         _SHARED_BOUNDS, 1
     )
+
+
+# rules that several modules apply, each stated by one function whose
+# message appears once in the package
+_SINGLE_RULE_MESSAGES = [
+    "sampling rate must be > 0 Hz, got ",
+    "max_depth must be in [1, ",
+]
+
+
+def test_each_single_rule_message_is_stated_once():
+    src = Path(ppghrv.__file__).parent
+    text = "".join(p.read_text() for p in sorted(src.rglob("*.py")))
+    assert {m: text.count(m) for m in _SINGLE_RULE_MESSAGES} == dict.fromkeys(
+        _SINGLE_RULE_MESSAGES, 1
+    )
+
+
+# numpy's seed derivation, called by name or as a method of numpy.random
+_SEEDING = {"SeedSequence"}
+
+
+def test_finder_sees_each_seed_sequence():
+    source = '''
+def derived_seed(entropy):
+    return np.random.SeedSequence(entropy).generate_state(1)[0]
+
+def f(seed):
+    SeedSequence(seed), numpy.random.SeedSequence((seed, 1)), np.random.default_rng(seed)
+'''
+    assert len(calls_outside(source, None, _SEEDING, _SEEDING)) == 3
+    assert len(calls_outside(source, "derived_seed", _SEEDING, _SEEDING)) == 2
+
+
+def test_only_the_synth_helpers_derive_seeds():
+    src = Path(ppghrv.__file__).parent
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        if path.name != "synth.py":
+            calls = calls_outside(path.read_text(), None, _SEEDING, _SEEDING)
+            if calls:
+                found[path.relative_to(src).as_posix()] = calls
+    assert found == {}
+    # one call in each helper: leaving either out leaves exactly one
+    synth = (src / "synth.py").read_text()
+    assert len(calls_outside(synth, None, _SEEDING, _SEEDING)) == 2
+    for helper in ("derived_rng", "derived_seed"):
+        assert len(calls_outside(synth, helper, _SEEDING, _SEEDING)) == 1
+
+
+def _is_zero(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and not isinstance(node.value, bool) and (
+        node.value == 0
+    )
+
+
+def _is_diff(node: ast.expr) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "diff") or (
+        isinstance(func, ast.Attribute) and func.attr == "diff"
+    )
+
+
+def diff_sign_tests(source: str, allowed: str | None) -> list[str]:
+    """The comparisons in source of a diff(...) call with 0, outside the
+    function `allowed`."""
+    tree = ast.parse(source)
+    exempt = _nodes_inside(tree, allowed)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in exempt:
+            sides = [node.left, *node.comparators]
+            if any(map(_is_diff, sides)) and any(map(_is_zero, sides)):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_finder_sees_each_diff_sign_test():
+    source = '''
+def first_non_increasing(t):
+    return np.diff(t) > 0
+
+def f(t, x):
+    np.diff(t) <= 0, 0 < numpy.diff(t), diff(t, axis=-1) != 0.0, not all(np.diff(t) > 0)
+    np.diff(t) > 1, x > 0, np.diff(t) * 0 > 0, t.diff > 0
+'''
+    assert len(diff_sign_tests(source, None)) == 5
+    assert len(diff_sign_tests(source, "first_non_increasing")) == 4
+
+
+def test_only_first_non_increasing_tests_time_order():
+    src = Path(ppghrv.__file__).parent
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        name = path.relative_to(src).as_posix()
+        calls = diff_sign_tests(
+            path.read_text(), "first_non_increasing" if name == "synth.py" else None
+        )
+        if calls:
+            found[name] = calls
+    assert found == {}
+    assert len(diff_sign_tests((src / "synth.py").read_text(), None)) == 1

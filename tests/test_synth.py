@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ppghrv.errors import ConfigError
+from ppghrv.errors import ConfigError, HrvError
 from ppghrv.metrics import HrvMetricKind, RrSeries, mape, rmssd, sdnn, rough_hrv
 from ppghrv.sigproc import ppg_to_hr, smooth, zscore_adjust
 from ppghrv.synth import (
@@ -16,10 +16,31 @@ from ppghrv.synth import (
     generate_rr_trace,
     inject_motion_artifacts,
     render_ppg,
+    derived_rng,
+    first_non_increasing,
     sample_artifact_epochs,
-    _rng,
     _ARTIFACT_STREAM,
 )
+
+
+class TestTimeOrder:
+    @pytest.mark.parametrize("t, index", [
+        ([0.0, 1.0, 1.0, 2.0], 2),
+        ([0.0, 1.0, 2.0, 1.5, 3.0], 3),
+        ([0.0, 1.0, float("nan"), 3.0], 2),
+        ([float("nan"), 1.0, 2.0], 1),
+        ([0.0, 1.0, 2.0], None),
+        ([5.0], None),
+        ([], None),
+    ], ids=["repeat", "decrease", "nan", "leading_nan", "increasing", "one", "empty"])
+    def test_first_non_increasing(self, t, index):
+        assert first_non_increasing(np.array(t, dtype=np.float64)) == index
+
+    def test_ground_truth_names_the_time(self):
+        with pytest.raises(HrvError, match=r"not at 0\.5 s"):
+            GroundTruth(np.array([0.0, 1.0, 0.5]))
+        with pytest.raises(HrvError, match=r"not at nan s"):
+            GroundTruth(np.array([0.0, np.nan]))
 
 
 class TestGenerateRrTrace:
@@ -152,7 +173,7 @@ class TestMotionArtifacts:
     def test_epoch_count_follows_the_rate(self):
         # rate 6/min over 10 minutes: expect 60 epochs within 3 sigma
         cfg = SynthConfig(duration_s=600.0, artifact_rate_per_min=6.0, seed=12)
-        epochs = sample_artifact_epochs(cfg, _rng(cfg, _ARTIFACT_STREAM))
+        epochs = sample_artifact_epochs(cfg, derived_rng((cfg.seed, _ARTIFACT_STREAM)))
         assert abs(len(epochs) - 60.0) <= 3.0 * np.sqrt(60.0)
         for start, dur in epochs:
             assert 0.0 <= start <= 600.0
