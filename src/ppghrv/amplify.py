@@ -180,6 +180,6 @@ def amplification_table(
     return rows
 
 
-def default_base_trace(seed: int = 0) -> RrSeries:
+def default_base_trace(seed: int) -> RrSeries:
     """The documented synthetic base series for amplification runs."""
     return generate_rr_trace(replace(BASE_TRACE_CONFIG, seed=seed)).rr

@@ -52,20 +52,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _metric(text: str) -> HrvMetricKind:
-    try:
-        return HrvMetricKind(text.lower())
-    except ValueError:
-        raise ConfigError(f"unknown metric {text!r}; choose rmssd or sdnn") from None
+def _member(enum, label: str):
+    """Converter to the member of enum whose value is the text, in any case;
+    the error lists the enum's values."""
+    def convert(text: str):
+        try:
+            return enum(text.lower())
+        except ValueError:
+            known = ", ".join(member.value for member in enum)
+            raise ConfigError(f"unknown {label} {text!r}; choose one of: {known}") from None
+    return convert
 
 
-def _model_kind(text: str) -> ModelKind:
-    try:
-        return ModelKind(text.lower())
-    except ValueError:
-        raise ConfigError(
-            f"unknown model {text!r}; choose dt, rf, knn or mlp"
-        ) from None
+_metric = _member(HrvMetricKind, "metric")
+_model_kind = _member(ModelKind, "model")
 
 
 def _csv_list(text: str) -> tuple[str, ...]:

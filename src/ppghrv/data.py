@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, HrvError
-from .metrics import HrvMetricKind, hrv_rows, rough_hrv
+from .metrics import HrvMetricKind, checked_array, hrv_rows, rough_hrv
 from .sigproc import SmoothedHrSeries
 from .synth import GroundTruth, first_non_increasing
 
@@ -23,20 +23,24 @@ CHUNK_BYTES = 256 * 1024  # bytes of windows measured at a time; bounds the temp
 
 @dataclass(frozen=True)
 class Dataset:
-    """Time-ordered samples as dense arrays, one row per window."""
+    """Time-ordered samples as dense arrays, one row per window; at least
+    one row, so no trainer checks for an empty dataset."""
 
     features: np.ndarray          # (m, d)
     labels: np.ndarray            # (m,)
     window_end_times_s: np.ndarray  # (m,), strictly increasing
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.float64)
-        t = np.asarray(self.window_end_times_s, dtype=np.float64)
-        if X.ndim != 2 or y.ndim != 1 or t.ndim != 1:
-            raise ValueError("features must be 2-D; labels and times 1-D")
+        X = checked_array(self.features, "features", 2)
+        y = checked_array(self.labels, "labels", 1)
+        t = checked_array(self.window_end_times_s, "window_end_times_s", 1)
         if not (X.shape[0] == y.size == t.size):
-            raise ValueError("features, labels and times must agree in length")
+            raise HrvError(
+                f"features, labels and times must agree in length, "
+                f"got {X.shape[0]}, {y.size} and {t.size}"
+            )
+        if y.size == 0:
+            raise HrvError("a dataset needs at least one sample")
         bad = first_non_increasing(t)
         if bad is not None:
             raise HrvError(f"window end times must strictly increase, not at {float(t[bad])} s")
@@ -122,7 +126,7 @@ def check_train_fraction(train_fraction: float) -> None:
         raise ConfigError("train_fraction must lie strictly between 0 and 1")
 
 
-def chronological_split(d: Dataset, train_fraction: float = 0.8) -> tuple[Dataset, Dataset]:
+def chronological_split(d: Dataset, train_fraction: float) -> tuple[Dataset, Dataset]:
     """First ceil(fraction * m) samples train, the rest test; no shuffling.
 
     Both halves are guaranteed non-empty, nudging the boundary by one

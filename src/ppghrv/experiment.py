@@ -85,7 +85,7 @@ class ExperimentConfig:
             check_repetitions(self.bench_repetitions)
         # and synth's: an unknown name, a duration above synth.MAX_DURATION_S
         for activity in self.activities:
-            activity_preset(activity, duration_s=self.duration_s)
+            activity_preset(activity, duration_s=self.duration_s, seed=self.seed)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,26 @@ class HrvMetricKind(Enum):
     RMSSD = "rmssd"
 
 
+def checked_array(values, name: str, ndim: int) -> np.ndarray:
+    """values as a float64 array of ndim axes; HrvError naming the field
+    `name` otherwise.  Every data type checks its arrays with it, and so
+    does mape."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise HrvError(f"{name} must be numbers: {err}") from None
+    if arr.ndim != ndim:
+        raise HrvError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    return arr
+
+
+def check_positive(values: np.ndarray, name: str) -> None:
+    """HrvError unless every value is > 0 (a nan is not)."""
+    ok = values > 0
+    if not ok.all():
+        raise HrvError(f"{name} must be > 0, not {float(values[~ok][0])}")
+
+
 @dataclass(frozen=True)
 class RrSeries:
     """Consecutive beat-to-beat intervals in milliseconds."""
@@ -35,11 +55,8 @@ class RrSeries:
     intervals_ms: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.intervals_ms, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("intervals_ms must be one-dimensional")
-        if arr.size and not np.all(arr > 0):
-            raise ValueError("RR intervals must be positive")
+        arr = checked_array(self.intervals_ms, "intervals_ms", 1)
+        check_positive(arr, "RR intervals")
         object.__setattr__(self, "intervals_ms", arr)
 
     def __len__(self) -> int:
@@ -89,8 +106,7 @@ def rough_hrv(hr_per_s, kind: HrvMetricKind) -> np.ndarray:
     hr = np.atleast_1d(np.asarray(hr_per_s, dtype=np.float64))
     if hr.shape[-1] < 2:
         raise HrvError(f"rough_hrv needs at least 2 HR values, got {hr.shape[-1]}")
-    if not np.all(hr > 0):
-        raise ValueError("HR values must be positive")
+    check_positive(hr, "HR values")
     return hrv_rows(MS_PER_MINUTE / hr, kind)
 
 
@@ -103,10 +119,8 @@ def mape_rows(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
 
 def mape(estimates, truths) -> float:
     """Mean absolute percentage error of estimates against truths, in percent."""
-    est = np.asarray(estimates, dtype=np.float64)
-    tru = np.asarray(truths, dtype=np.float64)
-    if est.ndim != 1 or tru.ndim != 1:
-        raise HrvError("mape expects two one-dimensional sequences")
+    est = checked_array(estimates, "estimates", 1)
+    tru = checked_array(truths, "truths", 1)
     if est.size != tru.size or est.size == 0:
         raise HrvError(
             f"mape needs equal non-empty lengths, got {est.size} and {tru.size}"

@@ -50,8 +50,8 @@ _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
 
 def _write_varint(buf: bytearray, v: int) -> None:
-    if v < 0:
-        raise ValueError("varints encode non-negative integers only")
+    if v < 0:  # the loop below would never end
+        raise HrvError(f"varints encode non-negative integers only, got {v}")
     while True:
         byte = v & 0x7F
         v >>= 7
@@ -242,7 +242,7 @@ def decode(data: bytes) -> TrainedModel:
         X = _finite(r.f32_array(m * d), "stored row").reshape(m, d)
         y = _finite(r.f64_array(m), "label")
         r.done()
-        return KnnRegressor(X, y, mu, sigma, k, DISTANCES[dist_tag], d)
+        return KnnRegressor(X, y, mu, sigma, k, DISTANCES[dist_tag])
 
     act_tag = r.take(1)[0]
     if act_tag >= len(ACTIVATIONS):
@@ -265,7 +265,7 @@ def decode(data: bytes) -> TrainedModel:
     y_mu = _finite(r.f64(), "label mean")
     y_sigma = _std(r.f64(), "label std")
     r.done()
-    return MlpRegressor(params32, ACTIVATIONS[act_tag], x_mu, x_sigma, y_mu, y_sigma, d)
+    return MlpRegressor(params32, ACTIVATIONS[act_tag], x_mu, x_sigma, y_mu, y_sigma)
 
 
 def serialized_size(model: TrainedModel) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, HrvError
+from ..errors import ConfigError
 from ..synth import derived_rng
 from .base import ModelKind, TrainedModel
 from .tree import TreeNodes, _as_lists, _grow, _walk, check_depth
@@ -33,15 +33,13 @@ def train_rf(
     train,
     trees: int,
     max_depth: int,
-    seed: int = 0,
+    seed: int,
 ) -> RandomForest:
     """Bagging: each tree sees a bootstrap resample drawn from its own
     derived seed."""
     if not MIN_TREES <= int(trees) <= MAX_TREES:
         raise ConfigError(f"trees must be in [{MIN_TREES}, {MAX_TREES}], got {trees}")
     check_depth(max_depth)
-    if len(train) == 0:
-        raise HrvError("cannot train a forest on an empty dataset")
     X = train.features
     y = train.labels
     m = y.size

@@ -130,9 +130,8 @@ class KnnRegressor(TrainedModel):
         sigma: np.ndarray,   # float32
         k: int,
         distance: str,
-        n_features: int,
     ):
-        super().__init__(n_features)
+        super().__init__(X.shape[1])
         self.X = X
         self.y = y
         self.mu = mu
@@ -255,8 +254,6 @@ def check_knn(n_train: int, k: int, distance: str) -> None:
     before any work."""
     if distance not in DISTANCES:
         raise ConfigError(f"distance must be one of {DISTANCES}, got {distance!r}")
-    if n_train == 0:
-        raise HrvError("cannot train KNN on an empty dataset")
     if not MIN_K <= int(k) <= MAX_K:
         raise ConfigError(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
     if int(k) > n_train:
@@ -270,6 +267,4 @@ def train_knn(train, k: int, distance: str) -> KnnRegressor:
     mu32 = mu.astype(np.float32)
     sigma32 = sigma.astype(np.float32)
     Xs = ((X64 - mu32.astype(np.float64)) / sigma32.astype(np.float64)).astype(np.float32)
-    return KnnRegressor(
-        Xs, train.labels.copy(), mu32, sigma32, int(k), distance, train.n_features
-    )
+    return KnnRegressor(Xs, train.labels.copy(), mu32, sigma32, int(k), distance)

@@ -118,9 +118,8 @@ class MlpRegressor(TrainedModel):
         x_sigma: np.ndarray,  # float32
         y_mu: float,
         y_sigma: float,
-        n_features: int,
     ):
-        super().__init__(n_features)
+        super().__init__(params32[0][0].shape[0])
         self.params32 = params32
         self.activation = activation
         self.x_mu = x_mu
@@ -207,8 +206,6 @@ def _prepare(train, hidden_layers, activation: str, seed: int):
         raise ConfigError(f"hidden widths must lie in [1, {MAX_NEURONS_PER_LAYER}]")
     if activation not in ACTIVATIONS:
         raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-    if len(train) == 0:
-        raise HrvError("cannot train an MLP on an empty dataset")
 
     X64 = train.features
     y64 = train.labels
@@ -233,7 +230,6 @@ def _prepare(train, hidden_layers, activation: str, seed: int):
             x_sigma.astype(np.float32),
             y_mu,
             y_sigma,
-            train.n_features,
         )
 
     return Xs, ys, params, rng, finish

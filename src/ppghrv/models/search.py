@@ -173,8 +173,12 @@ def check_search(budget: int, seed: int, val_fraction: float) -> None:
     if not 1 <= budget <= MAX_BUDGET:
         raise ConfigError(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
     check_seed(seed)
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError("val_fraction must lie strictly between 0 and 1")
+    # the split takes 1 - val_fraction, and 1 - 1e-17 == 1.0
+    if not 0.0 < 1.0 - val_fraction < 1.0:
+        raise ConfigError(
+            f"val_fraction must lie strictly between 0 and 1, with 1 - val_fraction < 1, "
+            f"got {val_fraction}"
+        )
 
 
 def random_search(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, HrvError
+from ..errors import ConfigError
 from .base import ModelKind, TrainedModel
 
 MIN_SAMPLES_TO_SPLIT = 2
@@ -256,8 +256,6 @@ def train_dt_depths(train, depths) -> list[DecisionTree]:
         raise ConfigError("no max_depth to train a tree at")
     for d in depths:
         check_depth(d)
-    if len(train) == 0:
-        raise HrvError("cannot train a tree on an empty dataset")
     deepest = max(depths)
     nodes, depth, mean = _grow(train.features, train.labels, deepest)
     cuts = [nodes if d == deepest else _truncate(nodes, depth, mean, d) for d in depths]

@@ -44,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import find_peaks
 
 from .errors import ConfigError, HrvError
-from .metrics import MS_PER_MINUTE
+from .metrics import MS_PER_MINUTE, check_positive, checked_array
 
 DEFAULT_SAMPLING_RATE_HZ = 25.0
 HR_ESTIMATES_PER_S = 4                # one raw HR every 0.25 s
@@ -80,10 +80,7 @@ class PpgSignal:
 
     def __post_init__(self):
         check_rate(self.sampling_rate_hz)
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", checked_array(self.samples, "samples", 1))
 
     @property
     def duration_s(self) -> float:
@@ -98,11 +95,8 @@ class RawHrSeries:
     start_time_s: float = 0.0
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        if arr.size and not np.all(arr > 0):
-            raise ValueError("HR values must be positive")
+        arr = checked_array(self.values, "values", 1)
+        check_positive(arr, "HR values")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -117,10 +111,7 @@ class SmoothedHrSeries:
     start_time_s: float = 0.0
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", checked_array(self.values, "values", 1))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -146,8 +137,6 @@ def detect_peaks(window: PpgSignal) -> np.ndarray:
     lie at least MIN_PEAK_DISTANCE_S apart.  A flat window yields an empty
     array; that is a valid result, not a failure.
     """
-    if window.samples.size == 0:
-        raise HrvError("detect_peaks got an empty window")
     if window.duration_s < 2 * MIN_PEAK_DISTANCE_S:
         raise HrvError(
             f"window of {window.duration_s:.3f}s cannot hold two peaks "
@@ -182,8 +171,6 @@ def ppg_to_hr(signal: PpgSignal) -> RawHrSeries:
     detect_peaks call per window bit for bit.
     """
     x = signal.samples
-    if x.size == 0:
-        raise HrvError("ppg_to_hr got an empty signal")
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise HrvError(f"PPG sample {bad} is {x[bad]!r}")

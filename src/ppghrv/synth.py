@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, HrvError
-from .metrics import MS_PER_MINUTE, RrSeries
+from .metrics import MS_PER_MINUTE, RrSeries, checked_array
 from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, check_rate, moving_average
 
 RR_CLAMP_MS = (250.0, 2000.0)        # physiological interval bounds
@@ -104,9 +104,9 @@ class GroundTruth:
     beat_times_s: np.ndarray
 
     def __post_init__(self):
-        bt = np.asarray(self.beat_times_s, dtype=np.float64)
-        if bt.ndim != 1 or bt.size < 2:
-            raise ValueError("need at least two beat times")
+        bt = checked_array(self.beat_times_s, "beat_times_s", 1)
+        if bt.size < 2:
+            raise HrvError(f"need at least two beat times, got {bt.size}")
         bad = first_non_increasing(bt)
         if bad is not None:
             raise HrvError(f"beat times must strictly increase, not at {float(bt[bad])} s")
@@ -267,7 +267,7 @@ ACTIVITY_PRESETS: dict[str, dict] = {
 }
 
 
-def activity_preset(name: str, duration_s: float, seed: int = 0) -> SynthConfig:
+def activity_preset(name: str, duration_s: float, seed: int) -> SynthConfig:
     """Config for a named activity; see ACTIVITY_PRESETS for the knobs."""
     try:
         params = ACTIVITY_PRESETS[name]

@@ -55,7 +55,7 @@ def rmssd_splits(office_hour):
     splits = {}
     for n in (30, 300):
         ds = build_hrv_dataset(shr, gt, n_s=n, kind=HrvMetricKind.RMSSD)
-        splits[n] = chronological_split(ds)
+        splits[n] = chronological_split(ds, 0.8)
     return splits
 
 

@@ -47,7 +47,7 @@ def oracle_table(base, mape_levels_pct, trials, window_s, rng_seed):
 
 class TestInjectRrError:
     def test_zero_target_is_bit_identical(self):
-        rr = default_base_trace()
+        rr = default_base_trace(0)
         out = inject_rr_error(rr, 0.0, rng_seed=1)
         np.testing.assert_array_equal(out.intervals_ms, rr.intervals_ms)
 
@@ -60,7 +60,7 @@ class TestInjectRrError:
         assert 1.9 <= realized <= 2.1
 
     def test_deterministic_per_seed(self):
-        rr = default_base_trace()
+        rr = default_base_trace(0)
         a = inject_rr_error(rr, 3.0, rng_seed=5)
         b = inject_rr_error(rr, 3.0, rng_seed=5)
         np.testing.assert_array_equal(a.intervals_ms, b.intervals_ms)
@@ -89,7 +89,7 @@ class TestInjectRrError:
             inject_rr_error(RrSeries(np.full(10, 800.0)), target, rng_seed=0)
 
     def test_length_preserved(self):
-        rr = default_base_trace()
+        rr = default_base_trace(0)
         assert len(inject_rr_error(rr, 4.0, rng_seed=9)) == len(rr)
 
     def test_negative_seed_is_config_error(self):
@@ -116,7 +116,7 @@ class TestWindowSlices:
 @pytest.fixture(scope="module")
 def rows():
     return amplification_table(
-        default_base_trace(),
+        default_base_trace(0),
         mape_levels_pct=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
         trials=200,
         rng_seed=7,
@@ -148,10 +148,10 @@ class TestAmplificationTable:
     def test_negative_seed_is_config_error(self):
         # numpy's SeedSequence would raise a bare ValueError for it
         with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
-            amplification_table(default_base_trace(), trials=1, rng_seed=-1)
+            amplification_table(default_base_trace(0), trials=1, rng_seed=-1)
 
     def test_reproducible(self):
-        base = default_base_trace()
+        base = default_base_trace(0)
         a = amplification_table(base, (2.0,), trials=50, rng_seed=11)
         b = amplification_table(base, (2.0,), trials=50, rng_seed=11)
         assert a == b
@@ -163,14 +163,14 @@ class TestAmplificationTable:
 
     def test_bad_trials(self):
         with pytest.raises(ConfigError):
-            amplification_table(default_base_trace(), (1.0,), trials=0)
+            amplification_table(default_base_trace(0), (1.0,), trials=0)
 
     @pytest.mark.parametrize("level", [float("nan"), 50.0])
     def test_bad_last_level_fails_before_any_trial(self, monkeypatch, level):
         drawn = []
         monkeypatch.setattr(amplify, "_error_factors", lambda *a: drawn.append(a))
         with pytest.raises(ConfigError, match="target"):
-            amplification_table(default_base_trace(), (1.0, 2.0, level), trials=3)
+            amplification_table(default_base_trace(0), (1.0, 2.0, level), trials=3)
         assert drawn == []
 
 

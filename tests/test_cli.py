@@ -10,6 +10,7 @@ import ppghrv.experiment
 from ppghrv.cli import main, read_config_file
 from ppghrv.errors import HrvError
 from ppghrv.io import read_dataset_csv, read_ppg_csv, read_rr_csv
+from ppghrv.metrics import HrvMetricKind
 from ppghrv.models.base import ModelKind
 from ppghrv.models.codec import MAGIC, load_model
 
@@ -579,6 +580,33 @@ class TestExitCodes:
         ] + args)
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_val_fraction_whose_split_rounds_away_is_config_error(
+        self, command, workdir, tmp_path, capsys
+    ):
+        # 1 - 1e-17 == 1.0: the value passed its check, then every split
+        # failed on a train_fraction that was never set (run exited 2 and
+        # left an empty results.csv behind)
+        out = tmp_path / "out"
+        args = {
+            "run": ["--out-dir", str(out), "--activities", "sit", "--metrics", "rmssd",
+                    "--lengths", "30", "--models", "dt", "--duration-s", "200", "--budget", "1"],
+            "train": ["--dataset", str(workdir / "ds.csv"), "--model", "dt", "--out", str(out)],
+        }[command]
+        assert main([command, "--val-fraction", "1e-17"] + args) == 1
+        err = capsys.readouterr().err
+        assert "val_fraction must lie strictly between 0 and 1" in err
+        assert err.rstrip().endswith("got 1e-17")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, enum", [("--metrics", HrvMetricKind), ("--models", ModelKind)])
+    def test_unknown_enum_value_lists_every_member(self, flag, enum, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--out-dir", str(out), flag, "xx"]) == 1
+        known = ", ".join(member.value for member in enum)
+        assert f"'xx'; choose one of: {known}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, repeated", [

@@ -11,7 +11,14 @@ from ppghrv.data import (
 )
 from ppghrv.errors import ConfigError, HrvError
 from ppghrv.metrics import MS_PER_MINUTE, HrvMetricKind, RrSeries, rmssd, rough_hrv, sdnn
-from ppghrv.sigproc import SmoothedHrSeries, ppg_to_hr, smooth, zscore_adjust
+from ppghrv.sigproc import (
+    PpgSignal,
+    RawHrSeries,
+    SmoothedHrSeries,
+    ppg_to_hr,
+    smooth,
+    zscore_adjust,
+)
 from ppghrv.synth import (
     GroundTruth,
     SynthConfig,
@@ -234,12 +241,67 @@ class TestDatasetValidation:
             Dataset(np.zeros((3, 2)), np.zeros(3), np.array([1.0, 2.0, np.nan]))
 
     def test_lengths_must_agree(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HrvError, match="must agree in length, got 3, 4 and 3"):
             Dataset(
                 np.zeros((3, 2)),
                 np.zeros(4),
                 np.arange(3.0),
             )
+
+
+# each data type and a maker for it from the array of the named field
+_DATA_TYPE_FIELDS = {
+    "PpgSignal": (lambda a: PpgSignal(25.0, a), "samples"),
+    "RawHrSeries": (RawHrSeries, "values"),
+    "SmoothedHrSeries": (SmoothedHrSeries, "values"),
+    "RrSeries": (RrSeries, "intervals_ms"),
+    "GroundTruth": (GroundTruth, "beat_times_s"),
+    "Dataset.labels": (lambda a: Dataset(np.ones((2, 1)), a, np.arange(2.0)), "labels"),
+    "Dataset.window_end_times_s": (
+        lambda a: Dataset(np.ones((2, 1)), np.ones(2), a), "window_end_times_s"
+    ),
+}
+
+
+class TestDataTypeArrays:
+    """Every data type checks its arrays with metrics.checked_array, so bad
+    arrays are data errors (exit 2) that name the field."""
+
+    @pytest.mark.parametrize("name", _DATA_TYPE_FIELDS)
+    def test_wrong_axes_name_the_field(self, name):
+        make, field = _DATA_TYPE_FIELDS[name]
+        with pytest.raises(HrvError, match=rf"^{field} must be 1-D, got shape \(2, 2\)$"):
+            make(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("name", _DATA_TYPE_FIELDS)
+    @pytest.mark.parametrize("values", [["70", "x"], [[1.0], [1.0, 2.0]]], ids=["text", "ragged"])
+    def test_values_that_are_not_numbers_name_the_field(self, name, values):
+        make, field = _DATA_TYPE_FIELDS[name]
+        with pytest.raises(HrvError, match=f"^{field} must be numbers: "):
+            make(values)
+
+    def test_features_must_be_two_dimensional(self):
+        with pytest.raises(HrvError, match=r"^features must be 2-D, got shape \(3,\)$"):
+            Dataset(np.ones(3), np.ones(3), np.arange(3.0))
+
+    @pytest.mark.parametrize("make, message", [
+        (RawHrSeries, "HR values"),
+        (RrSeries, "RR intervals"),
+        (lambda a: rough_hrv(a, HrvMetricKind.RMSSD), "HR values"),
+    ], ids=["RawHrSeries", "RrSeries", "rough_hrv"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_values_must_be_positive(self, make, message, bad):
+        # these were bare ValueErrors, which the CLI reports as exit 3
+        with pytest.raises(HrvError, match=rf"^{message} must be > 0, not {bad}$"):
+            make(np.array([70.0, 71.0, bad]))
+
+    def test_ground_truth_needs_two_beats(self):
+        with pytest.raises(HrvError, match="need at least two beat times, got 1"):
+            GroundTruth(np.array([1.0]))
+
+    def test_dataset_needs_a_row(self):
+        with pytest.raises(HrvError, match="a dataset needs at least one sample"):
+            Dataset(np.empty((0, 2)), np.empty(0), np.empty(0))
 
 
 class TestChronologicalSplit:
@@ -276,7 +338,7 @@ class TestChronologicalSplit:
     def test_too_few_samples(self):
         d = Dataset(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
         with pytest.raises(HrvError, match='cannot split'):
-            chronological_split(d)
+            chronological_split(d, 0.8)
 
     def test_bad_fraction(self, tiny):
         with pytest.raises(ConfigError):

@@ -63,11 +63,10 @@ class TestForest:
 
     def test_tree_count_bounds(self, noisy_ds):
         with pytest.raises(ConfigError):
-            train_rf(noisy_ds, trees=1, max_depth=4)
+            train_rf(noisy_ds, trees=1, max_depth=4, seed=0)
         with pytest.raises(ConfigError):
-            train_rf(noisy_ds, trees=129, max_depth=4)
+            train_rf(noisy_ds, trees=129, max_depth=4, seed=0)
 
     def test_empty_dataset(self):
-        ds = make_ds(np.empty((0, 2)), np.empty(0))
-        with pytest.raises(HrvError, match='cannot train a forest on an empty dataset'):
-            train_rf(ds, trees=2, max_depth=3)
+        with pytest.raises(HrvError, match='a dataset needs at least one sample'):
+            train_rf(make_ds(np.empty((0, 2)), np.empty(0)), trees=2, max_depth=3, seed=0)

@@ -240,7 +240,7 @@ class TestSearchMatchesFullScan:
         X = (rng.integers(-3, 4, size=(40, 3)) * scale).astype(np.float32)
         model = KnnRegressor(
             X, rng.uniform(0, 9, size=40), np.zeros(3, np.float32), np.ones(3, np.float32),
-            3, distance, 3,
+            3, distance,
         )
         Q = np.vstack([X[:5], rng.integers(-3, 4, size=(10, 3)) * scale]).astype(np.float64)
         assert_same_as_oracle(model, Q)
@@ -370,7 +370,7 @@ class TestOneRankingServesEveryK:
         X = (_walks(rng, 80, d) * scale).astype(np.float32)
         model = KnnRegressor(
             X, rng.uniform(size=80), np.zeros(d, np.float32), np.ones(d, np.float32),
-            MIN_K, MANHATTAN, d,
+            MIN_K, MANHATTAN,
         )
         near = X[:10].astype(np.float64)
         Q = np.vstack([near, near * (1 + 1e-7), _walks(rng, 10, d) * scale])

@@ -149,6 +149,12 @@ class TestMape:
         with pytest.raises(HrvError, match='mape needs equal non-empty lengths, got 0 and 0'):
             mape(np.array([]), np.array([]))
 
+    def test_rejects_2d(self):
+        with pytest.raises(HrvError, match=r"^estimates must be 1-D, got shape \(2, 2\)$"):
+            mape(np.ones((2, 2)), np.ones(2))
+        with pytest.raises(HrvError, match=r"^truths must be 1-D, got shape \(\)$"):
+            mape(np.ones(2), 1.0)
+
     def test_scale_invariant(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
@@ -173,13 +179,13 @@ class TestMape:
 
 class TestRrSeries:
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HrvError, match=r"RR intervals must be > 0, not 0\.0"):
             RrSeries(np.array([800.0, 0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(HrvError, match=r"RR intervals must be > 0, not -10\.0"):
             RrSeries(np.array([800.0, -10.0]))
 
     def test_rejects_2d(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HrvError, match=r"intervals_ms must be 1-D, got shape \(2, 2\)"):
             RrSeries(np.ones((2, 2)))
 
     def test_len(self):

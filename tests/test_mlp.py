@@ -145,9 +145,8 @@ class TestMlpValidation:
             train_mlp(ds, (5,), "sigmoid")
 
     def test_empty_dataset(self):
-        ds = make_ds(np.empty((0, 2)), np.empty(0))
-        with pytest.raises(HrvError, match='cannot train an MLP on an empty dataset'):
-            train_mlp(ds, (5,), "relu")
+        with pytest.raises(HrvError, match='a dataset needs at least one sample'):
+            train_mlp(make_ds(np.empty((0, 2)), np.empty(0)), (5,), "relu")
 
     def test_training_config_validated(self):
         with pytest.raises(ConfigError):

@@ -212,13 +212,13 @@ class TestDtSearchFromOneGrow:
             (len(regression_ds), result.best.hyperparams["max_depth"]),
         ]
 
-    def test_empty_fit_fails_every_candidate(self, regression_ds, monkeypatch, caplog):
-        empty = make_ds(np.empty((0, 3)), np.empty(0))
-        monkeypatch.setattr(
-            search_module, "chronological_split", lambda ds, frac: (empty, ds)
-        )
+    def test_failed_grow_fails_every_candidate(self, regression_ds, monkeypatch, caplog):
+        def failing_grow(X, y, max_depth):
+            raise HrvError("grow failed")
+
+        monkeypatch.setattr(tree_module, "_grow", failing_grow)
         with caplog.at_level("WARNING", logger=search_module.__name__):
-            with pytest.raises(HrvError, match="all 4 sampled.*empty dataset"):
+            with pytest.raises(HrvError, match="all 4 sampled.*grow failed"):
                 random_search(
                     regression_ds, ModelKind.DT,
                     budget=4, seed=13, val_fraction=0.2, mlp_max_epochs=500
@@ -227,7 +227,7 @@ class TestDtSearchFromOneGrow:
         assert len(failed) == 4
         for i, message in enumerate(failed):
             assert message.startswith(f"search candidate {i} (")
-            assert "cannot train a tree on an empty dataset" in message
+            assert message.endswith("failed: grow failed")
 
 
 class TestKnnSearchFromOneRanking:

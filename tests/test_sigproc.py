@@ -70,7 +70,7 @@ class TestDetectPeaks:
         assert detect_peaks(flat).size == 0
 
     def test_empty_signal(self):
-        with pytest.raises(HrvError, match='detect_peaks got an empty window'):
+        with pytest.raises(HrvError, match='window of 0.000s cannot hold two peaks'):
             detect_peaks(PpgSignal(FS, np.array([])))
 
     def test_too_short_for_two_peaks(self):
@@ -121,6 +121,10 @@ class TestPpgToHr:
     def test_too_short(self):
         with pytest.raises(HrvError, match='s of signal, got 5.00s'):
             ppg_to_hr(sine_signal(1.2, 5.0))
+
+    def test_empty_signal_gets_the_duration_message(self):
+        with pytest.raises(HrvError, match="need at least 8.0s of signal, got 0.00s"):
+            ppg_to_hr(PpgSignal(FS, np.array([])))
 
     def test_fallback_then_carry(self):
         # first 10 s are flat, so the earliest windows have no peaks at all

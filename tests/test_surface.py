@@ -33,7 +33,7 @@ import ppghrv.metrics
 import ppghrv.models
 from ppghrv.models.base import TrainedModel
 
-MAX_SETTABLE_VALUES = 80
+MAX_SETTABLE_VALUES = 76
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -285,7 +285,7 @@ def test_step_defaults_are_the_run_defaults():
 # the bound of each setting that `run` and a step subcommand share
 _SHARED_BOUNDS = [
     "budget must lie in [1, ",
-    "val_fraction must lie strictly between 0 and 1",
+    "val_fraction must lie strictly between 0 and 1, with 1 - val_fraction < 1",
     "train_fraction must lie strictly between 0 and 1",
     "n_s must be at least 2 s",
     "stride_s must be at least 1 s",
@@ -308,6 +308,8 @@ def test_each_shared_bound_is_stated_once():
 _SINGLE_RULE_MESSAGES = [
     "sampling rate must be > 0 Hz, got ",
     "max_depth must be in [1, ",
+    " must be > 0, not ",
+    "a dataset needs at least one sample",
 ]
 
 
@@ -403,3 +405,45 @@ def test_only_first_non_increasing_tests_time_order():
             found[name] = calls
     assert found == {}
     assert len(diff_sign_tests((src / "synth.py").read_text(), None)) == 1
+
+
+def raises_of(source: str, exception: str) -> list[str]:
+    """The raise statements in source whose exception is named `exception`,
+    called or not, by name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(exc).rsplit(".", 1)[-1] == exception:
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_finder_sees_each_raise_of_an_exception():
+    source = '''
+def f(x):
+    if x:
+        raise ValueError("bad")
+    if x > 1:
+        raise ValueError
+    try:
+        g()
+    except ValueError:
+        raise builtins.ValueError(x) from None
+    raise HrvError("ValueError")
+    raise
+'''
+    assert len(raises_of(source, "ValueError")) == 3
+    assert len(raises_of(source, "HrvError")) == 1
+
+
+def test_no_bare_value_error():
+    # bad data is an HrvError (exit 2); the CLI reports any other exception
+    # as an internal error (exit 3)
+    src = Path(ppghrv.__file__).parent
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        raises = raises_of(path.read_text(), "ValueError")
+        if raises:
+            found[path.relative_to(src).as_posix()] = raises
+    assert found == {}

@@ -223,7 +223,7 @@ class TestDepthTruncation:
         assert grown == [9]
 
     def test_errors_of_the_grow_propagate(self):
-        with pytest.raises(HrvError, match='cannot train a tree on an empty dataset'):
+        with pytest.raises(HrvError, match='a dataset needs at least one sample'):
             tree.train_dt_depths(make_ds(np.empty((0, 2)), np.empty(0)), [3, 4])
         for depths in ([3, 21], [0, 5], []):
             with pytest.raises(ConfigError):
@@ -313,9 +313,8 @@ class TestTreeStructure:
 
 class TestTreeErrors:
     def test_empty_dataset(self):
-        ds = make_ds(np.empty((0, 2)), np.empty(0))
-        with pytest.raises(HrvError, match='cannot train a tree on an empty dataset'):
-            train_dt(ds, max_depth=3)
+        with pytest.raises(HrvError, match='a dataset needs at least one sample'):
+            train_dt(make_ds(np.empty((0, 2)), np.empty(0)), max_depth=3)
 
     def test_depth_bounds(self):
         ds = make_ds(np.arange(4.0), np.arange(4.0))
