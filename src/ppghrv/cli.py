@@ -22,7 +22,7 @@ from .amplify import (
     amplification_table,
     default_base_trace,
 )
-from .data import build_hrv_dataset
+from .data import build_hrv_dataset, check_window
 from .errors import ConfigError, HrvError
 from .experiment import ExperimentConfig, evaluate, heart_rate, run_experiment, synthesize
 from .io import (
@@ -38,10 +38,10 @@ from .io import (
 )
 from .metrics import HrvMetricKind
 from .models.base import ModelKind
-from .models.bench import bench_inference
+from .models.bench import bench_inference, check_repetitions
 from .models.codec import load_model, save_model, serialized_size
-from .models.search import random_search
-from .sigproc import DEFAULT_SAMPLING_RATE_HZ, DEFAULT_Z_SCORE
+from .models.search import check_search, random_search
+from .sigproc import DEFAULT_SAMPLING_RATE_HZ, DEFAULT_Z_SCORE, check_z_score
 from .synth import ACTIVITY_PRESETS, check_seed
 
 
@@ -273,6 +273,9 @@ def _cmd_synth(args) -> None:
 def _cmd_process(args) -> None:
     if bool(args.out_dataset) != bool(args.rr):
         raise ConfigError("--out-dataset and --rr must be given together")
+    check_z_score(args.z_score)
+    if args.rr:
+        check_window(args.n_s, args.stride_s)
     shr = heart_rate(read_ppg_csv(args.ppg, declared_rate_hz=args.sampling_rate_hz), args.z_score)
     ds = None
     if args.rr:
@@ -292,6 +295,7 @@ def _cmd_process(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    check_search(args.budget, args.seed, args.val_fraction, args.mlp_max_epochs)
     ds = read_dataset_csv(args.dataset)
     result = random_search(
         ds, args.model, budget=args.budget, seed=args.seed,
@@ -354,6 +358,7 @@ def _cmd_amplify(args) -> None:
 
 
 def _cmd_bench(args) -> None:
+    check_repetitions(args.repetitions)
     model = load_model(args.model)
     if args.dataset:
         ds = read_dataset_csv(args.dataset)

@@ -29,7 +29,7 @@ from .metrics import HrvMetricKind, mape
 from .models.base import ModelKind, TrainedModel
 from .models.bench import bench_inference, check_repetitions
 from .models.codec import serialized_size
-from .models.mlp import DEFAULT_MAX_EPOCHS, MlpTrainingConfig
+from .models.mlp import DEFAULT_MAX_EPOCHS
 from .models.search import check_search, random_search
 from .sigproc import DEFAULT_Z_SCORE, PpgSignal, SmoothedHrSeries, ppg_to_hr, smooth, zscore_adjust
 from .synth import GroundTruth, activity_preset, derived_seed, generate_rr_trace, render_ppg
@@ -79,8 +79,7 @@ class ExperimentConfig:
                 f"{max_n}s windows plus a test split"
             )
         check_train_fraction(self.train_fraction)
-        check_search(self.budget, self.seed, self.val_fraction)
-        MlpTrainingConfig(max_epochs=self.mlp_max_epochs)
+        check_search(self.budget, self.seed, self.val_fraction, self.mlp_max_epochs)
         if self.bench_repetitions != 0:
             check_repetitions(self.bench_repetitions)
         # and synth's: an unknown name, a duration above synth.MAX_DURATION_S

@@ -22,7 +22,8 @@ class ModelKind(Enum):
 
 
 class TrainedModel:
-    """Base class: feature-length checks and the one single-row predict."""
+    """Base class: feature-length checks and the one single-row predict; a
+    subclass supplies _predict_batch, the prediction of a checked 2-D batch."""
 
     kind: ModelKind
 
@@ -48,6 +49,3 @@ class TrainedModel:
 
     def predict_batch(self, X) -> np.ndarray:
         return self._predict_batch(self._check(X))
-
-    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError

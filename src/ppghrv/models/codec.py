@@ -8,12 +8,14 @@ little-endian IEEE):
     n_features varint
     payload: see encode() below
 
-Trees store one varint tag per node (feature+1, 0 marks a leaf), float32
-thresholds and float64 leaf values.  KNN stores its standardised float32
-training matrix and float64 labels.  MLP stores float32 weights/biases and
-standardisation statistics (float64 for the label scale).  Models keep the
-same quantised parameters in memory, so decode(encode(m)) predicts
-bit-identically.
+DT and RF share one tree layout: a varint node count, then one varint tag
+per node (feature+1, 0 marks a leaf) followed by a float64 leaf value or a
+float32 threshold and two varint child indices.  A DT payload is one such
+table; an RF payload is a varint tree count followed by that many tables.
+KNN stores its standardised float32 training matrix and float64 labels.
+MLP stores float32 weights/biases and standardisation statistics (float64
+for the label scale).  Models keep the same quantised parameters in memory,
+so decode(encode(m)) predicts bit-identically.
 
 decode raises HrvError for a file that is malformed or inconsistent:
 bad magic or tags, truncation, trailing bytes, tree nodes out of preorder
@@ -37,7 +39,7 @@ from .base import ModelKind, TrainedModel
 from .forest import RandomForest
 from .knn import DISTANCES, KnnRegressor
 from .mlp import ACTIVATIONS, MlpRegressor
-from .tree import LEAF, DecisionTree, TreeNodes
+from .tree import LEAF, DecisionTree, TreeModel, TreeNodes
 
 MAGIC = b"HRVM\x01"
 
@@ -47,6 +49,7 @@ _MIN_NODE_BYTES = 7
 
 _KIND_TAGS = {ModelKind.DT: 0, ModelKind.RF: 1, ModelKind.KNN: 2, ModelKind.MLP: 3}
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+_TREE_MODELS = {ModelKind.DT: DecisionTree, ModelKind.RF: RandomForest}
 
 
 def _write_varint(buf: bytearray, v: int) -> None:
@@ -170,10 +173,9 @@ def encode(model: TrainedModel) -> bytes:
     buf = bytearray(MAGIC)
     buf.append(_KIND_TAGS[model.kind])
     _write_varint(buf, model.n_features)
-    if isinstance(model, DecisionTree):
-        _encode_nodes(buf, model.nodes)
-    elif isinstance(model, RandomForest):
-        _write_varint(buf, len(model.trees))
+    if isinstance(model, TreeModel):
+        if model.kind is ModelKind.RF:
+            _write_varint(buf, len(model.trees))
         for t in model.trees:
             _encode_nodes(buf, t)
     elif isinstance(model, KnnRegressor):
@@ -216,18 +218,13 @@ def decode(data: bytes) -> TrainedModel:
     if d > np.iinfo(np.int32).max:
         raise HrvError(f"n_features {d} overflows the int32 feature column")
 
-    if kind is ModelKind.DT:
-        nodes = _decode_nodes(r, d)
-        r.done()
-        return DecisionTree(nodes, d)
-
-    if kind is ModelKind.RF:
-        count = r.varint()
+    if kind in _TREE_MODELS:
+        count = r.varint() if kind is ModelKind.RF else 1
         if count < 1:
             raise HrvError("forest with zero trees")
-        trees = tuple(_decode_nodes(r, d) for _ in range(count))
+        trees = [_decode_nodes(r, d) for _ in range(count)]
         r.done()
-        return RandomForest(trees, d)
+        return _TREE_MODELS[kind](trees, d)
 
     if kind is ModelKind.KNN:
         k = r.varint()

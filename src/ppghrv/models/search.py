@@ -101,7 +101,9 @@ def _candidate_predictor(kind, fit, holdout, drawn, mlp_cfg):
             )
             return model.predict_batch(Q), best_epoch
         return predict
-    return lambda i, seed: (_train(kind, fit, drawn[i], seed).predict_batch(Q), None)
+    return lambda i, seed: (
+        train_rf(fit, drawn[i]["trees"], drawn[i]["max_depth"], seed).predict_batch(Q), None
+    )
 
 
 def _knn_predictor(fit, Q, drawn):
@@ -124,22 +126,18 @@ def _knn_predictor(fit, Q, drawn):
     return predict
 
 
-def _train(kind, train, params, seed):
+def _retrain(kind, train, best, seed):
+    """The winner on all of train; an MLP for its best epoch + 1 epochs."""
+    params = best.hyperparams
     if kind is ModelKind.DT:
         return train_dt(train, params["max_depth"])
     if kind is ModelKind.RF:
         return train_rf(train, params["trees"], params["max_depth"], seed=seed)
-    return train_knn(train, params["k"], params["distance"])
-
-
-def _retrain(kind, train, best, seed):
-    """The winner on all of train; an MLP for its best epoch + 1 epochs."""
-    params = best.hyperparams
-    if kind is ModelKind.MLP:
-        return fit_epochs(
-            train, params["hidden_layers"], params["activation"], best.best_epoch + 1, seed
-        )
-    return _train(kind, train, params, seed)
+    if kind is ModelKind.KNN:
+        return train_knn(train, params["k"], params["distance"])
+    return fit_epochs(
+        train, params["hidden_layers"], params["activation"], best.best_epoch + 1, seed
+    )
 
 
 def _best(candidates) -> Candidate | None:
@@ -168,8 +166,8 @@ class SearchResult:
         return _best(self.candidates)
 
 
-def check_search(budget: int, seed: int, val_fraction: float) -> None:
-    """ConfigError unless random_search can use this budget, seed and val_fraction."""
+def check_search(budget: int, seed: int, val_fraction: float, mlp_max_epochs: int) -> None:
+    """ConfigError unless random_search can use these settings."""
     if not 1 <= budget <= MAX_BUDGET:
         raise ConfigError(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
     check_seed(seed)
@@ -179,6 +177,7 @@ def check_search(budget: int, seed: int, val_fraction: float) -> None:
             f"val_fraction must lie strictly between 0 and 1, with 1 - val_fraction < 1, "
             f"got {val_fraction}"
         )
+    MlpTrainingConfig(max_epochs=mlp_max_epochs)
 
 
 def random_search(
@@ -196,7 +195,7 @@ def random_search(
     bounds each MLP candidate's training, and so the winner's retrain;
     other kinds ignore it.
     """
-    check_search(budget, seed, val_fraction)
+    check_search(budget, seed, val_fraction, mlp_max_epochs)
     mlp_cfg = MlpTrainingConfig(max_epochs=mlp_max_epochs)
 
     sampler = derived_rng((int(seed), 0))

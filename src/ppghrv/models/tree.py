@@ -16,6 +16,7 @@ at the deepest depth and cuts each shallower tree with those records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -202,20 +203,29 @@ def _walk(lists, row) -> float:
     return value[i]
 
 
-class DecisionTree(TrainedModel):
+class TreeModel(TrainedModel):
+    """Predicts the mean of its trees' leaves; a DecisionTree is one tree.  The
+    sum starts at -0.0, so one tree gives its leaf's bits, -0.0 included."""
+
+    def __init__(self, trees, n_features: int):
+        super().__init__(n_features)
+        self.trees = tuple(trees)
+        self._lists = [_as_lists(t) for t in self.trees]
+
+    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
+        lists, n = self._lists, len(self._lists)
+        return np.array([sum(map(_walk, lists, repeat(row, n)), -0.0) / n for row in X.tolist()])
+
+
+class DecisionTree(TreeModel):
     kind = ModelKind.DT
 
-    def __init__(self, nodes: TreeNodes, n_features: int):
-        super().__init__(n_features)
-        self.nodes = nodes
-        self._lists = _as_lists(nodes)
+    @property
+    def nodes(self) -> TreeNodes:
+        return self.trees[0]
 
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        lists = self._lists
-        return np.array([_walk(lists, row) for row in X.tolist()], dtype=np.float64)
 
 
 def _truncate(
@@ -259,7 +269,7 @@ def train_dt_depths(train, depths) -> list[DecisionTree]:
     deepest = max(depths)
     nodes, depth, mean = _grow(train.features, train.labels, deepest)
     cuts = [nodes if d == deepest else _truncate(nodes, depth, mean, d) for d in depths]
-    return [DecisionTree(cut, train.n_features) for cut in cuts]
+    return [DecisionTree((cut,), train.n_features) for cut in cuts]
 
 
 def train_dt(train, max_depth: int, seed: int = 0) -> DecisionTree:

@@ -303,6 +303,12 @@ def _peak_spans_alone(
     return count, gap_sum
 
 
+def check_z_score(z_score: float) -> None:
+    """ConfigError unless z_score is a finite number > 0."""
+    if not (np.isfinite(z_score) and z_score > 0):
+        raise ConfigError(f"z_score must be a finite number > 0, got {z_score!r}")
+
+
 def zscore_adjust(hr: RawHrSeries, z_score: float = DEFAULT_Z_SCORE) -> RawHrSeries:
     """Replace statistical outliers with the average of their neighbours.
 
@@ -315,11 +321,9 @@ def zscore_adjust(hr: RawHrSeries, z_score: float = DEFAULT_Z_SCORE) -> RawHrSer
 
     Note the strict inequality: a lone spike among N-1 equal values reaches
     |HR - mu| = delta * sqrt(N-1) exactly, so at z=3 it is only repaired
-    when the series has more than 10 points.  z_score must be finite and
-    positive (ConfigError otherwise).
+    when the series has more than 10 points.
     """
-    if not (np.isfinite(z_score) and z_score > 0):
-        raise ConfigError(f"z_score must be a finite number > 0, got {z_score!r}")
+    check_z_score(z_score)
     x = hr.values
     if x.size < 3:
         raise HrvError(f"zscore_adjust needs at least 3 values, got {x.size}")

@@ -582,6 +582,26 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--dataset", "missing.csv", "--model", "dt", "--budget", "0", "--out", "m.bin"],
+         "budget must lie in [1, 1000], got 0"),
+        (["train", "--dataset", "missing.csv", "--model", "mlp", "--mlp-max-epochs", "0",
+          "--out", "m.bin"], "max_epochs must be >= 1"),
+        (["process", "--ppg", "missing.csv", "--z-score", "0", "--out-hr", "hr.csv"],
+         "z_score must be a finite number > 0, got 0.0"),
+        (["process", "--ppg", "missing.csv", "--rr", "missing_rr.csv", "--n-s", "1",
+          "--out-hr", "hr.csv", "--out-dataset", "ds.csv"], "n_s must be at least 2 s, got 1"),
+        (["bench", "--model", "missing.bin", "--repetitions", "5"],
+         "repetitions must lie in [100, 1000000], got 5"),
+    ], ids=["train_budget", "train_epochs", "process_z_score", "process_n_s", "bench_repetitions"])
+    def test_bad_setting_fails_before_any_read(self, argv, message, tmp_path, monkeypatch, capsys):
+        # each read its missing input first and exited 2 with "cannot read"
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_val_fraction_whose_split_rounds_away_is_config_error(
         self, command, workdir, tmp_path, capsys

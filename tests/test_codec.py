@@ -186,6 +186,17 @@ class TestInconsistentFiles:
         model = decode(blob)
         assert model.predict_batch(np.zeros((2, 1))).shape == (2,)
 
+    @pytest.mark.parametrize("blob, kind", [
+        (dt_file(1, STUMP), ModelKind.DT),
+        (rf_file(1, [STUMP]), ModelKind.RF),
+        (rf_file(1, [STUMP, [0.5]]), ModelKind.RF),
+    ], ids=["dt", "rf_one_tree", "rf_two_trees"])
+    def test_tree_files_reencode_to_their_bytes(self, blob, kind):
+        # dt and rf share the node table; only rf writes a tree count
+        model = decode(blob)
+        assert model.kind is kind
+        assert encode(model) == blob
+
     @pytest.mark.parametrize("blob, message", [
         (dt_file(1, [(0, 0, 0), 1.0]), "children"),
         (dt_file(1, [(0, 2, 1), 1.0, (0, 1, 1)]), "children"),

@@ -3,7 +3,7 @@ import pytest
 
 from ppghrv.errors import ConfigError, HrvError
 from ppghrv.models.forest import RandomForest, train_rf
-from ppghrv.models.tree import train_dt
+from ppghrv.models.tree import LEAF, DecisionTree, TreeNodes, train_dt
 from helpers import make_ds
 from test_tree import assert_same_nodes, oracle_grow
 
@@ -23,6 +23,26 @@ class TestForest:
         forest = RandomForest((tree.nodes, tree.nodes), noisy_ds.n_features)
         Q = noisy_ds.features[:30]
         np.testing.assert_array_equal(forest.predict_batch(Q), tree.predict_batch(Q))
+
+    def test_one_tree_forest_predicts_the_tree_bits(self, noisy_ds):
+        # a stump whose left leaf is -0.0: a sum started at 0 would give +0.0
+        stump = TreeNodes(
+            feature=np.array([0, LEAF, LEAF], dtype=np.int32),
+            threshold=np.array([0.0, 0.0, 0.0], dtype=np.float32),
+            left=np.array([1, -1, -1], dtype=np.int32),
+            right=np.array([2, -1, -1], dtype=np.int32),
+            value=np.array([0.0, -0.0, 0.1]),
+        )
+        grown = train_dt(noisy_ds, max_depth=5).nodes
+        rng = np.random.default_rng(11)
+        for nodes, d in [(stump, 1), (grown, noisy_ds.n_features)]:
+            Q = rng.normal(size=(40, d))
+            tree = DecisionTree((nodes,), d).predict_batch(Q)
+            forest = RandomForest((nodes,), d).predict_batch(Q)
+            assert tree.tobytes() == forest.tobytes()
+        for model in (DecisionTree((stump,), 1), RandomForest((stump,), 1),
+                      RandomForest((stump, stump), 1)):
+            assert np.signbit(model.predict([-1.0]))
 
     def test_trees_match_the_oracle_on_their_bootstrap_rows(self, noisy_ds):
         forest = train_rf(noisy_ds, trees=3, max_depth=6, seed=9)

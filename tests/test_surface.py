@@ -14,6 +14,9 @@ The CSV readers cut fields with one tokenizer, the `csv.reader` in
 SDNN or RMSSD is picked in one place, `ppghrv.metrics.hrv_rows`; every
 other windowed HRV goes through it.
 
+A decision tree is a forest of one: dt and rf share `tree.TreeModel`'s batch
+predict, and only `tree.py` walks a tree.
+
 A `run` cell and the step subcommands share their settings' defaults, which
 ExperimentConfig holds, and each setting's bound is checked by the step that
 uses the value, so its message is written once.
@@ -22,6 +25,7 @@ uses the value, so its message is written once.
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import ppghrv
@@ -101,6 +105,23 @@ def test_one_single_row_predict():
             if isinstance(value, type) and "predict" in vars(value):
                 defining.add(value)
     assert defining == {TrainedModel}
+
+
+def test_one_tree_model():
+    # a decision tree is a forest of one: the tree kinds share one batch
+    # predict, and only tree.py walks a tree
+    defining = set()
+    walkers = set()
+    for info in pkgutil.walk_packages(ppghrv.models.__path__, "ppghrv.models."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, type) and "_predict_batch" in vars(value):
+                defining.add(value.__qualname__)
+        words = set(re.findall(r"\w+", Path(module.__file__).read_text()))
+        if words & {"_walk", "_as_lists"}:
+            walkers.add(info.name)
+    assert defining == {"TreeModel", "KnnRegressor", "MlpRegressor"}
+    assert walkers == {"ppghrv.models.tree"}
 
 
 def _exception_classes(module) -> set[str]:
