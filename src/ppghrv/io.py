@@ -200,12 +200,14 @@ def _table(path, header: Sequence[str]) -> np.ndarray:
     return table
 
 
+def _write_series(path, header: Sequence[str], start_s: float, rate_hz: float, values) -> None:
+    """One line per value: its time start_s + i / rate_hz, then the value."""
+    lines = (f"{_fmt(start_s + i / rate_hz)},{_fmt(v)}" for i, v in enumerate(values))
+    _write_csv(path, header, lines)
+
+
 def write_ppg_csv(path, signal: PpgSignal) -> None:
-    fs = signal.sampling_rate_hz
-    lines = (
-        f"{_fmt(signal.start_time_s + i / fs)},{_fmt(v)}" for i, v in enumerate(signal.samples)
-    )
-    _write_csv(path, PPG_HEADER, lines)
+    _write_series(path, PPG_HEADER, signal.start_time_s, signal.sampling_rate_hz, signal.samples)
 
 
 def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> PpgSignal:
@@ -262,8 +264,8 @@ def read_rr_csv(path) -> GroundTruth:
 
 
 def write_hr_csv(path, shr: SmoothedHrSeries) -> None:
-    lines = (f"{_fmt(shr.start_time_s + i)},{_fmt(v)}" for i, v in enumerate(shr.values))
-    _write_csv(path, HR_HEADER, lines)
+    # one value per second: i / 1.0 is exactly i
+    _write_series(path, HR_HEADER, shr.start_time_s, 1.0, shr.values)
 
 
 def _dataset_header(n_features: int) -> list[str]:

@@ -30,22 +30,16 @@ class TrainedModel:
     def __init__(self, n_features: int):
         self.n_features = int(n_features)
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
+    def _check(self, X, ndims: tuple[int, ...]) -> np.ndarray:
+        """X as a float64 (rows, n_features) batch; X must have one of ndims
+        axes and n_features columns, and a 1-D X is one row."""
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise HrvError(
-                f"model expects {self.n_features} features, got shape {X.shape}"
-            )
-        return X
+        if X.ndim not in ndims or X.shape[-1] != self.n_features:
+            raise HrvError(f"model expects {self.n_features} features, got shape {X.shape}")
+        return X.reshape(-1, self.n_features)
 
     def predict(self, features) -> float:
-        x = np.asarray(features, dtype=np.float64)
-        if x.shape != (self.n_features,):
-            got = x.shape[0] if x.ndim == 1 else f"shape {x.shape}"
-            raise HrvError(f"model expects {self.n_features} features, got {got}")
-        return float(self._predict_batch(x[None, :])[0])
+        return float(self._predict_batch(self._check(features, (1,)))[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        return self._predict_batch(self._check(X))
+        return self._predict_batch(self._check(X, (1, 2)))

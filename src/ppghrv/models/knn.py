@@ -9,15 +9,16 @@ Search.  A query gets the same k rows, in the same order, as a stable sort
 of the exact float64 distances to every stored row; only the rows that can
 be among them are measured exactly.  Each distance gives every stored row a
 cheap bound lo_j, and the query a threshold T, such that every row of the
-exact k nearest has lo_j <= T (derived below).  The candidates are the rows
-with lo_j <= T, in index order.  Their exact distances are computed as a
-full scan computes them, each row's float64 sum depending on that row alone,
-and sorted stably.  When a bound is not finite (a nan, inf or overflowing
-query), every row is a candidate.  The k rows are then the first k of a
-stable sort by (distance, index), so for every k' <= k the first k' of
-them are the k' nearest: one ranking at the largest k serves every smaller
-k (the knn search scores its candidates from it).  Queries are bounded a
-block at a time; each query's threshold and exact distances are its own.
+exact k nearest has lo_j <= T (derived below); T is nan when a bound is not
+finite (a nan, inf or overflowing query).  One loop then ranks for both
+distances: the candidates are the rows with lo_j <= T, or every row when T
+is nan, in index order.  Their exact distances are computed as a full scan
+computes them, each row's float64 sum depending on that row alone, and
+sorted stably.  The k rows are then the first k of a stable sort by
+(distance, index), so for every k' <= k the first k' of them are the k'
+nearest: one ranking at the largest k serves every smaller k (the knn
+search scores its candidates from it).  Queries are bounded a block at a
+time; each query's threshold and exact distances are its own.
 
 Euclidean filters with one float32 matrix product.  For a standardised
 query q and a stored row x_j, with s_j = fl32(x_j . fl32(q)),
@@ -160,7 +161,7 @@ class KnnRegressor(TrainedModel):
         """The (queries, k) indices of each query's k nearest stored rows,
         nearest first, ties to the lower index.  The first k' columns are
         the k' nearest, for every k' <= k."""
-        return self._neighbours(self._check(X))
+        return self._neighbours(self._check(X, (1, 2)))
 
     def _neighbours(self, Q: np.ndarray) -> np.ndarray:
         # the float32 parameters widen exactly to float64 inside each ufunc,
@@ -179,12 +180,12 @@ class KnnRegressor(TrainedModel):
         """Fills out with the ranked neighbours of the queries qb.  The
         block's bound arrays live in this frame only, so two blocks' are
         never held at once."""
-        if self.distance == MANHATTAN:
-            for q, lo, row in zip(qb, self._manhattan_bounds(qb), out):
-                row[:] = self._manhattan_nearest(q, lo)
-        else:
-            for q, lo, hi, row in zip(qb, *self._bounds(qb), out):
-                row[:] = self._nearest(q, lo, hi)
+        bounds = self._manhattan_bounds if self.distance == MANHATTAN else self._bounds
+        lo, T = bounds(qb)
+        for q, lo_q, t, row in zip(qb, lo, T, out):
+            rows = np.arange(lo_q.size) if np.isnan(t) else np.flatnonzero(lo_q <= t)
+            d = self._distances(self.X[rows], q)
+            row[:] = rows[np.argsort(d, kind="stable")[: self.k]]
 
     def _distances(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         # one (rows, d) temporary, reused in place: with two, a full scan of a
@@ -197,8 +198,9 @@ class KnnRegressor(TrainedModel):
         return np.sqrt(diff.sum(axis=1))
 
     def _bounds(self, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per query and stored row, lower and upper bounds on the squared
-        Euclidean sum."""
+        """Per query and stored row, the Euclidean lo_j (a lower bound on the
+        squared sum); per query, T, the k-th smallest upper bound, or nan
+        where an upper bound is not finite."""
         with np.errstate(all="ignore"):
             qq = np.einsum("ij,ij->i", qb, qb)
             est = np.matmul(qb.astype(np.float32), self.X.T).astype(np.float64)
@@ -211,42 +213,28 @@ class KnnRegressor(TrainedModel):
             slack *= 4 * (self.X.shape[1] + 2) * ROUNDOFF32
             hi = est + slack
             est -= slack
-        return est, hi
+        # max propagates nan, so these find every nan and infinity
+        finite = np.isfinite(hi.max(axis=1)) & np.isfinite(hi.min(axis=1))
+        # in place, so no fourth (block, m) array is made
+        hi.partition(self.k - 1, axis=1)
+        return est, np.where(finite, hi[:, self.k - 1], np.nan)
 
-    def _manhattan_bounds(self, qb: np.ndarray) -> np.ndarray:
-        """Per query and stored row, the lo_j of the module docstring."""
+    def _manhattan_bounds(self, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per query and stored row, the lo_j of the module docstring; per
+        query, T, the largest exact distance of the k rows with the smallest
+        lo_j, or nan where a lo_j is not finite."""
         with np.errstate(all="ignore"):
             lo = cdist(np.add.reduceat(qb, self._starts, axis=1), self._sums, "cityblock")
             slack = np.add.outer(np.abs(qb).sum(axis=1), self._l1)
             slack *= 4 * (self.X.shape[1] + 1) * ROUNDOFF64
             lo -= slack
-        return lo
-
-    def _nearest(self, q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Indices of the k nearest rows by Euclidean distance: the rows whose
-        lower bound is at most the k-th smallest upper bound, ranked."""
-        if np.isfinite(hi).all():
-            rows = np.flatnonzero(lo <= np.partition(hi, self.k - 1)[self.k - 1])
-        else:
-            rows = np.arange(self.X.shape[0])
-        return self._rank(rows, q)
-
-    def _manhattan_nearest(self, q: np.ndarray, lo: np.ndarray) -> np.ndarray:
-        """Indices of the k nearest rows by Manhattan distance: the rows whose
-        lo_j is at most T, the largest exact distance of the k rows with the
-        smallest lo_j, ranked."""
-        if np.isfinite(lo).all():
-            near = np.argpartition(lo, self.k - 1)[: self.k]
-            rows = np.flatnonzero(lo <= self._distances(self.X[near], q).max())
-        else:
-            rows = np.arange(self.X.shape[0])
-        return self._rank(rows, q)
-
-    def _rank(self, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The k of the given rows nearest q, nearest first, ties to the
-        lower index."""
-        d = self._distances(self.X[rows], q)
-        return rows[np.argsort(d, kind="stable")[: self.k]]
+        del slack  # the loop below holds only lo, as the ranking does
+        T = np.full(qb.shape[0], np.nan)
+        for i, (q, lo_q) in enumerate(zip(qb, lo)):
+            if np.isfinite(lo_q).all():
+                near = np.argpartition(lo_q, self.k - 1)[: self.k]
+                T[i] = self._distances(self.X[near], q).max()
+        return lo, T
 
 
 def check_knn(n_train: int, k: int, distance: str) -> None:

@@ -6,10 +6,10 @@ in float64, the kept weights are quantised to float32 once at the end so
 the serialised model predicts bit-identically.
 
 Two fits share one SGD epoch loop (_epochs).  fit_early_stopped holds out
-the chronological tail of train and keeps the best epoch's weights;
-train_mlp is that fit.  fit_epochs trains on all of train for a fixed
-number of epochs, as a search retrains its winner for the winning
-candidate's best epoch + 1 (Goodfellow et al., Deep Learning, 2016, §7.8).
+the chronological tail of train and keeps the best epoch's weights.
+fit_epochs trains on all of train for a fixed number of epochs, as a search
+retrains its winner for the winning candidate's best epoch + 1 (Goodfellow
+et al., Deep Learning, 2016, §7.8).
 
 init_params / forward / loss_and_grads are module functions so tests can
 drive them directly (finite-difference gradient checks, zero-weight
@@ -41,13 +41,21 @@ VAL_FRACTION = 0.1    # chronological tail of train used for early stop
 DEFAULT_MAX_EPOCHS = 500
 
 
+def check_max_epochs(epochs: int) -> None:
+    """ConfigError unless an MLP fit may run this many epochs."""
+    if epochs < 1:
+        raise ConfigError(f"max_epochs must be >= 1, got {epochs}")
+
+
 @dataclass(frozen=True)
 class MlpTrainingConfig:
+    """train_mlp's settings.  The package itself passes max_epochs as an int;
+    this class and train_mlp stay because perfbench/workloads.py calls them."""
+
     max_epochs: int = DEFAULT_MAX_EPOCHS
 
     def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
+        check_max_epochs(self.max_epochs)
 
 
 def init_params(layer_sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -145,15 +153,17 @@ def train_mlp(
     cfg: MlpTrainingConfig | None = None,
     seed: int = 0,
 ) -> MlpRegressor:
-    """An MLP trained with early stopping on the chronological tail of train."""
+    """fit_early_stopped's model; kept only because perfbench/workloads.py
+    calls it."""
     cfg = cfg or MlpTrainingConfig()
-    return fit_early_stopped(train, hidden_layers, activation, cfg, seed)[0]
+    return fit_early_stopped(train, hidden_layers, activation, cfg.max_epochs, seed)[0]
 
 
-def fit_early_stopped(train, hidden_layers, activation: str, cfg: MlpTrainingConfig, seed: int):
-    """(model, best epoch): SGD on all but the last VAL_FRACTION of train,
-    stopped after PATIENCE epochs without a better validation loss; the model
-    keeps the weights of the best epoch (0-based)."""
+def fit_early_stopped(train, hidden_layers, activation: str, max_epochs: int, seed: int):
+    """(model, best epoch): SGD on all but the last VAL_FRACTION of train for
+    at most max_epochs epochs, stopped after PATIENCE epochs without a better
+    validation loss; the model keeps the weights of the best epoch (0-based)."""
+    check_max_epochs(max_epochs)
     Xs, ys, params, rng, finish = _prepare(train, hidden_layers, activation, seed)
     m = ys.size
     n_val = int(np.floor(VAL_FRACTION * m))
@@ -168,7 +178,7 @@ def fit_early_stopped(train, hidden_layers, activation: str, cfg: MlpTrainingCon
     best_epoch = 0
     best_val = np.inf
     stall = 0
-    for epoch in _epochs(params, X_tr, y_tr, activation, rng, cfg.max_epochs):
+    for epoch in _epochs(params, X_tr, y_tr, activation, rng, max_epochs):
         val_pred = forward(params, X_val, activation)
         val_loss = float(np.mean((val_pred - y_val) ** 2))
         if not np.isfinite(val_loss):
@@ -188,8 +198,7 @@ def fit_early_stopped(train, hidden_layers, activation: str, cfg: MlpTrainingCon
 def fit_epochs(train, hidden_layers, activation: str, epochs: int, seed: int) -> MlpRegressor:
     """SGD on all of train for exactly `epochs` epochs, with no holdout and
     no early stop; the model keeps the weights after the last epoch."""
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    check_max_epochs(epochs)
     Xs, ys, params, rng, finish = _prepare(train, hidden_layers, activation, seed)
     for _ in _epochs(params, Xs, ys, activation, rng, epochs):
         pass

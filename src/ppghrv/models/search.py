@@ -41,7 +41,7 @@ from .mlp import (
     ACTIVATIONS,
     MAX_HIDDEN_LAYERS,
     MAX_NEURONS_PER_LAYER,
-    MlpTrainingConfig,
+    check_max_epochs,
     fit_early_stopped,
     fit_epochs,
 )
@@ -82,7 +82,7 @@ def sample_hyperparams(kind: ModelKind, rng) -> dict[str, Any]:
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _candidate_predictor(kind, fit, holdout, drawn, mlp_cfg):
+def _candidate_predictor(kind, fit, holdout, drawn, mlp_max_epochs):
     """(index, seed) -> (holdout predictions, best epoch) for draw index,
     trained on fit; the best epoch is None for every kind but mlp."""
     Q = holdout.features
@@ -97,7 +97,7 @@ def _candidate_predictor(kind, fit, holdout, drawn, mlp_cfg):
     if kind is ModelKind.MLP:
         def predict(i, seed):
             model, best_epoch = fit_early_stopped(
-                fit, drawn[i]["hidden_layers"], drawn[i]["activation"], mlp_cfg, seed
+                fit, drawn[i]["hidden_layers"], drawn[i]["activation"], mlp_max_epochs, seed
             )
             return model.predict_batch(Q), best_epoch
         return predict
@@ -177,7 +177,7 @@ def check_search(budget: int, seed: int, val_fraction: float, mlp_max_epochs: in
             f"val_fraction must lie strictly between 0 and 1, with 1 - val_fraction < 1, "
             f"got {val_fraction}"
         )
-    MlpTrainingConfig(max_epochs=mlp_max_epochs)
+    check_max_epochs(mlp_max_epochs)
 
 
 def random_search(
@@ -196,7 +196,6 @@ def random_search(
     other kinds ignore it.
     """
     check_search(budget, seed, val_fraction, mlp_max_epochs)
-    mlp_cfg = MlpTrainingConfig(max_epochs=mlp_max_epochs)
 
     sampler = derived_rng((int(seed), 0))
     drawn = [sample_hyperparams(kind, sampler) for _ in range(budget)]
@@ -204,7 +203,7 @@ def random_search(
 
     fit, holdout = chronological_split(train, 1.0 - val_fraction)
 
-    predict_candidate = _candidate_predictor(kind, fit, holdout, drawn, mlp_cfg)
+    predict_candidate = _candidate_predictor(kind, fit, holdout, drawn, mlp_max_epochs)
     candidates: list[Candidate] = []
     for i, params in enumerate(drawn):
         try:

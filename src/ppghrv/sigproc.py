@@ -127,6 +127,18 @@ def moving_average(x: np.ndarray, w: int) -> np.ndarray:
     )
 
 
+def _widths(fs: float) -> tuple[int, float]:
+    """In samples: the detrending average's width, odd so that it is
+    centred, and find_peaks' refractory distance."""
+    return int(round(DETREND_WINDOW_S * fs)) | 1, max(1.0, MIN_PEAK_DISTANCE_S * fs)
+
+
+def _flatness_bound(samples: np.ndarray) -> float:
+    """A detrended span at most this is flat: a constant window leaves
+    ~1e-16 of convolution residue, not exact zeros."""
+    return 1e-9 * max(1.0, float(np.max(np.abs(samples))))
+
+
 def detect_peaks(window: PpgSignal) -> np.ndarray:
     """Indices of pulse peaks within one PPG window.
 
@@ -142,14 +154,11 @@ def detect_peaks(window: PpgSignal) -> np.ndarray:
             f"window of {window.duration_s:.3f}s cannot hold two peaks "
             f"{MIN_PEAK_DISTANCE_S:.3f}s apart"
         )
-    fs = window.sampling_rate_hz
-    w = int(round(DETREND_WINDOW_S * fs)) | 1  # odd, so the average is centred
+    w, distance = _widths(window.sampling_rate_hz)
     x = window.samples - moving_average(window.samples, w)
     span = float(np.ptp(x))
-    # a constant window leaves ~1e-16 of convolution residue, not exact zeros
-    if span <= 1e-9 * max(1.0, float(np.max(np.abs(window.samples)))):
+    if span <= _flatness_bound(window.samples):
         return np.empty(0, dtype=np.intp)
-    distance = max(1.0, MIN_PEAK_DISTANCE_S * fs)
     peaks, _ = find_peaks(x, distance=distance, prominence=PROMINENCE_FRACTION * span)
     return peaks
 
@@ -218,12 +227,11 @@ def _peak_spans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak count and last - first peak index of each window x[s : s + n],
     as detect_peaks gives them (see the module docstring)."""
-    w = int(round(DETREND_WINDOW_S * fs)) | 1
+    w, distance = _widths(fs)
     if n < w:  # moving_average would clip its width to the window
         return _peak_spans_alone(x, fs, starts, n)
     seg = x[starts[0] : starts[-1] + n]
     rel = starts - starts[0]
-    distance = max(1.0, MIN_PEAK_DISTANCE_S * fs)
     reach = int(np.ceil(distance))
     stride = n + 2 * reach + 1  # a window and the +inf run after it
     buf = np.full((starts.size, stride), np.inf)
@@ -233,10 +241,9 @@ def _peak_spans(
     with np.errstate(over="ignore", invalid="ignore"):
         _detrend_windows(seg, rel, w, out=body)
         span = body.max(axis=1) - body.min(axis=1)
-    # detect_peaks finds nothing when span <= 1e-9 * max(1, max |sample|);
-    # the block's largest |sample| bounds each window's, so every window
+    # the block's flatness bound is at least each window's, so every window
     # that might be flat, or whose values overflowed, is searched alone
-    alone = ~np.isfinite(span) | (span <= 1e-9 * max(1.0, float(np.max(np.abs(seg)))))
+    alone = ~np.isfinite(span) | (span <= _flatness_bound(seg))
     body[alone] = 0.0
     line = buf.ravel()
     # so is every window where two local maxima closer than reach tie

@@ -62,7 +62,7 @@ class TestRoundTrip:
                     np.testing.assert_allclose(singles, batch, rtol=1e-12, atol=0.0)
                 else:
                     assert singles.tobytes() == batch.tobytes()
-                with pytest.raises(HrvError, match="model expects 6 features, got 5$"):
+                with pytest.raises(HrvError, match=r"model expects 6 features, got shape \(5,\)$"):
                     m.predict(probes[0][:5])
 
     def test_reencode_is_stable(self, train_set):

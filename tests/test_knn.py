@@ -374,7 +374,50 @@ class TestOneRankingServesEveryK:
         )
         near = X[:10].astype(np.float64)
         Q = np.vstack([near, near * (1 + 1e-7), _walks(rng, 10, d) * scale])
-        lo = model._manhattan_bounds(Q)
+        lo, T = model._manhattan_bounds(Q)
         exact = np.array([model._distances(model.X, q) for q in Q])
-        assert np.isfinite(lo).all()
+        assert np.isfinite(lo).all() and np.isfinite(T).all()
         assert (lo <= exact).all()
+
+
+class TestEachDistanceGivesLoAndT:
+    """Both distances bound a block of queries as (lo, T), and every row of
+    a query's exact k nearest is a candidate: lo_j <= T, or T is nan and
+    every row is one."""
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    @pytest.mark.parametrize("k", [MIN_K, 5, MAX_K])
+    @pytest.mark.parametrize(
+        "name", ["random_walks_61", "integer_ties", "overflowing_bounds", "non_finite_queries"]
+    )
+    def test_exact_k_nearest_are_candidates(self, name, k, distance):
+        rng = np.random.default_rng(15)
+        X, Q = DATASETS[name](rng)
+        model = train_knn(make_ds(X, rng.uniform(size=X.shape[0])), k, distance)
+        q = (Q - model.mu) / model.sigma
+        bounds = model._manhattan_bounds if distance == MANHATTAN else model._bounds
+        with np.errstate(all="ignore"):
+            lo, T = bounds(q)
+            nearest = oracle_neighbours(model, Q)
+        assert lo.shape == (len(Q), len(X)) and T.shape == (len(Q),)
+        for r, (lo_q, t, near) in enumerate(zip(lo, T, nearest)):
+            assert np.isnan(t) or (lo_q[near] <= t).all(), r
+        # a query that is not finite is scanned in full; finite walks never are
+        assert np.isnan(T[~np.isfinite(q).all(axis=1)]).all()
+        if name == "random_walks_61":
+            assert not np.isnan(T).any()
+
+    def test_one_overflowing_product_scans_in_full(self):
+        # a model file may hold any finite float32 rows; the float32 product
+        # of this query with row 0 overflows to +inf, so that row's bounds
+        # are -inf while every other row's are finite
+        X = np.array([[3e38, 3e38], [0, 0], [1, 1], [2, 2], [5, 5]], dtype=np.float32)
+        model = KnnRegressor(
+            X, np.arange(5.0), np.zeros(2, np.float32), np.ones(2, np.float32), 2, EUCLIDEAN
+        )
+        Q = np.array([[2.0, 2.0]])
+        with np.errstate(all="ignore"):
+            lo, T = model._bounds(Q)
+        assert lo[0, 0] == -np.inf and np.isfinite(lo[0, 1:]).all()
+        assert np.isnan(T).all()
+        assert_same_as_oracle(model, Q)

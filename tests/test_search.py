@@ -117,11 +117,11 @@ class TestRandomSearch:
     def test_mlp_search_uses_training_config(self, regression_ds, monkeypatch):
         # candidates early-stop within mlp_max_epochs; the winner's retrain
         # runs a fixed epoch count that cannot exceed it
-        seen_cfgs, retrain_epochs = [], []
+        seen_max_epochs, retrain_epochs = [], []
         real_candidate, real_retrain = search_module.fit_early_stopped, search_module.fit_epochs
 
         def candidate_spy(*args):
-            seen_cfgs.append(args[3])
+            seen_max_epochs.append(args[3])
             return real_candidate(*args)
 
         def retrain_spy(*args):
@@ -133,7 +133,7 @@ class TestRandomSearch:
         result = random_search(
             regression_ds, ModelKind.MLP, budget=2, seed=8, mlp_max_epochs=5, val_fraction=0.2
         )
-        assert [c.max_epochs for c in seen_cfgs] == [5, 5]
+        assert seen_max_epochs == [5, 5]
         assert retrain_epochs == [result.best.best_epoch + 1]
         assert 1 <= retrain_epochs[0] <= 5
 

@@ -326,7 +326,10 @@ class TestTreeErrors:
     def test_feature_length_checked(self):
         ds = make_ds(np.arange(8.0).reshape(4, 2), np.arange(4.0))
         model = train_dt(ds, max_depth=2)
-        with pytest.raises(HrvError, match='model expects 2 features, got 3'):
+        with pytest.raises(HrvError, match=r"model expects 2 features, got shape \(3,\)$"):
             model.predict([1.0, 2.0, 3.0])
+        # a single predict takes one 1-D row only
+        with pytest.raises(HrvError, match=r"model expects 2 features, got shape \(1, 2\)$"):
+            model.predict([[1.0, 2.0]])
         with pytest.raises(HrvError, match=r"model expects 2 features, got shape \(2, 3\)"):
             model.predict_batch(np.zeros((2, 3)))
