@@ -10,7 +10,8 @@ little-endian IEEE):
 
 DT and RF share one tree layout: a varint node count, then one varint tag
 per node (feature+1, 0 marks a leaf) followed by a float64 leaf value or a
-float32 threshold and two varint child indices.  A DT payload is one such
+float32 threshold and two varint child indices; nodes are in preorder, so
+a split's left child is always the next node.  A DT payload is one such
 table; an RF payload is a varint tree count followed by that many tables.
 KNN stores its standardised float32 training matrix and float64 labels.
 MLP stores float32 weights/biases and standardisation statistics (float64
@@ -19,12 +20,13 @@ so decode(encode(m)) predicts bit-identically.
 
 decode raises HrvError for a file that is malformed or inconsistent:
 bad magic or tags, truncation, trailing bytes, tree nodes out of preorder
-(a child index must lie after its parent and inside the table, which rules
-out cycles), a split feature >= n_features, a node count the remaining
-bytes cannot hold, a forest with no trees, KNN k outside [1, stored rows],
-an MLP whose input width is not n_features or whose output width is not 1,
-and any non-finite (nan, inf) threshold, leaf value, weight, bias, stored
-row, label or standardisation statistic.
+(a split's left child must be the next node and its right child lie after
+that and inside the table, which rules out cycles), a split feature >=
+n_features, a node count the remaining bytes cannot hold, a forest with no
+trees, KNN k outside [1, stored rows], an MLP whose input width is not
+n_features or whose output width is not 1, and any non-finite (nan, inf)
+threshold, leaf value, weight, bias, stored row, label or standardisation
+statistic.
 """
 
 from __future__ import annotations
@@ -132,13 +134,14 @@ def _encode_nodes(buf: bytearray, nodes: TreeNodes) -> None:
             buf += struct.pack("<d", float(nodes.value[i]))
         else:
             buf += struct.pack("<f", float(nodes.threshold[i]))
-            _write_varint(buf, int(nodes.left[i]))
+            _write_varint(buf, i + 1)
             _write_varint(buf, int(nodes.right[i]))
 
 
 def _decode_nodes(r: _Reader, n_features: int) -> TreeNodes:
-    """Nodes must be in preorder: each child index lies after its parent's
-    and inside the table, so every walk ends at a leaf."""
+    """Nodes must be in preorder: a split's left child is the next node and
+    its right child lies after that and inside the table, so every walk ends
+    at a leaf."""
     count = r.varint()
     if count < 1:
         raise HrvError("tree with zero nodes")
@@ -146,7 +149,6 @@ def _decode_nodes(r: _Reader, n_features: int) -> TreeNodes:
         raise HrvError(f"tree claims {count} nodes but {r.remaining()} bytes remain")
     feature = np.empty(count, dtype=np.int32)
     threshold = np.zeros(count, dtype=np.float32)
-    left = np.full(count, -1, dtype=np.int32)
     right = np.full(count, -1, dtype=np.int32)
     value = np.zeros(count, dtype=np.float64)
     for i in range(count):
@@ -160,13 +162,13 @@ def _decode_nodes(r: _Reader, n_features: int) -> TreeNodes:
         feature[i] = tag - 1
         threshold[i] = np.float32(r.f32())
         lo, hi = r.varint(), r.varint()
-        if not (i < lo < count and i < hi < count):
-            raise HrvError(f"node {i} has children {lo}, {hi} outside ({i}, {count})")
-        left[i] = lo
+        if not lo == i + 1 < hi < count:
+            raise HrvError(f"node {i} has children {lo}, {hi}; need left {i + 1} and right "
+                           f"in ({i + 1}, {count})")
         right[i] = hi
     _finite(threshold, "split threshold")
     _finite(value, "leaf value")
-    return TreeNodes(feature, threshold, left, right, value)
+    return TreeNodes(feature, threshold, right, value)
 
 
 def encode(model: TrainedModel) -> bytes:
@@ -188,13 +190,11 @@ def encode(model: TrainedModel) -> bytes:
         buf += model.y.astype("<f8").tobytes()
     elif isinstance(model, MlpRegressor):
         buf.append(ACTIVATIONS.index(model.activation))
-        _write_varint(buf, len(model.params32))
-        sizes = [model.params32[0][0].shape[0]] + [
-            W.shape[1] for W, _ in model.params32
-        ]
+        _write_varint(buf, len(model.params))
+        sizes = [model.n_features] + [W.shape[1] for W, _ in model.params]
         for s in sizes:
             _write_varint(buf, s)
-        for W, b in model.params32:
+        for W, b in model.params:
             buf += W.astype("<f4").tobytes()
             buf += b.astype("<f4").tobytes()
         buf += model.x_mu.astype("<f4").tobytes()
@@ -252,17 +252,17 @@ def decode(data: bytes) -> TrainedModel:
         raise HrvError(f"input width {sizes[0]} disagrees with n_features {d}")
     if sizes[-1] != 1:
         raise HrvError(f"output width {sizes[-1]}, expected 1")
-    params32 = []
+    params = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         W = _finite(r.f32_array(fan_in * fan_out), "weight").reshape(fan_in, fan_out)
         b = _finite(r.f32_array(fan_out), "bias")
-        params32.append((W, b))
+        params.append((W, b))
     x_mu = _finite(r.f32_array(d), "feature mean")
     x_sigma = _std(r.f32_array(d), "feature std")
     y_mu = _finite(r.f64(), "label mean")
     y_sigma = _std(r.f64(), "label std")
     r.done()
-    return MlpRegressor(params32, ACTIVATIONS[act_tag], x_mu, x_sigma, y_mu, y_sigma)
+    return MlpRegressor(params, ACTIVATIONS[act_tag], x_mu, x_sigma, y_mu, y_sigma)
 
 
 def serialized_size(model: TrainedModel) -> int:

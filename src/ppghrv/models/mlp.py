@@ -2,8 +2,10 @@
 
 Features and labels are z-normalised with statistics from the training
 split only; predictions are de-normalised on the way out.  Training runs
-in float64, the kept weights are quantised to float32 once at the end so
-the serialised model predicts bit-identically.
+in float64.  The MlpRegressor constructor is the one place that rounds the
+weights, biases and feature statistics to float32; it keeps only their
+float64 form, which the codec narrows back exactly, so the serialised model
+predicts bit-identically.
 
 Two fits share one SGD epoch loop (_epochs).  fit_early_stopped holds out
 the chronological tail of train and keeps the best epoch's weights.
@@ -115,34 +117,37 @@ def loss_and_grads(params, X: np.ndarray, y: np.ndarray, activation: str):
     return loss, grads
 
 
+def _rounded(a: np.ndarray) -> np.ndarray:
+    """a rounded to float32 and widened back to float64."""
+    return a.astype(np.float32).astype(np.float64)
+
+
 class MlpRegressor(TrainedModel):
+    """Keeps params (W, b per layer), x_mu and x_sigma as float64 arrays
+    holding float32 values; the label statistics stay float64."""
+
     kind = ModelKind.MLP
 
     def __init__(
         self,
-        params32: list[tuple[np.ndarray, np.ndarray]],  # float32 W, b
+        params: list[tuple[np.ndarray, np.ndarray]],
         activation: str,
-        x_mu: np.ndarray,     # float32
-        x_sigma: np.ndarray,  # float32
+        x_mu: np.ndarray,
+        x_sigma: np.ndarray,
         y_mu: float,
         y_sigma: float,
     ):
-        super().__init__(params32[0][0].shape[0])
-        self.params32 = params32
+        super().__init__(params[0][0].shape[0])
+        self.params = [(_rounded(W), _rounded(b)) for W, b in params]
         self.activation = activation
-        self.x_mu = x_mu
-        self.x_sigma = x_sigma
+        self.x_mu = _rounded(x_mu)
+        self.x_sigma = _rounded(x_sigma)
         self.y_mu = float(y_mu)
         self.y_sigma = float(y_sigma)
-        self._params64 = [
-            (W.astype(np.float64), b.astype(np.float64)) for W, b in params32
-        ]
-        self._x_mu64 = x_mu.astype(np.float64)
-        self._x_sigma64 = x_sigma.astype(np.float64)
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        Xs = (X - self._x_mu64) / self._x_sigma64
-        out = forward(self._params64, Xs, self.activation)
+        Xs = (X - self.x_mu) / self.x_sigma
+        out = forward(self.params, Xs, self.activation)
         return out * self.y_sigma + self.y_mu
 
 
@@ -231,15 +236,7 @@ def _prepare(train, hidden_layers, activation: str, seed: int):
     params = init_params(layer_sizes, rng)
 
     def finish(kept) -> MlpRegressor:
-        params32 = [(W.astype(np.float32), b.astype(np.float32)) for W, b in kept]
-        return MlpRegressor(
-            params32,
-            activation,
-            x_mu.astype(np.float32),
-            x_sigma.astype(np.float32),
-            y_mu,
-            y_sigma,
-        )
+        return MlpRegressor(kept, activation, x_mu, x_sigma, y_mu, y_sigma)
 
     return Xs, ys, params, rng, finish
 

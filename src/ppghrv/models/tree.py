@@ -34,12 +34,12 @@ SPLIT_BLOCK_ELEMENTS = 1 << 14
 
 @dataclass(frozen=True)
 class TreeNodes:
-    """Flat preorder node arrays; feature == LEAF marks a leaf."""
+    """Flat preorder node arrays; feature == LEAF marks a leaf.  A split's
+    left child is the next node, i + 1."""
 
     feature: np.ndarray    # int32
     threshold: np.ndarray  # float32, x <= threshold goes left
-    left: np.ndarray       # int32 child index
-    right: np.ndarray      # int32 child index
+    right: np.ndarray      # int32 right-child index, -1 at a leaf
     value: np.ndarray      # float64 leaf prediction
 
     def __len__(self) -> int:
@@ -127,22 +127,22 @@ def _grow(X: np.ndarray, y: np.ndarray, max_depth: int):
     rows[a:b] lists a node's rows in row order and orders[:, a:b] the same
     rows sorted by each feature; a split partitions both in place, stably,
     so every node sees what a stable sort of its own rows would give.
-    Nodes are numbered in preorder: the left subtree is grown first.
+    Nodes are numbered in preorder: the left subtree is grown first, so a
+    split's left child is the next node and only right children are linked.
     """
-    feature, threshold, left, right, value = [], [], [], [], []
+    feature, threshold, right, value = [], [], [], []
     depths, means = [], []
     X = np.ascontiguousarray(X)
     rows = np.arange(y.size, dtype=np.int32)
     orders = _presort(X)
     goes_left = np.zeros(y.size, dtype=bool)
-    # (first, end, depth, the child list and parent index to link it from)
-    stack = [(0, y.size, 0, None)]
+    # (first, end, depth, the split this node is the right child of, or -1)
+    stack = [(0, y.size, 0, -1)]
     while stack:
-        a, b, depth, link = stack.pop()
+        a, b, depth, parent = stack.pop()
         idx = len(feature)
-        if link is not None:
-            side, parent = link
-            side[parent] = idx
+        if parent >= 0:
+            right[parent] = idx
         node_rows = rows[a:b]
         node_y = y[node_rows]
         depths.append(depth)
@@ -154,7 +154,6 @@ def _grow(X: np.ndarray, y: np.ndarray, max_depth: int):
             or np.all(node_y == node_y[0])
         ):
             split = _best_split(X, node_y, y, orders[:, a:b])
-        left.append(-1)
         right.append(-1)
         if split is None:
             feature.append(LEAF)
@@ -170,25 +169,23 @@ def _grow(X: np.ndarray, y: np.ndarray, max_depth: int):
         goes_left[node_rows] = mask
         rows[a:b] = np.concatenate([node_rows[mask], node_rows[~mask]])
         _partition(orders[:, a:b], goes_left, n_left)
-        stack.append((a + n_left, b, depth + 1, (right, idx)))
-        stack.append((a, a + n_left, depth + 1, (left, idx)))
+        stack.append((a + n_left, b, depth + 1, idx))
+        stack.append((a, a + n_left, depth + 1, -1))
 
     return TreeNodes(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float32),
-        left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
         value=np.asarray(value, dtype=np.float64),
     ), np.asarray(depths), np.asarray(means)
 
 
-def _as_lists(nodes: TreeNodes) -> tuple[list, list, list, list, list]:
+def _as_lists(nodes: TreeNodes) -> tuple[list, list, list, list]:
     """The node arrays as plain lists: the per-row walk is pure Python, and
     list indexing is far cheaper than numpy scalar indexing there."""
     return (
         nodes.feature.tolist(),
         nodes.threshold.astype(np.float64).tolist(),
-        nodes.left.tolist(),
         nodes.right.tolist(),
         nodes.value.tolist(),
     )
@@ -196,10 +193,10 @@ def _as_lists(nodes: TreeNodes) -> tuple[list, list, list, list, list]:
 
 def _walk(lists, row) -> float:
     """Leaf value reached by one row; lists come from _as_lists."""
-    feature, threshold, left, right, value = lists
+    feature, threshold, right, value = lists
     i = 0
     while feature[i] != LEAF:
-        i = left[i] if row[feature[i]] <= threshold[i] else right[i]
+        i = i + 1 if row[feature[i]] <= threshold[i] else right[i]
     return value[i]
 
 
@@ -240,7 +237,6 @@ def _truncate(
     return TreeNodes(
         feature=np.where(cut, LEAF, nodes.feature)[keep],
         threshold=np.where(cut, np.float32(0.0), nodes.threshold)[keep],
-        left=np.where(split, index[nodes.left], -1)[keep],
         right=np.where(split, index[nodes.right], -1)[keep],
         value=np.where(cut, mean, nodes.value)[keep],
     )

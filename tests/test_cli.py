@@ -61,6 +61,19 @@ class TestPipelineCommands:
         pred = model.predict(read_dataset_csv(workdir / "ds.csv").features[0])
         assert pred > 0.0
 
+    def test_train_rf_then_eval(self, workdir, tmp_path, capsys):
+        model = tmp_path / "rf.bin"
+        code = main([
+            "train", "--dataset", str(workdir / "ds.csv"), "--model", "rf",
+            "--budget", "2", "--seed", "7", "--out", str(model),
+        ])
+        assert code == 0
+        assert f"model bytes: {model.stat().st_size}" in capsys.readouterr().out
+        assert load_model(model).kind is ModelKind.RF
+        code = main(["eval", "--model", str(model), "--dataset", str(workdir / "ds.csv")])
+        assert code == 0
+        assert "model MAPE" in capsys.readouterr().out
+
     def test_train_prints_hyperparams(self, workdir, tmp_path, capsys):
         code = main([
             "train", "--dataset", str(workdir / "ds.csv"), "--model", "knn",
@@ -100,6 +113,15 @@ class TestPipelineCommands:
         code = main([
             "bench", "--model", str(workdir / "model.bin"),
             "--dataset", str(workdir / "ds.csv"), "--repetitions", "200",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "repetitions: 200" in out and "mean:" in out
+
+    def test_bench_without_dataset_draws_probes(self, workdir, capsys):
+        code = main([
+            "bench", "--model", str(workdir / "model.bin"), "--repetitions", "200",
+            "--seed", "5",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -340,14 +362,18 @@ class TestExitCodes:
          "need 100000 smoothed HRs"),
         (["--rr", "MISSING", "--out-dataset", "DS"], 2, "missing.csv"),
         (["--rr", "RR", "--n-s", "30", "--out-dataset", "NODIR"], 1, "nodir"),
+        (["--rr", "ONE_BEAT", "--n-s", "30", "--out-dataset", "DS"], 2,
+         "need at least 2 beats, got 1"),
     ], ids=["rr_without_dataset", "window_longer_than_trace", "missing_rr_file",
-            "dataset_dir_missing"])
+            "dataset_dir_missing", "one_beat_rr_file"])
     def test_failed_process_writes_nothing(
         self, extra, code, message, workdir, tmp_path, capsys
     ):
+        (tmp_path / "one_beat.csv").write_text("beat_time_s,rr_ms\n0.0,\n")
         paths = {
             "RR": str(workdir / "rr.csv"),
             "MISSING": str(tmp_path / "missing.csv"),
+            "ONE_BEAT": str(tmp_path / "one_beat.csv"),
             "DS": str(tmp_path / "ds.csv"),
             "NODIR": str(tmp_path / "nodir" / "d.csv"),
         }
@@ -568,8 +594,12 @@ class TestExitCodes:
         (["--lengths", "0"], "n_s must be at least 2 s, got 0"),
         (["--lengths", "-5"], "n_s must be at least 2 s, got -5"),
         (["--seed", "-1"], "seed must be >= 0"),
+        (["--lengths", ""], "empty list value"),
+        (["--lengths", "1.5"], "expected comma-separated integers, got '1.5'"),
+        (["--seed", "x"], "expected a seed (an integer >= 0), got 'x'"),
     ], ids=["activity", "train_zero", "train_above_one", "val_zero", "val_above_one", "epochs_zero",
-            "length_one", "length_zero", "length_negative", "seed_negative"])
+            "length_one", "length_zero", "length_negative", "seed_negative", "lengths_empty",
+            "lengths_not_integer", "seed_not_integer"])
     def test_bad_run_setting_fails_before_any_write(self, args, message, tmp_path, capsys):
         # these used to synthesise every activity, then fail each cell with exit 2
         # (or leave an empty out_dir behind)
@@ -680,14 +710,19 @@ class TestExitCodes:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "m.bin").exists()
 
-    @pytest.mark.parametrize("window_s", ["0.5", "1e6"])
+    @pytest.mark.parametrize("window_s, message", [
+        ("0.5", "window_s"),
+        ("1e6", "window_s"),
+        ("0", "window_s must be positive"),
+        ("-5", "window_s must be positive"),
+    ], ids=["0.5", "1e6", "0", "-5"])
     def test_amplify_window_yielding_too_few_windows_is_config_error(
-        self, window_s, tmp_path, capsys
+        self, window_s, message, tmp_path, capsys
     ):
         out = tmp_path / "a.csv"
         code = main(["amplify", "--window-s", window_s, "--trials", "1", "--out", str(out)])
         assert code == 1
-        assert "window_s" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
@@ -696,6 +731,9 @@ class TestExitCodes:
         ("seed = -1", "seed must be >= 0"),
         ("duration_s = abc", "expected a number, got 'abc'"),
         ("models = dt,xx", "unknown model 'xx'"),
+        ("lengths = ,", "empty list value ','"),
+        ("clean = maybe", "expected a boolean, got 'maybe'"),
+        ("budget 3", "expected key=value, got 'budget 3'"),
     ])
     def test_bad_config_number_is_config_error(self, line, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

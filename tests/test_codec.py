@@ -222,13 +222,21 @@ class TestInconsistentFiles:
         (knn_file(k=3, rows=3, sigma=-1.0), "non-positive feature std"),
         (mlp_file(out_width=1, x_sigma=0.0), "non-positive feature std"),
         (mlp_file(out_width=1, y_sigma=0.0), "non-positive label std"),
+        (dt_file(1, []), "tree with zero nodes"),
+        (MAGIC + bytes([3]) + varints(1) + bytes([0]) + varints(0), "MLP with no layers"),
+        (MAGIC + bytes([3]) + varints(2) + bytes([0]) + varints(1, 1, 1),
+         "input width 1 disagrees with n_features 2"),
+        # preorder fixes a split's left child as the next node
+        (dt_file(1, [(0, 2, 1), 1.0, 2.0]), "children"),
+        (dt_file(1, [(0, 1, 1), 1.0]), "children"),
     ], ids=[
         "self_loop", "child_before_parent", "child_past_table", "feature_out_of_range",
         "node_count_past_end", "forest_without_trees", "knn_k_above_rows", "knn_k_zero",
         "mlp_output_width", "dt_nan_leaf", "dt_inf_threshold", "rf_inf_leaf", "knn_nan_mu",
         "knn_inf_sigma", "knn_nan_row", "knn_nan_label", "mlp_nan_weight", "mlp_inf_bias",
         "mlp_nan_x_sigma", "mlp_inf_y_sigma", "knn_zero_sigma", "knn_negative_sigma",
-        "mlp_zero_x_sigma", "mlp_zero_y_sigma",
+        "mlp_zero_x_sigma", "mlp_zero_y_sigma", "tree_without_nodes", "mlp_without_layers",
+        "mlp_input_width", "left_child_not_next", "right_child_is_left",
     ])
     def test_rejected(self, blob, message):
         with pytest.raises(HrvError, match=message):

@@ -29,7 +29,6 @@ class TestForest:
         stump = TreeNodes(
             feature=np.array([0, LEAF, LEAF], dtype=np.int32),
             threshold=np.array([0.0, 0.0, 0.0], dtype=np.float32),
-            left=np.array([1, -1, -1], dtype=np.int32),
             right=np.array([2, -1, -1], dtype=np.int32),
             value=np.array([0.0, -0.0, 0.1]),
         )

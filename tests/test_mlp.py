@@ -78,7 +78,7 @@ class TestTraining:
         cfg = MlpTrainingConfig(max_epochs=30)
         a = train_mlp(ds, (5,), "relu", cfg=cfg, seed=7)
         b = train_mlp(ds, (5,), "relu", cfg=cfg, seed=7)
-        for (Wa, ba), (Wb, bb) in zip(a.params32, b.params32):
+        for (Wa, ba), (Wb, bb) in zip(a.params, b.params):
             np.testing.assert_array_equal(Wa, Wb)
             np.testing.assert_array_equal(ba, bb)
 
@@ -88,7 +88,7 @@ class TestTraining:
         cfg = MlpTrainingConfig(max_epochs=5)
         a = train_mlp(ds, (5,), "relu", cfg=cfg, seed=1)
         b = train_mlp(ds, (5,), "relu", cfg=cfg, seed=2)
-        assert not np.array_equal(a.params32[0][0], b.params32[0][0])
+        assert not np.array_equal(a.params[0][0], b.params[0][0])
 
     def test_diverged_loss_raised(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -117,9 +117,9 @@ class TestTraining:
                           cfg=MlpTrainingConfig(max_epochs=400), seed=3)
         assert len(epochs) == 155  # one validation pass per epoch
         digest = hashlib.sha256()
-        for W, b in model.params32:
-            digest.update(W.tobytes())
-            digest.update(b.tobytes())
+        for W, b in model.params:  # hashed as float32, the width they hold
+            digest.update(W.astype(np.float32).tobytes())
+            digest.update(b.astype(np.float32).tobytes())
         assert digest.hexdigest() == (
             "94fe52726cbde1ddf7d2377103379c2b3d7e5ad8b330dece726dc8ed291ec912"
         )

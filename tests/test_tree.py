@@ -68,13 +68,12 @@ def oracle_best_split(X, y):
 def oracle_grow(X, y, max_depth):
     """The per-node CART grow the presorted one replaced: each node copies
     its rows out and searches them with oracle_best_split."""
-    feature, threshold, left, right, value = [], [], [], [], []
+    feature, threshold, right, value = [], [], [], []
 
     def leaf(node_y) -> int:
         idx = len(feature)
         feature.append(LEAF)
         threshold.append(0.0)
-        left.append(-1)
         right.append(-1)
         value.append(float(np.mean(node_y)))
         return idx
@@ -93,11 +92,10 @@ def oracle_grow(X, y, max_depth):
         idx = len(feature)
         feature.append(f)
         threshold.append(float(thr))
-        left.append(-1)
         right.append(-1)
         value.append(0.0)
         mask = node_X[:, f] <= np.float64(thr)
-        left[idx] = rec(node_X[mask], node_y[mask], depth + 1)
+        assert rec(node_X[mask], node_y[mask], depth + 1) == idx + 1  # preorder
         right[idx] = rec(node_X[~mask], node_y[~mask], depth + 1)
         return idx
 
@@ -105,14 +103,13 @@ def oracle_grow(X, y, max_depth):
     return TreeNodes(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float32),
-        left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
         value=np.asarray(value, dtype=np.float64),
     )
 
 
 def assert_same_nodes(got, want, context=None):
-    for field in ("feature", "threshold", "left", "right", "value"):
+    for field in ("feature", "threshold", "right", "value"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (field, context)
 
@@ -277,7 +274,7 @@ class TestTreeStructure:
             depth = [0] * len(nodes)
             for i in range(len(nodes)):  # preorder: children follow their parent
                 if nodes.feature[i] != LEAF:
-                    depth[nodes.left[i]] = depth[nodes.right[i]] = depth[i] + 1
+                    depth[i + 1] = depth[nodes.right[i]] = depth[i] + 1
             assert max(depth) <= max_depth
 
     def test_predictions_within_label_range(self):
