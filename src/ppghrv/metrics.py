@@ -118,11 +118,23 @@ def mape_rows(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
 
 
 def mape(estimates, truths) -> float:
-    """Mean absolute percentage error of estimates against truths, in percent."""
+    """Mean absolute percentage error of estimates against truths, in percent.
+
+    HrvError names the first estimate that is not finite, with its row; a
+    score that is not finite (say, from estimates near the float64 limit)
+    raises too, so eval, run and the search never report an inf or nan.
+    """
     est = checked_array(estimates, "estimates", 1)
     tru = checked_array(truths, "truths", 1)
     if est.size != tru.size or est.size == 0:
         raise HrvError(
             f"mape needs equal non-empty lengths, got {est.size} and {tru.size}"
         )
-    return float(mape_rows(est, tru))
+    bad = np.flatnonzero(~np.isfinite(est))
+    if bad.size:
+        raise HrvError(f"the estimate for row {bad[0]} is {est[bad[0]]}, not a finite number")
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = float(mape_rows(est, tru))
+    if not np.isfinite(score):
+        raise HrvError(f"MAPE is {score}, not a finite number")
+    return score

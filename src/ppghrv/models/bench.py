@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, HrvError
 from .base import TrainedModel
 
 MIN_REPETITIONS = 100
@@ -40,16 +40,20 @@ def bench_inference(
 ) -> LatencyStats:
     """Time `repetitions` single predict calls, cycling over the probes.
 
-    The first WARMUP_CALLS calls are run untimed so caches and allocator state
-    settle; statistics cover exactly `repetitions` timed calls.
+    The first WARMUP_CALLS calls, or one per probe if there are more, are
+    run untimed so caches and allocator state settle; a prediction among
+    them that is not finite raises HrvError.  Statistics cover exactly
+    `repetitions` timed calls.
     """
     check_repetitions(repetitions)
     probes = [np.asarray(p, dtype=np.float64) for p in probe_inputs]
     if not probes:
         raise ConfigError("need at least one probe input")
     n = len(probes)
-    for i in range(WARMUP_CALLS):
-        model.predict(probes[i % n])
+    for i in range(max(WARMUP_CALLS, n)):
+        y = model.predict(probes[i % n])
+        if not np.isfinite(y):
+            raise HrvError(f"the estimate for probe {i % n} is {y}, not a finite number")
     times_ns = np.empty(repetitions, dtype=np.float64)
     for i in range(repetitions):
         x = probes[i % n]

@@ -7,17 +7,13 @@ artifacts, limited compute.
 
 detect_peaks defines one window's peaks.  ppg_to_hr does not call it per
 window: consecutive windows overlap by all but 0.25 s, so it searches a
-block of windows with one convolution and two find_peaks calls, and gets
+block of windows with one detrend and two find_peaks calls, and gets
 detect_peaks' result bit for bit:
 
-- Detrend.  np.convolve(..., "same") computes each output with numpy's dot
-  over the kernel's span of samples (or, for kernels of at most 11 taps, a
-  fixed loop over them).  Away from a window's ends that span, the routine
-  and the divisor w are the same in the window as in the block, so one
-  convolution over the block gives every window's interior.  The first and
-  last w // 2 outputs of a window sum only h + 1 .. 2h of its own samples
-  with numpy's dot; np.vecdot calls that dot on each row, so those partial
-  sums match as well.
+- Detrend.  _detrend_windows is the one detrend; detect_peaks calls it on a
+  block of one window.  Each trend value sums only its own window's
+  samples, in an order that depends neither on where the window sits in
+  the block nor on the BLAS kernel.
 - Separators.  The detrended windows are laid end to end with runs of
   2 * ceil(distance) + 1 samples of +inf between them, and searched as one
   array.  A sample next to +inf is never a local maximum, and every
@@ -117,16 +113,6 @@ class SmoothedHrSeries:
         return int(self.values.size)
 
 
-def moving_average(x: np.ndarray, w: int) -> np.ndarray:
-    """Centred moving average of width w, clipped to len(x); edges average
-    the samples available."""
-    w = max(1, min(w, x.size))
-    kernel = np.ones(w)
-    return np.convolve(x, kernel, mode="same") / np.convolve(
-        np.ones_like(x), kernel, mode="same"
-    )
-
-
 def _widths(fs: float) -> tuple[int, float]:
     """In samples: the detrending average's width, odd so that it is
     centred, and find_peaks' refractory distance."""
@@ -135,7 +121,7 @@ def _widths(fs: float) -> tuple[int, float]:
 
 def _flatness_bound(samples: np.ndarray) -> float:
     """A detrended span at most this is flat: a constant window leaves
-    ~1e-16 of convolution residue, not exact zeros."""
+    ~1e-16 of rounding residue, not exact zeros."""
     return 1e-9 * max(1.0, float(np.max(np.abs(samples))))
 
 
@@ -143,23 +129,27 @@ def detect_peaks(window: PpgSignal) -> np.ndarray:
     """Indices of pulse peaks within one PPG window.
 
     The window is detrended with a centred moving average DETREND_WINDOW_S
-    wide (or as wide as the window, if that is shorter) so baseline wander
-    does not mask pulses.  Local maxima are then kept if their prominence
-    reaches PROMINENCE_FRACTION of the detrended peak-to-peak range and they
-    lie at least MIN_PEAK_DISTANCE_S apart.  A flat window yields an empty
-    array; that is a valid result, not a failure.
+    wide, narrowed to the widest odd width the window holds ((n - 1) | 1
+    for n samples), so baseline wander does not mask pulses.  Local maxima
+    are then kept if their prominence reaches PROMINENCE_FRACTION of the
+    detrended peak-to-peak range and they lie at least MIN_PEAK_DISTANCE_S
+    apart.  A flat window yields an empty array; that is a valid result,
+    not a failure.
     """
     if window.duration_s < 2 * MIN_PEAK_DISTANCE_S:
         raise HrvError(
             f"window of {window.duration_s:.3f}s cannot hold two peaks "
             f"{MIN_PEAK_DISTANCE_S:.3f}s apart"
         )
+    n = window.samples.size
     w, distance = _widths(window.sampling_rate_hz)
-    x = window.samples - moving_average(window.samples, w)
-    span = float(np.ptp(x))
+    x = np.empty((1, n))
+    _detrend_windows(window.samples, np.zeros(1, dtype=np.intp), min(w, (n - 1) | 1), x)
+    with np.errstate(invalid="ignore"):  # inf - inf where the sums overflowed
+        span = float(np.ptp(x))
     if span <= _flatness_bound(window.samples):
         return np.empty(0, dtype=np.intp)
-    peaks, _ = find_peaks(x, distance=distance, prominence=PROMINENCE_FRACTION * span)
+    peaks, _ = find_peaks(x[0], distance=distance, prominence=PROMINENCE_FRACTION * span)
     return peaks
 
 
@@ -228,7 +218,7 @@ def _peak_spans(
     """Peak count and last - first peak index of each window x[s : s + n],
     as detect_peaks gives them (see the module docstring)."""
     w, distance = _widths(fs)
-    if n < w:  # moving_average would clip its width to the window
+    if n < w:  # only n = 0, below 1/16 Hz; detect_peaks words the error
         return _peak_spans_alone(x, fs, starts, n)
     seg = x[starts[0] : starts[-1] + n]
     rel = starts - starts[0]
@@ -236,10 +226,10 @@ def _peak_spans(
     stride = n + 2 * reach + 1  # a window and the +inf run after it
     buf = np.full((starts.size, stride), np.inf)
     body = buf[:, :n]
+    _detrend_windows(seg, rel, w, body)
     # samples near the float64 limit overflow the sums; such windows are
-    # left to detect_peaks below, with its own warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        _detrend_windows(seg, rel, w, out=body)
+    # left to detect_peaks below
+    with np.errstate(invalid="ignore"):
         span = body.max(axis=1) - body.min(axis=1)
     # the block's flatness bound is at least each window's, so every window
     # that might be flat, or whose values overflowed, is searched alone
@@ -273,27 +263,24 @@ def _peak_spans(
 
 
 def _detrend_windows(seg: np.ndarray, rel: np.ndarray, w: int, out: np.ndarray) -> None:
-    """out[i] = v - moving_average(v, w) for v = seg[rel[i] : rel[i] + n],
-    bit for bit, where n = out.shape[1] >= w and w is odd."""
+    """out[i] = v - trend for v = seg[rel[i] : rel[i] + n], n = out.shape[1]
+    >= w, w odd: trend[k] averages v[k - h : k + h + 1], h = w // 2, by
+    np.sum inside and by np.cumsum of the samples that exist within h of an
+    end.  Sums that overflow give +-inf or nan, without a warning."""
     n = out.shape[1]
     h = w // 2
-    # the window's interior, from the block's moving average
-    trend = np.convolve(seg, np.ones(w), mode="same") / w
-    out[:] = sliding_window_view(seg - trend, n)[rel]
-    if not h:
-        return
-    # its first and last h values average h + 1 .. 2h of its own samples
-    head = sliding_window_view(seg, 2 * h)[rel]
-    tail = sliding_window_view(seg, 2 * h)[rel + n - 2 * h]
-    head_sum = np.empty((rel.size, h))
-    tail_sum = np.empty((rel.size, h))
-    ones = np.ones(2 * h)
-    for m in range(h):
-        head_sum[:, m] = np.vecdot(head[:, : h + 1 + m], ones[: h + 1 + m])
-        tail_sum[:, m] = np.vecdot(tail[:, h - 1 - m :], ones[: h + 1 + m])
-    counts = np.arange(h + 1, 2 * h + 1)
-    out[:, :h] = head[:, :h] - head_sum / counts
-    out[:, n - h :] = tail[:, h:] - (tail_sum / counts)[:, ::-1]
+    out[:] = sliding_window_view(seg, n)[rel]
+    with np.errstate(over="ignore", invalid="ignore"):
+        trend = sliding_window_view(seg, w).sum(axis=1) / w
+        out[:, h : n - h] -= sliding_window_view(trend, n - 2 * h)[rel]
+        if not h:
+            return
+        counts = np.arange(h + 1, 2 * h + 1)
+        ends = sliding_window_view(seg, 2 * h)
+        head = np.cumsum(ends[rel], axis=1)[:, h:]
+        tail = np.cumsum(ends[rel + n - 2 * h, ::-1], axis=1)[:, h:]
+        out[:, :h] -= head / counts
+        out[:, : n - h - 1 : -1] -= tail / counts
 
 
 def _peak_spans_alone(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, HrvError
 from .metrics import MS_PER_MINUTE, RrSeries, checked_array
-from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, check_rate, moving_average
+from .sigproc import DEFAULT_SAMPLING_RATE_HZ, PpgSignal, check_rate
 
 RR_CLAMP_MS = (250.0, 2000.0)        # physiological interval bounds
 PULSE_RISE_FRACTION = 0.3            # systolic upstroke share of the period
@@ -203,11 +203,21 @@ def sample_artifact_epochs(cfg: SynthConfig, rng: np.random.Generator) -> list[t
     return list(zip(starts.tolist(), durations.tolist()))
 
 
+def _moving_average(x: np.ndarray, w: int) -> np.ndarray:
+    """Centred moving average of width w, clipped to len(x); edges average
+    the samples available."""
+    w = max(1, min(w, x.size))
+    kernel = np.ones(w)
+    return np.convolve(x, kernel, mode="same") / np.convolve(
+        np.ones_like(x), kernel, mode="same"
+    )
+
+
 def _burst(rng: np.random.Generator, m: int, fs: float) -> np.ndarray:
     """Band-limited random-walk segment, normalized to unit peak."""
     walk = np.cumsum(rng.standard_normal(m))
-    walk = moving_average(walk, int(round(fs / (2.0 * ARTIFACT_BAND_HZ[1]))))  # kill > 5 Hz
-    walk = walk - moving_average(walk, int(round(fs / ARTIFACT_BAND_HZ[0])))   # kill < 0.5 Hz
+    walk = _moving_average(walk, int(round(fs / (2.0 * ARTIFACT_BAND_HZ[1]))))  # kill > 5 Hz
+    walk = walk - _moving_average(walk, int(round(fs / ARTIFACT_BAND_HZ[0])))   # kill < 0.5 Hz
     peak = float(np.max(np.abs(walk)))
     return walk / peak if peak > 0 else walk
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ppghrv.data import Dataset
-from ppghrv.errors import ConfigError
-from ppghrv.models.bench import bench_inference
+from ppghrv.errors import ConfigError, HrvError
+from ppghrv.models.bench import WARMUP_CALLS, bench_inference
+from ppghrv.models.mlp import MlpRegressor
 from ppghrv.models.tree import train_dt
 
 
@@ -39,3 +40,16 @@ class TestBench:
     def test_rejects_empty_probes(self, tree):
         with pytest.raises(ConfigError):
             bench_inference(tree, [], repetitions=100)
+
+    def test_every_probe_is_checked_before_the_timed_calls(self):
+        # only the last probe overflows, past the WARMUP_CALLS first calls
+        model = MlpRegressor(
+            [(np.ones((5, 1)), np.zeros(1)), (np.full((1, 1), 3e38), np.zeros(1))],
+            "relu", x_mu=np.zeros(5), x_sigma=np.ones(5), y_mu=60.0, y_sigma=1.0,
+        )
+        probes = np.zeros((WARMUP_CALLS + 14, 5))
+        probes[-1] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(
+            HrvError, match=f"^the estimate for probe {WARMUP_CALLS + 13} is inf, not a finite"
+        ):
+            bench_inference(model, probes, repetitions=100)

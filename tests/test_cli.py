@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import re
 import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ppghrv.experiment
@@ -12,7 +14,8 @@ from ppghrv.errors import HrvError
 from ppghrv.io import read_dataset_csv, read_ppg_csv, read_rr_csv
 from ppghrv.metrics import HrvMetricKind
 from ppghrv.models.base import ModelKind
-from ppghrv.models.codec import MAGIC, load_model
+from ppghrv.models.codec import MAGIC, load_model, save_model
+from ppghrv.models.mlp import MlpRegressor
 
 
 @pytest.fixture(scope="module")
@@ -769,6 +772,26 @@ class TestExitCodes:
         code = main(["eval", "--model", str(blob), "--dataset", str(workdir / "ds.csv")])
         assert code == 2
         assert "non-positive feature std" in capsys.readouterr().err
+
+    def test_model_whose_estimates_overflow_is_data_error(self, tmp_path, workdir, capsys):
+        # an MLP file that decodes, with every parameter finite, but whose
+        # estimates overflow to inf; eval scored it inf% with exit 0
+        d = read_dataset_csv(workdir / "ds.csv").features.shape[1]
+        model = MlpRegressor(
+            [(np.full((d, 4), 3e38), np.zeros(4)), (np.full((4, 1), 3e38), np.zeros(1))],
+            "relu", x_mu=np.zeros(d), x_sigma=np.full(d, 1e-30), y_mu=0.0, y_sigma=1e300,
+        )
+        blob = tmp_path / "inf.bin"
+        save_model(model, blob)
+        trace = tmp_path / "trace.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["eval", "--model", str(blob), "--dataset", str(workdir / "ds.csv"),
+                         "--out-trace", str(trace)])
+            assert code == 2
+            assert "the estimate for row 0 is inf" in capsys.readouterr().err
+            assert not trace.exists()
+            assert main(["bench", "--model", str(blob), "--repetitions", "100"]) == 2
+            assert re.search(r"the estimate for probe \d+ is inf", capsys.readouterr().err)
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -149,6 +149,19 @@ class TestMape:
         with pytest.raises(HrvError, match='mape needs equal non-empty lengths, got 0 and 0'):
             mape(np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_estimate_that_is_not_finite_names_its_row(self, value):
+        est = np.full(5, 70.0)
+        est[[2, 4]] = value
+        with pytest.raises(HrvError, match=rf"^the estimate for row 2 is {value}, not a finite"):
+            mape(est, np.full(5, 70.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_score_that_is_not_finite_is_rejected(self):
+        # finite estimates whose relative errors overflow
+        with pytest.raises(HrvError, match="^MAPE is inf, not a finite number$"):
+            mape(np.array([1.7e308, -1.7e308]), np.array([1e-300, 70.0]))
+
     def test_rejects_2d(self):
         with pytest.raises(HrvError, match=r"^estimates must be 1-D, got shape \(2, 2\)$"):
             mape(np.ones((2, 2)), np.ones(2))

@@ -100,19 +100,22 @@ class TestRandomSearch:
                 small, ModelKind.KNN, budget=4, seed=7, val_fraction=0.2, mlp_max_epochs=500
             )
 
-    def test_non_finite_validation_mape_fails_the_candidate(self, regression_ds, monkeypatch):
-        scores = []
+    def test_non_finite_validation_estimate_fails_the_candidate(self, regression_ds, monkeypatch):
+        calls = []
 
         def nan_first(preds, truths):
-            scores.append(float("nan") if not scores else mape(preds, truths))
-            return scores[-1]
+            calls.append(None)
+            if len(calls) == 1:
+                preds = np.where(np.arange(preds.size) == 3, np.nan, preds)
+            return mape(preds, truths)
 
         monkeypatch.setattr(search_module, "mape", nan_first)
         result = random_search(
             regression_ds, ModelKind.KNN, budget=3, seed=9, val_fraction=0.2, mlp_max_epochs=500
         )
         first, *rest = result.candidates
-        assert first.val_mape_pct is None and "validation MAPE is nan" in first.error
+        assert first.val_mape_pct is None
+        assert first.error == "the estimate for row 3 is nan, not a finite number"
         assert all(c.val_mape_pct is not None for c in rest)
         assert np.isfinite(result.best.val_mape_pct)
 

@@ -1,12 +1,18 @@
 """Peak detection and the PPG -> per-second HR chain."""
 
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppghrv
 from ppghrv.errors import ConfigError, HrvError
 from ppghrv.metrics import MS_PER_MINUTE
 from ppghrv.sigproc import (
@@ -19,7 +25,6 @@ from ppghrv.sigproc import (
     RawHrSeries,
     _detrend_windows,
     detect_peaks,
-    moving_average,
     ppg_to_hr,
     smooth,
     zscore_adjust,
@@ -222,6 +227,11 @@ class TestBlockedMatchesPerWindow:
     def test_window_length_varies_with_fractional_rate(self, fs):
         assert_matches_oracle(preset_ppg("office_work", 90.0, fs=fs))
 
+    @pytest.mark.parametrize("fs, duration_s", [(250.0, 12.0), (1000.0, 13.3)])
+    def test_high_rates_with_wide_detrends(self, fs, duration_s):
+        # widths of 251 and 1001 samples; at 1000 Hz a block holds two windows
+        assert_matches_oracle(preset_ppg("office_work", duration_s, fs=fs))
+
     @pytest.mark.parametrize("extra", [0, 1, 2, 5])
     @pytest.mark.parametrize("fs", [25.0, 12.7, 30.1])
     def test_signal_just_longer_than_one_window(self, fs, extra):
@@ -253,29 +263,43 @@ class TestBlockedMatchesPerWindow:
     def test_peaks_at_window_edges(self, period):
         assert_matches_oracle(pulse_train(FS, 40.0, period, seed=period))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e307, 1.7e308])
     @pytest.mark.parametrize("period", [17, 50])
     def test_samples_near_the_float64_limit(self, scale, period):
         # sums through the -1.7e308 samples overflow to -inf, so the detrend
-        # holds +inf and nan; such windows go to detect_peaks
+        # holds +inf and nan; such windows go to detect_peaks, and neither
+        # route warns
         x = scale * sine_signal(1.2, 16.0).samples
         x[::period] = -1.7e308
         assert_matches_oracle(PpgSignal(FS, x))
 
     @pytest.mark.parametrize("w", [1, 3, 11, 13, 25, 31, 51])
-    def test_detrend_equals_each_windows_moving_average(self, w):
+    def test_detrend_rows_equal_each_window_alone(self, w):
         # a one-ulp change seldom moves a peak, so the detrended values are
-        # compared directly: kernels of up to 11 taps and longer ones take
-        # different routes inside np.convolve
+        # compared directly, with the block, with the window as a block of
+        # one (detect_peaks' route) and with the definition written out
         rng = np.random.default_rng(w)
+        h = w // 2
         for n in (w, w + 1, 2 * w + 5, 8 * w + 3):
             seg = 10.0 ** rng.uniform(-3, 6) * rng.standard_normal(n + 60)
             rel = np.sort(rng.choice(61, size=12, replace=False))
             out = np.empty((rel.size, n))
-            _detrend_windows(seg, rel, w, out=out)
+            _detrend_windows(seg, rel, w, out)
             for row, r in zip(out, rel):
                 v = seg[r : r + n]
-                assert row.tobytes() == (v - moving_average(v, w)).tobytes()
+                alone = np.empty((1, n))
+                _detrend_windows(v, np.zeros(1, dtype=np.intp), w, alone)
+                assert row.tobytes() == alone.tobytes()
+                trend = np.empty(n)
+                for k in range(n):
+                    if k < h:
+                        trend[k] = np.cumsum(v[: k + h + 1])[-1] / (k + h + 1)
+                    elif k >= n - h:
+                        trend[k] = np.cumsum(v[k - h :][::-1])[-1] / (n - k + h)
+                    else:
+                        trend[k] = np.sum(v[k - h : k + h + 1]) / w
+                assert row.tobytes() == (v - trend).tobytes()
 
     def test_low_rate_without_detrend_edges(self):
         # below 1.5 Hz the detrend is one sample wide
@@ -301,6 +325,51 @@ class TestBlockedMatchesPerWindow:
         if decimals is not None:
             x = np.round(x * 2.0, decimals)
         assert_matches_oracle(PpgSignal(fs, x, start_time_s=data.draw(st.floats(0, 100))))
+
+
+KERNEL_PROBE = """
+import hashlib
+import numpy as np
+from ppghrv.sigproc import PpgSignal, _detrend_windows, ppg_to_hr
+
+digest = hashlib.sha256()
+rng = np.random.default_rng(15)
+for w in (3, 25, 101, 1001):
+    n = 4 * w + 7
+    seg = 10.0 ** rng.uniform(-3, 6, n + 200) * rng.standard_normal(n + 200)
+    rel = np.sort(rng.choice(201, size=16, replace=False))
+    out = np.empty((rel.size, n))
+    _detrend_windows(seg, rel, w, out)
+    digest.update(out.tobytes())
+t = np.arange(3000) / 25.0
+x = np.sin(2 * np.pi * 1.2 * t) + np.cumsum(0.02 * rng.standard_normal(t.size))
+x += 0.3 * rng.standard_normal(t.size)
+digest.update(ppg_to_hr(PpgSignal(25.0, x)).values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _uses_openblas() -> bool:
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _uses_openblas(),
+    reason="OPENBLAS_CORETYPE selects kernels of numpy's OpenBLAS on x86-64 only",
+)
+def test_detrend_and_hr_do_not_depend_on_the_blas_kernel():
+    # numpy's dot, and so np.convolve, gave other last bits under other
+    # OpenBLAS kernels; the detrend's sums must not go through BLAS
+    env = dict(os.environ, PYTHONPATH=str(Path(ppghrv.__file__).parents[1]))
+    digests = []
+    for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        proc = subprocess.run(
+            [sys.executable, "-c", KERNEL_PROBE], env=env | extra,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestZscoreAdjust:
