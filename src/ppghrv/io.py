@@ -21,6 +21,15 @@ the declared one by more than 1%; a declared rate that is not > 0 is a
 ConfigError.  A line csv rejects (such as a field longer than csv's field
 limit) is an HrvError naming the line.
 
+The PPG and dataset readers (`_table`) have two parsers.  Once csv has
+checked the header, np.loadtxt (numpy's C tokenizer) parses the rows, and
+its table is taken if it has the header's width and only finite values.  A
+file it fails on, warns on, or might read otherwise than float (one holding
+a byte of _NUMPY_ONLY_SPACE) is read field by field with float instead
+(`_float_table`), and that reader alone words every error.  So either way
+the values taken, the messages and their line numbers are the float
+reader's.
+
 The dataset writer sorts each block of rows by value and formats each run
 of equal bits once, so a value that recurs across rows is formatted about
 once per block; the bytes equal one repr per field.
@@ -40,7 +49,8 @@ import dataclasses
 import itertools
 import math
 import operator
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, suppress
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -71,6 +81,10 @@ RATE_TOLERANCE = 0.01  # inferred vs declared sampling rate, and each interval v
 # times, and a file written here holds exactly that product
 RR_TOLERANCE_MS = 1e-3
 _WRITE_BLOCK_BYTES = 64 * 1024  # float64 bytes of dataset rows formatted at a time
+# numpy's float parser skips these as whitespace around a number (str.isspace
+# holds for them), float does not; a file that holds one is read by float
+_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+_SCAN_BLOCK_BYTES = 64 * 1024
 
 
 def _fmt(x: float) -> str:
@@ -173,9 +187,19 @@ def _check_increasing(path, header: Sequence[str], t: np.ndarray) -> None:
         _fail_at(path, header, bad, f"{header[0]} does not strictly increase")
 
 
-def _table(path, header: Sequence[str]) -> np.ndarray:
-    """The data rows as one (rows, len(header)) float64 array whose column 0
-    strictly increases.
+def _holds_numpy_only_space(path) -> bool:
+    """path holds a byte of _NUMPY_ONLY_SPACE (in UTF-8, no other character
+    holds one)."""
+    with opened(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_SCAN_BLOCK_BYTES), b""):
+            if any(byte in block for byte in _NUMPY_ONLY_SPACE):
+                return True
+    return False
+
+
+def _float_table(path, header: Sequence[str]) -> np.ndarray:
+    """The data rows as one (rows, len(header)) float64 array, each field
+    read by float.
 
     The fields _rows yields go through float into np.fromiter, with no
     Python list in between.  On any failure (a ValueError from float, an
@@ -195,7 +219,33 @@ def _table(path, header: Sequence[str]) -> np.ndarray:
             for lineno, row in _rows(path, header)
             for text, column in zip(row, header)
         ], dtype=np.float64)
-    table = flat.reshape(-1, len(header))
+    return flat.reshape(-1, len(header))
+
+
+def _table(path, header: Sequence[str]) -> np.ndarray:
+    """The data rows as one (rows, len(header)) float64 array whose column 0
+    strictly increases.
+
+    Once _rows has checked the header, np.loadtxt (numpy's C tokenizer)
+    parses the rows of a file that holds no byte of _NUMPY_ONLY_SPACE.  Its
+    table is taken if it has len(header) columns and every value is finite.
+    On anything else (an exception, a warning such as loadtxt's on a file
+    with no data rows, another width, a value that is not finite)
+    _float_table reads the file, as it would alone, and words every error.
+    """
+    # raises for an empty file, a wrong header or a first row of another
+    # width; a header that matches holds no line end, so skiprows=1 skips it
+    rows = _rows(path, header)
+    next(rows, None)
+    rows.close()
+    table = None
+    if not _holds_numpy_only_space(path):
+        with suppress(Exception), warnings.catch_warnings(), opened(path, "r") as fh:
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2,
+                               quotechar='"', comments=None)
+    if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
+        table = _float_table(path, header)
     _check_increasing(path, header, table[:, 0])
     return table
 

@@ -84,7 +84,6 @@ nearest has lo_j <= D_j <= T.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..errors import ConfigError, HrvError
 from .base import ModelKind, TrainedModel
@@ -192,10 +191,12 @@ class KnnRegressor(TrainedModel):
         # 1195 x 301 model had the allocator hand the heap top back to the
         # system and fault it in again for every query, 3x slower
         diff = X - q
-        if self.distance == MANHATTAN:
-            return np.abs(diff, out=diff).sum(axis=1)
-        diff *= diff
-        return np.sqrt(diff.sum(axis=1))
+        # a square or a sum that overflows gives an inf distance, which ranks last
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.distance == MANHATTAN:
+                return np.abs(diff, out=diff).sum(axis=1)
+            diff *= diff
+            return np.sqrt(diff.sum(axis=1))
 
     def _bounds(self, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per query and stored row, the Euclidean lo_j (a lower bound on the
@@ -223,6 +224,8 @@ class KnnRegressor(TrainedModel):
         """Per query and stored row, the lo_j of the module docstring; per
         query, T, the largest exact distance of the k rows with the smallest
         lo_j, or nan where a lo_j is not finite."""
+        from scipy.spatial.distance import cdist  # here, so only Manhattan models pay its import
+
         with np.errstate(all="ignore"):
             lo = cdist(np.add.reduceat(qb, self._starts, axis=1), self._sums, "cityblock")
             slack = np.add.outer(np.abs(qb).sum(axis=1), self._l1)

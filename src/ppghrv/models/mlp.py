@@ -146,9 +146,12 @@ class MlpRegressor(TrainedModel):
         self.y_sigma = float(y_sigma)
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
-        Xs = (X - self.x_mu) / self.x_sigma
-        out = forward(self.params, Xs, self.activation)
-        return out * self.y_sigma + self.y_mu
+        # an estimate that overflows is returned as it is; its caller
+        # (metrics.mape, bench) raises HrvError on one that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            Xs = (X - self.x_mu) / self.x_sigma
+            out = forward(self.params, Xs, self.activation)
+            return out * self.y_sigma + self.y_mu
 
 
 def train_mlp(

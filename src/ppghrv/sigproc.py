@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import find_peaks
 
 from .errors import ConfigError, HrvError
 from .metrics import MS_PER_MINUTE, check_positive, checked_array
@@ -149,6 +148,8 @@ def detect_peaks(window: PpgSignal) -> np.ndarray:
         span = float(np.ptp(x))
     if span <= _flatness_bound(window.samples):
         return np.empty(0, dtype=np.intp)
+    from scipy.signal import find_peaks  # here, so only peak searches pay its import
+
     peaks, _ = find_peaks(x[0], distance=distance, prominence=PROMINENCE_FRACTION * span)
     return peaks
 
@@ -217,6 +218,8 @@ def _peak_spans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak count and last - first peak index of each window x[s : s + n],
     as detect_peaks gives them (see the module docstring)."""
+    from scipy.signal import find_peaks  # here, so only peak searches pay its import
+
     w, distance = _widths(fs)
     if n < w:  # only n = 0, below 1/16 Hz; detect_peaks words the error
         return _peak_spans_alone(x, fs, starts, n)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import re
 import struct
 import subprocess
@@ -10,11 +11,13 @@ import pytest
 
 import ppghrv.experiment
 from ppghrv.cli import main, read_config_file
+from ppghrv.data import Dataset
 from ppghrv.errors import HrvError
-from ppghrv.io import read_dataset_csv, read_ppg_csv, read_rr_csv
+from ppghrv.io import read_dataset_csv, read_ppg_csv, read_rr_csv, write_dataset_csv
 from ppghrv.metrics import HrvMetricKind
 from ppghrv.models.base import ModelKind
 from ppghrv.models.codec import MAGIC, load_model, save_model
+from ppghrv.models.knn import train_knn
 from ppghrv.models.mlp import MlpRegressor
 
 
@@ -784,14 +787,37 @@ class TestExitCodes:
         blob = tmp_path / "inf.bin"
         save_model(model, blob)
         trace = tmp_path / "trace.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["eval", "--model", str(blob), "--dataset", str(workdir / "ds.csv"),
-                         "--out-trace", str(trace)])
-            assert code == 2
-            assert "the estimate for row 0 is inf" in capsys.readouterr().err
-            assert not trace.exists()
-            assert main(["bench", "--model", str(blob), "--repetitions", "100"]) == 2
-            assert re.search(r"the estimate for probe \d+ is inf", capsys.readouterr().err)
+        code = main(["eval", "--model", str(blob), "--dataset", str(workdir / "ds.csv"),
+                     "--out-trace", str(trace)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "the estimate for row 0 is inf" in err
+        assert "RuntimeWarning" not in err
+        assert not trace.exists()
+        assert main(["bench", "--model", str(blob), "--repetitions", "100"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"the estimate for probe \d+ is inf", err)
+        assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    def test_knn_distances_that_overflow_print_no_warning(
+        self, tmp_path, workdir, capsys, distance
+    ):
+        # a feature of 1e308 squares (Euclidean) or a row of -1e308 sums
+        # (Manhattan) past float64; the distance is inf and ranks last, and
+        # numpy's overflow warning was printed before the scores
+        ds = read_dataset_csv(workdir / "ds.csv")
+        save_model(train_knn(ds, 5, distance), tmp_path / "knn.bin")
+        X = ds.features.copy()
+        X[:, 3] = 1e308
+        X[5, :] = -1e308
+        write_dataset_csv(tmp_path / "big.csv", Dataset(X, ds.labels, ds.window_end_times_s))
+        code = main(["eval", "--model", str(tmp_path / "knn.bin"),
+                     "--dataset", str(tmp_path / "big.csv")])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "RuntimeWarning" not in err
+        assert math.isfinite(float(re.search(r"model MAPE: (\S+)%", out)[1]))
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,10 +1,11 @@
 """Mutated inputs through the CLI: every call ends in exit 0, 1 or 2.
 
-Model files of each kind go to `eval`, PPG and RR CSVs to `process
---out-dataset`, each after byte overwrites, bit flips or a truncation.  A
-call may accept its input or reject it with a typed error, but it must not
-raise an internal error (exit 3), print a traceback, or report a MAPE or
-write a dataset that is not finite.
+Model files of each kind and dataset CSVs go to `eval`, PPG and RR CSVs to
+`process --out-dataset`, each after byte overwrites, bit flips or a
+truncation.  A call may accept its input or reject it with a typed error,
+but it must not raise an internal error (exit 3), print a traceback, or
+report a MAPE or write a dataset that is not finite.  Mutated `run` config
+files give an ExperimentConfig or a ConfigError, before any run.
 """
 
 import contextlib
@@ -18,7 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ppghrv.cli import main
+from ppghrv.cli import main, read_config_file
+from ppghrv.errors import ConfigError
+from ppghrv.experiment import ExperimentConfig
 from ppghrv.io import read_dataset_csv
 from ppghrv.models.codec import save_model
 from ppghrv.models.forest import train_rf
@@ -80,12 +83,12 @@ def run_cli(argv) -> tuple[int, str]:
 
 
 @settings(
-    max_examples=250, deadline=None, derandomize=True, database=None,
+    max_examples=300, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
 def test_mutated_inputs_end_in_a_documented_exit(inputs, data):
-    target = data.draw(st.sampled_from(MODEL_KINDS + ("ppg", "rr")))
+    target = data.draw(st.sampled_from(MODEL_KINDS + ("dataset", "ppg", "rr")))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         if target in MODEL_KINDS:
@@ -93,6 +96,10 @@ def test_mutated_inputs_end_in_a_documented_exit(inputs, data):
             (tmp / "m.bin").write_bytes(blob)
             argv = ["eval", "--model", str(tmp / "m.bin"),
                     "--dataset", str(inputs["root"] / "ds.csv")]
+        elif target == "dataset":
+            (tmp / "ds.csv").write_bytes(data.draw(mutated(inputs["ds.csv"])))
+            argv = ["eval", "--model", str(inputs["root"] / "dt.bin"),
+                    "--dataset", str(tmp / "ds.csv")]
         else:
             files = {"ppg": inputs["ppg.csv"], "rr": inputs["rr.csv"]}
             files[target] = data.draw(mutated(files[target]))
@@ -104,8 +111,39 @@ def test_mutated_inputs_end_in_a_documented_exit(inputs, data):
         code, printed = run_cli(argv)
         assert code in (0, 1, 2), printed
         assert "Traceback" not in printed
-        if code == 0 and target in MODEL_KINDS:
+        if code == 0 and target in MODEL_KINDS + ("dataset",):
             mapes = re.findall(r"MAPE: (\S+)%", printed)
             assert len(mapes) == 2 and all(math.isfinite(float(m)) for m in mapes), printed
         elif code == 0:
             read_dataset_csv(tmp / "ds.csv")  # raises on a value that is not finite
+
+
+RUN_CONFIG = b"""# every key a run config file may set
+out_dir = out
+activities = sit,office_work
+metrics = rmssd,sdnn
+lengths = 30,60
+models = dt,knn,mlp
+duration_s = 600
+stride_s = 1
+budget = 2
+seed = 7
+train_fraction = 0.8
+val_fraction = 0.2
+bench_repetitions = 0
+clean = true
+mlp_max_epochs = 20
+"""
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=mutated(RUN_CONFIG))
+def test_mutated_run_config_gives_a_config_or_a_config_error(text):
+    # the steps `run` takes before any work: the file's values, out_dir as a
+    # Path, then ExperimentConfig, whose checks reject a bad setting
+    with tempfile.TemporaryDirectory() as tmp, contextlib.suppress(ConfigError):
+        path = Path(tmp) / "run.cfg"
+        path.write_bytes(text)
+        values = read_config_file(path)
+        values["out_dir"] = Path(values.get("out_dir") or tmp)
+        ExperimentConfig(**values)

@@ -9,6 +9,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ppghrv import io as hrvio
 from ppghrv.amplify import AmplificationRow
@@ -540,6 +542,112 @@ def test_dataset_reader_paths_agree(tmp_path, text):
         assert _outcome(partial(read_ppg_csv, declared_rate_hz=1.0), path) == _outcome(
             partial(oracle_ppg, rate_hz=1.0), path
         )
+
+
+# float's grammar (sign, digits, point, exponent), then texts where float
+# and numpy's parser part ways or that a reader must reject
+_DIGITS = st.text("0123456789", min_size=1, max_size=25)
+_SIGN = st.sampled_from(["", "+", "-"])
+_GRAMMAR = st.builds(
+    "{}{}{}".format,
+    _SIGN,
+    st.one_of(_DIGITS, _DIGITS.map("{}.".format), st.builds("{}.{}".format, _DIGITS, _DIGITS),
+              _DIGITS.map(".{}".format)),
+    st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"), _SIGN,
+                                     st.text("0123456789", min_size=1, max_size=2))),
+)
+_QUIRKS = st.sampled_from([
+    "+1.5", "1.", ".5", "-0.0", "5e-324", "1e-400", "1e999", "1" * 400, "0." + "7" * 400,
+    "nan", "-NaN", "inf", "Infinity", "-iNF", "infinity", "1_5", "1__5", "_15",
+    "\u0661\u0662", "\uff15.\uff15", "#", "#1", "1#", "", "e", "e5", "1e", ".", "+", "1.2.3",
+    "0x1p3", "1d5", "--1", "in", "nanx", "\ufeff1", "1\x002",
+])
+# beside a number: float skips ASCII whitespace and non-ASCII spaces, numpy's
+# parser \x1c-\x1f as well; neither skips a BOM
+_SPACE = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                         "\u2028", "\u3000", "\ufeff"])
+
+
+@st.composite
+def _field_text(draw, value: int | None, noise: str | None) -> str:
+    """A field's text: row index `value` spelled as a number, else a number
+    in float's grammar or a finite float's repr; spaced by a space or a tab,
+    and maybe quoted, holding a line end.  With one noise: a quirk (or any
+    float's repr) or a non-finite spelling for the text, a character before
+    or after it that float or numpy's parser may skip as a space, or a
+    doubled quote or text after the closing quote."""
+    if noise == "quirk":
+        text = draw(st.one_of(_QUIRKS, st.floats().map(repr)))
+    elif noise == "non-finite":
+        text = draw(st.sampled_from(["nan", "-NaN", "inf", "+Infinity", "-iNF", "1e999"]))
+    elif value is not None:
+        text = draw(st.sampled_from([str(value), f"{value}.0", f"+{value}.", f"{value}e0"]))
+    else:
+        finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        text = draw(st.one_of(_GRAMMAR, finite))
+    text = draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " ", "\t"]))
+    if noise == "space":
+        text = draw(st.sampled_from(["{}{}", "{1}{0}"])).format(draw(_SPACE), text)
+    if noise == "quote":
+        return '"' + text + draw(st.sampled_from(['""', '"" ', '"x', '" x', '"', ""]))
+    if draw(st.integers(0, 3)) == 0:
+        text = '"' + text + draw(st.sampled_from(["", "\n", "\r\n"])) + '"'
+    return text
+
+
+@st.composite
+def _csv_text(draw, header: list[str]) -> str:
+    """A file with this header, then rows of field texts, with blank lines,
+    CR, LF or CRLF line ends and perhaps no final one.  Most files carry one
+    kind of noise: noisy fields, a BOM, quoting or a wrong name in the
+    header, a row of another width, or a # after a row."""
+    kind = draw(st.sampled_from(["clean", "fields", "fields", "header", "width", "comment"]))
+    noise = st.sampled_from([None] * 4 + ["quirk", "non-finite", "space", "quote"])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    head = ",".join(header)
+    if kind == "header":
+        head = draw(st.sampled_from([
+            "\ufeff" + head, '"' + head.replace(",", '","') + '"', head + ",",
+            head.replace(header[-1], "x"),
+        ]))
+    rows = [
+        [draw(_field_text(i if c == 0 else None, draw(noise) if kind == "fields" else None))
+         for c in range(len(header))]
+        for i in range(draw(st.sampled_from(range(7))))  # integers() draws mostly 0
+    ]
+    if rows and kind in ("width", "comment"):
+        fields = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "comment":  # what loadtxt would take for a comment
+            fields[-1] += draw(st.sampled_from(["#", "#1", "#,1"]))
+        elif len(fields) > 1 and draw(st.booleans()):
+            fields.pop()
+        else:  # an empty field is a trailing comma
+            fields.append(draw(st.one_of(st.just(""), _field_text(None, None))))
+    lines = [head]
+    for fields in rows:
+        lines += [""] * draw(st.integers(0, 1)) + [",".join(fields)]
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_table_agrees_with_the_per_field_oracle(tmp_path, data):
+    # numpy's C tokenizer or float's fall-through: _table gives the oracle's
+    # bits, or raises its message
+    header = data.draw(st.sampled_from([hrvio.PPG_HEADER, hrvio._dataset_header(1),
+                                        hrvio._dataset_header(3)]))
+    path = tmp_path / "in.csv"
+    path.write_text(data.draw(_csv_text(header)), encoding="utf-8", newline="")
+
+    def outcome(read):
+        try:
+            table = read(path, header)
+        except HrvError as err:
+            return str(err)
+        return table.shape, table.tobytes()
+
+    assert outcome(hrvio._table) == outcome(oracle_table)
 
 
 def test_every_writer_writes_what_csv_writer_would(tmp_path, trace):

@@ -10,6 +10,10 @@ opens one, and `cli.main` catches no OS exception.
 
 The CSV readers cut fields with one tokenizer, the `csv.reader` in
 `ppghrv.io._rows`, so two readers cannot disagree on what a line holds.
+`ppghrv.io._table` alone tries numpy's `loadtxt` first, and falls through
+to `_rows` wherever the two could differ.
+
+`import ppghrv.cli` loads no scipy module.
 
 SDNN or RMSSD is picked in one place, `ppghrv.metrics.hrv_rows`; every
 other windowed HRV goes through it.
@@ -24,8 +28,11 @@ uses the value, so its message is written once.
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ppghrv
@@ -225,6 +232,22 @@ def test_only_io_rows_tokenizes():
     source = Path(ppghrv.io.__file__).read_text()
     assert calls_outside(source, "_rows", set(), _TOKENIZING_METHODS) == []
     assert len(calls_outside(source, None, set(), _TOKENIZING_METHODS)) == 1
+    # numpy's C tokenizer is tried only by _table, which falls through to _rows
+    assert calls_outside(source, "_table", set(), {"loadtxt"}) == []
+    assert len(calls_outside(source, None, set(), {"loadtxt"})) == 1
+
+
+def test_cli_imports_no_scipy():
+    # scipy is imported where it is used (the peak search, the Manhattan
+    # bound), so a command that does neither does not pay for its import
+    probe = ("import sys, ppghrv.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    src = str(Path(ppghrv.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 _KIND_VALUES = {member.value for member in ppghrv.metrics.HrvMetricKind}
