@@ -24,8 +24,8 @@ limit) is an HrvError naming the line.
 The PPG and dataset readers (`_table`) have two parsers.  Once csv has
 checked the header, np.loadtxt (numpy's C tokenizer) parses the rows, and
 its table is taken if it has the header's width and only finite values.  A
-file it fails on, warns on, or might read otherwise than float (one holding
-a byte of _NUMPY_ONLY_SPACE) is read field by field with float instead
+file it fails on, warns on, or might read otherwise than csv and float (see
+`_float_reads_only`) is read field by field with float instead
 (`_float_table`), and that reader alone words every error.  So either way
 the values taken, the messages and their line numbers are the float
 reader's.
@@ -48,7 +48,6 @@ import csv
 import dataclasses
 import itertools
 import math
-import operator
 import warnings
 from contextlib import contextmanager, suppress
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -81,9 +80,10 @@ RATE_TOLERANCE = 0.01  # inferred vs declared sampling rate, and each interval v
 # times, and a file written here holds exactly that product
 RR_TOLERANCE_MS = 1e-3
 _WRITE_BLOCK_BYTES = 64 * 1024  # float64 bytes of dataset rows formatted at a time
-# numpy's float parser skips these as whitespace around a number (str.isspace
-# holds for them), float does not; a file that holds one is read by float
-_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+# a file holding one is read by float: the writers never quote, and numpy's
+# float parser skips \x1c-\x1f as whitespace around a number (str.isspace
+# holds for them), float does not
+_FLOAT_ONLY_BYTES = b'"\x1c\x1d\x1e\x1f'
 _SCAN_BLOCK_BYTES = 64 * 1024
 
 
@@ -187,39 +187,41 @@ def _check_increasing(path, header: Sequence[str], t: np.ndarray) -> None:
         _fail_at(path, header, bad, f"{header[0]} does not strictly increase")
 
 
-def _holds_numpy_only_space(path) -> bool:
-    """path holds a byte of _NUMPY_ONLY_SPACE (in UTF-8, no other character
-    holds one)."""
+def _float_reads_only(path) -> bool:
+    """path holds what np.loadtxt might read otherwise than csv and float: a
+    byte of _FLOAT_ONLY_BYTES (in UTF-8 no other character holds one), or a
+    run of more bytes with no comma than csv's field limit.  A field has at
+    least as many bytes as characters, so a field csv rejects as too long
+    lies in such a run; numpy's tokenizer has no limit."""
+    limit = csv.field_size_limit()
+    run = 0  # bytes since the last comma
     with opened(path, "rb") as fh:
-        for block in iter(lambda: fh.read(_SCAN_BLOCK_BYTES), b""):
-            if any(byte in block for byte in _NUMPY_ONLY_SPACE):
+        # a block is no longer than the limit, so only a run that crosses
+        # into a block from the ones before it can exceed the limit
+        for block in iter(lambda: fh.read(min(_SCAN_BLOCK_BYTES, limit)), b""):
+            if any(byte in block for byte in _FLOAT_ONLY_BYTES):
+                return True
+            first = block.find(b",")
+            if first < 0:
+                run += len(block)
+            elif run + first > limit:
+                return True
+            else:
+                run = len(block) - 1 - block.rfind(b",")
+            if run > limit:
                 return True
     return False
 
 
 def _float_table(path, header: Sequence[str]) -> np.ndarray:
     """The data rows as one (rows, len(header)) float64 array, each field
-    read by float.
-
-    The fields _rows yields go through float into np.fromiter, with no
-    Python list in between.  On any failure (a ValueError from float, an
-    HrvError from _rows, a non-finite value) the table is rebuilt field by
-    field with _parse_float from a second _rows pass, which raises the error
-    for the first bad field or line in file order.
-    """
-    fields = itertools.chain.from_iterable(map(operator.itemgetter(1), _rows(path, header)))
-    try:
-        flat = np.fromiter(map(float, fields), dtype=np.float64)
-        ok = bool(np.isfinite(flat).all())
-    except (ValueError, HrvError):
-        ok = False
-    if not ok:
-        flat = np.array([
-            _parse_float(path, lineno, text, column)
-            for lineno, row in _rows(path, header)
-            for text, column in zip(row, header)
-        ], dtype=np.float64)
-    return flat.reshape(-1, len(header))
+    read by _parse_float, which raises for the first bad field or line in
+    file order."""
+    return np.array([
+        _parse_float(path, lineno, text, column)
+        for lineno, row in _rows(path, header)
+        for text, column in zip(row, header)
+    ], dtype=np.float64).reshape(-1, len(header))
 
 
 def _table(path, header: Sequence[str]) -> np.ndarray:
@@ -227,8 +229,8 @@ def _table(path, header: Sequence[str]) -> np.ndarray:
     strictly increases.
 
     Once _rows has checked the header, np.loadtxt (numpy's C tokenizer)
-    parses the rows of a file that holds no byte of _NUMPY_ONLY_SPACE.  Its
-    table is taken if it has len(header) columns and every value is finite.
+    parses the rows of a file _float_reads_only passes.  Its table is taken
+    if it has len(header) columns and every value is finite.
     On anything else (an exception, a warning such as loadtxt's on a file
     with no data rows, another width, a value that is not finite)
     _float_table reads the file, as it would alone, and words every error.
@@ -239,11 +241,11 @@ def _table(path, header: Sequence[str]) -> np.ndarray:
     next(rows, None)
     rows.close()
     table = None
-    if not _holds_numpy_only_space(path):
+    if not _float_reads_only(path):
         with suppress(Exception), warnings.catch_warnings(), opened(path, "r") as fh:
             warnings.simplefilter("error")
             table = np.loadtxt(fh, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2,
-                               quotechar='"', comments=None)
+                               comments=None)
     if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
         table = _float_table(path, header)
     _check_increasing(path, header, table[:, 0])

@@ -174,7 +174,8 @@ def test_non_positive_rr_reports_line(tmp_path, rr):
 def test_readers_peak_memory_is_below_three_tables(tmp_path):
     # a reader's peak is measured against the float64 table its file holds
     # (rows x columns; for the dataset, the bytes of the arrays returned):
-    # no list of Python floats may stand between the file and the array
+    # for a file the writers wrote, no list of Python floats may stand
+    # between the file and the array
     rng = np.random.default_rng(0)
     write_dataset_csv(tmp_path / "ds.csv", Dataset(
         rng.normal(size=(300, 301)), rng.normal(size=300), np.arange(300.0)
@@ -544,6 +545,44 @@ def test_dataset_reader_paths_agree(tmp_path, text):
         )
 
 
+def _table_outcome(read, path, header):
+    try:
+        table = read(path, header)
+    except HrvError as err:
+        return str(err)
+    return table.shape, table.tobytes()
+
+
+LIMIT = csv.field_size_limit()
+# a finite number of LIMIT + 1 characters, then one of LIMIT; 64 KB from the
+# file's start, a field crosses the byte scan's first block boundary
+OVER = "0" * LIMIT + "2"
+AT = "0" * (LIMIT - 1) + "2"
+
+
+@pytest.mark.parametrize("text", [
+    f"time_s,value\n0,1\n1,{OVER}\n",
+    f"time_s,value\n0,1\n1,{OVER}",
+    f"time_s,value\n0,1\n1,1\n2,{OVER}\n3,4\n",
+    f"time_s,value\n0,1\n1,{AT}\n",
+    f"time_s,value\n0,{'0' * (64 * 1024 - 20)}1\n1,{AT}\n2,{OVER}\n",
+    f"time_s,value\n0,1\n{chr(10) * (LIMIT + 1)}1,2\n",
+    'time_s,value\n0,1\n1,1"2"\n',
+    'time_s,value\n0,1\n1,"2"\n',
+    'time_s,value\n0,1\n1,"2\n3"\n2,3\n',
+], ids=["over_limit_row_2", "over_limit_no_final_end", "over_limit_row_3",
+        "at_limit", "across_block", "blank_run_over_limit", "quote_inside",
+        "quoted", "quoted_line_end"])
+def test_table_reads_with_float_what_loadtxt_reads_otherwise(tmp_path, text):
+    # past the first row, csv's field limit and quotes still give the per-field
+    # oracle's outcome: numpy's tokenizer has no limit and is given no quote
+    path = tmp_path / "in.csv"
+    path.write_text(text, newline="")
+    assert _table_outcome(hrvio._table, path, hrvio.PPG_HEADER) == _table_outcome(
+        oracle_table, path, hrvio.PPG_HEADER
+    )
+
+
 # float's grammar (sign, digits, point, exponent), then texts where float
 # and numpy's parser part ways or that a reader must reject
 _DIGITS = st.text("0123456789", min_size=1, max_size=25)
@@ -560,7 +599,7 @@ _QUIRKS = st.sampled_from([
     "+1.5", "1.", ".5", "-0.0", "5e-324", "1e-400", "1e999", "1" * 400, "0." + "7" * 400,
     "nan", "-NaN", "inf", "Infinity", "-iNF", "infinity", "1_5", "1__5", "_15",
     "\u0661\u0662", "\uff15.\uff15", "#", "#1", "1#", "", "e", "e5", "1e", ".", "+", "1.2.3",
-    "0x1p3", "1d5", "--1", "in", "nanx", "\ufeff1", "1\x002",
+    "0x1p3", "1d5", "--1", "in", "nanx", "\ufeff1", "1\x002", '1"2"', '1"2',
 ])
 # beside a number: float skips ASCII whitespace and non-ASCII spaces, numpy's
 # parser \x1c-\x1f as well; neither skips a BOM
@@ -640,14 +679,7 @@ def test_table_agrees_with_the_per_field_oracle(tmp_path, data):
     path = tmp_path / "in.csv"
     path.write_text(data.draw(_csv_text(header)), encoding="utf-8", newline="")
 
-    def outcome(read):
-        try:
-            table = read(path, header)
-        except HrvError as err:
-            return str(err)
-        return table.shape, table.tobytes()
-
-    assert outcome(hrvio._table) == outcome(oracle_table)
+    assert _table_outcome(hrvio._table, path, header) == _table_outcome(oracle_table, path, header)
 
 
 def test_every_writer_writes_what_csv_writer_would(tmp_path, trace):
