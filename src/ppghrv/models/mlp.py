@@ -7,11 +7,14 @@ weights, biases and feature statistics to float32; it keeps only their
 float64 form, which the codec narrows back exactly, so the serialised model
 predicts bit-identically.
 
-Two fits share one SGD epoch loop (_epochs).  fit_early_stopped holds out
-the chronological tail of train and keeps the best epoch's weights.
-fit_epochs trains on all of train for a fixed number of epochs, as a search
-retrains its winner for the winning candidate's best epoch + 1 (Goodfellow
-et al., Deep Learning, 2016, §7.8).
+A fit keeps its weights and biases as views of one float64 buffer, and
+loss_and_grads returns its gradients as views of another laid out the same
+way (_buffer_views), so an SGD step updates every parameter in two numpy
+calls.  Two fits share one SGD epoch loop (_epochs).  fit_early_stopped
+holds out the chronological tail of train and keeps the best epoch's
+weights.  fit_epochs trains on all of train for a fixed number of epochs,
+as a search retrains its winner for the winning candidate's best epoch + 1
+(Goodfellow et al., Deep Learning, 2016, §7.8).
 
 init_params / forward / loss_and_grads are module functions so tests can
 drive them directly (finite-difference gradient checks, zero-weight
@@ -20,6 +23,7 @@ forward-pass identities).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +74,18 @@ def init_params(layer_sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     return params
 
 
+def _buffer_views(params) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """(buffer, views): a new, unset float64 buffer and views of it shaped
+    like params' (W, b) pairs, laid end to end as W0, b0, W1, b1, ..."""
+    buffer = np.empty(sum(W.size + b.size for W, b in params))
+    views, at = [], 0
+    for W, b in params:
+        w_end = at + W.size
+        views.append((buffer[at:w_end].reshape(W.shape), buffer[w_end : w_end + b.size]))
+        at = w_end + b.size
+    return buffer, views
+
+
 def _hidden(a: np.ndarray, W: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
     """One hidden layer's activation, computed in its pre-activation array."""
     z = a @ W
@@ -89,31 +105,34 @@ def forward(params, X: np.ndarray, activation: str) -> np.ndarray:
 
 
 def loss_and_grads(params, X: np.ndarray, y: np.ndarray, activation: str):
-    """MSE loss over the batch plus its gradients, matching params' layout."""
+    """MSE loss over the batch plus its gradients, matching params' layout:
+    views of one buffer, as _buffer_views lays it out."""
     acts = [X]
     for W, b in params[:-1]:
         acts.append(_hidden(acts[-1], W, b, activation))
     W_out, b_out = params[-1]
-    yhat = (acts[-1] @ W_out + b_out)[:, 0]
-    resid = yhat - y
+    delta = acts[-1] @ W_out
+    delta += b_out
+    resid = delta[:, 0]
+    resid -= y
     m = y.size
-    loss = float(np.mean(resid * resid))
+    loss = float(np.add.reduce(resid * resid)) / m
+    delta *= 2.0 / m  # dL/d(output pre-activation)
 
-    grads = [None] * len(params)
-    delta = (2.0 / m) * resid[:, None]          # dL/d(output pre-activation)
-    grads[-1] = (acts[-1].T @ delta, delta.sum(axis=0))
-    up = delta @ W_out.T
-    for i in range(len(params) - 2, -1, -1):
-        # the derivative from the stored activation a: relu's a > 0 iff z > 0,
-        # and tanh's 1 - a*a is 1 - tanh(z)^2 to the bit
-        a = acts[i + 1]
-        if activation == RELU:
-            dz = up * (a > 0.0)
-        else:
-            dz = up * (1.0 - a * a)
-        grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
+    _, grads = _buffer_views(params)
+    for i in range(len(params) - 1, -1, -1):
+        dW, db = grads[i]
+        np.matmul(acts[i].T, delta, out=dW)
+        np.add.reduce(delta, axis=0, out=db)
         if i:
-            up = dz @ params[i][0].T
+            # the derivative from the stored activation a: relu's a > 0 iff
+            # z > 0, and tanh's 1 - a*a is 1 - tanh(z)^2 to the bit
+            delta = delta @ params[i][0].T
+            a = acts[i]
+            if activation == RELU:
+                delta *= (a > 0.0)
+            else:
+                delta *= 1.0 - a * a
     return loss, grads
 
 
@@ -182,7 +201,9 @@ def fit_early_stopped(train, hidden_layers, activation: str, max_epochs: int, se
         X_tr, y_tr = Xs, ys          # too small to hold anything out
         X_val, y_val = Xs, ys
 
-    best = [(W.copy(), b.copy()) for W, b in params]
+    flat = params[0][0].base
+    best_flat, best = _buffer_views(params)
+    best_flat[:] = flat
     best_epoch = 0
     best_val = np.inf
     stall = 0
@@ -193,7 +214,7 @@ def fit_early_stopped(train, hidden_layers, activation: str, max_epochs: int, se
             raise HrvError(f"non-finite validation loss at epoch {epoch}")
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best = [(W.copy(), b.copy()) for W, b in params]
+            best_flat[:] = flat
             best_epoch = epoch
             stall = 0
         else:
@@ -215,7 +236,7 @@ def fit_epochs(train, hidden_layers, activation: str, epochs: int, seed: int) ->
 
 def _prepare(train, hidden_layers, activation: str, seed: int):
     """Checked architecture -> (standardised X, standardised y, initial
-    params, the seeded rng, params -> MlpRegressor)."""
+    params as views of one buffer, the seeded rng, params -> MlpRegressor)."""
     hidden = tuple(int(h) for h in hidden_layers)
     if not 1 <= len(hidden) <= MAX_HIDDEN_LAYERS:
         raise ConfigError(f"need 1..{MAX_HIDDEN_LAYERS} hidden layers, got {len(hidden)}")
@@ -236,7 +257,11 @@ def _prepare(train, hidden_layers, activation: str, seed: int):
 
     rng = derived_rng((int(seed), 0))
     layer_sizes = (X64.shape[1],) + hidden + (1,)
-    params = init_params(layer_sizes, rng)
+    initial = init_params(layer_sizes, rng)
+    _, params = _buffer_views(initial)
+    for (W, b), (W0, b0) in zip(params, initial):
+        W[...] = W0
+        b[...] = b0
 
     def finish(kept) -> MlpRegressor:
         return MlpRegressor(kept, activation, x_mu, x_sigma, y_mu, y_sigma)
@@ -245,22 +270,22 @@ def _prepare(train, hidden_layers, activation: str, seed: int):
 
 
 def _epochs(params, X: np.ndarray, y: np.ndarray, activation: str, rng, max_epochs: int):
-    """Mini-batch SGD on (X, y), updating params in place; yields each epoch's
-    0-based index once its batches are done.  The one SGD loop: both fits
-    run it, so they share every bit of their steps."""
+    """Mini-batch SGD on (X, y), updating params, views of one buffer, in
+    place; yields each epoch's 0-based index once its batches are done.  The
+    one SGD loop: both fits run it, so they share every bit of their steps."""
+    flat = params[0][0].base
     for epoch in range(max_epochs):
         order = rng.permutation(y.size)
         for lo in range(0, y.size, BATCH_SIZE):
             batch = order[lo : lo + BATCH_SIZE]
             loss, grads = loss_and_grads(params, X[batch], y[batch], activation)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise HrvError(
                     f"non-finite batch loss at epoch {epoch} (lr={LEARNING_RATE})"
                 )
-            # in place; dW *= lr; W -= dW rounds as W - lr * dW does
-            for (W, b), (dW, db) in zip(params, grads):
-                dW *= LEARNING_RATE
-                W -= dW
-                db *= LEARNING_RATE
-                b -= db
+            # the gradients' buffer is laid out as flat is; in place,
+            # g *= lr; flat -= g rounds as flat - lr * g does
+            g = grads[0][0].base
+            g *= LEARNING_RATE
+            flat -= g
         yield epoch

@@ -11,6 +11,10 @@ predictions.
 Every tree comes from _grow, which records each node's depth and the mean
 label of its rows.  A dt tree is a cut of one grow: train_dt_depths grows
 at the deepest depth and cuts each shallower tree with those records.
+
+A TreeModel's predict reads only the columns its trees split on: its
+constructor records them, sorted, and numbers each split's feature by its
+place among them.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ def _best_split(X: np.ndarray, node_y: np.ndarray, y: np.ndarray, orders: np.nda
     d, n = orders.shape
     # the totals are summed in row order: a sum in a feature's order can
     # round differently and pick another split
-    total_s1 = float(node_y.sum())
-    total_s2 = float((node_y * node_y).sum())
+    total_s1 = float(np.add.reduce(node_y))
+    total_s2 = float(np.add.reduce(node_y * node_y))
     nl = np.arange(1, n, dtype=np.float64)
     nr = n - nl
     flat = X.ravel()
@@ -81,8 +85,8 @@ def _best_split(X: np.ndarray, node_y: np.ndarray, y: np.ndarray, orders: np.nda
         order = orders[lo : lo + step]
         xs = flat[order * d + np.arange(lo, lo + len(order))[:, None]]
         ys = y[order]
-        c1 = np.cumsum(ys, axis=1)[:, :-1]
-        c2 = np.cumsum(ys * ys, axis=1)[:, :-1]
+        c1 = np.add.accumulate(ys, axis=1)[:, :-1]
+        c2 = np.add.accumulate(ys * ys, axis=1)[:, :-1]
         # (c2 - c1**2 / nl) + (total_s2 - c2) - (total_s1 - c1)**2 / nr, in place
         sse = c1 * c1
         sse /= nl
@@ -95,7 +99,7 @@ def _best_split(X: np.ndarray, node_y: np.ndarray, y: np.ndarray, orders: np.nda
         # feature-major, so argmin ties go to the lowest feature
         np.copyto(sse, np.inf, where=xs[:, :-1] == xs[:, 1:])
         while True:
-            f, i = divmod(int(np.argmin(sse)), n - 1)
+            f, i = divmod(int(sse.argmin()), n - 1)
             if not sse[f, i] < best_sse:  # a later block wins only if strictly lower
                 break
             thr = np.float32((xs[f, i] + xs[f, i + 1]) / 2.0)
@@ -146,12 +150,12 @@ def _grow(X: np.ndarray, y: np.ndarray, max_depth: int):
         node_rows = rows[a:b]
         node_y = y[node_rows]
         depths.append(depth)
-        means.append(float(np.mean(node_y)))
+        means.append(float(np.add.reduce(node_y)) / node_y.size)
         split = None
         if not (
             depth >= max_depth
             or node_y.size < MIN_SAMPLES_TO_SPLIT
-            or np.all(node_y == node_y[0])
+            or np.logical_and.reduce(node_y == node_y[0])
         ):
             split = _best_split(X, node_y, y, orders[:, a:b])
         right.append(-1)
@@ -180,11 +184,13 @@ def _grow(X: np.ndarray, y: np.ndarray, max_depth: int):
     ), np.asarray(depths), np.asarray(means)
 
 
-def _as_lists(nodes: TreeNodes) -> tuple[list, list, list, list]:
-    """The node arrays as plain lists: the per-row walk is pure Python, and
+def _as_lists(nodes: TreeNodes, used: np.ndarray) -> tuple[list, list, list, list]:
+    """The node arrays as plain lists, each split's feature as its place in
+    used, the sorted features split on: the per-row walk is pure Python, and
     list indexing is far cheaper than numpy scalar indexing there."""
+    split = nodes.feature != LEAF
     return (
-        nodes.feature.tolist(),
+        np.where(split, np.searchsorted(used, nodes.feature), LEAF).tolist(),
         nodes.threshold.astype(np.float64).tolist(),
         nodes.right.tolist(),
         nodes.value.tolist(),
@@ -192,7 +198,8 @@ def _as_lists(nodes: TreeNodes) -> tuple[list, list, list, list]:
 
 
 def _walk(lists, row) -> float:
-    """Leaf value reached by one row; lists come from _as_lists."""
+    """Leaf value reached by one row of the used columns; lists come from
+    _as_lists."""
     feature, threshold, right, value = lists
     i = 0
     while feature[i] != LEAF:
@@ -207,11 +214,14 @@ class TreeModel(TrainedModel):
     def __init__(self, trees, n_features: int):
         super().__init__(n_features)
         self.trees = tuple(trees)
-        self._lists = [_as_lists(t) for t in self.trees]
+        features = np.concatenate([t.feature for t in self.trees])
+        self._used = np.unique(features[features != LEAF])
+        self._lists = [_as_lists(t, self._used) for t in self.trees]
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         lists, n = self._lists, len(self._lists)
-        return np.array([sum(map(_walk, lists, repeat(row, n)), -0.0) / n for row in X.tolist()])
+        rows = X.take(self._used, axis=1).tolist()
+        return np.array([sum(map(_walk, lists, repeat(row, n)), -0.0) / n for row in rows])
 
 
 class DecisionTree(TreeModel):

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, HrvError
 from .metrics import MS_PER_MINUTE, check_positive, checked_array
@@ -265,6 +264,16 @@ def _peak_spans(
     return count, gap_sum
 
 
+def _runs(a: np.ndarray, n: int) -> np.ndarray:
+    """Read-only view of every n-long run of the 1-D a, row i = a[i : i + n]:
+    sliding_window_view(a, n) without its Python-level argument handling."""
+    a = np.ascontiguousarray(a)
+    step = a.strides[0]
+    view = np.ndarray((a.size - n + 1, n), a.dtype, a, 0, (step, step))
+    view.flags.writeable = False
+    return view
+
+
 def _detrend_windows(seg: np.ndarray, rel: np.ndarray, w: int, out: np.ndarray) -> None:
     """out[i] = v - trend for v = seg[rel[i] : rel[i] + n], n = out.shape[1]
     >= w, w odd: trend[k] averages v[k - h : k + h + 1], h = w // 2, by
@@ -272,14 +281,14 @@ def _detrend_windows(seg: np.ndarray, rel: np.ndarray, w: int, out: np.ndarray) 
     end.  Sums that overflow give +-inf or nan, without a warning."""
     n = out.shape[1]
     h = w // 2
-    out[:] = sliding_window_view(seg, n)[rel]
+    out[:] = _runs(seg, n)[rel]
     with np.errstate(over="ignore", invalid="ignore"):
-        trend = sliding_window_view(seg, w).sum(axis=1) / w
-        out[:, h : n - h] -= sliding_window_view(trend, n - 2 * h)[rel]
+        trend = _runs(seg, w).sum(axis=1) / w
+        out[:, h : n - h] -= _runs(trend, n - 2 * h)[rel]
         if not h:
             return
         counts = np.arange(h + 1, 2 * h + 1)
-        ends = sliding_window_view(seg, 2 * h)
+        ends = _runs(seg, 2 * h)
         head = np.cumsum(ends[rel], axis=1)[:, h:]
         tail = np.cumsum(ends[rel + n - 2 * h, ::-1], axis=1)[:, h:]
         out[:, :h] -= head / counts

@@ -1,10 +1,11 @@
 """Mutated inputs through the CLI: every call ends in exit 0, 1 or 2.
 
-Model files of each kind and dataset CSVs go to `eval`, PPG and RR CSVs to
-`process --out-dataset`, each after byte overwrites, bit flips or a
-truncation.  A call may accept its input or reject it with a typed error,
-but it must not raise an internal error (exit 3), print a traceback, or
-report a MAPE or write a dataset that is not finite.  Mutated `run` config
+Model files of each kind and dataset CSVs go to `eval`, dataset CSVs to
+`train`, PPG and RR CSVs to `process --out-dataset`, each after byte
+overwrites, bit flips or a truncation.  A call may accept its input or
+reject it with a typed error, but it must not raise an internal error
+(exit 3), print a traceback, report a MAPE or write a dataset that is not
+finite, or save a model that does not decode.  Mutated `run` config
 files give an ExperimentConfig or a ConfigError, before any run.
 """
 
@@ -23,7 +24,7 @@ from ppghrv.cli import main, read_config_file
 from ppghrv.errors import ConfigError
 from ppghrv.experiment import ExperimentConfig
 from ppghrv.io import read_dataset_csv
-from ppghrv.models.codec import save_model
+from ppghrv.models.codec import load_model, save_model
 from ppghrv.models.forest import train_rf
 from ppghrv.models.knn import train_knn
 from ppghrv.models.mlp import fit_early_stopped
@@ -74,6 +75,16 @@ def mutated(draw, data: bytes) -> bytes:
     return bytes(out)
 
 
+@st.composite
+def renumbered(draw, data: bytes) -> bytes:
+    """data with one to three bytes overwritten by ones a number may hold,
+    so a field often still parses, as another number."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.sampled_from(b"0123456789.-+e"))
+    return bytes(out)
+
+
 def run_cli(argv) -> tuple[int, str]:
     """Exit code and everything main printed, both streams."""
     buf = io.StringIO()
@@ -116,6 +127,31 @@ def test_mutated_inputs_end_in_a_documented_exit(inputs, data):
             assert len(mapes) == 2 and all(math.isfinite(float(m)) for m in mapes), printed
         elif code == 0:
             read_dataset_csv(tmp / "ds.csv")  # raises on a value that is not finite
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_datasets_train_or_fail_cleanly(inputs, data):
+    kind = data.draw(st.sampled_from(MODEL_KINDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        # the header kept, so most mutations reach the rows and the search
+        header, rows = inputs["ds.csv"].split(b"\n", 1)
+        if data.draw(st.booleans()):
+            rows = b"\n".join(rows.split(b"\n")[: data.draw(st.integers(1, 6))] + [b""])
+        rows = data.draw(st.one_of(mutated(rows), renumbered(rows)))
+        (tmp / "ds.csv").write_bytes(header + b"\n" + rows)
+        code, printed = run_cli([
+            "train", "--dataset", str(tmp / "ds.csv"), "--model", kind, "--budget", "2",
+            "--seed", "3", "--mlp-max-epochs", "3", "--out", str(tmp / "m.bin"),
+        ])
+        assert code in (0, 1, 2), printed
+        assert "Traceback" not in printed
+        if code == 0:
+            assert load_model(tmp / "m.bin").kind.value == kind
 
 
 RUN_CONFIG = b"""# every key a run config file may set

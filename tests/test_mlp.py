@@ -60,6 +60,73 @@ class TestGradientCheck:
             assert worst < 1e-4
 
 
+def reference_loss_and_grads(params, X, y, activation):
+    """The backprop before the gradients shared one buffer: fresh arrays for
+    each layer's activation, delta and gradient."""
+    acts = [X]
+    for W, b in params[:-1]:
+        z = acts[-1] @ W
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z) if activation == "relu" else np.tanh(z, out=z))
+    W_out, b_out = params[-1]
+    resid = (acts[-1] @ W_out + b_out)[:, 0] - y
+    m = y.size
+    loss = float(np.mean(resid * resid))
+    grads = [None] * len(params)
+    delta = (2.0 / m) * resid[:, None]
+    grads[-1] = (acts[-1].T @ delta, delta.sum(axis=0))
+    up = delta @ W_out.T
+    for i in range(len(params) - 2, -1, -1):
+        a = acts[i + 1]
+        dz = up * (a > 0.0) if activation == "relu" else up * (1.0 - a * a)
+        grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
+        if i:
+            up = dz @ params[i][0].T
+    return loss, grads
+
+
+def reference_epochs(params, X, y, activation, rng, max_epochs):
+    """The per-layer SGD loop: four numpy calls per layer to update."""
+    for epoch in range(max_epochs):
+        order = rng.permutation(y.size)
+        for lo in range(0, y.size, mlp.BATCH_SIZE):
+            batch = order[lo : lo + mlp.BATCH_SIZE]
+            loss, grads = reference_loss_and_grads(params, X[batch], y[batch], activation)
+            assert np.isfinite(loss)
+            for (W, b), (dW, db) in zip(params, grads):
+                dW *= mlp.LEARNING_RATE
+                W -= dW
+                db *= mlp.LEARNING_RATE
+                b -= db
+        yield epoch
+
+
+class TestOneBufferStep:
+    """_epochs updates one parameter buffer in two numpy calls a step; every
+    parameter keeps the bits the per-layer loop gives it, epoch by epoch."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(6,), (5, 4, 3), (4, 3, 5, 3, 4)])
+    @pytest.mark.parametrize("n", [70, 20])  # not a multiple of a batch; under one
+    def test_same_bits_as_the_per_layer_loop(self, activation, hidden, n):
+        assert n % mlp.BATCH_SIZE
+        rng = np.random.default_rng(n + len(hidden))
+        ds = make_ds(rng.normal(size=(n, 7)), 60.0 + 5.0 * rng.normal(size=n))
+        Xs, ys, params, _, _ = mlp._prepare(ds, hidden, activation, seed=4)
+        flat = params[0][0].base
+        assert all(W.base is flat and b.base is flat for W, b in params)
+        ref = [(W.copy(), b.copy()) for W, b in params]
+        steps = zip(
+            mlp._epochs(params, Xs, ys, activation, np.random.default_rng(9), 6),
+            reference_epochs(ref, Xs, ys, activation, np.random.default_rng(9), 6),
+        )
+        for epoch, ref_epoch in steps:
+            assert epoch == ref_epoch
+            for (W, b), (W_ref, b_ref) in zip(params, ref):
+                assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+        assert epoch == 5
+
+
 class TestTraining:
     def test_learns_affine_function(self):
         # y = 2x + 1 on [0, 1]; a 1x8 tanh net should fit almost exactly

@@ -3,7 +3,9 @@ import pytest
 
 from ppghrv.errors import ConfigError, HrvError
 from ppghrv.models import tree
-from ppghrv.models.tree import LEAF, MIN_SAMPLES_TO_SPLIT, TreeNodes, train_dt
+from ppghrv.models.codec import load_model, save_model
+from ppghrv.models.forest import RandomForest, train_rf
+from ppghrv.models.tree import LEAF, MIN_SAMPLES_TO_SPLIT, DecisionTree, TreeNodes, train_dt
 from helpers import make_ds
 
 
@@ -306,6 +308,108 @@ class TestTreeStructure:
         batch = model.predict_batch(Q)
         single = [model.predict(q) for q in Q]
         np.testing.assert_array_equal(batch, single)
+
+
+def full_row_predict(model, X):
+    """The mean of the trees' leaves, each tree walked on the whole row from
+    its own node arrays, summed from -0.0 in tree order."""
+    out = []
+    for row in X:
+        total = -0.0
+        for t in model.trees:
+            i = 0
+            while t.feature[i] != LEAF:
+                i = i + 1 if row[t.feature[i]] <= np.float64(t.threshold[i]) else t.right[i]
+            total += float(t.value[i])
+        out.append(total / len(model.trees))
+    return np.array(out)
+
+
+def tree_nodes(feature, threshold, right, value):
+    return TreeNodes(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.float64),
+    )
+
+
+def stump(f, thr, left, right):
+    return tree_nodes([f, LEAF, LEAF], [thr, 0, 0], [2, -1, -1], [0, left, right])
+
+
+def two_level(f0, f1, f2):
+    """Splits on f0, then f1 on the left and f2 on the right."""
+    return tree_nodes(
+        [f0, f1, LEAF, LEAF, f2, LEAF, LEAF],
+        [0.0, -0.5, 0, 0, 0.5, 0, 0],
+        [4, 3, -1, -1, 6, -1, -1],
+        [0, 0, 1.25, -2.5, 0, 3.75, -0.0],
+    )
+
+
+def hand_built_models():
+    d = 6
+    return {
+        "one_leaf": DecisionTree((tree_nodes([LEAF], [0], [-1], [-0.0]),), d),
+        "one_leaf_forest": RandomForest(
+            (tree_nodes([LEAF], [0], [-1], [2.5]), stump(3, 0.0, -1.0, 1.0)), d
+        ),
+        "disjoint_features": RandomForest((two_level(0, 2, 4), two_level(5, 1, 3)), d),
+        "last_feature": DecisionTree((stump(d - 1, 0.25, 7.0, -7.0),), d),
+        "shared_features": RandomForest(
+            (two_level(4, 4, 1), two_level(1, 4, 1), stump(4, 1.0, 0.5, 1.5)), d
+        ),
+    }
+
+
+def probe_rows(d, rng):
+    """Random rows, rows on the thresholds, and rows holding nan or +-inf."""
+    X = rng.normal(size=(40, d))
+    X[:8] = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0], size=(8, d))
+    for i, v in enumerate((np.nan, np.inf, -np.inf)):
+        X[8 + i] = v
+        X[11 + 3 * i : 14 + 3 * i, rng.integers(0, d, size=3)] = v
+    return X
+
+
+class TestUsedColumnPredict:
+    """A predict reads only the columns its trees split on; it gives what
+    a walk on the whole row gives, bit for bit."""
+
+    def check(self, model, X):
+        want = full_row_predict(model, X)
+        assert model.predict_batch(X).tobytes() == want.tobytes()
+        single = np.array([model.predict(row) for row in X])
+        assert single.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(hand_built_models()))
+    def test_hand_built_models(self, name, tmp_path):
+        model = hand_built_models()[name]
+        X = probe_rows(model.n_features, np.random.default_rng(5))
+        self.check(model, X)
+        save_model(model, tmp_path / "m.bin")
+        self.check(load_model(tmp_path / "m.bin"), X)
+
+    def test_used_columns(self):
+        models = hand_built_models()
+        assert models["one_leaf"]._used.size == 0
+        assert models["one_leaf_forest"]._used.tolist() == [3]
+        assert models["disjoint_features"]._used.tolist() == [0, 1, 2, 3, 4, 5]
+        assert models["last_feature"]._used.tolist() == [5]
+        assert models["shared_features"]._used.tolist() == [1, 4]
+
+    def test_trained_models_from_disk(self, tmp_path):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(120, 30))
+        ds = make_ds(X, X[:, 3] - 2.0 * X[:, 17] + 0.1 * rng.normal(size=120))
+        probes = np.vstack([X, probe_rows(30, rng)])
+        for i, model in enumerate((train_dt(ds, max_depth=6),
+                                   train_rf(ds, trees=4, max_depth=4, seed=2))):
+            assert 0 < model._used.size < 30
+            self.check(model, probes)
+            save_model(model, tmp_path / f"{i}.bin")
+            self.check(load_model(tmp_path / f"{i}.bin"), probes)
 
 
 class TestTreeErrors:
