@@ -6,9 +6,11 @@ Designed around wrist-wearable constraints: low sampling rate, motion
 artifacts, limited compute.
 
 detect_peaks defines one window's peaks.  ppg_to_hr does not call it per
-window: consecutive windows overlap by all but 0.25 s, so it searches a
-block of windows with one detrend and two find_peaks calls, and gets
-detect_peaks' result bit for bit:
+window: consecutive windows overlap by all but 0.25 s, so _peak_spans
+searches a block of windows with one detrend and two find_peaks calls, and
+gets detect_peaks' result bit for bit.  The windows it marks alone go to
+detect_peaks in one loop in ppg_to_hr, the only per-window fallback, before
+the HR formula, clamp and carry-forward apply once to the whole series:
 
 - Detrend.  _detrend_windows is the one detrend; detect_peaks calls it on a
   block of one window.  Each trend value sums only its own window's
@@ -26,9 +28,10 @@ detect_peaks' result bit for bit:
 - Ties.  find_peaks applies the distance rule in np.argsort order of
   height, which is not stable.  Where two local maxima closer than the
   distance have equal height, the one kept could differ between the block
-  and the lone window, so such windows are passed to detect_peaks.  So are
-  windows that might be flat and windows whose detrended values are not
-  finite.
+  and the lone window, so such windows are marked alone.  So are windows
+  that might be flat, windows whose detrended values are not finite, and
+  every window of a block whose windows are narrower than the detrend
+  (empty windows, below 1/16 Hz).
 """
 
 from __future__ import annotations
@@ -165,9 +168,11 @@ def ppg_to_hr(signal: PpgSignal) -> RawHrSeries:
     previous value; the very first falls back to 60 bpm.  A nan or inf
     sample raises HrvError.
 
-    Windows are searched _BLOCK_SAMPLES samples' worth at a time, in the
-    blocked route the module docstring describes; the result equals one
-    detect_peaks call per window bit for bit.
+    One pass: _peak_spans fills every window's peak count and span,
+    _BLOCK_SAMPLES samples' worth at a time (see the module docstring);
+    the windows it marks alone go to detect_peaks here, and the formula,
+    clamp and carry-forward apply once to the series.  The result equals
+    one detect_peaks call per window bit for bit.
     """
     x = signal.samples
     if not np.all(np.isfinite(x)):
@@ -181,47 +186,46 @@ def ppg_to_hr(signal: PpgSignal) -> RawHrSeries:
         )
     step = 1.0 / HR_ESTIMATES_PER_S
     n_out = int(np.floor((duration - HR_WINDOW_LEN_S) / step + 1e-9)) + 1
+    # np.rint rounds half to even, as round() does
+    end_t = HR_WINDOW_LEN_S + np.arange(n_out) * step
+    i1 = np.rint(end_t * fs).astype(np.intp)
+    i0 = np.rint((end_t - HR_WINDOW_LEN_S) * fs).astype(np.intp)
+    count = np.empty(n_out, dtype=np.intp)
+    gap_sum = np.empty(n_out, dtype=np.intp)
+    alone = np.empty(n_out, dtype=bool)
     per_block = max(1, int(_BLOCK_SAMPLES / (HR_WINDOW_LEN_S * fs)))
-    values = np.empty(n_out, dtype=np.float64)
-    prev = HR_FALLBACK_BPM
     for j0 in range(0, n_out, per_block):
-        hr = _window_hr(x, fs, np.arange(j0, min(j0 + per_block, n_out)))
-        fresh = (HR_CLAMP_LOW_BPM < hr) & (hr < HR_CLAMP_HIGH_BPM)  # not nan
-        last = np.maximum.accumulate(np.where(fresh, np.arange(hr.size), -1))
-        values[j0 : j0 + hr.size] = np.where(last >= 0, hr[last], prev)
-        prev = values[j0 + hr.size - 1]
+        lengths = i1[j0 : j0 + per_block] - i0[j0 : j0 + per_block]
+        for n in np.unique(lengths):  # two at most, when 8 * fs is fractional
+            rows = j0 + np.flatnonzero(lengths == n)
+            count[rows], gap_sum[rows], alone[rows] = _peak_spans(x, fs, i0[rows], int(n))
+    for j in np.flatnonzero(alone):
+        peaks = detect_peaks(PpgSignal(fs, x[i0[j] : i1[j]]))
+        count[j] = peaks.size
+        gap_sum[j] = peaks[-1] - peaks[0] if peaks.size else 0
+    hr = np.full(n_out, np.nan)
+    paired = count >= 2
+    hr[paired] = MS_PER_MINUTE / (gap_sum[paired] / (count[paired] - 1) / fs * 1000.0)
+    fresh = (HR_CLAMP_LOW_BPM < hr) & (hr < HR_CLAMP_HIGH_BPM)  # not nan
+    last = np.maximum.accumulate(np.where(fresh, np.arange(n_out), -1))
+    values = np.where(last >= 0, hr[last], HR_FALLBACK_BPM)
     return RawHrSeries(
         values=values, start_time_s=signal.start_time_s + HR_WINDOW_LEN_S
     )
 
 
-def _window_hr(x: np.ndarray, fs: float, j: np.ndarray) -> np.ndarray:
-    """Raw estimate of each trailing window j, nan where it holds < 2 peaks."""
-    # np.rint rounds half to even, as round() does
-    end_t = HR_WINDOW_LEN_S + j * (1.0 / HR_ESTIMATES_PER_S)
-    i1 = np.rint(end_t * fs).astype(np.intp)
-    i0 = np.rint((end_t - HR_WINDOW_LEN_S) * fs).astype(np.intp)
-    count = np.empty(j.size, dtype=np.intp)
-    gap_sum = np.empty(j.size, dtype=np.intp)
-    for n in np.unique(i1 - i0):  # two lengths at most, when 8 * fs is fractional
-        rows = i1 - i0 == n
-        count[rows], gap_sum[rows] = _peak_spans(x, fs, i0[rows], int(n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hr = MS_PER_MINUTE / (gap_sum / (count - 1) / fs * 1000.0)
-    hr[count < 2] = np.nan
-    return hr
-
-
 def _peak_spans(
     x: np.ndarray, fs: float, starts: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Peak count and last - first peak index of each window x[s : s + n],
-    as detect_peaks gives them (see the module docstring)."""
+    as detect_peaks gives them (see the module docstring), and the mask of
+    the windows left to detect_peaks, whose count and span mean nothing."""
     from scipy.signal import find_peaks  # here, so only peak searches pay its import
 
     w, distance = _widths(fs)
     if n < w:  # only n = 0, below 1/16 Hz; detect_peaks words the error
-        return _peak_spans_alone(x, fs, starts, n)
+        zeros = np.zeros(starts.size, dtype=np.intp)
+        return zeros, zeros, np.ones(starts.size, dtype=bool)
     seg = x[starts[0] : starts[-1] + n]
     rel = starts - starts[0]
     reach = int(np.ceil(distance))
@@ -230,7 +234,7 @@ def _peak_spans(
     body = buf[:, :n]
     _detrend_windows(seg, rel, w, body)
     # samples near the float64 limit overflow the sums; such windows are
-    # left to detect_peaks below
+    # left to detect_peaks
     with np.errstate(invalid="ignore"):
         span = body.max(axis=1) - body.min(axis=1)
     # the block's flatness bound is at least each window's, so every window
@@ -259,9 +263,7 @@ def _peak_spans(
     gap_sum = np.zeros(starts.size, dtype=np.intp)
     some = count > 0
     gap_sum[some] = col[end[some] - 1] - col[end[some] - count[some]]
-    if alone.any():
-        count[alone], gap_sum[alone] = _peak_spans_alone(x, fs, starts[alone], n)
-    return count, gap_sum
+    return count, gap_sum, alone
 
 
 def _runs(a: np.ndarray, n: int) -> np.ndarray:
@@ -293,20 +295,6 @@ def _detrend_windows(seg: np.ndarray, rel: np.ndarray, w: int, out: np.ndarray) 
         tail = np.cumsum(ends[rel + n - 2 * h, ::-1], axis=1)[:, h:]
         out[:, :h] -= head / counts
         out[:, : n - h - 1 : -1] -= tail / counts
-
-
-def _peak_spans_alone(
-    x: np.ndarray, fs: float, starts: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """_peak_spans by one detect_peaks call per window."""
-    count = np.zeros(starts.size, dtype=np.intp)
-    gap_sum = np.zeros(starts.size, dtype=np.intp)
-    for r, s in enumerate(starts):
-        peaks = detect_peaks(PpgSignal(fs, x[s : s + n]))
-        count[r] = peaks.size
-        if peaks.size:
-            gap_sum[r] = peaks[-1] - peaks[0]
-    return count, gap_sum
 
 
 def check_z_score(z_score: float) -> None:

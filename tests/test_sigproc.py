@@ -146,6 +146,12 @@ class TestPpgToHr:
         assert np.all(out.values > 20.0)
         assert np.all(out.values < 250.0)
 
+    def test_rate_below_one_sixteenth_hz_gives_empty_windows(self):
+        # 8 s hold 0.4 samples at 0.05 Hz, so the first window is empty;
+        # detect_peaks rejects it
+        with pytest.raises(HrvError, match="window of 0.000s cannot hold two peaks"):
+            ppg_to_hr(PpgSignal(0.05, np.sin(np.arange(3.0))))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [0, 300, -1])
     def test_non_finite_sample_is_rejected(self, value, where):
@@ -238,9 +244,13 @@ class TestBlockedMatchesPerWindow:
         n = int(np.ceil(HR_WINDOW_LEN_S * fs)) + extra
         assert_matches_oracle(PpgSignal(fs, preset_ppg("sit", 20.0, fs=fs).samples[:n]))
 
-    def test_flat_stretches(self):
+    # 800 samples (32 s) leave 97 windows flat, more than the 81 of a block
+    # at 25 Hz, so the fallback (head) or a carried value (middle) runs on
+    # past where a block ends
+    @pytest.mark.parametrize("head, middle", [(250, 400), (800, 400), (250, 800)])
+    def test_flat_stretches(self, head, middle):
         sine = sine_signal(1.2, 30.0).samples
-        x = np.concatenate([np.full(250, 2.0), sine, np.zeros(400), sine, np.full(300, -1.5)])
+        x = np.concatenate([np.full(head, 2.0), sine, np.zeros(middle), sine, np.full(300, -1.5)])
         assert_matches_oracle(PpgSignal(FS, x))
 
     @pytest.mark.parametrize("value", [3.7, 1 / 3, 2.73, 5.46])
@@ -257,6 +267,8 @@ class TestBlockedMatchesPerWindow:
 
     @pytest.mark.parametrize("fs", [25.0, 30.1])
     def test_equal_maxima_inside_the_refractory_distance(self, fs):
+        # 129 windows: every one ties, and they span two blocks at 25 Hz and
+        # four (two per window length) at 30.1 Hz
         assert_matches_oracle(tied_pairs(fs, 40.0))
 
     @pytest.mark.parametrize("period", [7, 11, 20, 33])

@@ -15,6 +15,10 @@ to `_rows` wherever the two could differ.
 
 `import ppghrv.cli` loads no scipy module.
 
+Peaks are searched in two places: `ppghrv.sigproc.detect_peaks`, one
+window, and `_peak_spans`, a block of windows.  The windows a block leaves
+alone go to detect_peaks from one loop in `ppg_to_hr`, its only caller.
+
 SDNN or RMSSD is picked in one place, `ppghrv.metrics.hrv_rows`; every
 other windowed HRV goes through it.
 
@@ -235,6 +239,25 @@ def test_only_io_rows_tokenizes():
     # numpy's C tokenizer is tried only by _table, which falls through to _rows
     assert calls_outside(source, "_table", set(), {"loadtxt"}) == []
     assert len(calls_outside(source, None, set(), {"loadtxt"})) == 1
+
+
+def test_only_ppg_to_hr_sends_windows_to_detect_peaks():
+    src = Path(ppghrv.__file__).parent
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        source = path.read_text()
+        calls = calls_outside(source, "ppg_to_hr", {"detect_peaks"}, {"detect_peaks"})
+        # a find_peaks call outside both detect_peaks and _peak_spans
+        calls += sorted(
+            set(calls_outside(source, "detect_peaks", {"find_peaks"}, {"find_peaks"}))
+            & set(calls_outside(source, "_peak_spans", {"find_peaks"}, {"find_peaks"}))
+        )
+        if calls:
+            found[path.relative_to(src).as_posix()] = calls
+    assert found == {}
+    sigproc = (src / "sigproc.py").read_text()
+    assert len(calls_outside(sigproc, None, {"detect_peaks"}, set())) == 1
+    assert len(calls_outside(sigproc, None, {"find_peaks"}, set())) == 3
 
 
 def test_cli_imports_no_scipy():
