@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .amplify import (
     DEFAULT_MAPE_LEVELS_PCT,
     DEFAULT_WINDOW_S,
@@ -42,7 +40,7 @@ from .models.bench import bench_inference, check_repetitions
 from .models.codec import load_model, save_model, serialized_size
 from .models.search import check_search, random_search
 from .sigproc import DEFAULT_SAMPLING_RATE_HZ, DEFAULT_Z_SCORE, check_z_score
-from .synth import ACTIVITY_PRESETS, check_seed
+from .synth import ACTIVITY_PRESETS, check_seed, derived_rng
 
 
 class _Parser(argparse.ArgumentParser):
@@ -364,7 +362,7 @@ def _cmd_bench(args) -> None:
         ds = read_dataset_csv(args.dataset)
         probes = list(ds.features[:64])
     else:
-        rng = np.random.default_rng(args.seed)
+        rng = derived_rng((args.seed,))
         probes = list(rng.normal(size=(64, model.n_features)))
     stats = bench_inference(model, probes, repetitions=args.repetitions)
     print(f"repetitions: {stats.repetitions}")

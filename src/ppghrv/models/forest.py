@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..errors import ConfigError
-from ..synth import derived_rng
+from ..synth import derived_rngs
 from .base import ModelKind
 from .tree import TreeModel, _grow, check_depth
 
@@ -30,8 +30,7 @@ def train_rf(
     y = train.labels
     m = y.size
     grown = []
-    for t in range(int(trees)):
-        rng = derived_rng((int(seed), t))
+    for rng in derived_rngs((int(seed),), range(int(trees))):
         idx = rng.integers(0, m, size=m)
         grown.append(_grow(X[idx], y[idx], int(max_depth))[0])
     return RandomForest(grown, train.n_features)

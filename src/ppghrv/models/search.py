@@ -31,7 +31,7 @@ from typing import Any
 from ..data import Dataset, chronological_split
 from ..errors import ConfigError, HrvError
 from ..metrics import mape
-from ..synth import check_seed, derived_rng, derived_seed
+from ..synth import check_seed, derived_rng, derived_seeds
 from .base import ModelKind, TrainedModel
 from .forest import MAX_TREES, MIN_TREES, train_rf
 from .knn import DISTANCES, MAX_K, MIN_K, check_knn, train_knn
@@ -197,7 +197,7 @@ def random_search(
 
     sampler = derived_rng((int(seed), 0))
     drawn = [sample_hyperparams(kind, sampler) for _ in range(budget)]
-    seeds = [derived_seed((int(seed), 1 + i)) for i in range(budget)]
+    seeds = derived_seeds((int(seed),), range(1, budget + 1))
 
     fit, holdout = chronological_split(train, 1.0 - val_fraction)
 

@@ -4,10 +4,20 @@ Beats are laid down sequentially from an instantaneous HR curve plus
 Gaussian beat-to-beat jitter; the PPG is a train of asymmetric raised-cosine
 pulses with optional motion-artifact bursts and additive noise.  Everything
 is a pure function of the config including its seed.
+
+Every random stream in the package is derived here, by seed_states: numpy's
+SeedSequence (O'Neill's seed_seq_fe) computed with uint32 arrays for a whole
+batch of entropy rows at once, bit for bit.  An entropy tuple becomes its
+words as numpy lays out ints: each int as little-endian 32-bit chunks, 0 as
+[0].  derived_seed(e) is SeedSequence(e).generate_state(1)[0], and
+derived_rng(e) is default_rng(SeedSequence(e)): PCG64 seeded, as numpy seeds
+it, from the first eight words.  derived_seeds and derived_rngs do the same
+for the entropies (*prefix, i) of many i in one batch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,14 +51,146 @@ def check_seed(seed) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
+# numpy's SeedSequence: a pool of 4 words, hashed and mixed with these
+# constants, and the multiplier that advances PCG64's 128-bit state
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD = 0xFFFFFFFF
+_STATE = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j = 0..n: the hash constant before each
+    of n hashes, and after the last."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _WORD)
+    return np.array(c, dtype=np.uint32)
+
+
+def _hash(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """seed_seq_fe's hashmix of each column j of v (broadcast) with c[j],
+    the constant then advancing to c[j + 1]."""
+    v = (v ^ c[:-1]) * c[1:]
+    return v ^ (v >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> _XSHIFT)
+
+
+def seed_states(rows: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(row).generate_state(n_words) for each row of a
+    (rows, k) uint32 array of entropy words, as a (rows, n_words) array.
+
+    The pool starts as the first four words (0 past the end), each hashed.
+    Each pool word in turn is then hashed and mixed into the other three,
+    and each word past the fourth into all four.  The output cycles over
+    the pool, hashed with a second run of constants.  Every hash takes the
+    next constant of one run, so the hashes of one step are the columns of
+    one call, for every row at once.
+    """
+    rows = np.asarray(rows, dtype=np.uint32)
+    k = rows.shape[1]
+    n_hashes = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, k - _POOL_SIZE)
+    c = _hash_consts(_INIT_A, _MULT_A, n_hashes)
+    pool = np.zeros((rows.shape[0], _POOL_SIZE), dtype=np.uint32)
+    pool[:, : min(k, _POOL_SIZE)] = rows[:, :_POOL_SIZE]
+    pool = _hash(pool, c[: _POOL_SIZE + 1])
+    j = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], c[j : j + _POOL_SIZE]))
+        j += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, k):
+        pool = _mix(pool, _hash(rows[:, src, None], c[j : j + _POOL_SIZE + 1]))
+        j += _POOL_SIZE
+    cycle = np.arange(n_words) % _POOL_SIZE
+    return _hash(pool[:, cycle], _hash_consts(_INIT_B, _MULT_B, n_words))
+
+
+def _pcg64_seedings(rows: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64 seeded by SeedSequence(row), for each row.
+
+    numpy reads the first eight words as four little-endian uint64 words
+    w0..w3, sets inc = (w2:w3) << 1 | 1 and steps once from state inc + (w0:w1).
+    """
+    w = seed_states(rows, 8).astype(np.uint64)
+    w = (w[:, 0::2] | (w[:, 1::2] << np.uint64(32))).tolist()
+    seedings = []
+    for w0, w1, w2, w3 in w:
+        inc = ((w2 << 64 | w3) << 1 | 1) & _STATE
+        seedings.append((((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _STATE, inc))
+    return seedings
+
+
+def _entropy_words(entropy) -> list[int]:
+    """The uint32 words SeedSequence(entropy) hashes, for an int >= 0 or a
+    tuple of them."""
+    if not isinstance(entropy, (int, np.integer)):
+        return [w for e in entropy for w in _entropy_words(e)]
+    check_seed(entropy)
+    n = int(entropy)
+    words = [n & _WORD]
+    while n := n >> 32:
+        words.append(n & _WORD)
+    return words
+
+
+def _entropy_rows(prefix: tuple, indices: Iterable[int]) -> np.ndarray:
+    """The words of (*prefix, i) for each i, one row each; each i is below
+    2**32, so one word."""
+    last = np.fromiter(indices, dtype=np.int64)
+    if last.size and not (0 <= last.min() and last.max() <= _WORD):
+        raise ConfigError("derived-seed indices must lie in [0, 2**32)")
+    head = _entropy_words(prefix)
+    rows = np.empty((last.size, len(head) + 1), dtype=np.uint32)
+    rows[:, :-1] = head
+    rows[:, -1] = last
+    return rows
+
+
+def _rngs(rows: np.ndarray) -> Iterator[np.random.Generator]:
+    """default_rng(SeedSequence(row)) for each row, as one generator whose
+    state is set anew before each yield."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in _pcg64_seedings(rows):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def derived_rng(entropy: tuple) -> np.random.Generator:
     """A generator seeded by SeedSequence(entropy), one entropy tuple per stream."""
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return next(_rngs(np.array([_entropy_words(entropy)], dtype=np.uint32)))
 
 
 def derived_seed(entropy: tuple) -> int:
     """The 32-bit seed SeedSequence(entropy) derives first."""
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    return int(seed_states(np.array([_entropy_words(entropy)], dtype=np.uint32), 1)[0, 0])
+
+
+def derived_rngs(prefix: tuple, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """derived_rng((*prefix, i)) for each i in turn, derived in one batch.
+
+    Each is the same Generator object, set to the next stream: finish with
+    one before taking the next.
+    """
+    return _rngs(_entropy_rows(prefix, indices))
+
+
+def derived_seeds(prefix: tuple, indices: Iterable[int]) -> list[int]:
+    """derived_seed((*prefix, i)) for each i, derived in one batch."""
+    return seed_states(_entropy_rows(prefix, indices), 1)[:, 0].tolist()
 
 
 def first_non_increasing(t: np.ndarray) -> int | None:

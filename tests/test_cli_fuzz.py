@@ -2,11 +2,13 @@
 
 Model files of each kind and dataset CSVs go to `eval`, dataset CSVs to
 `train`, PPG and RR CSVs to `process --out-dataset`, each after byte
-overwrites, bit flips or a truncation.  A call may accept its input or
-reject it with a typed error, but it must not raise an internal error
-(exit 3), print a traceback, report a MAPE or write a dataset that is not
-finite, or save a model that does not decode.  Mutated `run` config
-files give an ExperimentConfig or a ConfigError, before any run.
+overwrites, bit flips or a truncation; a PPG also after overwrites of its
+values with bytes a number may hold, which mostly reach the peak search.  A
+call may accept its input or reject it with a typed error, but it must not
+raise an internal error (exit 3), print a traceback, report a MAPE or write
+a dataset that is not finite, or save a model that does not decode.
+Mutated `run` config files give an ExperimentConfig or a ConfigError,
+before any run.
 """
 
 import contextlib
@@ -86,13 +88,30 @@ def mutated(draw, data: bytes) -> bytes:
     return bytes(out)
 
 
+# the bytes a number in a CSV field may hold
+NUMBER_BYTES = b"0123456789.-+e"
+
+
 @st.composite
 def renumbered(draw, data: bytes) -> bytes:
     """data with one to three bytes overwritten by ones a number may hold,
     so a field often still parses, as another number."""
     out = bytearray(data)
     for _ in range(draw(st.integers(1, 3))):
-        out[draw(st.integers(0, len(out) - 1))] = draw(st.sampled_from(b"0123456789.-+e"))
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.sampled_from(NUMBER_BYTES))
+    return bytes(out)
+
+
+@st.composite
+def revalued(draw, data: bytes) -> bytes:
+    """data with one to three bytes of the rows' last fields overwritten by
+    ones a number may hold, so the rows often still parse, as other values,
+    and a PPG goes on to the peak search."""
+    fields = [m.span() for m in re.finditer(rb"(?<=,)[^,\r\n]+", data)][1:]  # not the header
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        start, stop = fields[draw(spread(len(fields)))]
+        out[start + draw(spread(stop - start))] = draw(st.sampled_from(NUMBER_BYTES))
     return bytes(out)
 
 
@@ -124,7 +143,11 @@ def test_mutated_inputs_end_in_a_documented_exit(inputs, data):
                     "--dataset", str(tmp / "ds.csv")]
         else:
             files = {"ppg": inputs["ppg.csv"], "rr": inputs["rr.csv"]}
-            files[target] = data.draw(mutated(files[target]))
+            mutation = mutated(files[target])
+            if target == "ppg":
+                # value edits too, so most PPG examples reach the peak search
+                mutation = st.one_of(revalued(files[target]), mutation)
+            files[target] = data.draw(mutation)
             for name, text in files.items():
                 (tmp / f"{name}.csv").write_bytes(text)
             argv = ["process", "--ppg", str(tmp / "ppg.csv"), "--out-hr", str(tmp / "hr.csv"),

@@ -25,6 +25,10 @@ other windowed HRV goes through it.
 A decision tree is a forest of one: dt and rf share `tree.TreeModel`'s batch
 predict, and only `tree.py` walks a tree.
 
+Every random stream comes from synth's derived_rng(s) and derived_seed(s),
+which call no numpy SeedSequence or default_rng: one routine,
+`synth.seed_states`, computes SeedSequence's arithmetic for a batch.
+
 A `run` cell and the step subcommands share their settings' defaults, which
 ExperimentConfig holds, and each setting's bound is checked by the step that
 uses the value, so its message is written once.
@@ -388,8 +392,13 @@ def test_each_single_rule_message_is_stated_once():
     )
 
 
-# numpy's seed derivation, called by name or as a method of numpy.random
-_SEEDING = {"SeedSequence"}
+# numpy's seed derivations, called by name or as a method of numpy.random
+_SEEDING = {"SeedSequence", "default_rng"}
+# the constants of numpy's SeedSequence and of its PCG64 seeding
+_SEEDING_CONSTANTS = [
+    "0x43B0D7E5", "0x931E8875", "0x8B51F9DD", "0x58F38DED", "0xCA01F9DD", "0x4973F715",
+    "0x2360ED051FC65DA44385DF649FCCF645",
+]
 
 
 def test_finder_sees_each_seed_sequence():
@@ -399,25 +408,31 @@ def derived_seed(entropy):
 
 def f(seed):
     SeedSequence(seed), numpy.random.SeedSequence((seed, 1)), np.random.default_rng(seed)
+    default_rng(seed)
 '''
-    assert len(calls_outside(source, None, _SEEDING, _SEEDING)) == 3
-    assert len(calls_outside(source, "derived_seed", _SEEDING, _SEEDING)) == 2
+    assert len(calls_outside(source, None, _SEEDING, _SEEDING)) == 5
+    assert len(calls_outside(source, "derived_seed", _SEEDING, _SEEDING)) == 4
 
 
 def test_only_the_synth_helpers_derive_seeds():
     src = Path(ppghrv.__file__).parent
     found = {}
     for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        calls = calls_outside(text, None, _SEEDING, _SEEDING)
         if path.name != "synth.py":
-            calls = calls_outside(path.read_text(), None, _SEEDING, _SEEDING)
-            if calls:
-                found[path.relative_to(src).as_posix()] = calls
+            calls += calls_outside(text, None, {"seed_states", "PCG64"}, {"seed_states", "PCG64"})
+        if calls:
+            found[path.relative_to(src).as_posix()] = calls
     assert found == {}
-    # one call in each helper: leaving either out leaves exactly one
+    # the arithmetic is written once: its constants appear only in synth, and
+    # only seed_states hashes and mixes the entropy words
     synth = (src / "synth.py").read_text()
-    assert len(calls_outside(synth, None, _SEEDING, _SEEDING)) == 2
-    for helper in ("derived_rng", "derived_seed"):
-        assert len(calls_outside(synth, helper, _SEEDING, _SEEDING)) == 1
+    text = "".join(p.read_text() for p in sorted(src.rglob("*.py"))).lower()
+    for constant in _SEEDING_CONSTANTS:
+        assert text.count(constant.lower()) == synth.lower().count(constant.lower()) == 1
+    assert calls_outside(synth, None, {"_hash", "_mix"}, set()) != []
+    assert calls_outside(synth, "seed_states", {"_hash", "_mix"}, set()) == []
 
 
 def _is_zero(node: ast.expr) -> bool:
