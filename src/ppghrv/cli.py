@@ -20,7 +20,7 @@ from .amplify import (
     amplification_table,
     default_base_trace,
 )
-from .data import build_hrv_dataset, check_window
+from .data import build_hrv_dataset, check_processed, check_window
 from .errors import ConfigError, HrvError
 from .experiment import ExperimentConfig, evaluate, heart_rate, run_experiment, synthesize
 from .io import (
@@ -295,6 +295,7 @@ def _cmd_process(args) -> None:
 def _cmd_train(args) -> None:
     check_search(args.budget, args.seed, args.val_fraction, args.mlp_max_epochs)
     ds = read_dataset_csv(args.dataset)
+    check_processed(ds)
     result = random_search(
         ds, args.model, budget=args.budget, seed=args.seed,
         val_fraction=args.val_fraction, mlp_max_epochs=args.mlp_max_epochs,
@@ -311,6 +312,7 @@ def _cmd_train(args) -> None:
 def _cmd_eval(args) -> None:
     model = load_model(args.model)
     ds = read_dataset_csv(args.dataset)
+    check_processed(ds)
     test_mape, sigproc_mape = evaluate(model, ds, args.out_trace)
     print(f"model MAPE: {test_mape:.4f}%")
     print(f"sigproc MAPE: {sigproc_mape:.4f}%")
@@ -360,6 +362,7 @@ def _cmd_bench(args) -> None:
     model = load_model(args.model)
     if args.dataset:
         ds = read_dataset_csv(args.dataset)
+        check_processed(ds)
         probes = list(ds.features[:64])
     else:
         rng = derived_rng((args.seed,))

@@ -14,8 +14,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, HrvError
-from .metrics import HrvMetricKind, checked_array, hrv_rows, rough_hrv
-from .sigproc import SmoothedHrSeries
+from .metrics import HrvMetricKind, check_positive, checked_array, hrv_rows, rough_hrv
+from .sigproc import HR_CLAMP_HIGH_BPM, HR_CLAMP_LOW_BPM, SmoothedHrSeries
 from .synth import GroundTruth, first_non_increasing
 
 CHUNK_BYTES = 256 * 1024  # bytes of windows measured at a time; bounds the temporaries
@@ -54,6 +54,29 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return int(self.features.shape[1])
+
+
+def check_processed(ds: Dataset) -> None:
+    """HrvError naming the first row holding what process never writes: an
+    HR feature outside [HR_CLAMP_LOW_BPM, HR_CLAMP_HIGH_BPM] (ppg_to_hr keeps
+    its estimates inside, and z-score repair and smoothing average them), a
+    rough HRV (the last feature) that is not finite and >= 0, or a label
+    that is not > 0 (MAPE divides by it)."""
+    X = ds.features
+    ok = (X >= HR_CLAMP_LOW_BPM) & (X <= HR_CLAMP_HIGH_BPM)
+    ok[:, -1] = (X[:, -1] >= 0) & (X[:, -1] < np.inf)
+    bad = np.flatnonzero(~ok.all(axis=1) | ~(ds.labels > 0))
+    if not bad.size:
+        return
+    i = int(bad[0])
+    where = f"dataset row {i} (window end {float(ds.window_end_times_s[i])!r} s)"
+    check_positive(ds.labels[i:i + 1], f"the label of {where}")
+    j = int(np.argmin(ok[i]))
+    x = float(X[i, j])
+    if j == X.shape[1] - 1:
+        raise HrvError(f"{where}: rough HRV feature f{j} = {x!r} must be finite and >= 0")
+    raise HrvError(f"{where}: HR feature f{j} = {x!r} lies outside "
+                   f"[{HR_CLAMP_LOW_BPM:g}, {HR_CLAMP_HIGH_BPM:g}] bpm")
 
 
 def build_hrv_dataset(

@@ -3,11 +3,11 @@
 Formats (headers are exact):
 
     PPG trace        time_s,value
-    RR ground truth  beat_time_s,rr_ms      (first row's rr_ms is empty)
     per-second HR    time_s,hr_bpm          (written only; nothing reads it back)
     dataset          window_end_time_s,f0..f{d-1},label
-    results table    activity,metric,n_s,model,mape_pct,sigproc_mape_pct,model_bytes,latency_us_mean
     estimation trace window_end_s,truth_ms,sigproc_ms,model_ms
+    RR ground truth  beat_time_s,rr_ms      (first row's rr_ms is empty)
+    results table    activity,metric,n_s,model,mape_pct,sigproc_mape_pct,model_bytes,latency_us_mean
     amplification    rr_mape,rmssd_mape,sdnn_mape,trials,seed
 
 Floats are written with repr (shortest round-trip), so write->read returns
@@ -30,9 +30,11 @@ file it fails on, warns on, or might read otherwise than csv and float (see
 the values taken, the messages and their line numbers are the float
 reader's.
 
-The dataset writer sorts each block of rows by value and formats each run
-of equal bits once, so a value that recurs across rows is formatted about
-once per block; the bytes equal one repr per field.
+The first four are float tables, written by `_write_table`: it sorts a
+block of rows by value and formats each run of equal bits once, so a value
+that recurs across rows is formatted about once per block; the bytes equal
+one repr per field.  The other three, with empty, integer or name fields,
+are written by `_write_records`.
 
 Every file the package reads or writes, CSV or binary model, is opened by
 `opened`.  A file that cannot be read (missing, a directory, no permission,
@@ -79,16 +81,12 @@ RATE_TOLERANCE = 0.01  # inferred vs declared sampling rate, and each interval v
 # rr_ms vs 1000 x its beat-time difference; the labels use only the beat
 # times, and a file written here holds exactly that product
 RR_TOLERANCE_MS = 1e-3
-_WRITE_BLOCK_BYTES = 64 * 1024  # float64 bytes of dataset rows formatted at a time
+_WRITE_BLOCK_BYTES = 64 * 1024  # float64 bytes of a table's rows formatted at a time
 # a file holding one is read by float: the writers never quote, and numpy's
 # float parser skips \x1c-\x1f as whitespace around a number (str.isspace
 # holds for them), float does not
 _FLOAT_ONLY_BYTES = b'"\x1c\x1d\x1e\x1f'
 _SCAN_BLOCK_BYTES = 64 * 1024
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 @contextmanager
@@ -124,13 +122,45 @@ def _write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
 def _field(value) -> str:
     if value is None:
         return ""
-    return _fmt(value) if isinstance(value, (float, np.floating)) else str(value)
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def _write_records(path, header: Sequence[str], records: Iterable[Sequence]) -> None:
     """Write one line per record, a field per value: None is left empty, a
-    float (numpy's too) is written by _fmt and anything else by str."""
+    float (numpy's too) is written by repr and anything else by str."""
     _write_csv(path, header, (",".join(map(_field, r)) for r in records))
+
+
+def _block_lines(block: np.ndarray) -> Iterator[str]:
+    """block's rows as lines, each run of equal bits formatted once.
+
+    A float argsort brings equal values together, and a run ends wherever
+    the bits change: 0.0 == -0.0, but the two print differently, so a zero
+    may fall into more than one run, each of one bit pattern.  The float64
+    argsort and the int64 comparison are numpy code an ingest pass already
+    runs (find_peaks, np.unique on counts); np.unique on the bits instead
+    would page in 128 KB more of numpy's code.  A generator of its own, so
+    one block's texts are freed before the next block's are made.
+    """
+    flat = block.ravel()
+    order = flat.argsort()
+    bits = flat.view(np.int64)[order]
+    starts = np.concatenate([[True], bits[1:] != bits[:-1]])
+    inverse = np.empty(flat.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    texts = np.array(list(map(repr, flat[order[starts]].tolist())), dtype=object)
+    yield from map(",".join, texts[inverse].reshape(block.shape).tolist())
+
+
+def _write_table(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write columns (1-D or 2-D, a row each per line) side by side as
+    float64, stacking a bounded block of rows at a time for _block_lines."""
+    step = max(1, _WRITE_BLOCK_BYTES // (8 * len(header)))
+    blocks = (
+        np.column_stack([c[r:r + step] for c in columns]).astype(np.float64, copy=False)
+        for r in range(0, len(columns[0]), step)
+    )
+    _write_csv(path, header, itertools.chain.from_iterable(map(_block_lines, blocks)))
 
 
 def _rows(path, expected_header: Sequence[str]):
@@ -252,14 +282,9 @@ def _table(path, header: Sequence[str]) -> np.ndarray:
     return table
 
 
-def _write_series(path, header: Sequence[str], start_s: float, rate_hz: float, values) -> None:
-    """One line per value: its time start_s + i / rate_hz, then the value."""
-    lines = (f"{_fmt(start_s + i / rate_hz)},{_fmt(v)}" for i, v in enumerate(values))
-    _write_csv(path, header, lines)
-
-
 def write_ppg_csv(path, signal: PpgSignal) -> None:
-    _write_series(path, PPG_HEADER, signal.start_time_s, signal.sampling_rate_hz, signal.samples)
+    times = signal.start_time_s + np.arange(signal.samples.size) / signal.sampling_rate_hz
+    _write_table(path, PPG_HEADER, [times, signal.samples])
 
 
 def read_ppg_csv(path, declared_rate_hz: float = DEFAULT_SAMPLING_RATE_HZ) -> PpgSignal:
@@ -316,46 +341,16 @@ def read_rr_csv(path) -> GroundTruth:
 
 
 def write_hr_csv(path, shr: SmoothedHrSeries) -> None:
-    # one value per second: i / 1.0 is exactly i
-    _write_series(path, HR_HEADER, shr.start_time_s, 1.0, shr.values)
+    _write_table(path, HR_HEADER, [shr.start_time_s + np.arange(shr.values.size), shr.values])
 
 
 def _dataset_header(n_features: int) -> list[str]:
     return ["window_end_time_s"] + [f"f{i}" for i in range(n_features)] + ["label"]
 
 
-def _block_lines(block: np.ndarray) -> Iterator[str]:
-    """block's rows as lines, each run of equal bits formatted once.
-
-    A float argsort brings equal values together, and a run ends wherever
-    the bits change: 0.0 == -0.0, but the two print differently, so a zero
-    may fall into more than one run, each of one bit pattern.  The float64
-    argsort and the int64 comparison are numpy code an ingest pass already
-    runs (find_peaks, np.unique on counts); np.unique on the bits instead
-    would page in 128 KB more of numpy's code.  A generator of its own, so
-    one block's texts are freed before the next block's are made.
-    """
-    flat = block.ravel()
-    order = flat.argsort()
-    bits = flat.view(np.int64)[order]
-    starts = np.concatenate([[True], bits[1:] != bits[:-1]])
-    inverse = np.empty(flat.size, dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    texts = np.array(list(map(repr, flat[order[starts]].tolist())), dtype=object)
-    yield from map(",".join, texts[inverse].reshape(block.shape).tolist())
-
-
 def write_dataset_csv(path, ds: Dataset) -> None:
-    # a window's features are the last n_s per-second values, so one value
-    # recurs in up to n_s rows; a bounded block of rows is stacked at a time
-    step = max(1, _WRITE_BLOCK_BYTES // (8 * (ds.n_features + 2)))
-    blocks = (
-        np.column_stack([ds.window_end_times_s[r:r + step], ds.features[r:r + step],
-                         ds.labels[r:r + step]])
-        for r in range(0, len(ds), step)
-    )
-    lines = itertools.chain.from_iterable(map(_block_lines, blocks))
-    _write_csv(path, _dataset_header(ds.n_features), lines)
+    _write_table(path, _dataset_header(ds.n_features),
+                 [ds.window_end_times_s, ds.features, ds.labels])
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -376,8 +371,7 @@ def write_results_csv(path, rows: Iterable) -> None:
 
 
 def write_trace_csv(path, window_end_s, truth_ms, sigproc_ms, model_ms) -> None:
-    columns = zip(window_end_s, truth_ms, sigproc_ms, model_ms)
-    _write_csv(path, TRACE_HEADER, (",".join(map(_fmt, row)) for row in columns))
+    _write_table(path, TRACE_HEADER, [window_end_s, truth_ms, sigproc_ms, model_ms])
 
 
 def write_amplification_csv(path, rows: Iterable) -> None:

@@ -752,10 +752,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("model", ["knn", "mlp"])
     def test_feature_beyond_float32_is_data_error(self, model, tmp_path, workdir, capsys):
         # 1e41 is a finite float64, but the mean and std a model stores are
-        # float32; such a model was saved and then failed to load
+        # float32; such a model was saved and then failed to load.  The rough
+        # HRV (f30, the last feature) has no upper bound, so `train` takes it
         lines = (workdir / "ds.csv").read_text().splitlines()
         fields = lines[2].split(",")
-        fields[4] = "1e41"  # f3
+        fields[-2] = "1e41"  # f30
         lines[2] = ",".join(fields)
         ds = tmp_path / "ds.csv"
         ds.write_text("\n".join(lines) + "\n")
@@ -763,7 +764,27 @@ class TestExitCodes:
         code = main(["train", "--dataset", str(ds), "--model", model,
                      "--budget", "2", "--mlp-max-epochs", "2", "--out", str(out)])
         assert code == 2
-        assert "feature f3" in capsys.readouterr().err
+        assert "feature f30" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_process_could_not_write_is_data_error(self, tmp_path, workdir, capsys):
+        # row 5's features all -1e308: eval printed a 306-digit sig-proc MAPE
+        ds = read_dataset_csv(workdir / "ds.csv")
+        X = ds.features.copy()
+        X[5, :] = -1e308
+        bad = tmp_path / "bad.csv"
+        write_dataset_csv(bad, Dataset(X, ds.labels, ds.window_end_times_s))
+        out = tmp_path / "m.bin"
+        for argv in [
+            ["train", "--dataset", str(bad), "--model", "dt", "--budget", "1", "--out", str(out)],
+            ["eval", "--model", str(workdir / "model.bin"), "--dataset", str(bad)],
+            ["bench", "--model", str(workdir / "model.bin"), "--dataset", str(bad),
+             "--repetitions", "100"],
+        ]:
+            assert main(argv) == 2, argv[0]
+            out_text, err = capsys.readouterr()
+            assert "dataset row 5 " in err and "HR feature f0 = -1e+308" in err, argv[0]
+            assert "MAPE" not in out_text
         assert not out.exists()
 
     def test_zero_std_model_is_data_error(self, tmp_path, workdir, capsys):
@@ -800,24 +821,20 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
-    def test_knn_distances_that_overflow_print_no_warning(
-        self, tmp_path, workdir, capsys, distance
-    ):
+    def test_knn_distances_that_overflow_print_no_warning(self, tmp_path, workdir, distance):
         # a feature of 1e308 squares (Euclidean) or a row of -1e308 sums
         # (Manhattan) past float64; the distance is inf and ranks last, and
-        # numpy's overflow warning was printed before the scores
+        # numpy's overflow warning was printed before the scores.  `eval`
+        # rejects such features (check_processed), so the eval step is called
+        # directly; a RuntimeWarning fails the test
         ds = read_dataset_csv(workdir / "ds.csv")
         save_model(train_knn(ds, 5, distance), tmp_path / "knn.bin")
         X = ds.features.copy()
         X[:, 3] = 1e308
         X[5, :] = -1e308
-        write_dataset_csv(tmp_path / "big.csv", Dataset(X, ds.labels, ds.window_end_times_s))
-        code = main(["eval", "--model", str(tmp_path / "knn.bin"),
-                     "--dataset", str(tmp_path / "big.csv")])
-        out, err = capsys.readouterr()
-        assert code == 0
-        assert "RuntimeWarning" not in err
-        assert math.isfinite(float(re.search(r"model MAPE: (\S+)%", out)[1]))
+        big = Dataset(X, ds.labels, ds.window_end_times_s)
+        model_mape, _ = ppghrv.experiment.evaluate(load_model(tmp_path / "knn.bin"), big, None)
+        assert math.isfinite(model_mape)
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

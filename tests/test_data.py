@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from ppghrv.data import (
     Dataset,
     build_hrv_dataset,
+    check_processed,
     chronological_split,
 )
 from ppghrv.errors import ConfigError, HrvError
@@ -247,6 +249,51 @@ class TestDatasetValidation:
                 np.zeros(4),
                 np.arange(3.0),
             )
+
+
+class TestCheckProcessed:
+    """check_processed accepts what process writes and names the first row
+    holding anything else."""
+
+    @staticmethod
+    def dataset(row=None, column=None, value=None):
+        X = np.tile([20.0, 250.0, 72.5, 0.0], (4, 1))  # the range's ends are inside
+        y = np.full(4, 30.0)
+        if column == "label":
+            y[row] = value
+        elif column is not None:
+            X[row, column] = value
+        return Dataset(X, y, np.arange(4.0) + 10.0)
+
+    def test_process_output_passes(self, office_trace):
+        gt, shr = office_trace
+        for kind in HrvMetricKind:
+            check_processed(build_hrv_dataset(shr, gt, 30, kind))
+        check_processed(self.dataset())
+
+    @pytest.mark.parametrize("column, value, message", [
+        (0, 19.999, "HR feature f0 = 19.999 lies outside [20, 250] bpm"),
+        (1, 250.001, "HR feature f1 = 250.001 lies outside [20, 250] bpm"),
+        (2, -1e308, "HR feature f2 = -1e+308 lies outside"),
+        (2, np.nan, "HR feature f2 = nan lies outside"),
+        (3, -5e-324, "rough HRV feature f3 = -5e-324 must be finite and >= 0"),
+        (3, np.inf, "rough HRV feature f3 = inf must be finite and >= 0"),
+        (3, np.nan, "rough HRV feature f3 = nan must be finite and >= 0"),
+        ("label", 0.0, "the label of dataset row 2 (window end 12.0 s) must be > 0, not 0.0"),
+        ("label", -3.0, "must be > 0, not -3.0"),
+        ("label", np.nan, "must be > 0, not nan"),
+    ])
+    def test_first_bad_row_is_named(self, column, value, message):
+        ds = self.dataset(2, column, value)
+        with pytest.raises(HrvError, match=re.escape(message)) as err:
+            check_processed(ds)
+        assert "dataset row 2 (window end 12.0 s)" in str(err.value)
+
+    def test_earliest_row_is_named(self):
+        ds = self.dataset(3, 0, 1.0)
+        ds.labels[1] = 0.0
+        with pytest.raises(HrvError, match=re.escape("dataset row 1 (window end 11.0 s)")):
+            check_processed(ds)
 
 
 # each data type and a maker for it from the array of the named field

@@ -297,14 +297,42 @@ def csv_writer_bytes(rows) -> bytes:
     return buf.getvalue().encode()
 
 
-def oracle_dataset_bytes(ds: Dataset) -> bytes:
-    """The dataset file as csv.writer wrote it, one repr per field."""
-    header = ["window_end_time_s"] + [f"f{i}" for i in range(ds.n_features)] + ["label"]
-    rows = (
-        [repr(float(t))] + [repr(float(v)) for v in x] + [repr(float(label))]
-        for t, x, label in zip(ds.window_end_times_s, ds.features, ds.labels)
-    )
-    return csv_writer_bytes([header, *rows])
+def oracle_rows(value):
+    """The header and the float rows a float-table writer writes for value (a
+    Dataset, PpgSignal, SmoothedHrSeries, or the trace writer's four columns
+    as a tuple), field by field in Python: a PPG or HR time is
+    start_time_s + i / rate, as the writers once computed it row by row."""
+    if isinstance(value, Dataset):
+        header = ["window_end_time_s"] + [f"f{i}" for i in range(value.n_features)] + ["label"]
+        return header, (
+            [t, *x, label]
+            for t, x, label in zip(value.window_end_times_s, value.features, value.labels)
+        )
+    if isinstance(value, PpgSignal):
+        header, rate, values = ["time_s", "value"], value.sampling_rate_hz, value.samples
+    elif isinstance(value, SmoothedHrSeries):
+        header, rate, values = ["time_s", "hr_bpm"], 1.0, value.values
+    else:
+        return ["window_end_s", "truth_ms", "sigproc_ms", "model_ms"], zip(*value)
+    return header, ([value.start_time_s + i / rate, v] for i, v in enumerate(values))
+
+
+def oracle_writer_bytes(value) -> bytes:
+    """value's file as csv.writer wrote it, one repr per field."""
+    header, rows = oracle_rows(value)
+    return csv_writer_bytes([header, *([repr(float(v)) for v in row] for row in rows)])
+
+
+def write_table(path, value) -> None:
+    """value written by its float-table writer (see oracle_rows)."""
+    if isinstance(value, Dataset):
+        write_dataset_csv(path, value)
+    elif isinstance(value, PpgSignal):
+        write_ppg_csv(path, value)
+    elif isinstance(value, SmoothedHrSeries):
+        write_hr_csv(path, value)
+    else:
+        write_trace_csv(path, *value)
 
 
 SPECIAL_FLOATS = [
@@ -330,7 +358,7 @@ class TestDatasetCsvFastPaths:
         ds = random_dataset(rng, int(rng.integers(1, 40)), int(rng.integers(1, 30)))
         path = tmp_path / "ds.csv"
         write_dataset_csv(path, ds)
-        assert path.read_bytes() == oracle_dataset_bytes(ds)
+        assert path.read_bytes() == oracle_writer_bytes(ds)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fast_reader_gives_the_written_bits(self, tmp_path, seed):
@@ -353,47 +381,83 @@ class TestDatasetCsvFastPaths:
             assert got.flags["C_CONTIGUOUS"]
 
 
-def block_rows(n_features: int) -> int:
-    """Rows of an n_features dataset that write_dataset_csv formats at a time."""
-    return max(1, hrvio._WRITE_BLOCK_BYTES // (8 * (n_features + 2)))
+def block_rows(n_columns: int) -> int:
+    """Rows of an n_columns table that the float-table writers format at a time."""
+    return max(1, hrvio._WRITE_BLOCK_BYTES // (8 * n_columns))
 
 
-class TestDatasetWriterBlocks:
-    """write_dataset_csv formats a block of rows at a time, each run of equal
-    bits once; its bytes must not depend on where the blocks fall."""
+# the float-table writers, each with the number of columns its table holds
+# after the time column (the dataset's is any number; 20 features here)
+TABLE_KINDS = {"dataset": 21, "ppg": 1, "hr": 1, "trace": 3}
 
-    def assert_oracle_bytes(self, tmp_path, ds):
-        path = tmp_path / "ds.csv"
-        write_dataset_csv(path, ds)
-        assert path.read_bytes() == oracle_dataset_bytes(ds)
 
-    def test_table_spanning_several_blocks(self, tmp_path):
-        rows = block_rows(20)
-        ds = random_dataset(np.random.default_rng(7), 3 * rows + rows // 2, 20)
-        self.assert_oracle_bytes(tmp_path, ds)
+def table_value(kind: str, t: np.ndarray, values: np.ndarray):
+    """The input of kind's writer that holds values (rows x TABLE_KINDS
+    columns) after the time column.  The dataset and trace take t as their
+    times; a PPG (at 25 Hz) and an HR series start at t[0]."""
+    if kind == "dataset":
+        return Dataset(values[:, :-1], values[:, -1], t)
+    if kind == "ppg":
+        return PpgSignal(25.0, values[:, 0], start_time_s=float(t[0]))
+    if kind == "hr":
+        return SmoothedHrSeries(values[:, 0], start_time_s=float(t[0]))
+    return (t, *values.T)
+
+
+class TestFloatTableWriterBlocks:
+    """The PPG, HR, trace and dataset writers format a block of rows at a
+    time, each run of equal bits once; their bytes must not depend on where
+    the blocks fall."""
+
+    def assert_oracle_bytes(self, tmp_path, value):
+        path = tmp_path / "table.csv"
+        write_table(path, value)
+        assert path.read_bytes() == oracle_writer_bytes(value)
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_table_spanning_several_blocks(self, tmp_path, kind):
+        width = TABLE_KINDS[kind]
+        rows = block_rows(width + 1)
+        ds = random_dataset(np.random.default_rng(7), 3 * rows + rows // 2, width - 1)
+        values = np.column_stack([ds.features, ds.labels])
+        self.assert_oracle_bytes(tmp_path, table_value(kind, ds.window_end_times_s, values))
 
     def test_row_wider_than_a_block(self, tmp_path):
         d = hrvio._WRITE_BLOCK_BYTES // 8 + 10
-        assert block_rows(d) == 1
+        assert block_rows(d + 2) == 1
         self.assert_oracle_bytes(tmp_path, random_dataset(np.random.default_rng(8), 3, d))
 
-    def test_signed_zeros_in_one_block_and_across_blocks(self, tmp_path):
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_signed_zeros_in_one_block_and_across_blocks(self, tmp_path, kind):
         # 0.0 == -0.0, but the two print differently
-        rows = block_rows(4)
-        X = np.ones((3 * rows, 4))
-        X[:rows, 2] = np.where(np.arange(rows) % 2, 0.0, -0.0)  # block 0 mixes both
-        X[rows:2 * rows, 0] = -0.0                              # block 1: -0.0 only
-        X[2 * rows:, 3] = 0.0                                   # block 2: 0.0 only
-        ds = Dataset(X, np.ones(3 * rows), np.arange(3.0 * rows) + 1.0)
-        self.assert_oracle_bytes(tmp_path, ds)
+        width = TABLE_KINDS[kind]
+        rows = block_rows(width + 1)
+        values = np.ones((3 * rows, width))
+        values[:rows, 2 % width] = np.where(np.arange(rows) % 2, 0.0, -0.0)  # block 0 mixes both
+        values[rows:2 * rows, 0] = -0.0                                      # block 1: -0.0 only
+        values[2 * rows:, width - 1] = 0.0                                   # block 2: 0.0 only
+        # a time of 0.0 in block 1 too: at i = rows + 3 for the PPG (its
+        # start_time_s + i / 25), at i = rows + 7 for the others
+        start = -((rows + 3) / 25.0) if kind == "ppg" else -(rows + 7.0)
+        t = start + np.arange(3.0 * rows)
+        self.assert_oracle_bytes(tmp_path, table_value(kind, t, values))
 
-    def test_sliding_window_dataset(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["ppg", "hr"])
+    @pytest.mark.parametrize("start", [12.345, -3.7, 1e9 + 0.1, 2.0 ** -30])
+    def test_series_whose_start_time_is_not_zero(self, tmp_path, kind, start):
+        rows = block_rows(2)
+        samples = np.random.default_rng(9).normal(60.0, 5.0, size=(2 * rows + 5, 1))
+        self.assert_oracle_bytes(tmp_path, table_value(kind, np.array([start]), samples))
+
+    @pytest.mark.parametrize("kind", ["ppg", "hr", "dataset"])
+    def test_pipeline_outputs(self, tmp_path, kind):
         cfg = SynthConfig(duration_s=420.0, base_hr_bpm=70.0, rr_jitter_ms=30.0, seed=9)
         gt = generate_rr_trace(cfg)
-        shr = smooth(zscore_adjust(ppg_to_hr(render_ppg(gt, cfg))))
-        ds = build_hrv_dataset(shr, gt, 60, HrvMetricKind.RMSSD)
-        assert len(ds) > block_rows(ds.n_features)
-        self.assert_oracle_bytes(tmp_path, ds)
+        ppg = render_ppg(gt, cfg)
+        shr = smooth(zscore_adjust(ppg_to_hr(ppg)))
+        value = {"ppg": ppg, "hr": shr,
+                 "dataset": build_hrv_dataset(shr, gt, 60, HrvMetricKind.RMSSD)}[kind]
+        self.assert_oracle_bytes(tmp_path, value)
 
 
 def oracle_table(path, header: list[str]) -> np.ndarray:

@@ -126,6 +126,17 @@ class TestOneBufferStep:
                 assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes()
         assert epoch == 5
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_non_finite_batch_loss_is_data_error(self, activation):
+        rng = np.random.default_rng(2)
+        ds = make_ds(rng.normal(size=(40, 3)), 60.0 + rng.normal(size=40))
+        Xs, ys, params, _, _ = mlp._prepare(ds, (4,), activation, seed=0)
+        epochs = mlp._epochs(params, Xs, ys, activation, np.random.default_rng(0), 3)
+        assert next(epochs) == 0
+        params[0][0][0, 0] = np.nan  # a nan propagates without a numpy warning
+        with pytest.raises(HrvError, match=r"non-finite batch loss at epoch 1 \(lr="):
+            next(epochs)
+
 
 class TestTraining:
     def test_learns_affine_function(self):

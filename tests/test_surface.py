@@ -13,6 +13,10 @@ The CSV readers cut fields with one tokenizer, the `csv.reader` in
 `ppghrv.io._table` alone tries numpy's `loadtxt` first, and falls through
 to `_rows` wherever the two could differ.
 
+A CSV is written by one of two writers: `ppghrv.io._write_table` for a
+table of floats (PPG, HR, dataset, trace), which formats its rows with
+`_block_lines`, and `_write_records` for rows of mixed types.
+
 `import ppghrv.cli` loads no scipy module.
 
 Peaks are searched in two places: `ppghrv.sigproc.detect_peaks`, one
@@ -243,6 +247,14 @@ def test_only_io_rows_tokenizes():
     # numpy's C tokenizer is tried only by _table, which falls through to _rows
     assert calls_outside(source, "_table", set(), {"loadtxt"}) == []
     assert len(calls_outside(source, None, set(), {"loadtxt"})) == 1
+
+
+def test_only_the_table_and_record_writers_write_csv():
+    source = Path(ppghrv.io.__file__).read_text()
+    outside = set(calls_outside(source, "_write_table", {"_write_csv"}, set()))
+    outside &= set(calls_outside(source, "_write_records", {"_write_csv"}, set()))
+    assert outside == set()
+    assert len(calls_outside(source, None, {"_write_csv"}, set())) == 2
 
 
 def test_only_ppg_to_hr_sends_windows_to_detect_peaks():

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 from ppghrv.errors import ConfigError, HrvError
 from ppghrv.metrics import HrvMetricKind, RrSeries, mape, rmssd, sdnn, rough_hrv
-from ppghrv.sigproc import ppg_to_hr, smooth, zscore_adjust
+from ppghrv.sigproc import PpgSignal, ppg_to_hr, smooth, zscore_adjust
 from ppghrv.synth import (
     ACTIVITY_PRESETS,
     MAX_DURATION_S,
+    PULSE_RISE_FRACTION,
     GroundTruth,
     SynthConfig,
     activity_preset,
@@ -20,6 +21,7 @@ from ppghrv.synth import (
     first_non_increasing,
     sample_artifact_epochs,
     _ARTIFACT_STREAM,
+    _pulse_curve,
 )
 
 
@@ -166,6 +168,23 @@ class TestRenderPpg:
         assert r_lag / r0 > 0.9
         assert r_half / r0 < 0.2
 
+    def test_beats_whose_pulse_covers_no_sample(self):
+        # at 1 Hz and 150 bpm a pulse spans 0.4 s, so many fall between two
+        # samples; they add nothing, and every other pulse adds its curve
+        cfg = SynthConfig(duration_s=60.0, base_hr_bpm=150.0, sampling_rate_hz=1.0, seed=0)
+        gt = generate_rr_trace(cfg)
+        t = np.arange(60.0)
+        rr_s = np.diff(gt.beat_times_s)
+        want = np.zeros(t.size)
+        uncovered = 0
+        for i, b in enumerate(gt.beat_times_s):
+            rise = PULSE_RISE_FRACTION * rr_s[max(i - 1, 0)]
+            decay = (1.0 - PULSE_RISE_FRACTION) * rr_s[min(i, rr_s.size - 1)]
+            uncovered += not ((t >= b - rise) & (t <= b + decay)).any()
+            want += _pulse_curve(t, b, rise, decay)
+        assert uncovered > 0
+        np.testing.assert_array_equal(render_ppg(gt, cfg).samples, want)
+
     def test_noise_is_deterministic(self):
         cfg = SynthConfig(duration_s=30.0, additive_noise_sigma=0.1, seed=11)
         gt = generate_rr_trace(cfg)
@@ -189,6 +208,24 @@ class TestMotionArtifacts:
         for start, dur in epochs:
             assert 0.0 <= start <= 600.0
             assert 0.5 <= dur <= 2.0
+
+    def test_epochs_past_the_last_sample_are_skipped(self):
+        # a signal cut where an epoch starts, after the one before it ends:
+        # the epochs from there on start past its last sample and add
+        # nothing, and the ones before add what they add to the whole signal
+        cfg = SynthConfig(duration_s=300.0, artifact_rate_per_min=6.0, seed=14)
+        whole = render_ppg(generate_rr_trace(cfg), replace(cfg, artifact_rate_per_min=0.0))
+        fs = whole.sampling_rate_hz
+        epochs = sample_artifact_epochs(cfg, derived_rng((cfg.seed, _ARTIFACT_STREAM)))
+        ends = [round(s * fs) + max(2, round(d * fs)) for s, d in epochs]
+        k = next(k for k in range(len(epochs) // 2, len(epochs))
+                 if ends[k - 1] <= round(epochs[k][0] * fs))
+        n = round(epochs[k][0] * fs)
+        cut = inject_motion_artifacts(PpgSignal(fs, whole.samples[:n]), cfg)
+        np.testing.assert_array_equal(
+            cut.samples, inject_motion_artifacts(whole, cfg).samples[:n]
+        )
+        assert not np.array_equal(cut.samples, whole.samples[:n])
 
     def test_artifacts_change_the_signal_locally(self):
         cfg = SynthConfig(duration_s=120.0, base_hr_bpm=70.0, artifact_rate_per_min=3.0, seed=13)
