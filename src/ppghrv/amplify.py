@@ -12,9 +12,9 @@ on each window, bit for bit.  Trial k of level i still draws its own
 perturbation from SeedSequence((rng_seed, i, k)): its 32-bit seed s is the
 first word that entropy derives, and its factors come from default_rng(s).
 A batch derives all its trial seeds in one synth.derived_seeds call and
-their generators' PCG64 states in one derived_rngs call, which sets each
-state in turn on one reused Generator, so every perturbed interval is the
-same float without a SeedSequence or Generator built per trial.
+the seed words of their generators in one derived_rngs call, which hands
+each trial's words to numpy's PCG64, so every perturbed interval is the
+same float without a SeedSequence built per trial.
 
 A batch stores its perturbed series as the rows of one C-contiguous
 (trials, intervals) array, and a window is a column slice of it, so each

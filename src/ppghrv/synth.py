@@ -10,8 +10,9 @@ SeedSequence (O'Neill's seed_seq_fe) computed with uint32 arrays for a whole
 batch of entropy rows at once, bit for bit.  An entropy tuple becomes its
 words as numpy lays out ints: each int as little-endian 32-bit chunks, 0 as
 [0].  derived_seed(e) is SeedSequence(e).generate_state(1)[0], and
-derived_rng(e) is default_rng(SeedSequence(e)): PCG64 seeded, as numpy seeds
-it, from the first eight words.  derived_seeds and derived_rngs do the same
+derived_rng(e) is default_rng(SeedSequence(e)): numpy's PCG64, handed the
+first eight words as the four little-endian uint64 words SeedSequence would
+hand it, seeds itself from them.  derived_seeds and derived_rngs do the same
 for the entropies (*prefix, i) of many i in one batch.
 """
 
@@ -52,15 +53,13 @@ def check_seed(seed) -> None:
 
 
 # numpy's SeedSequence: a pool of 4 words, hashed and mixed with these
-# constants, and the multiplier that advances PCG64's 128-bit state
+# constants
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _WORD = 0xFFFFFFFF
-_STATE = (1 << 128) - 1
 
 
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
@@ -114,21 +113,6 @@ def seed_states(rows: np.ndarray, n_words: int) -> np.ndarray:
     return _hash(pool[:, cycle], _hash_consts(_INIT_B, _MULT_B, n_words))
 
 
-def _pcg64_seedings(rows: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64 seeded by SeedSequence(row), for each row.
-
-    numpy reads the first eight words as four little-endian uint64 words
-    w0..w3, sets inc = (w2:w3) << 1 | 1 and steps once from state inc + (w0:w1).
-    """
-    w = seed_states(rows, 8).astype(np.uint64)
-    w = (w[:, 0::2] | (w[:, 1::2] << np.uint64(32))).tolist()
-    seedings = []
-    for w0, w1, w2, w3 in w:
-        inc = ((w2 << 64 | w3) << 1 | 1) & _STATE
-        seedings.append((((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _STATE, inc))
-    return seedings
-
-
 def _entropy_words(entropy) -> list[int]:
     """The uint32 words SeedSequence(entropy) hashes, for an int >= 0 or a
     tuple of them."""
@@ -155,18 +139,32 @@ def _entropy_rows(prefix: tuple, indices: Iterable[int]) -> np.ndarray:
     return rows
 
 
+class _SeedWords:
+    """One row's PCG64 seed words, as a seed sequence numpy's PCG64 accepts
+    (registered as an ISeedSequence by _rngs, so numpy.random is not loaded
+    at import).  PCG64 asks for generate_state(4, np.uint64), the only
+    request it makes, and seeds itself from the words it gets."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype) -> np.ndarray:
+        return self.words
+
+
 def _rngs(rows: np.ndarray) -> Iterator[np.random.Generator]:
-    """default_rng(SeedSequence(row)) for each row, as one generator whose
-    state is set anew before each yield."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state, inc in _pcg64_seedings(rows):
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    """default_rng(SeedSequence(row)) for each row, a new generator each.
+
+    Each row's first eight words are read, for the whole batch at once, as
+    four little-endian uint64 words (uint32 words 2j and 2j + 1 the low and
+    high halves of uint64 word j), as SeedSequence.generate_state(4,
+    np.uint64) reads its words for PCG64."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    states = seed_states(rows, 8).astype("<u4", order="C").view("<u8").astype(np.uint64)
+    for words in states:
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def derived_rng(entropy: tuple) -> np.random.Generator:
@@ -180,11 +178,7 @@ def derived_seed(entropy: tuple) -> int:
 
 
 def derived_rngs(prefix: tuple, indices: Iterable[int]) -> Iterator[np.random.Generator]:
-    """derived_rng((*prefix, i)) for each i in turn, derived in one batch.
-
-    Each is the same Generator object, set to the next stream: finish with
-    one before taking the next.
-    """
+    """derived_rng((*prefix, i)) for each i in turn, derived in one batch."""
     return _rngs(_entropy_rows(prefix, indices))
 
 

@@ -98,7 +98,7 @@ def renumbered(draw, data: bytes) -> bytes:
     so a field often still parses, as another number."""
     out = bytearray(data)
     for _ in range(draw(st.integers(1, 3))):
-        out[draw(st.integers(0, len(out) - 1))] = draw(st.sampled_from(NUMBER_BYTES))
+        out[draw(spread(len(out)))] = draw(st.sampled_from(NUMBER_BYTES))
     return bytes(out)
 
 

@@ -1,8 +1,9 @@
 """synth's seed derivation against numpy, the oracle, bit for bit.
 
-synth computes SeedSequence's hashing and mixing and PCG64's seeding with
-uint32 arrays and Python ints, a batch of entropies at a time; numpy's own
-SeedSequence and default_rng decide what each must give.
+synth computes SeedSequence's hashing and mixing with uint32 arrays, a batch
+of entropies at a time, and hands each entropy's words to numpy's PCG64,
+which seeds itself from them; numpy's own SeedSequence and default_rng
+decide what each must give.
 """
 
 import numpy as np
@@ -79,14 +80,23 @@ def test_batches_match_one_entropy_at_a_time(prefix, indices):
         assert rng.random() == want.random()
 
 
-def test_reused_generator_keeps_nothing_from_the_stream_before():
+def test_each_stream_starts_with_no_buffered_draw():
     # an odd number of 32-bit draws leaves half of a 64-bit output buffered
-    # in the bit generator; the next stream must not start from it
+    # in the bit generator; the next stream of the batch must not start
+    # from it
     for rng, s in zip(derived_rngs((), [5, 6, 7]), [5, 6, 7]):
         np.testing.assert_array_equal(
             rng.integers(0, 1000, 5, dtype=np.uint32),
             np.random.default_rng(s).integers(0, 1000, 5, dtype=np.uint32),
         )
+
+
+def test_generators_of_one_batch_are_independent():
+    # both generators are taken before either draws: each must still give
+    # its own stream
+    first, second = derived_rngs((), [5, 6])
+    np.testing.assert_array_equal(second.random(5), np.random.default_rng(6).random(5))
+    np.testing.assert_array_equal(first.random(5), np.random.default_rng(5).random(5))
 
 
 @pytest.mark.parametrize("entropy", [-1, (3, -2)])

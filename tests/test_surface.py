@@ -17,7 +17,7 @@ A CSV is written by one of two writers: `ppghrv.io._write_table` for a
 table of floats (PPG, HR, dataset, trace), which formats its rows with
 `_block_lines`, and `_write_records` for rows of mixed types.
 
-`import ppghrv.cli` loads no scipy module.
+`import ppghrv.cli` loads no scipy module and no `numpy.random`.
 
 Peaks are searched in two places: `ppghrv.sigproc.detect_peaks`, one
 window, and `_peak_spans`, a block of windows.  The windows a block leaves
@@ -31,7 +31,8 @@ predict, and only `tree.py` walks a tree.
 
 Every random stream comes from synth's derived_rng(s) and derived_seed(s),
 which call no numpy SeedSequence or default_rng: one routine,
-`synth.seed_states`, computes SeedSequence's arithmetic for a batch.
+`synth.seed_states`, computes SeedSequence's arithmetic for a batch, and
+numpy's PCG64 seeds itself from the words it derives.
 
 A `run` cell and the step subcommands share their settings' defaults, which
 ExperimentConfig holds, and each setting's bound is checked by the step that
@@ -289,6 +290,20 @@ def test_cli_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_imports_no_numpy_random():
+    # numpy loads numpy.random on first use, and synth registers its seed
+    # words with numpy.random only when it first derives a generator, so a
+    # command that draws nothing does not pay for the import
+    probe = ("import sys, ppghrv.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    src = str(Path(ppghrv.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+
+
 _KIND_VALUES = {member.value for member in ppghrv.metrics.HrvMetricKind}
 
 
@@ -406,11 +421,12 @@ def test_each_single_rule_message_is_stated_once():
 
 # numpy's seed derivations, called by name or as a method of numpy.random
 _SEEDING = {"SeedSequence", "default_rng"}
-# the constants of numpy's SeedSequence and of its PCG64 seeding
+# the constants of numpy's SeedSequence
 _SEEDING_CONSTANTS = [
     "0x43B0D7E5", "0x931E8875", "0x8B51F9DD", "0x58F38DED", "0xCA01F9DD", "0x4973F715",
-    "0x2360ED051FC65DA44385DF649FCCF645",
 ]
+# the multiplier of PCG64's 128-bit state: numpy's PCG64 seeds itself
+_PCG64_MULT = "0x2360ED051FC65DA44385DF649FCCF645"
 
 
 def test_finder_sees_each_seed_sequence():
@@ -443,6 +459,7 @@ def test_only_the_synth_helpers_derive_seeds():
     text = "".join(p.read_text() for p in sorted(src.rglob("*.py"))).lower()
     for constant in _SEEDING_CONSTANTS:
         assert text.count(constant.lower()) == synth.lower().count(constant.lower()) == 1
+    assert _PCG64_MULT.lower() not in text
     assert calls_outside(synth, None, {"_hash", "_mix"}, set()) != []
     assert calls_outside(synth, "seed_states", {"_hash", "_mix"}, set()) == []
 
