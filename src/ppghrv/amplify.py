@@ -14,7 +14,13 @@ first word that entropy derives, and its factors come from default_rng(s).
 A batch derives all its trial seeds in one synth.derived_seeds call and
 the seed words of their generators in one derived_rngs call, which hands
 each trial's words to numpy's PCG64, so every perturbed interval is the
-same float without a SeedSequence built per trial.
+same float without a SeedSequence built per trial.  Each trial's generator
+fills its own row of the batch in place with next_double values u, and four
+in-place passes over the batch turn each row into x * (1 + (-a + 2a * u)).
+numpy computes uniform(-a, a) as low + (high - low) * next_double, so these
+are the floats x * (1 + uniform(-a, a, n)) would give, without a result
+array and a temporary per trial.  inject_rr_error draws through the same
+rule, _perturb_rows, on a batch of one.
 
 A batch stores its perturbed series as the rows of one C-contiguous
 (trials, intervals) array, and a window is a column slice of it, so each
@@ -30,6 +36,7 @@ at least one trial), so memory does not grow with the trial count.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +56,7 @@ DEFAULT_MAPE_LEVELS_PCT = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_WINDOW_S = 60.0
 MIN_WINDOWS = 10
 # each trial perturbs and measures the whole base trace once per level, so
-# 10^5 trials (100x the default) take about 13 s on a 2-vCPU Xeon VM
+# 10^5 trials (100x the default) take about 10 s on a 2-vCPU Xeon VM
 MAX_TRIALS = 100_000
 # Size of amplification_table's batch of perturbed series (see above).
 TRIAL_CHUNK_BYTES = 1024 * 1024
@@ -91,9 +98,17 @@ def _eps_amplitude(target_mape_pct: float) -> float:
     return a
 
 
-def _error_factors(a: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The n factors 1 + eps that one perturbation multiplies the intervals by."""
-    return 1.0 + rng.uniform(-a, a, size=n)
+def _perturb_rows(x: np.ndarray, a: float, rngs: Iterable[np.random.Generator],
+                  out: np.ndarray) -> None:
+    """Row j of out becomes x * (1 + eps), eps ~ Uniform(-a, a) drawn by the
+    j-th generator: its row filled in place, then four in-place passes over
+    the batch, the same floats as 1.0 + rng.uniform(-a, a, n) (see above)."""
+    for row, rng in zip(out, rngs):
+        rng.random(out=row)
+    out *= 2.0 * a
+    out -= a
+    out += 1.0
+    out *= x
 
 
 def inject_rr_error(rr: RrSeries, target_mape_pct: float, rng_seed: int) -> RrSeries:
@@ -106,7 +121,9 @@ def inject_rr_error(rr: RrSeries, target_mape_pct: float, rng_seed: int) -> RrSe
     """
     check_seed(rng_seed)
     a = _eps_amplitude(target_mape_pct)
-    return RrSeries(rr.intervals_ms * _error_factors(a, derived_rng((rng_seed,)), len(rr)))
+    pert = np.empty((1, len(rr)))
+    _perturb_rows(rr.intervals_ms, a, [derived_rng((rng_seed,))], pert)
+    return RrSeries(pert[0])
 
 
 def _window_slices(rr: RrSeries, window_s: float) -> list[slice]:
@@ -169,8 +186,7 @@ def amplification_table(
         for t0 in range(0, trials, chunk):
             m = min(chunk, trials - t0)
             seeds = derived_seeds((rng_seed, li), range(t0, t0 + m))
-            for j, rng in enumerate(derived_rngs((), seeds)):
-                np.multiply(x, _error_factors(a, rng, x.size), out=pert[j])
+            _perturb_rows(x, a, derived_rngs((), seeds), pert[:m])
             for w, s in enumerate(slices):
                 r_est[:m, w] = rmssd_rows(pert[:m, s])
                 s_est[:m, w] = sdnn_rows(pert[:m, s])

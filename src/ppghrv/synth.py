@@ -36,6 +36,9 @@ ARTIFACT_BAND_HZ = (0.5, 5.0)        # rough band of the burst content
 # holds duration_s * sampling_rate_hz samples, so a longer trace costs time
 # and memory without bound
 MAX_DURATION_S = 86_400.0
+# render_ppg's block of pulse samples: its temporaries hold about a dozen
+# arrays of this many values, whatever the duration
+RENDER_BLOCK_SAMPLES = 1 << 15
 
 # independent RNG streams per stage, all derived from cfg.seed
 _RR_STREAM = 0
@@ -283,14 +286,19 @@ def generate_rr_trace(cfg: SynthConfig) -> GroundTruth:
     return GroundTruth(beat_times_s=np.asarray(beats))
 
 
-def _pulse_curve(tt: np.ndarray, beat_t: float, rise_s: float, decay_s: float) -> np.ndarray:
-    """Asymmetric raised cosine peaking (value 1) at beat_t."""
+def _pulse_curve(
+    tt: np.ndarray, beat_t: np.ndarray, rise_s: np.ndarray, decay_s: np.ndarray
+) -> np.ndarray:
+    """Asymmetric raised cosine peaking (value 1) at its beat time: at each
+    time tt[k], the pulse of the beat at beat_t[k] that rises over rise_s[k]
+    and decays over decay_s[k]."""
     out = np.zeros_like(tt)
-    rising = (tt >= beat_t - rise_s) & (tt <= beat_t)
-    u = (tt[rising] - (beat_t - rise_s)) / rise_s
+    start = beat_t - rise_s
+    rising = (tt >= start) & (tt <= beat_t)
+    u = (tt[rising] - start[rising]) / rise_s[rising]
     out[rising] = 0.5 * (1.0 - np.cos(np.pi * u))
     falling = (tt > beat_t) & (tt <= beat_t + decay_s)
-    v = (tt[falling] - beat_t) / decay_s
+    v = (tt[falling] - beat_t[falling]) / decay_s[falling]
     out[falling] = 0.5 * (1.0 + np.cos(np.pi * v))
     return out
 
@@ -302,22 +310,37 @@ def render_ppg(gt: GroundTruth, cfg: SynthConfig) -> PpgSignal:
     the upstroke spans 30% of the preceding interval and the decay 70% of
     the following one, so consecutive templates tile without overlap.  The
     result is pulses + Gaussian noise + motion artifacts.
+
+    Beat i's pulse covers samples j0[i]..j1[i], sample j at time j / fs.  A
+    block of beats whose spans hold at most RENDER_BLOCK_SAMPLES samples
+    (but at least one beat) is expanded to its (beat, sample) pairs in beat
+    order; one _pulse_curve call gives their values, and np.add.at adds
+    them in that order, so a sample that two pulses cover takes the earlier
+    beat's value first, as adding one pulse at a time would.
     """
     fs = cfg.sampling_rate_hz
     n = int(round(cfg.duration_s * fs))
-    t = np.arange(n) / fs
     signal = np.zeros(n)
     bt = gt.beat_times_s
     rr_s = gt.rr.intervals_ms / 1000.0
-    n_rr = rr_s.size
-    for i, b in enumerate(bt):
-        rise_s = PULSE_RISE_FRACTION * (rr_s[i - 1] if i > 0 else rr_s[0])
-        decay_s = (1.0 - PULSE_RISE_FRACTION) * (rr_s[i] if i < n_rr else rr_s[-1])
-        j0 = max(0, int(np.ceil((b - rise_s) * fs)))
-        j1 = min(n - 1, int(np.floor((b + decay_s) * fs)))
-        if j1 < j0:
-            continue
-        signal[j0 : j1 + 1] += _pulse_curve(t[j0 : j1 + 1], b, rise_s, decay_s)
+    rise_s = PULSE_RISE_FRACTION * np.concatenate((rr_s[:1], rr_s))
+    decay_s = (1.0 - PULSE_RISE_FRACTION) * np.concatenate((rr_s, rr_s[-1:]))
+    j0 = np.maximum(np.ceil((bt - rise_s) * fs), 0).astype(np.int64)
+    j1 = np.minimum(np.floor((bt + decay_s) * fs), n - 1).astype(np.int64)
+    counts = np.maximum(j1 - j0 + 1, 0)
+    # beat i's pairs are starts[i]..starts[i + 1] - 1; pair p's sample is
+    # p + shift[i]
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    shift = j0 - starts[:-1]
+    i0 = 0
+    while i0 < bt.size:
+        limit = starts[i0] + RENDER_BLOCK_SAMPLES
+        i1 = max(i0 + 1, int(np.searchsorted(starts, limit, "right")) - 1)
+        beat = np.repeat(np.arange(i0, i1), counts[i0:i1])
+        sample = np.arange(starts[i0], starts[i1]) + shift[beat]
+        pulses = _pulse_curve(sample / fs, bt[beat], rise_s[beat], decay_s[beat])
+        np.add.at(signal, sample, pulses)
+        i0 = i1
     if cfg.additive_noise_sigma > 0:
         signal = signal + derived_rng((cfg.seed, _NOISE_STREAM)).normal(
             0.0, cfg.additive_noise_sigma, n

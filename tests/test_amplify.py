@@ -5,7 +5,10 @@ import pytest
 
 from ppghrv import amplify
 from ppghrv.amplify import (
+    DEFAULT_MAPE_LEVELS_PCT,
     AmplificationRow,
+    _eps_amplitude,
+    _perturb_rows,
     _window_slices,
     amplification_table,
     default_base_trace,
@@ -13,6 +16,7 @@ from ppghrv.amplify import (
 )
 from ppghrv.errors import ConfigError
 from ppghrv.metrics import RrSeries, mape, rmssd, sdnn
+from ppghrv.synth import derived_rngs, derived_seeds
 
 
 def oracle_table(base, mape_levels_pct, trials, window_s, rng_seed):
@@ -98,6 +102,34 @@ class TestInjectRrError:
             inject_rr_error(RrSeries(np.full(10, 800.0)), 1.0, rng_seed=-1)
 
 
+_AMPLITUDES = sorted({0.0, 1e-12, 0.98, *map(_eps_amplitude, DEFAULT_MAPE_LEVELS_PCT)})
+
+
+class TestDrawIdentity:
+    """_perturb_rows fills each row from its generator and applies
+    1 + (-a + 2a * u) in place; that must be 1.0 + rng.uniform(-a, a, n),
+    bit for bit, or the table would quietly change with numpy's formula."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("a", _AMPLITUDES)
+    def test_rows_equal_one_plus_numpys_uniform(self, a, n):
+        x = np.random.default_rng(n).uniform(300.0, 1500.0, n)
+        for prefix in [(0, 0), (7, 3), (2**40, 5)]:
+            seeds = derived_seeds(prefix, range(4))
+            out = np.empty((len(seeds), n))
+            _perturb_rows(x, a, derived_rngs((), seeds), out)
+            want = np.array(
+                [x * (1.0 + np.random.default_rng(s).uniform(-a, a, n)) for s in seeds]
+            )
+            np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_level_zero_factors_are_exactly_one(self, n):
+        out = np.empty((3, n))
+        _perturb_rows(np.ones(n), _eps_amplitude(0.0), derived_rngs((1,), range(3)), out)
+        assert (out == 1.0).all()
+
+
 class TestWindowSlices:
     def test_covers_consecutive_indices(self):
         rr = RrSeries(np.full(100, 1000.0))  # 100 s of exact 1 s beats
@@ -168,7 +200,12 @@ class TestAmplificationTable:
     @pytest.mark.parametrize("level", [float("nan"), 50.0])
     def test_bad_last_level_fails_before_any_trial(self, monkeypatch, level):
         drawn = []
-        monkeypatch.setattr(amplify, "_error_factors", lambda *a: drawn.append(a))
+
+        def spy(x, a, rngs, out):
+            drawn.append(a)
+            out[:] = x
+
+        monkeypatch.setattr(amplify, "_perturb_rows", spy)
         with pytest.raises(ConfigError, match="target"):
             amplification_table(default_base_trace(0), (1.0, 2.0, level), trials=3)
         assert drawn == []

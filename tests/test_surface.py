@@ -26,6 +26,11 @@ alone go to detect_peaks from one loop in `ppg_to_hr`, its only caller.
 SDNN or RMSSD is picked in one place, `ppghrv.metrics.hrv_rows`; every
 other windowed HRV goes through it.
 
+The PPG pulse is one formula, `ppghrv.synth._pulse_curve`, and `render_ppg`,
+its only caller, hands it a block of beats at a time.  amplify perturbs
+intervals by one draw rule, `ppghrv.amplify._perturb_rows`, the only place
+in amplify that draws from a generator; it makes no `uniform` call.
+
 A decision tree is a forest of one: dt and rf share `tree.TreeModel`'s batch
 predict, and only `tree.py` walks a tree.
 
@@ -275,6 +280,26 @@ def test_only_ppg_to_hr_sends_windows_to_detect_peaks():
     sigproc = (src / "sigproc.py").read_text()
     assert len(calls_outside(sigproc, None, {"detect_peaks"}, set())) == 1
     assert len(calls_outside(sigproc, None, {"find_peaks"}, set())) == 3
+
+
+def test_only_render_ppg_calls_pulse_curve():
+    src = Path(ppghrv.__file__).parent
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        allowed = "render_ppg" if path.name == "synth.py" else None
+        calls = calls_outside(path.read_text(), allowed, {"_pulse_curve"}, {"_pulse_curve"})
+        if calls:
+            found[path.relative_to(src).as_posix()] = calls
+    assert found == {}
+    synth = (src / "synth.py").read_text()
+    assert len(calls_outside(synth, None, {"_pulse_curve"}, set())) == 1
+
+
+def test_amplify_draws_through_one_rule():
+    source = (Path(ppghrv.__file__).parent / "amplify.py").read_text()
+    assert calls_outside(source, None, {"uniform"}, {"uniform"}) == []
+    assert calls_outside(source, "_perturb_rows", set(), {"random"}) == []
+    assert len(calls_outside(source, None, set(), {"random"})) == 1
 
 
 def test_cli_imports_no_scipy():

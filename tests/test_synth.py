@@ -1,8 +1,10 @@
 """Generator contracts: exact ground truth, determinism, render fidelity."""
 
+import tracemalloc
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from ppghrv.errors import ConfigError, HrvError
 from ppghrv.metrics import HrvMetricKind, RrSeries, mape, rmssd, sdnn, rough_hrv
@@ -21,8 +23,77 @@ from ppghrv.synth import (
     first_non_increasing,
     sample_artifact_epochs,
     _ARTIFACT_STREAM,
-    _pulse_curve,
+    _NOISE_STREAM,
 )
+from ppghrv import synth
+
+
+def loop_pulse(tt, beat_t, rise_s, decay_s):
+    """One beat's asymmetric raised cosine peaking (value 1) at beat_t."""
+    out = np.zeros_like(tt)
+    rising = (tt >= beat_t - rise_s) & (tt <= beat_t)
+    u = (tt[rising] - (beat_t - rise_s)) / rise_s
+    out[rising] = 0.5 * (1.0 - np.cos(np.pi * u))
+    falling = (tt > beat_t) & (tt <= beat_t + decay_s)
+    v = (tt[falling] - beat_t) / decay_s
+    out[falling] = 0.5 * (1.0 + np.cos(np.pi * v))
+    return out
+
+
+def loop_spans(gt, cfg):
+    """Each beat's time, rise, decay and sample span j0..j1, one beat at a time."""
+    fs = cfg.sampling_rate_hz
+    n = int(round(cfg.duration_s * fs))
+    rr_s = gt.rr.intervals_ms / 1000.0
+    n_rr = rr_s.size
+    for i, b in enumerate(gt.beat_times_s):
+        rise_s = PULSE_RISE_FRACTION * (rr_s[i - 1] if i > 0 else rr_s[0])
+        decay_s = (1.0 - PULSE_RISE_FRACTION) * (rr_s[i] if i < n_rr else rr_s[-1])
+        j0 = max(0, int(np.ceil((b - rise_s) * fs)))
+        j1 = min(n - 1, int(np.floor((b + decay_s) * fs)))
+        yield b, rise_s, decay_s, j0, j1
+
+
+def loop_render(gt, cfg):
+    """render_ppg adding one beat's pulse at a time to its sample span."""
+    fs = cfg.sampling_rate_hz
+    n = int(round(cfg.duration_s * fs))
+    t = np.arange(n) / fs
+    signal = np.zeros(n)
+    for b, rise_s, decay_s, j0, j1 in loop_spans(gt, cfg):
+        if j1 < j0:
+            continue
+        signal[j0 : j1 + 1] += loop_pulse(t[j0 : j1 + 1], b, rise_s, decay_s)
+    if cfg.additive_noise_sigma > 0:
+        signal = signal + derived_rng((cfg.seed, _NOISE_STREAM)).normal(
+            0.0, cfg.additive_noise_sigma, n
+        )
+    out = PpgSignal(fs, signal)
+    if cfg.artifact_rate_per_min > 0:
+        out = inject_motion_artifacts(out, cfg)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@dataclass(frozen=True)
+class OverlappingTrain:
+    """A beat train whose intervals exceed its beat spacing, so that up to
+    four pulses cover a sample with non-zero values.  A GroundTruth's
+    pulses tile: two meet only at the ends of their spans, where both are
+    zero or nearly so."""
+
+    beat_times_s: np.ndarray
+    rr: RrSeries
+
+
+def overlapping_train(n_beats):
+    rng = np.random.default_rng(12)
+    bt = np.cumsum(rng.uniform(0.2, 0.3, n_beats))
+    return OverlappingTrain(bt, RrSeries(rng.uniform(900.0, 1100.0, n_beats - 1)))
 
 
 class TestTimeOrder:
@@ -173,17 +244,8 @@ class TestRenderPpg:
         # samples; they add nothing, and every other pulse adds its curve
         cfg = SynthConfig(duration_s=60.0, base_hr_bpm=150.0, sampling_rate_hz=1.0, seed=0)
         gt = generate_rr_trace(cfg)
-        t = np.arange(60.0)
-        rr_s = np.diff(gt.beat_times_s)
-        want = np.zeros(t.size)
-        uncovered = 0
-        for i, b in enumerate(gt.beat_times_s):
-            rise = PULSE_RISE_FRACTION * rr_s[max(i - 1, 0)]
-            decay = (1.0 - PULSE_RISE_FRACTION) * rr_s[min(i, rr_s.size - 1)]
-            uncovered += not ((t >= b - rise) & (t <= b + decay)).any()
-            want += _pulse_curve(t, b, rise, decay)
-        assert uncovered > 0
-        np.testing.assert_array_equal(render_ppg(gt, cfg).samples, want)
+        assert any(j1 < j0 for *_, j0, j1 in loop_spans(gt, cfg))
+        assert_same_bits(render_ppg(gt, cfg).samples, loop_render(gt, cfg).samples)
 
     def test_noise_is_deterministic(self):
         cfg = SynthConfig(duration_s=30.0, additive_noise_sigma=0.1, seed=11)
@@ -192,6 +254,70 @@ class TestRenderPpg:
         b = render_ppg(gt, cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
 
+
+class TestRenderMatchesLoop:
+    """render_ppg's blocks of (beat, sample) pairs give the floats of the
+    per-beat loop, bit for bit."""
+
+    @pytest.mark.parametrize("rate, duration_s", [
+        (1.0, 1800.0), (25.0, 1800.0), (250.0, 600.0), (1000.0, 120.0),
+    ])
+    @pytest.mark.parametrize("seed", [0, 3, 202, 777])
+    @pytest.mark.parametrize("preset", sorted(ACTIVITY_PRESETS))
+    def test_presets(self, preset, seed, rate, duration_s):
+        cfg = replace(activity_preset(preset, duration_s, seed), sampling_rate_hz=rate)
+        gt = generate_rr_trace(cfg)
+        assert_same_bits(render_ppg(gt, cfg).samples, loop_render(gt, cfg).samples)
+
+    def test_thirty_minutes_at_1000_hz(self):
+        cfg = replace(activity_preset("sit", 1800.0, 5), sampling_rate_hz=1000.0)
+        gt = generate_rr_trace(cfg)
+        assert_same_bits(render_ppg(gt, cfg).samples, loop_render(gt, cfg).samples)
+
+    def test_pulses_that_share_a_sample(self):
+        # beats 1 s apart at 10 Hz: beat i's span ends on the sample where
+        # beat i + 1's begins
+        cfg = SynthConfig(duration_s=4.0, sampling_rate_hz=10.0)
+        gt = GroundTruth(np.arange(5.0))
+        spans = [(j0, j1) for *_, j0, j1 in loop_spans(gt, cfg)]
+        assert any(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert_same_bits(render_ppg(gt, cfg).samples, loop_render(gt, cfg).samples)
+
+    def test_overlapping_pulses_add_in_beat_order(self):
+        cfg = SynthConfig(duration_s=30.0, sampling_rate_hz=250.0)
+        gt = overlapping_train(120)
+        covers = np.zeros(7500, dtype=int)
+        for *_, j0, j1 in loop_spans(gt, cfg):
+            covers[j0 : j1 + 1] += 1
+        assert covers.max() >= 4
+        assert_same_bits(render_ppg(gt, cfg).samples, loop_render(gt, cfg).samples)
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 333, 4096])
+    def test_spans_across_block_boundaries(self, monkeypatch, block):
+        # a block smaller than one span holds one beat; the others end
+        # inside a span, so the next block adds onto what this one wrote
+        monkeypatch.setattr(synth, "RENDER_BLOCK_SAMPLES", block)
+        cfg = SynthConfig(duration_s=30.0, sampling_rate_hz=250.0)
+        gt = overlapping_train(120)
+        assert_same_bits(render_ppg(gt, cfg).samples, loop_render(gt, cfg).samples)
+        cfg = replace(activity_preset("office_work", 120.0, 202), sampling_rate_hz=250.0)
+        gt = generate_rr_trace(cfg)
+        assert_same_bits(render_ppg(gt, cfg).samples, loop_render(gt, cfg).samples)
+
+    def test_memory_stays_near_the_output(self):
+        # the pairs are made a block at a time: one hour at 1000 Hz needs
+        # the output array and a few block-sized temporaries, not a dozen
+        # arrays the size of the trace
+        cfg = SynthConfig(duration_s=3600.0, sampling_rate_hz=1000.0)
+        gt = generate_rr_trace(cfg)
+        tracemalloc.start()
+        try:
+            sig = render_ppg(gt, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sig.samples.size == 3_600_000
+        assert peak < 1.5 * sig.samples.nbytes
 
 class TestMotionArtifacts:
     def test_zero_rate_is_identity(self):
